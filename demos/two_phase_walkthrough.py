@@ -10,6 +10,7 @@ from steinertree import (
     Instance,
     enumerate_full_components,
     metric_closure,
+    minimum_spanning_tree,
 )
 from steinertree.phase1 import run_phase1
 from steinertree.phase2 import run_phase2
@@ -29,7 +30,8 @@ def main():
         print(f"  terminals {comp.terminals}  cost {comp.cost}  loss {comp.loss}")
 
     pool = CandidatePool(candidates)
-    p1 = run_phase1(inst, closure, pool)
+    t0 = minimum_spanning_tree(sorted(inst.terminals), closure.distance)
+    p1 = run_phase1(inst, closure, pool, t0)
     print(f"\nphase 1: terminal MST = {p1.mst_cost}")
     for row in p1.trace["iterations"]:
         print(f"  pick {row['terminals']}: gain {row['gain']}, loss {row['loss']}, "
@@ -37,7 +39,7 @@ def main():
     print(f"  base tree {p1.base_tree.total_cost}, merged solution "
           f"{p1.solution.total_cost}")
 
-    p2 = run_phase2(inst, closure, pool, p1.base_tree)
+    p2 = run_phase2(inst, pool, t0, p1.base_tree)
     print(f"\nphase 2: initial gap = {p2.trace['initial_gap']}")
     for row in p2.trace["iterations"]:
         f_num, f_den = row["f"]

@@ -13,7 +13,7 @@ up as leaves.
 from __future__ import annotations
 
 import itertools
-from typing import Callable, NamedTuple, Sequence
+from typing import NamedTuple, Sequence
 
 import numpy as np
 
@@ -249,9 +249,6 @@ def enumerate_full_components(instance: Instance, closure: MetricClosure,
     if k >= 4:
         from .exact import dw_closure_tree
 
-        def dist(a: int, b: int) -> int:
-            return int(D[closure.index[a], closure.index[b]])
-
         for size in range(4, k + 1):
             for combo in itertools.combinations(range(len(terms)), size):
                 sub_idx = [tidx[x] for x in combo]
@@ -274,9 +271,7 @@ def enumerate_full_components(instance: Instance, closure: MetricClosure,
                             origin[next_ph] = closure.vertices[x]
                             next_ph -= 1
                     edges.append((mapping[a], mapping[b], int(D[a, b])))
-                edges = _normalized_edges(edges, set(subset), origin, dist)
-                used = {x for e in edges for x in e[:2]}
-                origin = {s: o for s, o in origin.items() if s in used}
+                edges, origin = _normalized_edges(edges, set(subset), origin, closure)
                 if sum(w for _, _, w in edges) != cost:
                     raise InternalInvariantError(
                         f"normalization changed optimal cost for subset {subset}"
@@ -298,9 +293,10 @@ def enumerate_full_components(instance: Instance, closure: MetricClosure,
 
 
 def _normalized_edges(edges: list[Edge], keep: set[int], origin: dict[int, int],
-                      dist: Callable[[int, int], int]) -> list[Edge]:
+                      closure: MetricClosure) -> tuple[list[Edge], dict[int, int]]:
     """Prune interior leaves and shortcut degree-2 interior nodes through
-    the closure. Keeps terminals untouched; never raises cost."""
+    the closure. Keeps terminals untouched; never raises cost. Returns the
+    edges and `origin` restricted to the interior ids they still use."""
     work = prune_leaves(edges, keep)
     while True:
         degree: dict[int, int] = {}
@@ -313,13 +309,14 @@ def _normalized_edges(edges: list[Edge], keep: set[int], origin: dict[int, int],
                 target = node
                 break
         if target is None:
-            return work
+            used = {x for e in work for x in e[:2]}
+            return work, {s: o for s, o in origin.items() if s in used}
         incident = [e for e in work if target in e[:2]]
         (a, b) = (
             incident[0][0] if incident[0][1] == target else incident[0][1],
             incident[1][0] if incident[1][1] == target else incident[1][1],
         )
-        w = dist(origin.get(a, a), origin.get(b, b))
+        w = closure.distance(origin.get(a, a), origin.get(b, b))
         work = [e for e in work if target not in e[:2]]
         work.append((min(a, b), max(a, b), w))
         work = prune_leaves(work, keep)
@@ -333,14 +330,8 @@ def component_from_part(comp: FullComponent, part_nodes: set[int],
     if len(terms) < 2:
         return None
 
-    def dist(a: int, b: int) -> int:
-        return int(closure.dist[closure.index[a], closure.index[b]])
-
     edges = [e for e in comp.edges if e[0] in part_nodes and e[1] in part_nodes]
-    origin = dict(comp.steiner_origin)
-    edges = _normalized_edges(list(edges), set(terms), origin, dist)
-    used = {x for e in edges for x in e[:2]}
-    origin = {s: o for s, o in origin.items() if s in used}
+    edges, origin = _normalized_edges(edges, set(terms), comp.steiner_origin, closure)
     return FullComponent(terms, edges, origin)
 
 

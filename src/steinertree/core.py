@@ -11,7 +11,9 @@ from __future__ import annotations
 
 import heapq
 import itertools
+import math
 from dataclasses import dataclass
+from functools import cached_property
 from fractions import Fraction
 from typing import Callable, Iterable, Mapping, Sequence
 
@@ -26,6 +28,14 @@ from .errors import (
 )
 
 Edge = tuple[int, int, int]
+
+# Instance.build rejects instances whose scaled weights sum to this or more.
+# Every shortest-path distance, and so every bottleneck weight and
+# Dreyfus-Wagner table entry, is then below 2**59, and the widest int64
+# expressions stay below 2**63: the three-term bottleneck sum in
+# CandidatePool.savings_for (< 3 * 2**59) and INF + D in dw_closure_tree,
+# where INF = 4 * WEIGHT_LIMIT (< 2**61 + 2**59).
+WEIGHT_LIMIT = 2**59
 
 
 def edge_key(u: int, v: int, w: int) -> tuple[int, int, int]:
@@ -114,13 +124,16 @@ class Instance:
         for t in terms:
             if not 1 <= t <= vertex_count:
                 raise InvalidInstanceError(f"terminal {t} out of range")
-        scale = 1
-        for fw in fractions:
-            scale = scale * fw.denominator // _gcd(scale, fw.denominator)
+        scale = math.lcm(*(fw.denominator for fw in fractions))
         scaled = tuple(
             (int(u), int(v), int(fw * scale))
             for (u, v, _), fw in zip(edges, fractions)
         )
+        if sum(w for _, _, w in scaled) >= WEIGHT_LIMIT:
+            raise InvalidInstanceError(
+                f"scaled weights (scale {scale}) sum to 2**59 or more; "
+                "exact int64 arithmetic needs a smaller total"
+            )
         inst = cls(vertex_count, scaled, terms, name, scale)
         # Terminal connectivity is part of validity.
         reach = inst.reachable_from(min(terms))
@@ -131,22 +144,28 @@ class Instance:
             )
         return inst
 
-    def adjacency(self) -> dict[int, list[tuple[int, int]]]:
-        """Neighbor lists (vertex, weight), sorted, parallel edges collapsed
-        to their minimum weight."""
+    @cached_property
+    def edge_weights(self) -> dict[tuple[int, int], int]:
+        """Minimum weight per vertex pair, keyed (smaller, larger), so
+        parallel edges collapse to their lightest."""
         best: dict[tuple[int, int], int] = {}
         for u, v, w in self.edges:
-            a, b = (u, v) if u < v else (v, u)
-            if (a, b) not in best or w < best[(a, b)]:
-                best[(a, b)] = w
+            key = (u, v) if u < v else (v, u)
+            if key not in best or w < best[key]:
+                best[key] = w
+        return best
+
+    @cached_property
+    def adjacency(self) -> dict[int, list[tuple[int, int]]]:
+        """Neighbor lists (vertex, weight), sorted, over `edge_weights`."""
         adj: dict[int, list[tuple[int, int]]] = {x: [] for x in range(1, self.vertex_count + 1)}
-        for (a, b), w in sorted(best.items()):
+        for (a, b), w in sorted(self.edge_weights.items()):
             adj[a].append((b, w))
             adj[b].append((a, w))
         return adj
 
     def reachable_from(self, start: int) -> set[int]:
-        adj = self.adjacency()
+        adj = self.adjacency
         seen = {start}
         stack = [start]
         while stack:
@@ -159,12 +178,6 @@ class Instance:
 
     def display_cost(self, cost: int) -> str:
         return format_cost(cost, self.scale)
-
-
-def _gcd(a: int, b: int) -> int:
-    while b:
-        a, b = b, a % b
-    return a
 
 
 def format_cost(cost: int, scale: int) -> str:
@@ -207,7 +220,7 @@ class MetricClosure:
         self.index = {v: i for i, v in enumerate(self.vertices)}
         self.dist = dist
         self._pred = pred
-        self._edge_weight = dict(edge_weight)
+        self._edge_weight = edge_weight
 
     def distance(self, u: int, v: int) -> int:
         try:
@@ -229,12 +242,22 @@ class MetricClosure:
         out.reverse()
         return out
 
+    def expand(self, pairs: Iterable[tuple[int, int]], terminals: Sequence[int]) -> Tree:
+        """Tree over original edges: one shortest path per (u, v) pair,
+        their union reduced by pruned_mst."""
+        assembled: dict[tuple[int, int], int] = {}
+        for u, v in pairs:
+            for a, b, w in self.path_edges(u, v):
+                assembled[(a, b)] = w
+        edges = [(a, b, w) for (a, b), w in sorted(assembled.items())]
+        return pruned_mst(edges, terminals)[1]
+
 
 def metric_closure(instance: Instance) -> MetricClosure:
     """Dijkstra from every vertex of the terminal component, exact integer
     distances, deterministic predecessor choice (heap ties pop the smaller
     vertex; relaxations are strict)."""
-    adj = instance.adjacency()
+    adj = instance.adjacency
     terms = sorted(instance.terminals)
     component = instance.reachable_from(terms[0])
     missing = set(terms) - component
@@ -268,12 +291,7 @@ def metric_closure(instance: Instance) -> MetricClosure:
         row = dist[si]
         for v, dv in d.items():
             row[index[v]] = dv
-    edge_weight: dict[tuple[int, int], int] = {}
-    for u, nbrs in adj.items():
-        for v, w in nbrs:
-            if u < v:
-                edge_weight[(u, v)] = w
-    return MetricClosure(vertices, dist, pred, edge_weight)
+    return MetricClosure(vertices, dist, pred, instance.edge_weights)
 
 
 # ---------------------------------------------------------------------------
@@ -348,6 +366,14 @@ def minimum_spanning_tree(nodes: Iterable[int], weight_of: Callable[[int, int], 
     edges = [(u, v, weight_of(u, v)) for u, v in itertools.combinations(node_list, 2)]
     kept = kruskal_indices(node_list, edges)
     return Tree.from_edges([edges[i] for i in kept], node_list)
+
+
+def pruned_mst(edges: Sequence[Edge], terminals: Sequence[int]) -> tuple[int, Tree]:
+    """MST of the multigraph `edges` over their endpoints and `terminals`,
+    then non-terminal leaves pruned away: (MST cost before pruning, tree)."""
+    nodes = {x for e in edges for x in e[:2]} | set(terminals)
+    kept = [edges[i] for i in kruskal_indices(nodes, edges)]
+    return sum(w for _, _, w in kept), Tree.from_edges(prune_leaves(kept, terminals), terminals)
 
 
 def bottleneck_edge(tree: Tree, u: int, v: int) -> Edge:
@@ -466,21 +492,22 @@ class ContractedTree:
         self._rep_lookup = arr
         return arr
 
-    def _group_reps(self, group: Iterable[int]) -> list[int]:
-        reps = []
+    def _group_reps(self, group: Iterable[int]) -> set[int]:
+        """Representatives of the nodes in `group`."""
+        reps = set()
         for node in group:
             rep = self.rep_of.get(node)
             if rep is None:
                 raise UnknownNodeError(f"node {node} not in contracted tree")
-            reps.append(self.rep_index[rep])
-        return sorted(set(reps))
+            reps.add(rep)
+        return reps
 
     def saving(self, group: Iterable[int]) -> int:
         """cost drop of treating `group` as mutually zero-distance:
         cost(self) - mst(self with the group's zero clique added). Equals
         the MST of the group's representatives under bottleneck weights;
         the from-scratch Kruskal route is mst_with_zero_set."""
-        reps = self._group_reps(group)
+        reps = sorted(self.rep_index[r] for r in self._group_reps(group))
         if len(reps) <= 1:
             return 0
         mat = self.bottleneck_matrix
@@ -498,12 +525,7 @@ class ContractedTree:
 
     def mst_with_zero_set(self, group: Iterable[int]) -> int:
         """cost of MST(self u zero clique on group), computed from scratch."""
-        group_reps = set()
-        for node in group:
-            rep = self.rep_of.get(node)
-            if rep is None:
-                raise UnknownNodeError(f"node {node} not in contracted tree")
-            group_reps.add(rep)
+        group_reps = self._group_reps(group)
         if len(group_reps) <= 1:
             return self.cost
         kept = kruskal_indices(self.reps, self.edges, merged_groups=[group_reps])
@@ -512,12 +534,7 @@ class ContractedTree:
     def contract_zero_set(self, group: Iterable[int]) -> "ContractedTree":
         """Merge the groups touched by `group` and re-run the MST over the
         surviving edges. The merged representative is the smallest member."""
-        group_reps = set()
-        for node in group:
-            rep = self.rep_of.get(node)
-            if rep is None:
-                raise UnknownNodeError(f"node {node} not in contracted tree")
-            group_reps.add(rep)
+        group_reps = self._group_reps(group)
         if len(group_reps) <= 1:
             return self
         merged_members = [n for n, r in self.rep_of.items() if r in group_reps]

@@ -17,13 +17,14 @@ from typing import TYPE_CHECKING, Sequence
 
 import numpy as np
 
-from .core import MetricClosure, Tree, kruskal_indices, prune_leaves
+from .core import WEIGHT_LIMIT, MetricClosure, Tree, kruskal_indices
 from .errors import InternalInvariantError, LimitExceededError, UnknownNodeError
 
 if TYPE_CHECKING:
     from .components import FullComponent
 
-INF = np.int64(2**61)
+# Above every real distance (< WEIGHT_LIMIT); INF + D stays below 2**63.
+INF = np.int64(4 * WEIGHT_LIMIT)
 
 
 @dataclass(frozen=True)
@@ -113,16 +114,9 @@ def optimal_steiner_tree(closure: MetricClosure, terminals: Sequence[int],
         return ExactResult(Tree(frozenset(terms), (), 0), 0)
     tidx = [closure.index[t] for t in terms]
     cost, closure_edges = dw_closure_tree(closure.dist, tidx)
-    assembled: dict[tuple[int, int], int] = {}
-    for i, j in closure_edges:
-        u, v = closure.vertices[i], closure.vertices[j]
-        for a, b, w in closure.path_edges(u, v):
-            assembled[(a, b)] = w
-    edges = [(a, b, w) for (a, b), w in sorted(assembled.items())]
-    nodes = {x for e in edges for x in e[:2]} | set(terms)
-    kept = kruskal_indices(nodes, edges)
-    pruned = prune_leaves([edges[i] for i in kept], terms)
-    tree = Tree.from_edges(pruned, terms)
+    tree = closure.expand(
+        ((closure.vertices[i], closure.vertices[j]) for i, j in closure_edges), terms
+    )
     if tree.total_cost != cost:
         raise InternalInvariantError(
             f"expanded optimum {tree.total_cost} != table optimum {cost}"

@@ -32,8 +32,7 @@ from .core import (
     Tree,
     UnionFind,
     kruskal_indices,
-    minimum_spanning_tree,
-    prune_leaves,
+    pruned_mst,
 )
 from .errors import InternalInvariantError
 
@@ -83,24 +82,23 @@ def _select(gains: np.ndarray, losses: np.ndarray) -> int | None:
     return best[0]
 
 
-def _merged_edges(t0: Tree, chosen: list[ChosenEntry]) -> tuple[list, int]:
-    """MST over the starting tree plus every chosen component's full edge
-    set; returns (kept edges, cost). Interior copies stay un-pruned here."""
+def merge(t0: Tree, chosen: list[ChosenEntry]) -> tuple[int, Tree, dict[int, int]]:
+    """The starting tree plus every chosen component's full edge set,
+    reduced by pruned_mst: (cost before pruning, pruned tree, interior id ->
+    graph vertex)."""
     edges = list(t0.edges)
-    nodes = set(t0.nodes)
+    origin: dict[int, int] = {}
     for entry in chosen:
         edges.extend(entry.comp.edges)
-        nodes.update(entry.comp.steiner_ids)
-        nodes.update(entry.comp.terminals)
-    kept = kruskal_indices(nodes, edges)
-    kept_edges = [edges[i] for i in kept]
-    return kept_edges, sum(e[2] for e in kept_edges)
+        origin.update(entry.comp.steiner_origin)
+    unpruned, tree = pruned_mst(edges, sorted(t0.nodes))
+    return unpruned, tree, origin
 
 
 def run_phase1(instance: Instance, closure: MetricClosure,
-               pool: CandidatePool) -> Phase1Result:
+               pool: CandidatePool, t0: Tree) -> Phase1Result:
+    """Phase 1 from `t0`, the terminal MST over `closure`."""
     terms = sorted(instance.terminals)
-    t0 = minimum_spanning_tree(terms, closure.distance)
     chosen: list[ChosenEntry] = []
     uid_counter = 0
     alloc = max(instance.vertex_count, pool.max_steiner_id) + 1
@@ -109,6 +107,7 @@ def run_phase1(instance: Instance, closure: MetricClosure,
     current_cost = t0.total_cost
     rows: list[dict] = []
     picked_keys: set[tuple] = set()
+    merged = None  # merge of the latest iteration
 
     while True:
         view = ContractedTree({t: t for t in terms},
@@ -226,7 +225,8 @@ def run_phase1(instance: Instance, closure: MetricClosure,
             })
         chosen = final_chosen
 
-        merged_edges, merged_cost = _merged_edges(t0, chosen)
+        merged = merge(t0, chosen)
+        merged_cost = merged[0]
         loss_total = sum(e.comp.loss for e in chosen)
         if merged_cost != current_cost + loss_total:
             raise InternalInvariantError(
@@ -250,12 +250,7 @@ def run_phase1(instance: Instance, closure: MetricClosure,
         })
 
     base_tree = Tree.from_edges([(u, v, w) for u, v, w, _ in current], terms)
-    merged_edges, merged_cost = _merged_edges(t0, chosen)
-    pruned = prune_leaves(merged_edges, terms)
-    solution = Tree.from_edges(pruned, terms)
-    origin: dict[int, int] = {}
-    for e in chosen:
-        origin.update(e.comp.steiner_origin)
+    merged_cost, solution, origin = merged or merge(t0, chosen)
     trace = {
         "mst_cost": t0.total_cost,
         "iterations": rows,

@@ -17,17 +17,9 @@ from fractions import Fraction
 import numpy as np
 
 from .components import CandidatePool
-from .core import (
-    ContractedTree,
-    Instance,
-    MetricClosure,
-    Tree,
-    kruskal_indices,
-    minimum_spanning_tree,
-    prune_leaves,
-)
+from .core import ContractedTree, Instance, Tree
 from .errors import InternalInvariantError
-from .phase1 import ChosenEntry
+from .phase1 import ChosenEntry, merge
 
 log = logging.getLogger(__name__)
 
@@ -62,10 +54,10 @@ def select_candidate(t_origin: ContractedTree, t_base: ContractedTree,
     return best
 
 
-def run_phase2(instance: Instance, closure: MetricClosure, pool: CandidatePool,
+def run_phase2(instance: Instance, pool: CandidatePool, t0: Tree,
                base_tree: Tree) -> Phase2Result:
+    """Phase 2 between `t0`, the terminal MST, and the phase-1 base tree."""
     terms = sorted(instance.terminals)
-    t0 = minimum_spanning_tree(terms, closure.distance)
     t_origin = ContractedTree.from_tree(t0)
     t_base = ContractedTree.from_tree(base_tree)
     initial_gap = t_origin.cost - t_base.cost
@@ -116,19 +108,7 @@ def run_phase2(instance: Instance, closure: MetricClosure, pool: CandidatePool,
                 f"differences sum to {diff_total}, gap was {initial_gap}"
             )
 
-    edges = list(t0.edges)
-    nodes = set(t0.nodes)
-    for e in chosen:
-        edges.extend(e.comp.edges)
-        nodes.update(e.comp.steiner_ids)
-        nodes.update(e.comp.terminals)
-    kept = kruskal_indices(nodes, edges)
-    kept_edges = [edges[i] for i in kept]
-    unpruned = sum(e[2] for e in kept_edges)
-    solution = Tree.from_edges(prune_leaves(kept_edges, terms), terms)
-    origin: dict[int, int] = {}
-    for e in chosen:
-        origin.update(e.comp.steiner_origin)
+    unpruned, solution, origin = merge(t0, chosen)
     trace = {
         "initial_gap": initial_gap,
         "iterations": rows,

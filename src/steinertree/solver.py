@@ -21,10 +21,8 @@ from .core import (
     Instance,
     MetricClosure,
     Tree,
-    kruskal_indices,
     metric_closure,
     minimum_spanning_tree,
-    prune_leaves,
 )
 from .errors import InputError, InternalInvariantError
 from .exact import optimal_k_restricted, optimal_steiner_tree
@@ -147,21 +145,10 @@ class RunResult:
 
 def expand_solution(closure: MetricClosure, tree: Tree, terminals: list[int],
                     origin_of: dict[int, int]) -> Tree:
-    """Map interior copies back to graph vertices, expand closure edges into
-    shortest paths, and take the pruned MST of the assembled subgraph."""
-    assembled: dict[tuple[int, int], int] = {}
-    for u, v, _ in tree.edges:
-        a = origin_of.get(u, u)
-        b = origin_of.get(v, v)
-        if a == b:
-            continue
-        for e in closure.path_edges(a, b):
-            assembled[(e[0], e[1])] = e[2]
-    edges = [(a, b, w) for (a, b), w in sorted(assembled.items())]
-    nodes = {x for e in edges for x in e[:2]} | set(terminals)
-    kept = kruskal_indices(nodes, edges)
-    pruned = prune_leaves([edges[i] for i in kept], terminals)
-    return Tree.from_edges(pruned, terminals)
+    """Map interior copies back to graph vertices and expand the tree's
+    closure edges into original edges."""
+    pairs = ((origin_of.get(u, u), origin_of.get(v, v)) for u, v, _ in tree.edges)
+    return closure.expand(pairs, terminals)
 
 
 def _validate_solution(instance: Instance, tree: Tree) -> None:
@@ -170,14 +157,9 @@ def _validate_solution(instance: Instance, tree: Tree) -> None:
     if not instance.terminals <= tree.nodes:
         missing = sorted(instance.terminals - tree.nodes)
         raise InternalInvariantError(f"solution misses terminals {missing}")
-    weights: dict[tuple[int, int], int] = {}
-    for u, v, w in instance.edges:
-        a, b = (u, v) if u < v else (v, u)
-        if (a, b) not in weights or w < weights[(a, b)]:
-            weights[(a, b)] = w
     for u, v, w in tree.edges:
         key = (u, v) if u < v else (v, u)
-        if weights.get(key) != w:
+        if instance.edge_weights.get(key) != w:
             raise InternalInvariantError(
                 f"solution edge {key} (weight {w}) not in the instance"
             )
@@ -199,9 +181,9 @@ def solve(instance: Instance, config: RunConfig | None = None) -> RunResult:
     p2: Phase2Result | None = None
     if config.mode != "mst":
         pool = CandidatePool(enumerate_full_components(instance, closure, config.k))
-        p1 = run_phase1(instance, closure, pool)
+        p1 = run_phase1(instance, closure, pool, t0)
         if config.mode == "full":
-            p2 = run_phase2(instance, closure, pool, p1.base_tree)
+            p2 = run_phase2(instance, pool, t0, p1.base_tree)
 
     opt_cost = None
     if len(terms) <= config.exact_opt_limit:

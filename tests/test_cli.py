@@ -2,6 +2,8 @@ import csv
 import io
 import json
 
+import pytest
+
 from steinertree import Instance, save_stp
 from steinertree.cli import main
 
@@ -56,6 +58,23 @@ def test_solve_malformed_file_is_input_error(tmp_path, capsys):
     path.write_text("SECTION Graph\nWAT\nEND\n")
     rc = main(["solve", str(path)])
     assert rc == 2
+
+
+@pytest.mark.parametrize("nodes, edges, terminals", [
+    (4, [(1, 4, 2**61), (2, 4, 2**61), (3, 4, 2**61)], [1, 2, 3]),
+    (71, [(i, i + 1, f"1/{i + 1}") for i in range(1, 71)], [1, 71]),
+])
+def test_solve_weights_beyond_headroom_is_input_error(tmp_path, capsys, nodes, edges,
+                                                      terminals):
+    lines = ["SECTION Graph", f"Nodes {nodes}", f"Edges {len(edges)}"]
+    lines += [f"E {u} {v} {w}" for u, v, w in edges]
+    lines += ["END", "SECTION Terminals", f"Terminals {len(terminals)}"]
+    lines += [f"T {t}" for t in terminals] + ["END", "EOF"]
+    path = tmp_path / "heavy.stp"
+    path.write_text("\n".join(lines) + "\n")
+    rc = main(["solve", str(path)])
+    assert rc == 2
+    assert "input error" in capsys.readouterr().err
 
 
 # ------------------------------

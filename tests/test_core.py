@@ -16,7 +16,8 @@ from steinertree import (
     metric_closure,
     minimum_spanning_tree,
 )
-from steinertree.core import ContractedTree, format_cost, prune_leaves
+from steinertree.core import WEIGHT_LIMIT, ContractedTree, format_cost, prune_leaves
+from steinertree.exact import INF
 
 
 # ------------------------------
@@ -55,6 +56,21 @@ def test_build_scales_fractional_weights():
     inst = Instance.build(3, [(1, 2, Fraction(1, 3)), (2, 3, "0.5")], [1, 3])
     assert inst.scale == 6
     assert [w for _, _, w in inst.edges] == [2, 3]
+
+
+def test_build_weight_headroom_boundary():
+    # Scaled weights must sum below WEIGHT_LIMIT; one unit more is rejected.
+    inst = Instance.build(4, [(1, 4, WEIGHT_LIMIT - 3), (2, 4, 1), (3, 4, 1)], [1, 2, 3])
+    assert sum(w for _, _, w in inst.edges) == WEIGHT_LIMIT - 1
+    with pytest.raises(InvalidInstanceError):
+        Instance.build(4, [(1, 4, WEIGHT_LIMIT - 2), (2, 4, 1), (3, 4, 1)], [1, 2, 3])
+    # The bound applies to scaled weights: with scale 2 these sum to
+    # WEIGHT_LIMIT - 1 and WEIGHT_LIMIT, though their own sums are ~2**58.
+    big = Fraction(WEIGHT_LIMIT - 1, 2)
+    assert Instance.build(3, [(1, 2, big), (2, 3, 0)], [1, 3]).scale == 2
+    with pytest.raises(InvalidInstanceError):
+        Instance.build(3, [(1, 2, big), (2, 3, Fraction(1, 2))], [1, 3])
+    assert INF == 4 * WEIGHT_LIMIT == 2**61
 
 
 def test_format_cost_exact():

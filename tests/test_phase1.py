@@ -13,10 +13,14 @@ from steinertree import (
 from steinertree.phase1 import run_phase1
 
 
+def _mst(inst, closure):
+    return minimum_spanning_tree(sorted(inst.terminals), closure.distance)
+
+
 def _run(inst, k):
     closure = metric_closure(inst)
     pool = CandidatePool(enumerate_full_components(inst, closure, k))
-    return run_phase1(inst, closure, pool), pool, closure
+    return run_phase1(inst, closure, pool, _mst(inst, closure)), pool, closure
 
 
 def _event_instances():
@@ -119,7 +123,7 @@ def test_base_never_beats_restricted_opt():
         for k in (3, 4):
             closure = metric_closure(inst)
             cands = enumerate_full_components(inst, closure, k)
-            p1 = run_phase1(inst, closure, CandidatePool(cands))
+            p1 = run_phase1(inst, closure, CandidatePool(cands), _mst(inst, closure))
             optk = optimal_k_restricted(sorted(inst.terminals), cands, k)
             assert p1.base_tree.total_cost <= optk.cost, (inst.name, k)
 
@@ -150,5 +154,4 @@ def test_phase1_deterministic():
 def test_phase1_solution_at_most_terminal_mst():
     for inst in make_batch(20, seed0=3400):
         p1, _, closure = _run(inst, 3)
-        mst = minimum_spanning_tree(sorted(inst.terminals), closure.distance)
-        assert p1.solution.total_cost <= mst.total_cost
+        assert p1.solution.total_cost <= _mst(inst, closure).total_cost

@@ -6,6 +6,7 @@ from steinertree import (
     Tree,
     enumerate_full_components,
     metric_closure,
+    minimum_spanning_tree,
     select_candidate,
 )
 from steinertree.core import ContractedTree
@@ -65,8 +66,9 @@ def test_select_none_without_positive_difference():
 def _run_both(inst, k):
     closure = metric_closure(inst)
     pool = CandidatePool(enumerate_full_components(inst, closure, k))
-    p1 = run_phase1(inst, closure, pool)
-    p2 = run_phase2(inst, closure, pool, p1.base_tree)
+    t0 = minimum_spanning_tree(sorted(inst.terminals), closure.distance)
+    p1 = run_phase1(inst, closure, pool, t0)
+    p2 = run_phase2(inst, pool, t0, p1.base_tree)
     return p1, p2
 
 
@@ -127,9 +129,10 @@ def test_forced_stall_is_reported_in_band(star3):
     # A pool holding a single pair cannot close the star3 gap: after one
     # pick nothing has a positive difference and the gap is still open.
     closure = metric_closure(star3)
+    t0 = minimum_spanning_tree([1, 2, 3], closure.distance)
     pool = CandidatePool([_pair(1, 2, 2)])
     base = Tree.from_edges([(1, 2, 1), (1, 3, 1)], [1, 2, 3])
-    p2 = run_phase2(star3, closure, pool, base)
+    p2 = run_phase2(star3, pool, t0, base)
     assert p2.stalled
     assert p2.trace["stalled"] is True
     assert set(star3.terminals) <= set(p2.solution.nodes)

@@ -4,7 +4,8 @@ import pytest
 
 import oracles
 from conftest import make_batch
-from steinertree import Instance, RunConfig, solve
+from steinertree import Instance, InvalidInstanceError, RunConfig, solve
+from steinertree.core import WEIGHT_LIMIT
 from steinertree.errors import InputError
 
 
@@ -52,6 +53,25 @@ def test_solve_two_terminals():
     res = solve(inst)
     assert res.solution_cost == 8
     assert sorted(res.solution_edges) == [(1, 2, 4), (2, 3, 4)]
+
+
+def test_weight_headroom_edge_solves_exactly():
+    # The heaviest accepted instance still solves exactly, oracles included.
+    inst = Instance.build(4, [(1, 4, WEIGHT_LIMIT - 3), (2, 4, 1), (3, 4, 1)], [1, 2, 3])
+    res = solve(inst, RunConfig(k=3))
+    assert res.solution_cost == res.opt_cost == res.restricted_opt_cost == WEIGHT_LIMIT - 1
+    assert res.report.ok
+
+
+@pytest.mark.parametrize("vertex_count, edges, terminals", [
+    # Spokes of 2**61 once wrapped the exact DP around int64.
+    (4, [(1, 4, 2**61), (2, 4, 2**61), (3, 4, 2**61)], [1, 2, 3]),
+    # Weights 1/2 .. 1/71 need an 89-bit scale.
+    (71, [(i, i + 1, f"1/{i + 1}") for i in range(1, 71)], [1, 71]),
+])
+def test_weights_beyond_headroom_are_rejected(vertex_count, edges, terminals):
+    with pytest.raises(InvalidInstanceError):
+        solve(Instance.build(vertex_count, edges, terminals))
 
 
 def test_config_validation():

@@ -8,12 +8,18 @@ yields the component's cheaper stand-in used while building the base tree.
 
 Enumeration produces, for every terminal subset of size 2..k, an optimal
 tree over the metric closure, keeping only subsets whose own terminals end
-up as leaves.
+up as leaves. It returns numpy columns (CandidateTable) that the greedy
+phases score in batch; a candidate becomes a FullComponent only when it is
+asked for by index: when a phase picks it, a displacement looks it up, or
+the restricted oracle reads the whole pool.
 """
 from __future__ import annotations
 
 import itertools
-from typing import NamedTuple, Sequence
+import math
+import operator
+from collections.abc import Iterable, Iterator, Sequence
+from typing import NamedTuple
 
 import numpy as np
 
@@ -26,7 +32,7 @@ from .core import (
     kruskal_indices,
     prune_leaves,
 )
-from .errors import InternalInvariantError, KRestrictionError, UnknownNodeError
+from .errors import InternalInvariantError, KRestrictionError, LimitExceededError
 
 Edge = tuple[int, int, int]
 
@@ -205,53 +211,177 @@ def saving_difference(tree_a: ContractedTree, tree_b: ContractedTree,
 # ---------------------------------------------------------------------------
 # Enumeration
 
+# Most terminal subsets of size 2..k that enumeration accepts, which bounds
+# its time and memory. 80 terminals at k=3 are 85,320 subsets; at k=6 they
+# would be about 3 * 10**8.
+CANDIDATE_BUDGET = 2_000_000
+
+
+class CandidateRow(NamedTuple):
+    """A candidate's terminals, cost and loss, read from the columns."""
+
+    terminals: tuple[int, ...]
+    cost: int
+    loss: int
+
+
+class CandidateTable(Sequence):
+    """Candidates as numpy columns, one row per terminal subset, ordered by
+    sorted terminal tuple.
+
+    `pos` holds each row's terminals as positions into `terminal_ids`,
+    padded with -1. A pair row is one closure edge of weight `spokes[i, 0]`;
+    a star row joins its three terminals at graph vertex `hub[i]` by
+    `spokes[i]`, through an interior node with id `first_id[i]`. Rows in
+    `built` from the start (components of 4 or more terminals, and every
+    row of a table made from a list) have no column form. Indexing builds
+    a row's FullComponent once and keeps it in `built`.
+    """
+
+    def __init__(self, terminal_ids: np.ndarray, pos: np.ndarray, costs: np.ndarray,
+                 losses: np.ndarray, hub: np.ndarray, spokes: np.ndarray,
+                 first_id: np.ndarray, built: dict[int, FullComponent],
+                 max_steiner_id: int):
+        self.terminal_ids = terminal_ids
+        self.pos = pos
+        self.size = (pos >= 0).sum(axis=1)
+        self.costs = costs
+        self.losses = losses
+        self.hub = hub
+        self.spokes = spokes
+        self.first_id = first_id
+        self.built = built
+        self.max_steiner_id = max_steiner_id
+        column_rows = np.ones(len(costs), dtype=bool)
+        column_rows[list(built)] = False
+        self._check(np.flatnonzero(column_rows))
+
+    @classmethod
+    def from_components(cls, comps: Sequence[FullComponent]) -> "CandidateTable":
+        """Table over a given list, in its order; every row is built."""
+        comps = list(comps)
+        ids = sorted({t for c in comps for t in c.terminals})
+        index = {t: i for i, t in enumerate(ids)}
+        width = max((len(c.terminals) for c in comps), default=2)
+        pos = np.full((len(comps), width), -1, dtype=np.int64)
+        for row, c in enumerate(comps):
+            pos[row, :len(c.terminals)] = [index[t] for t in c.terminals]
+        n = len(comps)
+        return cls(
+            np.array(ids, dtype=np.int64), pos,
+            np.array([c.cost for c in comps], dtype=np.int64),
+            np.array([c.loss for c in comps], dtype=np.int64),
+            np.full(n, -1, dtype=np.int64), np.zeros((n, 3), dtype=np.int64),
+            np.full(n, -1, dtype=np.int64), dict(enumerate(comps)),
+            max((s for c in comps for s in c.steiner_ids), default=0),
+        )
+
+    def _check(self, rows: np.ndarray) -> None:
+        """Component validation, vectorized, for rows that have a column
+        form: each is a pair or a one-hub star over increasing terminal
+        positions, the hub is none of its terminals, spokes are
+        nonnegative, cost is their sum and loss the lightest star spoke."""
+        pos, hub, spokes = self.pos[rows], self.hub[rows], self.spokes[rows]
+        size = self.size[rows]
+        pair = (size == 2) & (hub < 0)
+        star = (size == 3) & (hub >= 0)
+        used = np.arange(3) < np.where(pair, 1, 3)[:, None]
+        star_terms = self.terminal_ids[np.maximum(pos[:, :3], 0)]
+        ok = ((pair | star).all() and (pos[:, :2] >= 0).all()
+              and ((np.diff(pos, axis=1) > 0) | (pos[:, 1:] < 0)).all()
+              and (star_terms != hub[:, None])[star].all()
+              and (spokes >= 0).all() and (spokes[~used] == 0).all()
+              and (self.costs[rows] == spokes.sum(axis=1)).all()
+              and (self.losses[rows] == np.where(star, spokes.min(axis=1), 0)).all())
+        if not ok:
+            raise InternalInvariantError("candidate columns fail component validation")
+
+    def __len__(self) -> int:
+        return len(self.costs)
+
+    def __getitem__(self, i: int) -> FullComponent:
+        i = operator.index(i)
+        if not 0 <= i < len(self):
+            raise IndexError("candidate index out of range")
+        if i not in self.built:
+            self._build([i])
+        return self.built[i]
+
+    def __iter__(self) -> Iterator[FullComponent]:
+        self._build([i for i in range(len(self)) if i not in self.built])
+        return (self.built[i] for i in range(len(self)))
+
+    def _build(self, rows: list[int]) -> None:
+        """Build the components of column-form rows into `built`."""
+        idx = np.array(rows, dtype=np.int64)
+        columns = zip(rows, self.terminal_ids[np.maximum(self.pos[idx], 0)].tolist(),
+                      self.size[idx].tolist(), self.hub[idx].tolist(),
+                      self.spokes[idx].tolist(), self.first_id[idx].tolist(),
+                      self.costs[idx].tolist(), self.losses[idx].tolist())
+        for i, terms, m, hub, weights, s, cost, loss in columns:
+            terms = terms[:m]
+            if hub < 0:
+                comp = FullComponent(terms, [(terms[0], terms[1], weights[0])])
+            else:
+                comp = FullComponent(terms, [(t, s, w) for t, w in zip(terms, weights)],
+                                     {s: hub})
+            if (comp.cost, comp.loss) != (cost, loss):
+                raise InternalInvariantError(f"candidate {i} disagrees with its columns")
+            self.built[i] = comp
+
 
 def enumerate_full_components(instance: Instance, closure: MetricClosure,
-                              k: int) -> list[FullComponent]:
+                              k: int) -> CandidateTable:
     """Candidates for every terminal subset of size 2..k: an optimal closure
     tree per subset, kept only when the subset's own terminals are leaves.
     Ordered lexicographically by terminal tuple; interior ids are unique
-    across the whole list.
+    across the whole table and numbered in that order from
+    vertex_count + 1. Raises LimitExceededError when there are more than
+    CANDIDATE_BUDGET subsets.
     """
     if k < 2:
         raise KRestrictionError(f"k must be at least 2, got {k}")
     terms = sorted(instance.terminals)
-    k = min(k, len(terms))
+    r = len(terms)
+    k = min(k, r)
+    subsets = sum(math.comb(r, m) for m in range(2, k + 1))
+    if subsets > CANDIDATE_BUDGET:
+        raise LimitExceededError(
+            f"{subsets} terminal subsets of size 2..{k} exceed the candidate "
+            f"budget of {CANDIDATE_BUDGET}; use a smaller k"
+        )
     D = closure.dist
-    tidx = [closure.index[t] for t in terms]
-    raw: list[tuple[tuple[int, ...], list[Edge], dict[int, int]]] = []
+    tidx = np.array([closure.index[t] for t in terms], dtype=np.int64)
+    rows_of = D[tidx]  # closure distances from each terminal
 
-    for i, j in itertools.combinations(range(len(terms)), 2):
-        ta, tb = terms[i], terms[j]
-        raw.append(((ta, tb), [(ta, tb, int(D[tidx[i], tidx[j]]))], {}))
+    # Pairs: one closure edge each.
+    ranks = np.arange(r)
+    pairs = np.argwhere(ranks[:, None] < ranks)
+    weights = rows_of[pairs[:, 0], tidx[pairs[:, 1]]]
+    blocks = [(pairs, np.full(len(pairs), -1, dtype=np.int64), weights[:, None])]
 
     if k >= 3:
-        tarr = np.array(tidx)
-        for i, j in itertools.combinations(range(len(terms)), 2):
-            rest = tarr[j + 1:]
-            if rest.size == 0:
-                continue
-            sums = (D[tidx[i]] + D[tidx[j]])[None, :] + D[rest]
-            centers = sums.argmin(axis=1)
-            for pos in range(rest.size):
-                center = int(centers[pos])
-                if center in (tidx[i], tidx[j], int(rest[pos])):
-                    continue  # a subset terminal would sit inside
-                c = j + 1 + pos
-                triple = (terms[i], terms[j], terms[c])
-                edges = [
-                    (terms[i], -1, int(D[tidx[i], center])),
-                    (terms[j], -1, int(D[tidx[j], center])),
-                    (terms[c], -1, int(D[tidx[c], center])),
-                ]
-                raw.append((triple, edges, {-1: closure.vertices[center]}))
+        # 3-stars, grouped by their middle terminal j: for each i < j < c the
+        # first closure vertex minimizing the spoke sum, kept when no subset
+        # terminal sits there.
+        middle = (ranks[None, :, None] < ranks[:, None, None]) & (ranks[:, None, None] < ranks)
+        triples = np.argwhere(middle)[:, [1, 0, 2]]
+        hubs = np.concatenate([
+            (rows_of[:j, None] + rows_of[j] + rows_of[None, j + 1:]).argmin(axis=2).ravel()
+            for j in range(1, r - 1)
+        ])
+        keep = (hubs[:, None] != tidx[triples]).all(axis=1)
+        triples, hubs = triples[keep], hubs[keep]
+        spokes = rows_of[triples, hubs[:, None]]
+        blocks.append((triples, np.asarray(closure.vertices, dtype=np.int64)[hubs], spokes))
 
+    larger: list[tuple[tuple[int, ...], list[Edge], dict[int, int]]] = []
     if k >= 4:
         from .exact import dw_closure_tree
 
         for size in range(4, k + 1):
-            for combo in itertools.combinations(range(len(terms)), size):
-                sub_idx = [tidx[x] for x in combo]
+            for combo in itertools.combinations(range(r), size):
+                sub_idx = [int(tidx[x]) for x in combo]
                 cost, cedges = dw_closure_tree(D, sub_idx)
                 degree: dict[int, int] = {}
                 for a, b in cedges:
@@ -276,20 +406,52 @@ def enumerate_full_components(instance: Instance, closure: MetricClosure,
                     raise InternalInvariantError(
                         f"normalization changed optimal cost for subset {subset}"
                     )
-                raw.append((subset, edges, origin))
+                larger.append((combo, edges, origin))
 
-    raw.sort(key=lambda item: item[0])
-    out: list[FullComponent] = []
-    next_id = instance.vertex_count + 1
-    for subset, edges, origin in raw:
+    n = sum(len(p) for p, _, _ in blocks) + len(larger)
+    pos = np.full((n, k), -1, dtype=np.int64)
+    hub = np.full(n, -1, dtype=np.int64)
+    spokes = np.zeros((n, 3), dtype=np.int64)
+    interior = np.zeros(n, dtype=np.int64)
+    at = 0
+    for p, h, w in blocks:
+        rows = slice(at, at + len(p))
+        pos[rows, :p.shape[1]] = p
+        hub[rows] = h
+        spokes[rows, :w.shape[1]] = w
+        interior[rows] = h >= 0
+        at += len(p)
+    for combo, _, origin in larger:
+        pos[at, :len(combo)] = combo
+        interior[at] = len(origin)
+        at += 1
+
+    order = np.lexsort(pos.T[::-1])
+    pos, hub, spokes, interior = pos[order], hub[order], spokes[order], interior[order]
+    row_of = np.empty(n, dtype=np.int64)
+    row_of[order] = np.arange(n)
+    first_id = instance.vertex_count + 1 + np.cumsum(interior) - interior
+    total = int(interior.sum())
+    costs = spokes.sum(axis=1)
+    losses = np.where(hub >= 0, spokes.min(axis=1), 0)
+    built: dict[int, FullComponent] = {}
+    for j, (combo, edges, origin) in enumerate(larger):
+        row = int(row_of[n - len(larger) + j])
+        next_id = int(first_id[row])
         remap: dict[int, int] = {}
         for ph in sorted(origin, reverse=True):  # -1 first, then -2, ...
             remap[ph] = next_id
             next_id += 1
         final_edges = [(remap.get(u, u), remap.get(v, v), w) for u, v, w in edges]
-        final_origin = {remap[ph]: o for ph, o in origin.items()}
-        out.append(FullComponent(subset, final_edges, final_origin))
-    return out
+        comp = FullComponent(tuple(terms[x] for x in combo), final_edges,
+                             {remap[ph]: o for ph, o in origin.items()})
+        built[row] = comp
+        costs[row] = comp.cost
+        losses[row] = comp.loss
+    return CandidateTable(
+        np.array(terms, dtype=np.int64), pos, costs, losses, hub, spokes,
+        first_id, built, instance.vertex_count + total if total else 0,
+    )
 
 
 def _normalized_edges(edges: list[Edge], keep: set[int], origin: dict[int, int],
@@ -374,58 +536,135 @@ def reduce_to_basic(comp: FullComponent) -> FullComponent | None:
 # ---------------------------------------------------------------------------
 # Batch evaluation
 
+# Relative tolerance of the float prefilter in the greedy selections. A
+# float64 ratio of two int64 values is within a relative 2**-51 of the exact
+# one, so this keeps every exact optimum and rarely much else.
+RATIO_TOLERANCE = 1e-9
 
-class CandidatePool:
-    """Candidate list with vectorized scan support. Savings are evaluated
-    as MSTs under the tree's path-bottleneck weights; the from-scratch
-    definition lives in ContractedTree.mst_with_zero_set and the two are
-    cross-checked in tests."""
 
-    def __init__(self, candidates: Sequence[FullComponent]):
-        self.candidates = list(candidates)
-        self.costs = np.array([c.cost for c in self.candidates], dtype=np.int64)
-        self.losses = np.array([c.loss for c in self.candidates], dtype=np.int64)
-        self.by_terminals: dict[frozenset[int], int] = {}
-        for i, c in enumerate(self.candidates):
-            key = frozenset(c.terminals)
-            prev = self.by_terminals.get(key)
-            if prev is None or c.cost < self.candidates[prev].cost:
-                self.by_terminals[key] = i
-        groups: dict[int, list[int]] = {}
-        for i, c in enumerate(self.candidates):
-            groups.setdefault(len(c.terminals), []).append(i)
-        self._groups = [
-            (m, np.array(idx), np.array([self.candidates[i].terminals for i in idx]))
-            for m, idx in sorted(groups.items())
-        ]
-        self.max_steiner_id = max(
-            (s for c in self.candidates for s in c.steiner_ids), default=0
-        )
+def near_minimum(ratios: np.ndarray) -> np.ndarray:
+    """Positions, in increasing order, whose float ratio lies within
+    RATIO_TOLERANCE of the smallest: a superset of the exact minimizers,
+    which integer comparisons then decide among."""
+    best = ratios.min()
+    slack = RATIO_TOLERANCE * np.maximum(np.abs(ratios), abs(best))
+    return np.flatnonzero(ratios - best <= slack)
+
+
+class CandidateRows(Sequence):
+    """The pool's candidates as (terminals, cost, loss) rows, read from the
+    columns without building components."""
+
+    def __init__(self, table: CandidateTable):
+        self._table = table
 
     def __len__(self) -> int:
-        return len(self.candidates)
+        return len(self._table)
+
+    def __getitem__(self, i: int) -> CandidateRow:
+        t = self._table
+        return CandidateRow(tuple(t.terminal_ids[t.pos[i, :t.size[i]]].tolist()),
+                            int(t.costs[i]), int(t.losses[i]))
+
+    def __iter__(self) -> Iterator[CandidateRow]:
+        t = self._table
+        by_size = {}
+        for m in np.flatnonzero(np.bincount(t.size)).tolist():
+            idx = np.flatnonzero(t.size == m)
+            terms = np.ascontiguousarray(t.terminal_ids[t.pos[idx, :m]])
+            # A structured view's tolist() makes all the tuples in one call.
+            fields = np.dtype([(f"t{j}", np.int64) for j in range(m)])
+            rows = zip(terms.view(fields).reshape(-1).tolist(), t.costs[idx].tolist(),
+                       t.losses[idx].tolist())
+            # tuple.__new__ makes each row without a Python-level call.
+            by_size[m] = map(tuple.__new__, itertools.repeat(CandidateRow), rows)
+        # Each row comes from its size's stream, in row order, and is made
+        # only when reached, so a pass over every row stays cheap.
+        return map(next, map(by_size.__getitem__, t.size.tolist()))
+
+
+class CandidatePool:
+    """Scoring index over a CandidateTable; a list of components is turned
+    into one. `pool[i]` is candidate i as a FullComponent, built on first
+    use. Savings are evaluated as MSTs under the tree's path-bottleneck
+    weights; the from-scratch definition lives in
+    ContractedTree.mst_with_zero_set and the two are cross-checked in
+    tests."""
+
+    def __init__(self, candidates: Sequence[FullComponent]):
+        table = (candidates if isinstance(candidates, CandidateTable)
+                 else CandidateTable.from_components(candidates))
+        self.table = table
+        self.candidates = CandidateRows(table)
+        self.costs = table.costs
+        self.losses = table.losses
+        self.max_steiner_id = table.max_steiner_id
+        # Per size: rows, positions, and for pairs and triples the flat
+        # index of each terminal pair into an r x r matrix.
+        r, width = len(table.terminal_ids), table.pos.shape[1]
+        self._groups = []
+        for m in np.flatnonzero(np.bincount(table.size)).tolist():
+            idx = np.flatnonzero(table.size == m)
+            pos = table.pos[idx, :m]
+            pairs = ([pos[:, a] * r + pos[:, b] for a, b in itertools.combinations(range(m), 2)]
+                     if m <= 3 else [])
+            self._groups.append((m, idx, pos, pairs))
+        # Terminal-set keys: an offset per size plus the colex rank of the
+        # positions among the subsets of that size.
+        counts = [math.comb(r, m) for m in range(width + 1)]
+        if sum(counts) >= 2**63:
+            raise LimitExceededError("candidate terminal sets too large to index")
+        self._offsets = np.cumsum([0] + counts[:-1])
+        self._binom = np.array([[math.comb(p, t) for t in range(1, width + 1)]
+                                for p in range(max(r, 1))], dtype=np.int64)
+        keys = self._keys(table.pos, table.size)
+        self._key_order = np.argsort(keys, kind="stable")
+        self._sorted_keys = keys[self._key_order]
+
+    def _keys(self, pos: np.ndarray, size: np.ndarray) -> np.ndarray:
+        cols = np.arange(pos.shape[1])
+        ranks = np.where(pos >= 0, self._binom[np.maximum(pos, 0), cols], 0)
+        return self._offsets[size] + ranks.sum(axis=1)
+
+    def __len__(self) -> int:
+        return len(self.table)
 
     def __getitem__(self, i: int) -> FullComponent:
-        return self.candidates[i]
+        return self.table[i]
+
+    def by_terminals(self, terminals: Iterable[int]) -> int | None:
+        """Index of the first candidate spanning exactly `terminals`."""
+        ids = self.table.terminal_ids
+        terms = np.array(sorted(set(terminals)), dtype=np.int64)
+        m = len(terms)
+        if not 2 <= m <= self.table.pos.shape[1]:
+            return None
+        pos = np.searchsorted(ids, terms)
+        if pos[-1] >= len(ids) or (ids[pos] != terms).any():
+            return None
+        padded = np.full((1, self.table.pos.shape[1]), -1, dtype=np.int64)
+        padded[0, :m] = pos
+        key = self._keys(padded, np.array([m]))[0]
+        at = int(np.searchsorted(self._sorted_keys, key))
+        if at == len(self._sorted_keys) or self._sorted_keys[at] != key:
+            return None
+        return int(self._key_order[at])
 
     def savings_for(self, tree: ContractedTree) -> np.ndarray:
-        out = np.zeros(len(self.candidates), dtype=np.int64)
-        if not self.candidates:
+        out = np.zeros(len(self.table), dtype=np.int64)
+        if not len(out):
             return out
-        lookup = tree.rep_lookup
-        B = tree.bottleneck_matrix
-        for m, idx, terms in self._groups:
-            reps = lookup[terms]
-            if (reps < 0).any():
-                raise UnknownNodeError("candidate terminal missing from tree")
+        reps = tree.rep_rows(self.table.terminal_ids.tolist())
+        # Path maxima between the pool's terminals, flattened.
+        between = tree.bottleneck_matrix[reps[:, None], reps].ravel()
+        for m, idx, pos, pairs in self._groups:
             if m == 2:
-                out[idx] = B[reps[:, 0], reps[:, 1]]
+                out[idx] = between.take(pairs[0])
             elif m == 3:
-                b01 = B[reps[:, 0], reps[:, 1]]
-                b02 = B[reps[:, 0], reps[:, 2]]
-                b12 = B[reps[:, 1], reps[:, 2]]
+                b01, b02, b12 = (between.take(p) for p in pairs)
                 out[idx] = b01 + b02 + b12 - np.maximum(b01, np.maximum(b02, b12))
             else:
-                for i in idx.tolist():
-                    out[i] = tree.saving(self.candidates[i].terminals)
+                terms = self.table.terminal_ids[pos].tolist()
+                for i, group in zip(idx.tolist(), terms):
+                    out[i] = tree.saving(group)
         return out

@@ -452,45 +452,38 @@ class ContractedTree:
 
     @property
     def bottleneck_matrix(self) -> np.ndarray:
-        """Dense path-maximum weights between representatives (int64)."""
+        """Dense path-maximum weights between representatives (int64).
+        Filled in Kruskal order: the edge joining two parts is the heaviest
+        on every path between them."""
         cached = getattr(self, "_bottleneck", None)
         if cached is not None:
             return cached
         n = len(self.reps)
         mat = np.zeros((n, n), dtype=np.int64)
-        adj: list[list[tuple[int, int]]] = [[] for _ in range(n)]
-        for u, v, w in self.edges:
-            iu, iv = self.rep_index[u], self.rep_index[v]
-            adj[iu].append((iv, w))
-            adj[iv].append((iu, w))
-        for root in range(n):
-            row = mat[root]
-            seen = [False] * n
-            seen[root] = True
-            stack = [(root, 0)]
-            while stack:
-                x, mx = stack.pop()
-                for y, w in adj[x]:
-                    if not seen[y]:
-                        seen[y] = True
-                        best = mx if mx > w else w
-                        row[y] = best
-                        stack.append((y, best))
+        members = [[i] for i in range(n)]
+        part = list(range(n))
+        for u, v, w in sorted(self.edges, key=lambda e: e[2]):
+            a, b = part[self.rep_index[u]], part[self.rep_index[v]]
+            if a == b:
+                raise InternalInvariantError(f"cycle through edge ({u},{v})")
+            if len(members[a]) < len(members[b]):
+                a, b = b, a
+            left, right = np.array(members[a]), np.array(members[b])
+            mat[left[:, None], right] = w
+            mat[right[:, None], left] = w
+            for x in members[b]:
+                part[x] = a
+            members[a].extend(members[b])
+            members[b] = []
         self._bottleneck = mat
         return mat
 
-    @property
-    def rep_lookup(self) -> np.ndarray:
-        """node id -> representative row index, -1 for unknown ids."""
-        cached = getattr(self, "_rep_lookup", None)
-        if cached is not None:
-            return cached
-        size = max(self.rep_of) + 1
-        arr = np.full(size, -1, dtype=np.int64)
-        for node, rep in self.rep_of.items():
-            arr[node] = self.rep_index[rep]
-        self._rep_lookup = arr
-        return arr
+    def rep_rows(self, nodes: Iterable[int]) -> np.ndarray:
+        """Representative row index of each node id."""
+        try:
+            return np.array([self.rep_index[self.rep_of[x]] for x in nodes], dtype=np.int64)
+        except KeyError as exc:
+            raise UnknownNodeError(f"node {exc.args[0]} not in contracted tree") from None
 
     def _group_reps(self, group: Iterable[int]) -> set[int]:
         """Representatives of the nodes in `group`."""

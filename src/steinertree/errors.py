@@ -47,7 +47,8 @@ class KRestrictionError(InputError):
 
 
 class LimitExceededError(InputError):
-    """An exact oracle was asked to exceed its configured instance limit."""
+    """An exact oracle was asked to exceed its configured instance limit, or
+    enumeration to exceed its candidate budget."""
 
 
 class InternalInvariantError(SteinerError):

@@ -23,6 +23,7 @@ from .components import (
     CandidatePool,
     FullComponent,
     component_from_part,
+    near_minimum,
     reduce_to_basic,
 )
 from .core import (
@@ -67,15 +68,17 @@ def _ratio_json(gain_value: int, loss_value: int) -> list | str:
 
 def _select(gains: np.ndarray, losses: np.ndarray) -> int | None:
     """Best gain/loss ratio among positive gains; zero loss counts as
-    infinite ratio; ties fall to the earliest candidate."""
+    infinite ratio; ties fall to the earliest candidate. Float ratios only
+    narrow the field; integer cross-multiplication decides."""
     positive = np.flatnonzero(gains > 0)
     if positive.size == 0:
         return None
     zero_loss = positive[losses[positive] == 0]
     if zero_loss.size:
         return int(zero_loss[0])
+    near = positive[near_minimum(losses[positive] / gains[positive])]
     best = None  # (index, gain, loss)
-    for i in positive.tolist():
+    for i in near.tolist():
         g, l = int(gains[i]), int(losses[i])
         if best is None or g * best[2] > best[1] * l:
             best = (i, g, l)
@@ -164,8 +167,8 @@ def run_phase1(instance: Instance, closure: MetricClosure,
                     event["parts"].append({"terminals": part_terms, "kept": False})
                     continue
                 converted = component_from_part(old.comp, nodes, closure)
-                pool_idx = pool.by_terminals.get(frozenset(part_terms))
-                if pool_idx is not None and pool[pool_idx].cost <= converted.cost:
+                pool_idx = pool.by_terminals(part_terms)
+                if pool_idx is not None and pool.costs[pool_idx] <= converted.cost:
                     fresh, alloc = pool[pool_idx].reassign_steiner(alloc)
                     source = "pool"
                 else:

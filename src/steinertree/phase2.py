@@ -16,7 +16,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from .components import CandidatePool
+from .components import CandidatePool, near_minimum
 from .core import ContractedTree, Instance, Tree
 from .errors import InternalInvariantError
 from .phase1 import ChosenEntry, merge
@@ -38,7 +38,8 @@ def select_candidate(t_origin: ContractedTree, t_base: ContractedTree,
                      pool: CandidatePool) -> tuple[int, int, int] | None:
     """(index, load, saving difference) of the candidate minimizing
     load / difference among positive differences; ties fall to the earliest
-    candidate. None when no candidate has a positive difference."""
+    candidate. None when no candidate has a positive difference. Float
+    ratios only narrow the field; integer cross-multiplication decides."""
     sav_origin = pool.savings_for(t_origin)
     sav_base = pool.savings_for(t_base)
     diffs = sav_origin - sav_base
@@ -46,8 +47,9 @@ def select_candidate(t_origin: ContractedTree, t_base: ContractedTree,
     eligible = np.flatnonzero(diffs > 0)
     if eligible.size == 0:
         return None
+    near = eligible[near_minimum(loads[eligible] / diffs[eligible])]
     best = None  # (index, load, diff)
-    for i in eligible.tolist():
+    for i in near.tolist():
         l, d = int(loads[i]), int(diffs[i])
         if best is None or l * best[2] < best[1] * d:
             best = (i, l, d)

@@ -191,7 +191,7 @@ def solve(instance: Instance, config: RunConfig | None = None) -> RunResult:
     restricted_opt_cost = None
     if pool is not None and len(terms) <= config.exact_optk_limit:
         restricted_opt_cost = optimal_k_restricted(
-            terms, pool.candidates, config.k, config.exact_optk_limit
+            terms, pool.table, config.k, config.exact_optk_limit
         ).cost
 
     origin: dict[int, int] = {}

@@ -2,11 +2,17 @@
 
 Everything here is deliberately naive and written from scratch: exhaustive
 enumeration wherever the instance is small enough, plain dicts and loops
-everywhere else. The tests compare these against the real implementations;
-nothing in this module imports from the package.
+everywhere else. The tests compare these against the real implementations.
+Only `reference_full_components` imports from the package: it is the
+earlier object-per-subset enumeration, which builds package components.
 """
 import itertools
 
+import numpy as np
+
+from steinertree.components import FullComponent, _normalized_edges
+from steinertree.errors import InternalInvariantError
+from steinertree.exact import dw_closure_tree
 
 INF = float("inf")
 
@@ -188,3 +194,83 @@ def path_bottleneck_bruteforce(tree_edges, u, v):
                 seen.add(nxt)
                 stack.append((nxt, node, max(high, w)))
     raise AssertionError("endpoints not connected in tree")
+
+
+def reference_full_components(instance, closure, k):
+    """Object-per-subset candidate enumeration, the reference for the
+    columnar one: one FullComponent per terminal subset of size 2..k whose
+    optimal closure tree has the subset's terminals as leaves, ordered by
+    terminal tuple, interior ids numbered in that order."""
+    terms = sorted(instance.terminals)
+    k = min(k, len(terms))
+    D = closure.dist
+    tidx = [closure.index[t] for t in terms]
+    raw = []
+
+    for i, j in itertools.combinations(range(len(terms)), 2):
+        ta, tb = terms[i], terms[j]
+        raw.append(((ta, tb), [(ta, tb, int(D[tidx[i], tidx[j]]))], {}))
+
+    if k >= 3:
+        tarr = np.array(tidx)
+        for i, j in itertools.combinations(range(len(terms)), 2):
+            rest = tarr[j + 1:]
+            if rest.size == 0:
+                continue
+            sums = (D[tidx[i]] + D[tidx[j]])[None, :] + D[rest]
+            centers = sums.argmin(axis=1)
+            for pos in range(rest.size):
+                center = int(centers[pos])
+                if center in (tidx[i], tidx[j], int(rest[pos])):
+                    continue  # a subset terminal would sit inside
+                c = j + 1 + pos
+                triple = (terms[i], terms[j], terms[c])
+                edges = [
+                    (terms[i], -1, int(D[tidx[i], center])),
+                    (terms[j], -1, int(D[tidx[j], center])),
+                    (terms[c], -1, int(D[tidx[c], center])),
+                ]
+                raw.append((triple, edges, {-1: closure.vertices[center]}))
+
+    if k >= 4:
+        for size in range(4, k + 1):
+            for combo in itertools.combinations(range(len(terms)), size):
+                sub_idx = [tidx[x] for x in combo]
+                cost, cedges = dw_closure_tree(D, sub_idx)
+                degree = {}
+                for a, b in cedges:
+                    degree[a] = degree.get(a, 0) + 1
+                    degree[b] = degree.get(b, 0) + 1
+                if any(degree.get(x, 0) != 1 for x in sub_idx):
+                    continue
+                subset = tuple(terms[x] for x in combo)
+                mapping = {x: terms[c] for x, c in zip(sub_idx, combo)}
+                origin = {}
+                next_ph = -1
+                edges = []
+                for a, b in cedges:
+                    for x in (a, b):
+                        if x not in mapping:
+                            mapping[x] = next_ph
+                            origin[next_ph] = closure.vertices[x]
+                            next_ph -= 1
+                    edges.append((mapping[a], mapping[b], int(D[a, b])))
+                edges, origin = _normalized_edges(edges, set(subset), origin, closure)
+                if sum(w for _, _, w in edges) != cost:
+                    raise InternalInvariantError(
+                        f"normalization changed optimal cost for subset {subset}"
+                    )
+                raw.append((subset, edges, origin))
+
+    raw.sort(key=lambda item: item[0])
+    out = []
+    next_id = instance.vertex_count + 1
+    for subset, edges, origin in raw:
+        remap = {}
+        for ph in sorted(origin, reverse=True):  # -1 first, then -2, ...
+            remap[ph] = next_id
+            next_id += 1
+        final_edges = [(remap.get(u, u), remap.get(v, v), w) for u, v, w in edges]
+        final_origin = {remap[ph]: o for ph, o in origin.items()}
+        out.append(FullComponent(subset, final_edges, final_origin))
+    return out

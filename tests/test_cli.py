@@ -4,7 +4,7 @@ import json
 
 import pytest
 
-from steinertree import Instance, save_stp
+from steinertree import Instance, random_instance, save_stp
 from steinertree.cli import main
 
 
@@ -58,6 +58,16 @@ def test_solve_malformed_file_is_input_error(tmp_path, capsys):
     path.write_text("SECTION Graph\nWAT\nEND\n")
     rc = main(["solve", str(path)])
     assert rc == 2
+
+
+def test_solve_over_candidate_budget_is_input_error(tmp_path, capsys):
+    # 80 terminals at k=6 would mean about 3 * 10**8 terminal subsets.
+    path = str(tmp_path / "many.stp")
+    save_stp(random_instance(5, 120, 80, extra_edges=240, max_weight=50), path)
+    rc = main(["solve", path, "--k", "6"])
+    assert rc == 2
+    err = capsys.readouterr().err
+    assert "input error" in err and "candidate budget" in err
 
 
 @pytest.mark.parametrize("nodes, edges, terminals", [

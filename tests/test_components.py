@@ -1,5 +1,8 @@
+import itertools
+import math
 import random
 
+import numpy as np
 import pytest
 
 import oracles
@@ -8,6 +11,7 @@ from steinertree import (
     CandidatePool,
     FullComponent,
     Instance,
+    Tree,
     compute_loss,
     enumerate_full_components,
     gain,
@@ -15,11 +19,21 @@ from steinertree import (
     loss_contract,
     metric_closure,
     minimum_spanning_tree,
+    random_instance,
     reduce_to_basic,
     saving_difference,
 )
+from steinertree import components
+from steinertree.components import CandidateTable
 from steinertree.core import ContractedTree
-from steinertree.errors import InternalInvariantError, KRestrictionError
+from steinertree.errors import (
+    InternalInvariantError,
+    KRestrictionError,
+    LimitExceededError,
+    UnknownNodeError,
+)
+from steinertree.phase1 import run_phase1
+from steinertree.phase2 import run_phase2
 
 
 def _star_component():
@@ -263,6 +277,150 @@ def test_pool_min_cost_index():
         closure = metric_closure(inst)
         cands = enumerate_full_components(inst, closure, 3)
         pool = CandidatePool(cands)
-        for key, idx in pool.by_terminals.items():
+        for key in {frozenset(c.terminals) for c in pool.candidates}:
+            idx = pool.by_terminals(key)
             same = [c.cost for c in cands if frozenset(c.terminals) == key]
             assert pool.candidates[idx].cost == min(same)
+
+
+def test_pool_lookup_gives_first_of_duplicates():
+    pool = CandidatePool([FullComponent([1, 2], [(1, 2, 5)]),
+                          FullComponent([1, 2], [(1, 2, 3)]),
+                          FullComponent([2, 3], [(2, 3, 4)])])
+    assert pool.by_terminals([2, 1]) == 0
+    assert pool.by_terminals({2, 3}) == 2
+    assert pool.by_terminals([1, 3]) is None
+    assert pool.by_terminals([1, 2, 3]) is None
+    assert pool.by_terminals([1]) is None
+
+
+def test_savings_for_unknown_terminal_raises():
+    # Terminal 9 lies above every node id of the tree, terminal 2 between two.
+    view = ContractedTree.from_tree(Tree.from_edges([(1, 2, 1), (2, 3, 1)], [1, 2, 3]))
+    with pytest.raises(UnknownNodeError):
+        CandidatePool([FullComponent([1, 9], [(1, 9, 4)])]).savings_for(view)
+    sparse = ContractedTree.from_tree(Tree.from_edges([(1, 3, 1), (3, 5, 1)], [1, 3, 5]))
+    with pytest.raises(UnknownNodeError):
+        CandidatePool([FullComponent([1, 2], [(1, 2, 4)])]).savings_for(sparse)
+
+
+# ------------------------------
+# Columnar table
+# ------------------------------
+
+def test_table_rows_match_reference_enumeration():
+    for inst in make_batch(12, seed0=1600, max_vertices=11, max_terminals=7):
+        closure = metric_closure(inst)
+        for k in (2, 3, 4):
+            table = enumerate_full_components(inst, closure, k)
+            ref = oracles.reference_full_components(inst, closure, k)
+            assert len(table) == len(ref)
+            pool = CandidatePool(table)
+            assert pool.max_steiner_id == max(
+                (s for c in ref for s in c.steiner_ids), default=0)
+            assert list(pool.candidates) == [(c.terminals, c.cost, c.loss) for c in ref]
+            for i, want in enumerate(ref):
+                got = table[i]
+                assert got.terminals == want.terminals
+                assert got.edges == want.edges
+                assert got.steiner_origin == want.steiner_origin
+                assert (got.cost, got.loss) == (want.cost, want.loss)
+
+
+def test_terminal_set_lookup_matches_reference_dict():
+    for inst in make_batch(12, seed0=1700, max_vertices=11, max_terminals=7):
+        closure = metric_closure(inst)
+        terms = sorted(inst.terminals)
+        for k in (2, 3, 4):
+            pool = CandidatePool(enumerate_full_components(inst, closure, k))
+            # Only rows of 4 or more terminals exist built from the start.
+            prebuilt = set(pool.table.built)
+            assert all(len(pool.candidates[i].terminals) >= 4 for i in prebuilt)
+            ref = {frozenset(c.terminals): i for i, c in
+                   enumerate(oracles.reference_full_components(inst, closure, k))}
+            for size in range(1, len(terms) + 1):
+                for subset in itertools.combinations(terms, size):
+                    assert pool.by_terminals(subset) == ref.get(frozenset(subset))
+            assert pool.by_terminals([terms[0], inst.vertex_count + 1]) is None
+            assert set(pool.table.built) == prebuilt
+
+
+def test_table_checks_its_columns(star3):
+    table = enumerate_full_components(star3, metric_closure(star3), 3)
+    assert [c.terminals for c in CandidatePool(table).candidates] == [
+        (1, 2), (1, 2, 3), (1, 3), (2, 3)]
+
+    def rebuild(row, **changes):
+        cols = {name: getattr(table, name).copy() for name in
+                ("terminal_ids", "pos", "costs", "losses", "hub", "spokes", "first_id")}
+        for name, value in changes.items():
+            cols[name][row] = value
+        return CandidateTable(**cols, built={}, max_steiner_id=table.max_steiner_id)
+
+    assert len(rebuild(1)) == 4  # unchanged columns pass
+    bad = [dict(costs=4), dict(losses=0), dict(hub=2), dict(spokes=[2, 0, 1]),
+           dict(pos=[1, 0, 2]), dict(hub=-1)]
+    for change in bad:
+        with pytest.raises(InternalInvariantError):
+            rebuild(1, **change)
+    with pytest.raises(InternalInvariantError):
+        rebuild(0, costs=3)
+
+
+def test_only_picked_and_looked_up_candidates_are_built():
+    inst = random_instance(5, 120, 80, extra_edges=240, max_weight=50)
+    closure = metric_closure(inst)
+    pool = CandidatePool(enumerate_full_components(inst, closure, 3))
+    assert len(pool) > 50000
+    t0 = minimum_spanning_tree(sorted(inst.terminals), closure.distance)
+    p1 = run_phase1(inst, closure, pool, t0)
+    p2 = run_phase2(inst, pool, t0, p1.base_tree)
+    pool.savings_for(ContractedTree.from_tree(p1.base_tree))
+    list(pool.candidates)
+    picked = {row["candidate_index"]
+              for row in p1.trace["iterations"] + p2.trace["iterations"]}
+    from_pool = {pool.by_terminals(part["terminals"])
+                 for row in p1.trace["iterations"] for event in row["replacements"]
+                 for part in event["parts"] if part.get("source") == "pool"}
+    assert from_pool and not from_pool & picked
+    assert set(pool.table.built) == picked | from_pool
+
+
+def test_candidate_budget_boundary(monkeypatch):
+    inst = make_batch(1, seed0=1800, max_terminals=8)[0]
+    closure = metric_closure(inst)
+    r = len(inst.terminals)
+    subsets = sum(math.comb(r, m) for m in range(2, min(3, r) + 1))
+    monkeypatch.setattr(components, "CANDIDATE_BUDGET", subsets)
+    assert len(enumerate_full_components(inst, closure, 3)) > 0
+    monkeypatch.setattr(components, "CANDIDATE_BUDGET", subsets - 1)
+    with pytest.raises(LimitExceededError):
+        enumerate_full_components(inst, closure, 3)
+
+
+def test_candidate_budget_rejects_large_k():
+    inst = random_instance(5, 120, 80, extra_edges=240, max_weight=50)
+    closure = metric_closure(inst)
+    assert components.CANDIDATE_BUDGET >= math.comb(80, 2) + math.comb(80, 3)
+    with pytest.raises(LimitExceededError):
+        enumerate_full_components(inst, closure, 6)
+
+
+def test_near_minimum_keeps_every_exact_minimizer():
+    # Around 2**60 neighbouring integers share one float64, so the float
+    # ratios below tie or invert where the exact ones differ.
+    big = 2**60
+    num = np.array([big + 2, big, big + 1, -3, 0, 5], dtype=np.int64)
+    den = np.array([big, big, big, 1, 7, 1], dtype=np.int64)
+    kept = components.near_minimum(num / den).tolist()
+    assert 3 in kept and 4 not in kept and 5 not in kept
+    kept = components.near_minimum(num[:3] / den[:3]).tolist()
+    assert kept == [0, 1, 2]
+
+
+def test_pool_rejects_terminal_sets_too_large_to_index():
+    # 40-terminal sets among 80 terminals have about 10**23 possible keys.
+    star = FullComponent(range(1, 41), [(t, 100, 1) for t in range(1, 41)], {100: 100})
+    pairs = [FullComponent([t, t + 1], [(t, t + 1, 1)]) for t in range(41, 80, 2)]
+    with pytest.raises(LimitExceededError):
+        CandidatePool([star] + pairs)

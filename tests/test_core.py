@@ -1,3 +1,4 @@
+import itertools
 import random
 from fractions import Fraction
 
@@ -321,3 +322,19 @@ def test_saving_after_contraction_matches_oracle():
             zero2 = [(a, b, 0) for a, b in itertools.combinations(sorted(group), 2)]
             cost2 = oracles.mst_cost_kruskal(t.nodes, list(t.edges) + zero1 + zero2)
             assert view.saving(group) == cost1 - cost2
+
+
+def test_bottleneck_matrix_matches_bruteforce():
+    rng = random.Random(13)
+    for inst in make_batch(15, seed0=800, max_vertices=11, max_terminals=7):
+        t = _closure_mst(inst)
+        view = ContractedTree.from_tree(t)
+        terms = sorted(inst.terminals)
+        if len(terms) >= 3:
+            view = view.contract_zero_set(rng.sample(terms, 2))
+        mat = view.bottleneck_matrix
+        for a, b in itertools.combinations(view.reps, 2):
+            want = oracles.path_bottleneck_bruteforce(view.edges, a, b)
+            ia, ib = view.rep_index[a], view.rep_index[b]
+            assert mat[ia, ib] == mat[ib, ia] == want
+        assert not mat.diagonal().any()

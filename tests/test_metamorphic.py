@@ -1,0 +1,49 @@
+"""Metamorphic tests: transformations of an instance with a known effect on
+every cost the solver reports.
+
+Scaling every weight by an integer c scales every cost by c. Relabelling
+the vertices changes terminal order, and so the order of the candidates
+and the numbering of their interior ids, but no cost.
+"""
+import random
+
+from conftest import make_batch
+from steinertree import Instance, RunConfig, solve
+
+LADDER = ("mst", "base", "phase1", "phase2", "solution", "opt", "restricted_opt")
+
+
+def _ladder(inst, k):
+    costs = solve(inst, RunConfig(k=k)).to_dict(timing=False)["costs"]
+    return [costs[name] for name in LADDER]
+
+
+def _scaled(inst, c):
+    edges = [(u, v, w * c) for u, v, w in inst.edges]
+    return Instance.build(inst.vertex_count, edges, inst.terminals, name=inst.name)
+
+
+def _relabelled(inst, rng):
+    new = list(range(1, inst.vertex_count + 1))
+    rng.shuffle(new)
+    label = dict(zip(range(1, inst.vertex_count + 1), new))
+    edges = [(label[u], label[v], w) for u, v, w in inst.edges]
+    rng.shuffle(edges)
+    return Instance.build(inst.vertex_count, edges, [label[t] for t in inst.terminals],
+                          name=inst.name)
+
+
+def test_scaling_weights_scales_cost_ladder():
+    rng = random.Random(41)
+    for inst in make_batch(20, seed0=5000):
+        for k in (3, 4):
+            c = rng.randint(2, 9)
+            want = [None if x is None else c * x for x in _ladder(inst, k)]
+            assert _ladder(_scaled(inst, c), k) == want, (inst.name, k, c)
+
+
+def test_relabelling_vertices_keeps_cost_ladder():
+    rng = random.Random(43)
+    for inst in make_batch(20, seed0=5100):
+        for k in (3, 4):
+            assert _ladder(_relabelled(inst, rng), k) == _ladder(inst, k), (inst.name, k)

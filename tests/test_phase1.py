@@ -1,5 +1,7 @@
 import random
 
+import numpy as np
+
 from conftest import make_batch
 from steinertree import (
     CandidatePool,
@@ -10,7 +12,7 @@ from steinertree import (
     optimal_k_restricted,
     random_instance,
 )
-from steinertree.phase1 import run_phase1
+from steinertree.phase1 import _select, run_phase1
 
 
 def _mst(inst, closure):
@@ -155,3 +157,12 @@ def test_phase1_solution_at_most_terminal_mst():
     for inst in make_batch(20, seed0=3400):
         p1, _, closure = _run(inst, 3)
         assert p1.solution.total_cost <= _mst(inst, closure).total_cost
+
+
+def test_select_decides_float_ties_exactly():
+    # 2**60 and 2**60 + 2 are one float64, so the float ratios tie; the
+    # exact comparison still prefers the larger gain.
+    gains = np.array([2**60, 2**60 + 2], dtype=np.int64)
+    losses = np.array([2**59 + 1, 2**59 + 1], dtype=np.int64)
+    assert _select(gains, losses) == 1
+    assert _select(gains[::-1].copy(), losses) == 0

@@ -53,6 +53,15 @@ def test_select_nonpositive_load_beats_positive():
     assert select_candidate(t_origin, t_base, pool) == (1, -1, 6)
 
 
+def test_select_decides_float_ties_exactly():
+    # Around 2**57 neighbouring loads round to one float64, so the float
+    # ratios tie; the exact comparison still prefers the smaller load.
+    w = 2**58
+    t_origin, t_base = _twin_paths([w, w, w], [1, 1, 1])
+    pool = CandidatePool([_pair(1, 2, 2**57 + 3), _pair(3, 4, 2**57 + 1)])
+    assert select_candidate(t_origin, t_base, pool) == (1, 2**57, w - 1)
+
+
 def test_select_none_without_positive_difference():
     t_origin, t_base = _twin_paths([1, 1, 1], [9, 9, 9])
     pool = CandidatePool([_pair(1, 2, 5), _pair(2, 4, 5)])

@@ -21,20 +21,15 @@ from .components import (
     CandidatePool,
     Contraction,
     FullComponent,
-    compute_loss,
     enumerate_full_components,
-    gain,
-    load,
     loss_contract,
     reduce_to_basic,
-    saving_difference,
 )
 from .core import (
     ContractedTree,
     Instance,
     MetricClosure,
     Tree,
-    bottleneck_edge,
     metric_closure,
     minimum_spanning_tree,
 )
@@ -67,12 +62,11 @@ __all__ = [
     "InvalidInstanceError", "KRestrictionError", "LimitExceededError",
     "MetricClosure", "Phase1Result", "Phase2Result", "RunConfig", "RunResult",
     "SteinerError", "StpSyntaxError", "Tree", "UnknownNodeError", "UsageError",
-    "bottleneck_edge", "check_run", "compute_loss", "crossover_alpha",
-    "enumerate_full_components", "gain", "grid_instance", "guarantee_ratio",
-    "load", "load_stp", "loss_contract", "metric_closure",
-    "minimum_spanning_tree", "optimal_k_restricted", "optimal_steiner_tree",
-    "parse_stp", "random_instance", "ratio_curves", "reduce_to_basic",
-    "restricted_ratio_bound", "run_benchmark", "run_phase1", "run_phase2",
-    "save_stp", "saving_difference", "select_candidate", "solution_cost_bound",
+    "check_run", "crossover_alpha", "enumerate_full_components",
+    "grid_instance", "guarantee_ratio", "load_stp", "loss_contract",
+    "metric_closure", "minimum_spanning_tree", "optimal_k_restricted",
+    "optimal_steiner_tree", "parse_stp", "random_instance", "ratio_curves",
+    "reduce_to_basic", "restricted_ratio_bound", "run_benchmark", "run_phase1",
+    "run_phase2", "save_stp", "select_candidate", "solution_cost_bound",
     "solve", "write_stp",
 ]

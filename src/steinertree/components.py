@@ -122,12 +122,6 @@ def _loss_indices(comp: FullComponent) -> tuple[int, ...]:
     return tuple(i - len(zero) for i in kept if i >= len(zero))
 
 
-def compute_loss(comp: FullComponent) -> tuple[tuple[Edge, ...], int]:
-    """(loss forest edges, loss value) of a component."""
-    idx = comp.loss_forest_indices
-    return tuple(comp.edges[i] for i in idx), comp.loss
-
-
 class ContractedEdge(NamedTuple):
     u: int
     v: int
@@ -182,30 +176,6 @@ def loss_contract(comp: FullComponent) -> Contraction:
     if len(out) != len(comp.terminals) - 1:
         raise InternalInvariantError("contraction is not a tree on the terminals")
     return Contraction(comp.terminals, tuple(out), total)
-
-
-# ---------------------------------------------------------------------------
-# Greedy quantities
-
-
-def gain(tree: ContractedTree, comp: FullComponent) -> int:
-    """Cost drop of treating the component's terminals as merged, minus the
-    component's price."""
-    return tree.cost - tree.mst_with_zero_set(comp.terminals) - comp.cost
-
-
-def load(tree: ContractedTree, comp: FullComponent) -> int:
-    """Negated gain: what the component costs beyond what it saves."""
-    return -gain(tree, comp)
-
-
-def saving_difference(tree_a: ContractedTree, tree_b: ContractedTree,
-                      comp: FullComponent) -> int:
-    """How much more the component's terminal merge saves in tree_a than in
-    tree_b."""
-    saving_a = tree_a.cost - tree_a.mst_with_zero_set(comp.terminals)
-    saving_b = tree_b.cost - tree_b.mst_with_zero_set(comp.terminals)
-    return saving_a - saving_b
 
 
 # ---------------------------------------------------------------------------
@@ -551,6 +521,21 @@ def near_minimum(ratios: np.ndarray) -> np.ndarray:
     return np.flatnonzero(ratios - best <= slack)
 
 
+def argmin_ratio(num: np.ndarray, den: np.ndarray) -> int | None:
+    """Row with the smallest num/den among rows with positive den; ties go
+    to the earliest row. None when no den is positive. Float ratios only
+    narrow the field (near_minimum); integer cross-multiplication decides."""
+    eligible = np.flatnonzero(den > 0)
+    if eligible.size == 0:
+        return None
+    best, best_num, best_den = None, 0, 1
+    for i in eligible[near_minimum(num[eligible] / den[eligible])].tolist():
+        n, d = int(num[i]), int(den[i])
+        if best is None or n * best_den < best_num * d:
+            best, best_num, best_den = i, n, d
+    return best
+
+
 class CandidateRows(Sequence):
     """The pool's candidates as (terminals, cost, loss) rows, read from the
     columns without building components."""
@@ -599,16 +584,15 @@ class CandidatePool:
         self.costs = table.costs
         self.losses = table.losses
         self.max_steiner_id = table.max_steiner_id
-        # Per size: rows, positions, and for pairs and triples the flat
-        # index of each terminal pair into an r x r matrix.
+        # Per size: the rows, and for each terminal column i >= 1 the flat
+        # indices, into an r x r matrix, of its pairs with columns j < i.
         r, width = len(table.terminal_ids), table.pos.shape[1]
         self._groups = []
         for m in np.flatnonzero(np.bincount(table.size)).tolist():
             idx = np.flatnonzero(table.size == m)
             pos = table.pos[idx, :m]
-            pairs = ([pos[:, a] * r + pos[:, b] for a, b in itertools.combinations(range(m), 2)]
-                     if m <= 3 else [])
-            self._groups.append((m, idx, pos, pairs))
+            earlier = [pos[:, :i].T * r + pos[:, i] for i in range(1, m)]
+            self._groups.append((idx, earlier))
         # Terminal-set keys: an offset per size plus the colex rank of the
         # positions among the subsets of that size.
         counts = [math.comb(r, m) for m in range(width + 1)]
@@ -651,20 +635,17 @@ class CandidatePool:
         return int(self._key_order[at])
 
     def savings_for(self, tree: ContractedTree) -> np.ndarray:
+        """Each candidate's saving in `tree`: the MST of its terminals under
+        path-maximum weights b. Path maxima in a tree form an ultrametric,
+        so for terminals t0 .. t(m-1) that MST is the sum over i >= 1 of
+        min over j < i of b(ti, tj): each Kruskal merge among them is
+        counted once, by the earliest terminal of the later side."""
         out = np.zeros(len(self.table), dtype=np.int64)
         if not len(out):
             return out
         reps = tree.rep_rows(self.table.terminal_ids.tolist())
         # Path maxima between the pool's terminals, flattened.
         between = tree.bottleneck_matrix[reps[:, None], reps].ravel()
-        for m, idx, pos, pairs in self._groups:
-            if m == 2:
-                out[idx] = between.take(pairs[0])
-            elif m == 3:
-                b01, b02, b12 = (between.take(p) for p in pairs)
-                out[idx] = b01 + b02 + b12 - np.maximum(b01, np.maximum(b02, b12))
-            else:
-                terms = self.table.terminal_ids[pos].tolist()
-                for i, group in zip(idx.tolist(), terms):
-                    out[i] = tree.saving(group)
+        for idx, earlier in self._groups:
+            out[idx] = sum(between.take(flat).min(axis=0) for flat in earlier)
         return out

@@ -31,11 +31,19 @@ Edge = tuple[int, int, int]
 
 # Instance.build rejects instances whose scaled weights sum to this or more.
 # Every shortest-path distance, and so every bottleneck weight and
-# Dreyfus-Wagner table entry, is then below 2**59, and the widest int64
-# expressions stay below 2**63: the three-term bottleneck sum in
-# CandidatePool.savings_for (< 3 * 2**59) and INF + D in dw_closure_tree,
-# where INF = 4 * WEIGHT_LIMIT (< 2**61 + 2**59).
+# Dreyfus-Wagner table entry, is then below 2**59. A terminal MST costs at
+# most twice an optimal Steiner tree, which costs at most the weight sum, so
+# every tree the phases contract costs below 2**60. The widest int64
+# expressions stay below 2**63: each partial sum in
+# CandidatePool.savings_for is at most the saving, which is at most the
+# tree's cost (< 2**60), and INF + D in dw_closure_tree, where
+# INF = 4 * WEIGHT_LIMIT, is below 2**61 + 2**59.
 WEIGHT_LIMIT = 2**59
+
+# Instance.build rejects vertex counts above this. Interior node ids are
+# numbered in int64 columns from vertex_count + 1, and the candidate budget
+# keeps their number far below 2**62, so they stay below 2**63.
+VERTEX_LIMIT = 2**62
 
 
 def edge_key(u: int, v: int, w: int) -> tuple[int, int, int]:
@@ -103,6 +111,10 @@ class Instance:
         """
         if vertex_count < 1:
             raise InvalidInstanceError("vertex count must be positive")
+        if vertex_count > VERTEX_LIMIT:
+            raise InvalidInstanceError(
+                f"vertex count {vertex_count} exceeds the limit of 2**62"
+            )
         terms = frozenset(int(t) for t in terminals)
         if len(terms) < 2:
             raise InvalidInstanceError("need at least 2 terminals")
@@ -157,11 +169,13 @@ class Instance:
 
     @cached_property
     def adjacency(self) -> dict[int, list[tuple[int, int]]]:
-        """Neighbor lists (vertex, weight), sorted, over `edge_weights`."""
-        adj: dict[int, list[tuple[int, int]]] = {x: [] for x in range(1, self.vertex_count + 1)}
+        """Neighbor lists (vertex, weight), sorted, over `edge_weights`.
+        Keyed by the terminals and the edge endpoints only, so its size
+        follows the edges, not vertex_count."""
+        adj: dict[int, list[tuple[int, int]]] = {t: [] for t in self.terminals}
         for (a, b), w in sorted(self.edge_weights.items()):
-            adj[a].append((b, w))
-            adj[b].append((a, w))
+            adj.setdefault(a, []).append((b, w))
+            adj.setdefault(b, []).append((a, w))
         return adj
 
     def reachable_from(self, start: int) -> set[int]:
@@ -376,40 +390,6 @@ def pruned_mst(edges: Sequence[Edge], terminals: Sequence[int]) -> tuple[int, Tr
     return sum(w for _, _, w in kept), Tree.from_edges(prune_leaves(kept, terminals), terminals)
 
 
-def bottleneck_edge(tree: Tree, u: int, v: int) -> Edge:
-    """Heaviest edge on the unique u-v path. Among equal-weight maxima the
-    one latest in global edge order is returned, because that is the edge a
-    Kruskal run displaces when u and v are merged. u must differ from v.
-    """
-    if u == v:
-        raise ValueError("bottleneck_edge needs two distinct nodes")
-    for x in (u, v):
-        if x not in tree.nodes:
-            raise UnknownNodeError(f"node {x} not in tree")
-    adj: dict[int, list[tuple[int, Edge]]] = {x: [] for x in tree.nodes}
-    for e in tree.edges:
-        adj[e[0]].append((e[1], e))
-        adj[e[1]].append((e[0], e))
-    parent_edge: dict[int, Edge] = {}
-    parent: dict[int, int] = {u: u}
-    stack = [u]
-    while stack:
-        x = stack.pop()
-        if x == v:
-            break
-        for y, e in adj[x]:
-            if y not in parent:
-                parent[y] = x
-                parent_edge[y] = e
-                stack.append(y)
-    path = []
-    cur = v
-    while cur != u:
-        path.append(parent_edge[cur])
-        cur = parent[cur]
-    return max(path, key=lambda e: edge_key(*e))
-
-
 def prune_leaves(edges: Sequence[Edge], keep: Iterable[int]) -> list[Edge]:
     """Iteratively drop degree-1 nodes not in `keep`, with their edges."""
     keep_set = set(keep)
@@ -494,27 +474,6 @@ class ContractedTree:
                 raise UnknownNodeError(f"node {node} not in contracted tree")
             reps.add(rep)
         return reps
-
-    def saving(self, group: Iterable[int]) -> int:
-        """cost drop of treating `group` as mutually zero-distance:
-        cost(self) - mst(self with the group's zero clique added). Equals
-        the MST of the group's representatives under bottleneck weights;
-        the from-scratch Kruskal route is mst_with_zero_set."""
-        reps = sorted(self.rep_index[r] for r in self._group_reps(group))
-        if len(reps) <= 1:
-            return 0
-        mat = self.bottleneck_matrix
-        best = {r: int(mat[reps[0], r]) for r in reps[1:]}
-        total = 0
-        while best:
-            r = min(best, key=lambda x: (best[x], x))
-            total += best[r]
-            del best[r]
-            for other in list(best):
-                cand = int(mat[r, other])
-                if cand < best[other]:
-                    best[other] = cand
-        return total
 
     def mst_with_zero_set(self, group: Iterable[int]) -> int:
         """cost of MST(self u zero clique on group), computed from scratch."""

@@ -17,13 +17,11 @@ import logging
 from dataclasses import dataclass
 from fractions import Fraction
 
-import numpy as np
-
 from .components import (
     CandidatePool,
     FullComponent,
+    argmin_ratio,
     component_from_part,
-    near_minimum,
     reduce_to_basic,
 )
 from .core import (
@@ -66,25 +64,6 @@ def _ratio_json(gain_value: int, loss_value: int) -> list | str:
     return [f.numerator, f.denominator]
 
 
-def _select(gains: np.ndarray, losses: np.ndarray) -> int | None:
-    """Best gain/loss ratio among positive gains; zero loss counts as
-    infinite ratio; ties fall to the earliest candidate. Float ratios only
-    narrow the field; integer cross-multiplication decides."""
-    positive = np.flatnonzero(gains > 0)
-    if positive.size == 0:
-        return None
-    zero_loss = positive[losses[positive] == 0]
-    if zero_loss.size:
-        return int(zero_loss[0])
-    near = positive[near_minimum(losses[positive] / gains[positive])]
-    best = None  # (index, gain, loss)
-    for i in near.tolist():
-        g, l = int(gains[i]), int(losses[i])
-        if best is None or g * best[2] > best[1] * l:
-            best = (i, g, l)
-    return best[0]
-
-
 def merge(t0: Tree, chosen: list[ChosenEntry]) -> tuple[int, Tree, dict[int, int]]:
     """The starting tree plus every chosen component's full edge set,
     reduced by pruned_mst: (cost before pruning, pruned tree, interior id ->
@@ -116,7 +95,9 @@ def run_phase1(instance: Instance, closure: MetricClosure,
         view = ContractedTree({t: t for t in terms},
                               [(u, v, w) for u, v, w, _ in current])
         gains = pool.savings_for(view) - pool.costs
-        idx = _select(gains, pool.losses)
+        # Best gain/loss ratio among positive gains, as the smallest
+        # loss/gain; a zero loss is ratio 0 and wins.
+        idx = argmin_ratio(pool.losses, gains)
         if idx is None:
             break
         if len(rows) + 1 > max(len(pool), 1):

@@ -14,9 +14,7 @@ import logging
 from dataclasses import dataclass
 from fractions import Fraction
 
-import numpy as np
-
-from .components import CandidatePool, near_minimum
+from .components import CandidatePool, argmin_ratio
 from .core import ContractedTree, Instance, Tree
 from .errors import InternalInvariantError
 from .phase1 import ChosenEntry, merge
@@ -44,16 +42,8 @@ def select_candidate(t_origin: ContractedTree, t_base: ContractedTree,
     sav_base = pool.savings_for(t_base)
     diffs = sav_origin - sav_base
     loads = pool.costs - sav_base
-    eligible = np.flatnonzero(diffs > 0)
-    if eligible.size == 0:
-        return None
-    near = eligible[near_minimum(loads[eligible] / diffs[eligible])]
-    best = None  # (index, load, diff)
-    for i in near.tolist():
-        l, d = int(loads[i]), int(diffs[i])
-        if best is None or l * best[2] < best[1] * d:
-            best = (i, l, d)
-    return best
+    i = argmin_ratio(loads, diffs)
+    return None if i is None else (i, int(loads[i]), int(diffs[i]))
 
 
 def run_phase2(instance: Instance, pool: CandidatePool, t0: Tree,

@@ -3,15 +3,18 @@
 Everything here is deliberately naive and written from scratch: exhaustive
 enumeration wherever the instance is small enough, plain dicts and loops
 everywhere else. The tests compare these against the real implementations.
-Only `reference_full_components` imports from the package: it is the
-earlier object-per-subset enumeration, which builds package components.
+`reference_full_components` (the earlier object-per-subset enumeration)
+builds package components, and the reference definitions of the greedy
+quantities at the end take package trees and components; everything else
+stands on its own.
 """
 import itertools
 
 import numpy as np
 
 from steinertree.components import FullComponent, _normalized_edges
-from steinertree.errors import InternalInvariantError
+from steinertree.core import edge_key
+from steinertree.errors import InternalInvariantError, UnknownNodeError
 from steinertree.exact import dw_closure_tree
 
 INF = float("inf")
@@ -274,3 +277,69 @@ def reference_full_components(instance, closure, k):
         final_origin = {remap[ph]: o for ph, o in origin.items()}
         out.append(FullComponent(subset, final_edges, final_origin))
     return out
+
+
+# ---------------------------------------------------------------------------
+# Reference definitions of the greedy quantities, one component and one tree
+# at a time, from scratch. The solver computes them in batch
+# (CandidatePool.savings_for, components.argmin_ratio).
+
+
+def gain(tree, comp):
+    """Cost drop of treating the component's terminals as merged, minus the
+    component's price."""
+    return tree.cost - tree.mst_with_zero_set(comp.terminals) - comp.cost
+
+
+def load(tree, comp):
+    """Negated gain: what the component costs beyond what it saves."""
+    return -gain(tree, comp)
+
+
+def saving_difference(tree_a, tree_b, comp):
+    """How much more the component's terminal merge saves in tree_a than in
+    tree_b."""
+    saving_a = tree_a.cost - tree_a.mst_with_zero_set(comp.terminals)
+    saving_b = tree_b.cost - tree_b.mst_with_zero_set(comp.terminals)
+    return saving_a - saving_b
+
+
+def compute_loss(comp):
+    """(loss forest edges, loss value) of a component."""
+    idx = comp.loss_forest_indices
+    return tuple(comp.edges[i] for i in idx), comp.loss
+
+
+def bottleneck_edge(tree, u, v):
+    """Heaviest edge on the unique u-v path of a Tree. Among equal-weight
+    maxima the one latest in global edge order is returned, because that is
+    the edge a Kruskal run displaces when u and v are merged. u must differ
+    from v.
+    """
+    if u == v:
+        raise ValueError("bottleneck_edge needs two distinct nodes")
+    for x in (u, v):
+        if x not in tree.nodes:
+            raise UnknownNodeError(f"node {x} not in tree")
+    adj = {x: [] for x in tree.nodes}
+    for e in tree.edges:
+        adj[e[0]].append((e[1], e))
+        adj[e[1]].append((e[0], e))
+    parent_edge = {}
+    parent = {u: u}
+    stack = [u]
+    while stack:
+        x = stack.pop()
+        if x == v:
+            break
+        for y, e in adj[x]:
+            if y not in parent:
+                parent[y] = x
+                parent_edge[y] = e
+                stack.append(y)
+    path = []
+    cur = v
+    while cur != u:
+        path.append(parent_edge[cur])
+        cur = parent[cur]
+    return max(path, key=lambda e: edge_key(*e))

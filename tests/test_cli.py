@@ -87,6 +87,17 @@ def test_solve_weights_beyond_headroom_is_input_error(tmp_path, capsys, nodes, e
     assert "input error" in capsys.readouterr().err
 
 
+def test_solve_vertex_count_beyond_limit_is_input_error(tmp_path, capsys):
+    # One vertex past core.VERTEX_LIMIT (2**62), declared over a 3-star.
+    text = (tmp_path / _star3_file(tmp_path)).read_text()
+    path = tmp_path / "wide.stp"
+    path.write_text(text.replace("Nodes 4", f"Nodes {2**62 + 1}"))
+    rc = main(["solve", str(path)])
+    assert rc == 2
+    err = capsys.readouterr().err
+    assert "input error" in err and "vertex count" in err
+
+
 # ------------------------------
 # bench
 # ------------------------------

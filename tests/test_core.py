@@ -7,15 +7,18 @@ import pytest
 import oracles
 from conftest import make_batch
 from steinertree import (
+    CandidatePool,
     DisconnectedInputError,
     DisconnectedTerminalsError,
+    FullComponent,
     Instance,
     InvalidInstanceError,
     Tree,
     UnknownNodeError,
-    bottleneck_edge,
+    enumerate_full_components,
     metric_closure,
     minimum_spanning_tree,
+    random_instance,
 )
 from steinertree.core import WEIGHT_LIMIT, ContractedTree, format_cost, prune_leaves
 from steinertree.exact import INF
@@ -217,11 +220,11 @@ def test_tree_from_edges_validates():
 
 def test_bottleneck_edge_examples():
     t = Tree.from_edges([(1, 2, 1), (2, 3, 3)], [1, 2, 3])
-    assert bottleneck_edge(t, 1, 3) == (2, 3, 3)
+    assert oracles.bottleneck_edge(t, 1, 3) == (2, 3, 3)
     t = Tree.from_edges([(4, 1, 1), (4, 2, 2), (4, 3, 4)], [1, 2, 3, 4])
-    assert bottleneck_edge(t, 1, 3)[2] == 4
+    assert oracles.bottleneck_edge(t, 1, 3)[2] == 4
     with pytest.raises(ValueError):
-        bottleneck_edge(t, 2, 2)
+        oracles.bottleneck_edge(t, 2, 2)
 
 
 def test_bottleneck_edge_matches_bruteforce():
@@ -233,7 +236,7 @@ def test_bottleneck_edge_matches_bruteforce():
             for v in terms:
                 if u >= v:
                     continue
-                got = bottleneck_edge(t, u, v)[2]
+                got = oracles.bottleneck_edge(t, u, v)[2]
                 want = oracles.path_bottleneck_bruteforce(t.edges, u, v)
                 assert got == want
 
@@ -254,11 +257,26 @@ def _closure_mst(inst):
     return minimum_spanning_tree(sorted(inst.terminals), c.distance)
 
 
+def _savings(view, groups):
+    """pool.savings_for over a pool with one row per group: a star of its
+    terminals around an interior node no tree uses."""
+    hub = max(x for g in groups for x in g) + 1
+    comps = [FullComponent(g, [(t, hub, 1) for t in g], {hub: hub}) for g in groups]
+    return CandidatePool(comps).savings_for(view).tolist()
+
+
+def _groups(rng, terms, extra):
+    """One random group of every size 2..len(terms), then `extra` more."""
+    sizes = list(range(2, len(terms) + 1))
+    sizes += [rng.randint(2, len(terms)) for _ in range(extra)]
+    return [rng.sample(terms, m) for m in sizes]
+
+
 def test_zero_set_examples(star3):
     t = _closure_mst(star3)  # cost 4
     view = ContractedTree.from_tree(t)
     assert view.mst_with_zero_set([1, 2, 3]) == 0
-    assert view.saving([1, 2, 3]) == 4
+    assert _savings(view, [[1, 2, 3]]) == [4]
     # Single-member group changes nothing.
     assert view.mst_with_zero_set([2]) == 4
 
@@ -279,23 +297,22 @@ def test_contract_zero_set_sequence():
 def test_contract_unknown_node():
     view = ContractedTree.from_tree(Tree.from_edges([(1, 2, 2)], [1, 2]))
     with pytest.raises(UnknownNodeError):
-        view.saving([1, 9])
+        view.contract_zero_set([1, 9])
 
 
 def test_saving_matches_from_scratch_oracle():
-    # The bottleneck-matrix route must agree with a from-scratch Kruskal
-    # over the tree plus an explicit zero clique, for every group size.
+    # The batched bottleneck-matrix sum must agree with a from-scratch
+    # Kruskal over the tree plus an explicit zero clique, for every group
+    # size.
     rng = random.Random(7)
     for inst in make_batch(25, seed0=600, max_vertices=11):
         t = _closure_mst(inst)
         view = ContractedTree.from_tree(t)
-        terms = sorted(inst.terminals)
-        for _ in range(6):
-            m = rng.randint(2, len(terms))
-            group = rng.sample(terms, m)
-            want = oracles.saving_of_group(t.edges, group)
-            assert view.saving(group) == want
-            assert view.mst_with_zero_set(group) == t.total_cost - want
+        groups = _groups(rng, sorted(inst.terminals), 6)
+        want = [oracles.saving_of_group(t.edges, g) for g in groups]
+        assert _savings(view, groups) == want
+        for group, saving in zip(groups, want):
+            assert view.mst_with_zero_set(group) == t.total_cost - saving
 
 
 def test_saving_after_contraction_matches_oracle():
@@ -303,8 +320,6 @@ def test_saving_after_contraction_matches_oracle():
     # contracted tree is an MST of (tree + zero clique), so the saving of a
     # second group is the difference of two from-scratch MST costs; any edge
     # the first contraction displaced is gone and must stay gone.
-    import itertools
-
     rng = random.Random(11)
     for inst in make_batch(10, seed0=700, max_vertices=11, max_terminals=7):
         t = _closure_mst(inst)
@@ -316,12 +331,48 @@ def test_saving_after_contraction_matches_oracle():
         zero1 = [(a, b, 0) for a, b in itertools.combinations(sorted(first), 2)]
         cost1 = oracles.mst_cost_kruskal(t.nodes, list(t.edges) + zero1)
         assert view.cost == cost1
-        for _ in range(4):
-            m = rng.randint(2, len(terms))
-            group = rng.sample(terms, m)
+        groups = _groups(rng, terms, 4)
+        want = []
+        for group in groups:
             zero2 = [(a, b, 0) for a, b in itertools.combinations(sorted(group), 2)]
             cost2 = oracles.mst_cost_kruskal(t.nodes, list(t.edges) + zero1 + zero2)
-            assert view.saving(group) == cost1 - cost2
+            want.append(cost1 - cost2)
+            assert view.mst_with_zero_set(group) == cost2
+        assert _savings(view, groups) == want
+        # A group inside the merged pair saves nothing more.
+        assert _savings(view, [sorted(first)]) == [0]
+
+
+def test_pool_savings_at_weight_headroom_k4():
+    # Scaled weights sum to just below WEIGHT_LIMIT. On the five-spoke star
+    # every terminal pair is 2W apart, so the terminal MST costs 8W, about
+    # 0.8 * 2**60, and a 4-terminal saving is 6W. Every k=4 row's batched
+    # saving must equal the from-scratch one, before and after a
+    # contraction.
+    spoke = (WEIGHT_LIMIT - 1) // 5
+    cases = [Instance.build(6, [(1, t, spoke) for t in range(2, 7)], range(2, 7))]
+    for seed in (34, 42, 46):
+        small = random_instance(seed, 12, 7, extra_edges=4, max_weight=20)
+        c = (WEIGHT_LIMIT - 1) // sum(w for _, _, w in small.edges)
+        cases.append(Instance.build(small.vertex_count,
+                                    [(u, v, w * c) for u, v, w in small.edges],
+                                    small.terminals))
+    for inst in cases:
+        assert WEIGHT_LIMIT - 20 * 12**2 < sum(w for _, _, w in inst.edges) < WEIGHT_LIMIT
+        closure = metric_closure(inst)
+        t = minimum_spanning_tree(sorted(inst.terminals), closure.distance)
+        pool = CandidatePool(enumerate_full_components(inst, closure, 4))
+        rows = [row.terminals for row in pool.candidates]
+        assert any(len(r) == 4 for r in rows)
+        view = ContractedTree.from_tree(t)
+        assert pool.savings_for(view).tolist() == [
+            oracles.saving_of_group(t.edges, r) for r in rows]
+        after = view.contract_zero_set(rows[0])
+        assert pool.savings_for(after).tolist() == [
+            after.cost - after.mst_with_zero_set(r) for r in rows]
+    star = ContractedTree.from_tree(
+        minimum_spanning_tree(range(2, 7), metric_closure(cases[0]).distance))
+    assert star.cost == 8 * spoke > 2**59
 
 
 def test_bottleneck_matrix_matches_bruteforce():

@@ -12,7 +12,8 @@ from steinertree import (
     optimal_k_restricted,
     random_instance,
 )
-from steinertree.phase1 import _select, run_phase1
+from steinertree.components import argmin_ratio
+from steinertree.phase1 import run_phase1
 
 
 def _mst(inst, closure):
@@ -164,5 +165,15 @@ def test_select_decides_float_ties_exactly():
     # exact comparison still prefers the larger gain.
     gains = np.array([2**60, 2**60 + 2], dtype=np.int64)
     losses = np.array([2**59 + 1, 2**59 + 1], dtype=np.int64)
-    assert _select(gains, losses) == 1
-    assert _select(gains[::-1].copy(), losses) == 0
+    assert argmin_ratio(losses, gains) == 1
+    assert argmin_ratio(losses, gains[::-1].copy()) == 0
+
+
+def test_select_zero_loss_wins_and_keeps_first():
+    # Among positive gains a zero loss is ratio 0, which only other zero
+    # losses tie, and the earliest of those is kept.
+    gains = np.array([9, -1, 2, 4, 50], dtype=np.int64)
+    losses = np.array([1, 0, 0, 0, 1], dtype=np.int64)
+    assert argmin_ratio(losses, gains) == 2
+    assert argmin_ratio(losses, np.array([3, 0, -2, 0, 1], dtype=np.int64)) == 0
+    assert argmin_ratio(losses, np.zeros(5, dtype=np.int64)) is None

@@ -1,15 +1,22 @@
+import random
+import time
+
 import pytest
 
 from conftest import make_batch
 from steinertree import (
+    InputError,
     Instance,
     InvalidInstanceError,
+    RunConfig,
     StpSyntaxError,
     load_stp,
     parse_stp,
     save_stp,
+    solve,
     write_stp,
 )
+from steinertree.core import VERTEX_LIMIT
 
 STAR3_TEXT = """\
 33D32945 STP File, STP Format Version 1.0
@@ -194,3 +201,78 @@ def test_write_contains_exact_weights():
     assert "E 1 2 1.5" in text
     assert "E 2 3 2" in text
     assert text.endswith("EOF\n")
+
+
+def _sparse_text(nodes):
+    """A 3-star on vertices 1..4 declared inside a graph of `nodes` vertices."""
+    return STAR3_TEXT.replace("Nodes 4", f"Nodes {nodes}")
+
+
+def test_huge_vertex_count_with_few_edges_solves_quickly():
+    # Memory and time follow the edges, not the declared vertex count.
+    start = time.perf_counter()
+    inst = parse_stp(_sparse_text(10**9))
+    result = solve(inst, RunConfig(k=3))
+    assert time.perf_counter() - start < 2.0
+    assert inst.vertex_count == 10**9
+    assert result.solution_cost == 3
+    assert result.report.ok
+
+
+def test_vertex_count_limit_boundary():
+    # At the limit the 3-star's interior node gets id VERTEX_LIMIT + 1,
+    # still an int64; one vertex more is rejected up front.
+    result = solve(parse_stp(_sparse_text(VERTEX_LIMIT)), RunConfig(k=3))
+    assert result.solution_cost == 3
+    for nodes in (VERTEX_LIMIT + 1, 10**20):
+        with pytest.raises(InvalidInstanceError, match="vertex count"):
+            parse_stp(_sparse_text(nodes))
+
+
+FUZZ_TOKENS = ["0", "1", "-1", "-0", "1.5", "1/3", "1/0", "0/0", "1e400", "nan",
+               "inf", "x", "", "4611686018427387905", "10" * 12, "9" * 30,
+               "SECTION", "END", "EOF", "E", "T", "Nodes", "Terminals"]
+FUZZ_LINES = ["SECTION Graph", "SECTION Terminals", "SECTION Comment", "END", "EOF",
+              "Nodes 100000000000", "Nodes 0", "Edges 1", "Terminals 1", "T 4",
+              "E 1 1 1", "E 1 2 -3", "A 1 2 3", "Name"]
+
+
+def _mutate(text, rng):
+    lines = text.splitlines()
+    for _ in range(rng.randint(1, 3)):
+        at = rng.randrange(len(lines) + 1)
+        op = rng.choices(["delete", "insert", "token", "swap", "truncate"],
+                         weights=[2, 3, 4, 1, 1])[0]
+        if op == "delete" and lines:
+            del lines[min(at, len(lines) - 1)]
+        elif op == "insert":
+            lines.insert(at, rng.choice(FUZZ_LINES))
+        elif op == "token" and lines:
+            i = min(at, len(lines) - 1)
+            tokens = lines[i].split() or [""]
+            tokens[rng.randrange(len(tokens))] = rng.choice(FUZZ_TOKENS)
+            lines[i] = " ".join(tokens)
+        elif op == "swap" and len(lines) > 1:
+            i, j = rng.sample(range(len(lines)), 2)
+            lines[i], lines[j] = lines[j], lines[i]
+        elif op == "truncate":
+            lines = lines[:at]
+    return "\n".join(lines) + "\n"
+
+
+def test_parser_mutation_fuzz_raises_only_input_errors():
+    # A parse may fail only with an InputError; whatever parses also solves.
+    rng = random.Random(61)
+    seeds = [STAR3_TEXT, write_stp(Instance.build(
+        3, [(1, 2, "0.5"), (2, 3, "1/3")], [1, 3], name="frac"))]
+    seeds += [write_stp(inst) for inst in make_batch(4, seed0=6100, max_vertices=8)]
+    parsed = 0
+    for _ in range(600):
+        text = _mutate(rng.choice(seeds), rng)
+        try:
+            inst = parse_stp(text)
+        except InputError:
+            continue
+        parsed += 1
+        assert solve(inst, RunConfig(k=3)).report.ok
+    assert 0 < parsed < 600

@@ -320,9 +320,8 @@ def enumerate_full_components(instance: Instance, closure: MetricClosure,
             f"{subsets} terminal subsets of size 2..{k} exceed the candidate "
             f"budget of {CANDIDATE_BUDGET}; use a smaller k"
         )
-    D = closure.dist
     tidx = np.array([closure.index[t] for t in terms], dtype=np.int64)
-    rows_of = D[tidx]  # closure distances from each terminal
+    rows_of = closure.rows(terms)  # closure distances from each terminal
 
     # Pairs: one closure edge each.
     ranks = np.arange(r)
@@ -349,6 +348,7 @@ def enumerate_full_components(instance: Instance, closure: MetricClosure,
     if k >= 4:
         from .exact import dw_closure_tree
 
+        D = closure.dist
         for size in range(4, k + 1):
             for combo in itertools.combinations(range(r), size):
                 sub_idx = [int(tidx[x]) for x in combo]

@@ -10,7 +10,6 @@ construction order for exact duplicates.
 from __future__ import annotations
 
 import heapq
-import itertools
 import math
 from dataclasses import dataclass
 from functools import cached_property
@@ -220,35 +219,105 @@ def format_cost(cost: int, scale: int) -> str:
 
 
 class MetricClosure:
-    """All-pairs shortest paths over the component containing the terminals.
+    """Shortest paths over the component containing the terminals, one
+    source at a time.
 
-    Vertices outside that component are excluded. `dist` is a dense int64
-    matrix over `vertices` (sorted ids); `index` maps vertex id to row.
-    Predecessor trees allow expanding any closure edge back into a shortest
-    path of original edges.
+    Vertices outside that component are excluded; `vertices` are its sorted
+    ids and `index` maps a vertex id to its column. A source's distance row
+    and predecessor row are computed together, by one Dijkstra, the first
+    time `distance`, `rows`, `block`, `predecessors`, `path_edges` or
+    `expand` needs them, and kept. Heap ties pop the smaller vertex and
+    relaxations are strict, so every row is the same whichever order the
+    rows are asked for in. `rows_computed` counts the Dijkstra runs.
+    `dist`, the full int64 matrix, computes every row that is still missing.
     """
 
-    def __init__(self, vertices: Sequence[int], dist: np.ndarray, pred: np.ndarray,
+    def __init__(self, vertices: Sequence[int], adjacency: Sequence[Sequence[tuple[int, int]]],
                  edge_weight: Mapping[tuple[int, int], int]):
         self.vertices = tuple(vertices)
         self.index = {v: i for i, v in enumerate(self.vertices)}
-        self.dist = dist
-        self._pred = pred
+        self._adj = adjacency  # per column: (neighbor column, weight), sorted
         self._edge_weight = edge_weight
+        self._dist: dict[int, np.ndarray] = {}
+        self._pred: dict[int, np.ndarray] = {}
+        self._runs = 0
+
+    @property
+    def rows_computed(self) -> int:
+        """Number of Dijkstra runs so far, one per source row."""
+        return self._runs
+
+    def _column(self, u: int) -> int:
+        try:
+            return self.index[u]
+        except KeyError:
+            raise UnknownNodeError(f"vertex {u} not in closure") from None
+
+    def _row(self, si: int) -> np.ndarray:
+        """Distance row of column `si`; runs Dijkstra on first use."""
+        row = self._dist.get(si)
+        if row is not None:
+            return row
+        adj = self._adj
+        n = len(adj)
+        dist = [WEIGHT_LIMIT] * n  # every real distance is below it
+        pred = [-1] * n
+        dist[si] = 0
+        heap = [(0, si)]
+        while heap:
+            du, u = heapq.heappop(heap)
+            if du > dist[u]:
+                continue  # a stale entry; u was settled at dist[u]
+            for v, w in adj[u]:
+                nd = du + w
+                if nd < dist[v]:
+                    dist[v] = nd
+                    pred[v] = u
+                    heapq.heappush(heap, (nd, v))
+        self._runs += 1
+        row = self._dist[si] = np.array(dist, dtype=np.int64)
+        self._pred[si] = np.array(pred, dtype=np.int32)
+        self._pred[si].flags.writeable = False
+        return row
+
+    def rows(self, nodes: Iterable[int]) -> np.ndarray:
+        """Distances from each of `nodes` (rows) to every closure vertex
+        (columns, in `vertices` order)."""
+        return np.stack([self._row(self._column(u)) for u in nodes])
+
+    def block(self, nodes: Sequence[int]) -> np.ndarray:
+        """Distances between `nodes`, rows and columns in the given order."""
+        return self.rows(nodes)[:, [self.index[u] for u in nodes]]
+
+    def predecessors(self, u: int) -> np.ndarray:
+        """Column of the vertex before each vertex on its shortest path
+        from `u`; -1 at `u`."""
+        si = self._column(u)
+        self._row(si)
+        return self._pred[si]
+
+    @cached_property
+    def dist(self) -> np.ndarray:
+        """All-pairs distances, filled row by row. Rows computed earlier
+        move into the matrix, so no second copy of them stays behind."""
+        n = len(self.vertices)
+        full = np.empty((n, n), dtype=np.int64)
+        for i in range(n):
+            full[i] = self._row(i)
+            self._dist[i] = full[i]
+        full.flags.writeable = False
+        return full
 
     def distance(self, u: int, v: int) -> int:
-        try:
-            return int(self.dist[self.index[u], self.index[v]])
-        except KeyError as exc:
-            raise UnknownNodeError(f"vertex {exc.args[0]} not in closure") from None
+        return int(self._row(self._column(u))[self._column(v)])
 
     def path_edges(self, u: int, v: int) -> list[Edge]:
         """Original-graph edges of one shortest u-v path (deterministic)."""
-        iu, iv = self.index[u], self.index[v]
+        pred = self.predecessors(u)
+        iu, cur = self.index[u], self._column(v)
         out: list[Edge] = []
-        cur = iv
         while cur != iu:
-            prev = int(self._pred[iu, cur])
+            prev = int(pred[cur])
             a, b = self.vertices[prev], self.vertices[cur]
             key = (a, b) if a < b else (b, a)
             out.append((key[0], key[1], self._edge_weight[key]))
@@ -268,9 +337,8 @@ class MetricClosure:
 
 
 def metric_closure(instance: Instance) -> MetricClosure:
-    """Dijkstra from every vertex of the terminal component, exact integer
-    distances, deterministic predecessor choice (heap ties pop the smaller
-    vertex; relaxations are strict)."""
+    """Closure over the terminal component, exact integer distances. Finds
+    the component only; each Dijkstra runs when its row is first read."""
     adj = instance.adjacency
     terms = sorted(instance.terminals)
     component = instance.reachable_from(terms[0])
@@ -281,31 +349,8 @@ def metric_closure(instance: Instance) -> MetricClosure:
         )
     vertices = sorted(component)
     index = {v: i for i, v in enumerate(vertices)}
-    n = len(vertices)
-    dist = np.zeros((n, n), dtype=np.int64)
-    pred = np.full((n, n), -1, dtype=np.int32)
-    for src in vertices:
-        si = index[src]
-        d = {src: 0}
-        done = set()
-        heap = [(0, src)]
-        while heap:
-            du, u = heapq.heappop(heap)
-            if u in done:
-                continue
-            done.add(u)
-            for v, w in adj[u]:
-                if v not in component:
-                    continue
-                nd = du + w
-                if v not in d or nd < d[v]:
-                    d[v] = nd
-                    pred[si, index[v]] = index[u]
-                    heapq.heappush(heap, (nd, v))
-        row = dist[si]
-        for v, dv in d.items():
-            row[index[v]] = dv
-    return MetricClosure(vertices, dist, pred, instance.edge_weights)
+    columns = [[(index[v], w) for v, w in adj[u]] for u in vertices]
+    return MetricClosure(vertices, columns, instance.edge_weights)
 
 
 # ---------------------------------------------------------------------------
@@ -370,16 +415,36 @@ def kruskal_indices(
     return kept
 
 
-def minimum_spanning_tree(nodes: Iterable[int], weight_of: Callable[[int, int], int]) -> Tree:
-    """MST of the complete graph on `nodes` under a symmetric weight oracle."""
+def minimum_spanning_tree(nodes: Iterable[int],
+                          weights: Callable[[int, int], int] | np.ndarray) -> Tree:
+    """MST of the complete graph on the sorted distinct `nodes`. `weights`
+    is a symmetric weight oracle, or the matrix of weights between the
+    sorted nodes (as `MetricClosure.block` gives it). The pairs are ordered
+    by `edge_key` with one lexsort; under that strict order the MST is
+    unique."""
     node_list = sorted(set(nodes))
+    r = len(node_list)
     if not node_list:
         raise InvalidInstanceError("empty node set")
-    if len(node_list) == 1:
+    if r == 1:
         return Tree(frozenset(node_list), (), 0)
-    edges = [(u, v, weight_of(u, v)) for u, v in itertools.combinations(node_list, 2)]
-    kept = kruskal_indices(node_list, edges)
-    return Tree.from_edges([edges[i] for i in kept], node_list)
+    first, second = np.triu_indices(r, 1)
+    if callable(weights):
+        w = np.array([weights(node_list[i], node_list[j])
+                      for i, j in zip(first.tolist(), second.tolist())], dtype=np.int64)
+    else:
+        w = np.asarray(weights, dtype=np.int64)[first, second]
+    ids = np.array(node_list, dtype=np.int64)
+    pairs = list(zip(ids[first].tolist(), ids[second].tolist(), w.tolist()))
+    uf = UnionFind(node_list)
+    kept = []
+    for p in np.lexsort((ids[second], ids[first], w)).tolist():
+        if uf.union(pairs[p][0], pairs[p][1]):
+            kept.append(p)
+            if len(kept) == r - 1:
+                break
+    kept.sort()
+    return Tree.from_edges([pairs[p] for p in kept], node_list)
 
 
 def pruned_mst(edges: Sequence[Edge], terminals: Sequence[int]) -> tuple[int, Tree]:

@@ -171,7 +171,7 @@ def solve(instance: Instance, config: RunConfig | None = None) -> RunResult:
     started = time.perf_counter()
     closure = metric_closure(instance)
     terms = sorted(instance.terminals)
-    t0 = minimum_spanning_tree(terms, closure.distance)
+    t0 = minimum_spanning_tree(terms, closure.block(terms))
     mst_cost = t0.total_cost
     log.info("%s: |V|=%d |R|=%d mst=%d", instance.name or "instance",
              instance.vertex_count, len(terms), mst_cost)

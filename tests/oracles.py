@@ -8,6 +8,7 @@ builds package components, and the reference definitions of the greedy
 quantities at the end take package trees and components; everything else
 stands on its own.
 """
+import heapq
 import itertools
 
 import numpy as np
@@ -197,6 +198,39 @@ def path_bottleneck_bruteforce(tree_edges, u, v):
                 seen.add(nxt)
                 stack.append((nxt, node, max(high, w)))
     raise AssertionError("endpoints not connected in tree")
+
+
+def reference_closure(instance):
+    """The earlier eager closure: Dijkstra from every vertex of the terminal
+    component into two dense matrices. Heap ties pop the smaller vertex and
+    relaxations are strict. Returns (sorted vertices, int64 distances,
+    int32 predecessor columns, -1 on the diagonal)."""
+    adj = instance.adjacency
+    component = instance.reachable_from(min(instance.terminals))
+    vertices = sorted(component)
+    index = {v: i for i, v in enumerate(vertices)}
+    n = len(vertices)
+    dist = np.zeros((n, n), dtype=np.int64)
+    pred = np.full((n, n), -1, dtype=np.int32)
+    for src in vertices:
+        si = index[src]
+        d = {src: 0}
+        done = set()
+        heap = [(0, src)]
+        while heap:
+            du, u = heapq.heappop(heap)
+            if u in done:
+                continue
+            done.add(u)
+            for v, w in adj[u]:
+                nd = du + w
+                if v not in d or nd < d[v]:
+                    d[v] = nd
+                    pred[si, index[v]] = index[u]
+                    heapq.heappush(heap, (nd, v))
+        for v, dv in d.items():
+            dist[si, index[v]] = dv
+    return vertices, dist, pred
 
 
 def reference_full_components(instance, closure, k):

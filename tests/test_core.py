@@ -2,6 +2,7 @@ import itertools
 import random
 from fractions import Fraction
 
+import numpy as np
 import pytest
 
 import oracles
@@ -20,7 +21,13 @@ from steinertree import (
     minimum_spanning_tree,
     random_instance,
 )
-from steinertree.core import WEIGHT_LIMIT, ContractedTree, format_cost, prune_leaves
+from steinertree.core import (
+    WEIGHT_LIMIT,
+    ContractedTree,
+    format_cost,
+    kruskal_indices,
+    prune_leaves,
+)
 from steinertree.exact import INF
 
 
@@ -132,6 +139,51 @@ def test_closure_path_edges_expand_to_distance():
                 assert ends[0] in nodes and ends[1] in nodes
 
 
+def test_closure_path_edges_unknown_vertex():
+    inst = Instance.build(3, [(1, 2, 1), (2, 3, 1)], [1, 3])
+    c = metric_closure(inst)
+    for u, v in ((999, 1), (1, 999), (999, 998)):
+        with pytest.raises(UnknownNodeError):
+            c.path_edges(u, v)
+    with pytest.raises(UnknownNodeError):
+        c.rows([1, 999])
+    with pytest.raises(UnknownNodeError):
+        c.predecessors(999)
+
+
+def test_closure_rows_match_eager_reference():
+    # Vertex 6 lies outside the terminal component; 1-2 has parallel edges,
+    # and zero-weight edges make ties between paths of equal length.
+    odd = Instance.build(
+        7,
+        [(1, 2, 4), (2, 1, 3), (1, 2, 3), (2, 3, 0), (3, 4, 2), (1, 4, 5),
+         (4, 5, 0), (2, 5, 2), (5, 3, 0), (6, 7, 1)],
+        [1, 4, 5],
+    )
+    for inst in make_batch(60, seed0=150, max_vertices=12) + [odd]:
+        vertices, want_dist, want_pred = oracles.reference_closure(inst)
+        c = metric_closure(inst)
+        assert list(c.vertices) == vertices
+        assert c.rows_computed == 0
+        # Rows asked for in reverse order, one at a time.
+        for i, v in reversed(list(enumerate(vertices))):
+            assert (c.rows([v])[0] == want_dist[i]).all(), (inst.name, v)
+            assert (c.predecessors(v) == want_pred[i]).all(), (inst.name, v)
+        assert c.rows_computed == len(vertices)
+        # The full matrix takes the computed rows over and recomputes none.
+        assert c.dist.dtype == np.int64
+        assert (c.dist == want_dist).all()
+        assert (c.dist == c.rows(vertices)).all()
+        assert c.rows_computed == len(vertices)
+        # A fresh closure fills the matrix itself, with the same rows.
+        fresh = metric_closure(inst)
+        assert (fresh.dist == want_dist).all()
+        for i, v in enumerate(vertices):
+            assert (fresh.predecessors(v) == want_pred[i]).all()
+        assert fresh.rows_computed == len(vertices)
+    assert 6 not in c.index  # the last case leaves vertex 6 outside
+
+
 # ------------------------------
 # Spanning trees
 # ------------------------------
@@ -184,6 +236,35 @@ def test_mst_matches_enumeration_oracle():
             # every closure edge is realized by a path; equality holds because
             # closure weights equal original weights on adjacent pairs.
             assert t.total_cost == want
+
+
+def test_mst_from_block_matches_oracle_and_kruskal():
+    # A weight matrix and a weight oracle go through the same lexsort
+    # Kruskal; both give the tree a Kruskal under edge_key gives, with the
+    # edges in (smaller, larger) pair order.
+    for inst in make_batch(40, seed0=320, max_vertices=12):
+        c = metric_closure(inst)
+        terms = sorted(inst.terminals)
+        pairs = [(u, v, c.distance(u, v)) for u, v in itertools.combinations(terms, 2)]
+        want = [pairs[i] for i in kruskal_indices(terms, pairs)]
+        from_block = minimum_spanning_tree(terms, c.block(terms))
+        assert list(from_block.edges) == want, inst.name
+        assert from_block == minimum_spanning_tree(terms, c.distance)
+        assert from_block.total_cost == oracles.mst_cost_kruskal(terms, pairs)
+
+
+def test_mst_ties_follow_edge_key():
+    # Equal weights are taken in (smaller, larger) endpoint order: (2, 5)
+    # comes before (3, 4), so it joins {1, 2, 4} to {3, 5}. Ordering ties by
+    # the larger endpoint first would keep (3, 4) instead.
+    weights = {(1, 2): 1, (1, 3): 2, (1, 4): 0, (1, 5): 2, (2, 3): 2,
+               (2, 4): 2, (2, 5): 1, (3, 4): 1, (3, 5): 0, (4, 5): 2}
+    matrix = np.zeros((5, 5), dtype=np.int64)
+    for (u, v), w in weights.items():
+        matrix[u - 1, v - 1] = matrix[v - 1, u - 1] = w
+    for given in (matrix, lambda u, v: weights[(min(u, v), max(u, v))]):
+        t = minimum_spanning_tree(range(1, 6), given)
+        assert t.edges == ((1, 2, 1), (1, 4, 0), (2, 5, 1), (3, 5, 0))
 
 
 def test_mst_deterministic_under_input_shuffle():

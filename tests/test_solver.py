@@ -4,9 +4,18 @@ import pytest
 
 import oracles
 from conftest import make_batch
-from steinertree import Instance, InvalidInstanceError, RunConfig, solve
+from steinertree import (
+    Instance,
+    InvalidInstanceError,
+    RunConfig,
+    grid_instance,
+    metric_closure,
+    solve,
+    solver,
+)
 from steinertree.core import WEIGHT_LIMIT
 from steinertree.errors import InputError
+from steinertree.solver import MODES
 
 
 # ------------------------------
@@ -120,6 +129,40 @@ def test_winner_ties_go_to_phase1(star3):
     res = solve(star3, RunConfig(k=3))
     # Both phases cost 3 here; the reported solution must match phase 1's.
     assert res.phase1_cost == res.phase2_cost == res.solution_cost
+
+
+def _solve_counting_rows(monkeypatch, instance, config):
+    """Solve, returning (result, the closure the solve built)."""
+    built = []
+
+    def closure_of(inst):
+        built.append(metric_closure(inst))
+        return built[-1]
+
+    monkeypatch.setattr(solver, "metric_closure", closure_of)
+    return solve(instance, config), built[0]
+
+
+def test_k3_solve_without_oracles_computes_terminal_rows_only(monkeypatch):
+    # At k=3 every closure distance or path the solve reads starts at a
+    # terminal: a hub is only ever the far end of a spoke.
+    inst = grid_instance(30, 30, seed=1, terminal_stride=30)
+    for mode in MODES:
+        res, closure = _solve_counting_rows(
+            monkeypatch, inst, RunConfig(k=3, mode=mode, exact_opt_limit=0, exact_optk_limit=0))
+        assert res.report.ok
+        assert len(closure.vertices) == 900
+        assert closure.rows_computed == len(inst.terminals) == 31
+
+
+def test_k4_and_oracle_solves_compute_every_row_once(monkeypatch):
+    inst = grid_instance(6, 6, seed=2, terminal_stride=5)
+    assert len(inst.terminals) == 8
+    for config in (RunConfig(k=4, exact_opt_limit=0, exact_optk_limit=0),
+                   RunConfig(k=3, exact_opt_limit=8, exact_optk_limit=0)):
+        res, closure = _solve_counting_rows(monkeypatch, inst, config)
+        assert res.report.ok
+        assert closure.rows_computed == len(closure.vertices) == 36
 
 
 # ------------------------------

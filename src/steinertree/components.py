@@ -200,18 +200,26 @@ class CandidateTable(Sequence):
     sorted terminal tuple.
 
     `pos` holds each row's terminals as positions into `terminal_ids`,
-    padded with -1. A pair row is one closure edge of weight `spokes[i, 0]`;
-    a star row joins its three terminals at graph vertex `hub[i]` by
-    `spokes[i]`, through an interior node with id `first_id[i]`. Rows in
-    `built` from the start (components of 4 or more terminals, and every
-    row of a table made from a list) have no column form. Indexing builds
-    a row's FullComponent once and keeps it in `built`.
+    padded with -1. A pair row is one closure edge of weight `spokes[i, 0]`.
+    A star row joins its 3 or 4 terminals at graph vertex `hub[i]` by
+    `spokes[i]`, through an interior node with id `first_id[i]`. A two-hub
+    row has 4 terminals and a second hub, graph vertex `hub2[i]` with id
+    `first_id[i] + 1`, joined to the first by an edge of weight `link[i]`:
+    the two terminals whose position bits are set in `far[i]` hang at the
+    second hub by their spokes, the other two, the last among them, at the
+    first. Rows in `built` from the start (components of 5 or more
+    terminals, and every row of a table made from a list) have no column
+    form. Indexing builds a row's FullComponent once and keeps it in
+    `built`. `hub2`, `far` and `link` may be left out when no row has a
+    second hub.
     """
 
     def __init__(self, terminal_ids: np.ndarray, pos: np.ndarray, costs: np.ndarray,
                  losses: np.ndarray, hub: np.ndarray, spokes: np.ndarray,
                  first_id: np.ndarray, built: dict[int, FullComponent],
-                 max_steiner_id: int):
+                 max_steiner_id: int, hub2: np.ndarray | None = None,
+                 far: np.ndarray | None = None, link: np.ndarray | None = None):
+        n = len(costs)
         self.terminal_ids = terminal_ids
         self.pos = pos
         self.size = (pos >= 0).sum(axis=1)
@@ -219,12 +227,13 @@ class CandidateTable(Sequence):
         self.losses = losses
         self.hub = hub
         self.spokes = spokes
+        self.hub2 = np.full(n, -1, dtype=np.int64) if hub2 is None else hub2
+        self.far = np.zeros(n, dtype=np.int64) if far is None else far
+        self.link = np.zeros(n, dtype=np.int64) if link is None else link
         self.first_id = first_id
         self.built = built
         self.max_steiner_id = max_steiner_id
-        column_rows = np.ones(len(costs), dtype=bool)
-        column_rows[list(built)] = False
-        self._check(np.flatnonzero(column_rows))
+        self._check()
 
     @classmethod
     def from_components(cls, comps: Sequence[FullComponent]) -> "CandidateTable":
@@ -246,23 +255,32 @@ class CandidateTable(Sequence):
             max((s for c in comps for s in c.steiner_ids), default=0),
         )
 
-    def _check(self, rows: np.ndarray) -> None:
+    def _check(self) -> None:
         """Component validation, vectorized, for rows that have a column
-        form: each is a pair or a one-hub star over increasing terminal
-        positions, the hub is none of its terminals, spokes are
-        nonnegative, cost is their sum and loss the lightest star spoke."""
-        pos, hub, spokes = self.pos[rows], self.hub[rows], self.spokes[rows]
-        size = self.size[rows]
-        pair = (size == 2) & (hub < 0)
-        star = (size == 3) & (hub >= 0)
-        used = np.arange(3) < np.where(pair, 1, 3)[:, None]
-        star_terms = self.terminal_ids[np.maximum(pos[:, :3], 0)]
-        ok = ((pair | star).all() and (pos[:, :2] >= 0).all()
+        form: each is a pair, a one-hub star of 3 or 4 terminals, or two
+        distinct hubs with two of its 4 terminals each, the last at the
+        first hub; terminal positions increase; no hub is a terminal of its
+        row; spokes and link are nonnegative; cost is their sum and loss
+        the closed form of `column_losses`."""
+        rows = np.ones(len(self), dtype=bool)
+        rows[list(self.built)] = False
+        if rows.all():
+            rows = slice(None)  # views of the columns, not copies
+        pos, size, spokes = self.pos[rows], self.size[rows], self.spokes[rows]
+        hub, hub2, far, link = self.hub[rows], self.hub2[rows], self.far[rows], self.link[rows]
+        plain = (hub2 < 0) & (far == 0) & (link == 0)
+        pair = (size == 2) & (hub < 0) & plain
+        star = ((size == 3) | (size == 4)) & (hub >= 0) & plain
+        two = (size == 4) & (hub >= 0) & (hub2 >= 0) & ((far == 3) | (far == 5) | (far == 6))
+        used = np.arange(spokes.shape[1]) < np.where(pair, 1, size)[:, None]
+        terms = self.terminal_ids[np.maximum(pos, 0)]
+        at_hub = (pos >= 0) & ((terms == hub[:, None]) | (terms == hub2[:, None]))
+        ok = ((pair | star | two).all() and (pos[:, :2] >= 0).all()
               and ((np.diff(pos, axis=1) > 0) | (pos[:, 1:] < 0)).all()
-              and (star_terms != hub[:, None])[star].all()
-              and (spokes >= 0).all() and (spokes[~used] == 0).all()
-              and (self.costs[rows] == spokes.sum(axis=1)).all()
-              and (self.losses[rows] == np.where(star, spokes.min(axis=1), 0)).all())
+              and not at_hub.any() and (hub != hub2)[two].all()
+              and (spokes >= 0).all() and (link >= 0).all() and (spokes[~used] == 0).all()
+              and (self.costs[rows] == spokes.sum(axis=1) + link).all()
+              and (self.losses[rows] == column_losses(size, hub, hub2, far, spokes, link)).all())
         if not ok:
             raise InternalInvariantError("candidate columns fail component validation")
 
@@ -286,18 +304,208 @@ class CandidateTable(Sequence):
         idx = np.array(rows, dtype=np.int64)
         columns = zip(rows, self.terminal_ids[np.maximum(self.pos[idx], 0)].tolist(),
                       self.size[idx].tolist(), self.hub[idx].tolist(),
-                      self.spokes[idx].tolist(), self.first_id[idx].tolist(),
-                      self.costs[idx].tolist(), self.losses[idx].tolist())
-        for i, terms, m, hub, weights, s, cost, loss in columns:
+                      self.hub2[idx].tolist(), self.far[idx].tolist(),
+                      self.spokes[idx].tolist(), self.link[idx].tolist(),
+                      self.first_id[idx].tolist(), self.costs[idx].tolist(),
+                      self.losses[idx].tolist())
+        for i, terms, m, hub, hub2, far, weights, link, s, cost, loss in columns:
             terms = terms[:m]
             if hub < 0:
                 comp = FullComponent(terms, [(terms[0], terms[1], weights[0])])
             else:
-                comp = FullComponent(terms, [(t, s, w) for t, w in zip(terms, weights)],
-                                     {s: hub})
+                edges = [(t, s + (far >> j & 1), w)
+                         for j, (t, w) in enumerate(zip(terms, weights))]
+                origin = {s: hub}
+                if hub2 >= 0:
+                    edges.append((s, s + 1, link))
+                    origin[s + 1] = hub2
+                comp = FullComponent(terms, edges, origin)
             if (comp.cost, comp.loss) != (cost, loss):
                 raise InternalInvariantError(f"candidate {i} disagrees with its columns")
             self.built[i] = comp
+
+
+_NO_SPOKE = np.iinfo(np.int64).max
+
+
+def column_losses(size: np.ndarray, hub: np.ndarray, hub2: np.ndarray, far: np.ndarray,
+                  spokes: np.ndarray, link: np.ndarray) -> np.ndarray:
+    """Loss of column-form rows in closed form: 0 for a pair, the lightest
+    spoke for a star, and for two hubs min(la + lc, la + w, lc + w), with la
+    and lc the lightest spokes at the first and second hub and w the link:
+    each hub reaches a terminal through its own spokes or through the
+    other hub. That minimum is min(la, lc) + min(max(la, lc), w)."""
+    near = np.full(len(size), _NO_SPOKE, dtype=np.int64)
+    away = near.copy()
+    for j in range(spokes.shape[1]):  # one column at a time, so temporaries stay 1-D
+        at_far = (far >> j) & 1 == 1
+        np.minimum(near, spokes[:, j], out=near, where=~at_far & (j < size))
+        np.minimum(away, spokes[:, j], out=away, where=at_far)
+    two_hub = np.minimum(near, away) + np.minimum(np.maximum(near, away), link)
+    return np.where(hub < 0, 0, np.where(hub2 < 0, near, two_hub))
+
+
+# Most int64 elements in one temporary array of the shared Dreyfus-Wagner
+# tables (k >= 4): 2**16 elements are 512 KiB. Pair tables are built and
+# last masks evaluated in chunks of that size, so their transient memory
+# does not grow with the number of pairs or subsets. One pair's V x V step
+# is never split, so above 256 vertices a chunk is V*V, the size of `dist`.
+DW_CHUNK = 2**16
+
+
+def _colex(n: int, s: int) -> np.ndarray:
+    """The s-subsets of range(n) as increasing rows in colex order: row i
+    has colex rank i, and the subsets of range(p) are the first C(p, s)."""
+    rows = np.zeros((1, 0), dtype=np.int64)
+    for j in range(s):
+        rows = np.concatenate(
+            [np.column_stack([rows[:math.comb(p, j)], np.full(math.comb(p, j), p)])
+             for p in range(j, n)] or [np.zeros((0, j + 1), dtype=np.int64)])
+    return rows
+
+
+class _SharedTables:
+    """Dreyfus-Wagner over the metric closure for every terminal subset at
+    once (the Erickson-Monma-Veinott view of dw_closure_tree).
+
+    A table W[S] depends only on the terminal set S, and a subset's base
+    (every terminal but its last) never holds the last terminal. Local bit
+    order preserves global rank, so the sub-mask order and the first-index
+    argmins are those of every subset containing S: the tables for |S| up
+    to `top` are built once, over the positions 0 .. r-2, and each subset
+    adds only its last mask, evaluated at its last terminal.
+
+    `levels[s]` holds, for the s-subsets in colex order, W (the cheapest
+    tree over S and one more vertex v), relax (the hub u it uses at v) and
+    split (the local sub-mask chosen at u), each a row of closure columns.
+    """
+
+    def __init__(self, D: np.ndarray, tidx: np.ndarray, top: int):
+        self.D = D
+        self.tidx = tidx
+        r, nv = len(tidx), D.shape[0]
+        self._binom = np.array([[math.comb(p, j) for j in range(top + 2)]
+                                for p in range(r)], dtype=np.int64)
+        self.levels: dict[int, tuple[np.ndarray, np.ndarray, np.ndarray]] = {}
+        step = max(1, DW_CHUNK // (nv * nv))
+        for s in range(2, top + 1):
+            subsets = _colex(r - 1, s)
+            W = np.empty((len(subsets), nv), dtype=np.int64)
+            relax = np.empty((len(subsets), nv), dtype=np.int32)
+            split = np.empty((len(subsets), nv), dtype=np.int32)
+            for at in range(0, len(subsets), step):
+                rows = slice(at, at + step)
+                merged, split[rows] = self.merged(subsets[rows])
+                # [i, v, u] is merged[i, u] + D[u, v]; closure distances
+                # are symmetric, and the argmin over u takes the first u.
+                total = merged[:, None, :] + D
+                hub = total.argmin(axis=2)
+                W[rows] = np.take_along_axis(total, hub[..., None], axis=2)[..., 0]
+                relax[rows] = hub
+            self.levels[s] = (W, relax, split)
+
+    def rank(self, rows: np.ndarray) -> np.ndarray:
+        """Colex rank of each row of increasing terminal positions."""
+        return self._binom[rows, np.arange(1, rows.shape[1] + 1)].sum(axis=1)
+
+    def _table(self, rows: np.ndarray) -> np.ndarray:
+        if rows.shape[1] == 1:
+            return self.D[self.tidx[rows[:, 0]]]
+        return self.levels[rows.shape[1]][0][self.rank(rows)]
+
+    def merged(self, base: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """For rows of increasing positions, the smallest W[part] + W[rest]
+        at every closure vertex over the splits of the row, and the local
+        sub-mask of the part attaining it. Parts hold the row's first
+        position and go in decreasing sub-mask order; a tie keeps the
+        earlier split."""
+        mu = base.shape[1]
+        best = choice = None
+        for sub in range((1 << mu) - 3, 0, -2):  # odd proper sub-masks, decreasing
+            part = [i for i in range(mu) if sub >> i & 1]
+            rest = [i for i in range(mu) if not sub >> i & 1]
+            cand = self._table(base[:, part]) + self._table(base[:, rest])
+            if best is None:
+                best, choice = cand, np.full(cand.shape, sub, dtype=np.int32)
+                continue
+            better = cand < best
+            np.copyto(best, cand, where=better)
+            np.copyto(choice, sub, where=better)
+        return best, choice
+
+    def last_masks(self, m: int) -> Iterator[tuple[np.ndarray, int, np.ndarray,
+                                                   np.ndarray, np.ndarray]]:
+        """Every m-subset's optimal tree root, in chunks of subsets sharing
+        their last position q: (base positions, q, the hub u minimizing
+        merged[u] + D[u, q], that tree's cost, the split chosen at u)."""
+        bases = _colex(len(self.tidx) - 1, m - 1)
+        step = max(1, DW_CHUNK // self.D.shape[0])
+        for q in range(m - 1, len(self.tidx)):
+            count = math.comb(q, m - 1)  # the bases over positions below q
+            for at in range(0, count, step):
+                base = bases[at:min(at + step, count)]
+                total, choice = self.merged(base)
+                total += self.D[self.tidx[q]]
+                hub = total.argmin(axis=1)
+                rows = np.arange(len(base))
+                yield base, q, hub, total[rows, hub], choice[rows, hub]
+
+    def tree_edges(self, base: list[int], q: int, hub: int, split: int) -> list[tuple[int, int]]:
+        """Closure edges of one subset's tree, in dw_closure_tree's order:
+        `hub` joined to terminal q, and the parts of `base` split by the
+        local mask `split` hanging from it, each rebuilt from its table."""
+        edges: list[tuple[int, int]] = []
+
+        def hang(part: list[int], v: int, u: int, s: int) -> None:
+            if u != v:
+                edges.append((u, v))
+            for half in ([p for i, p in enumerate(part) if s >> i & 1],
+                         [p for i, p in enumerate(part) if not s >> i & 1]):
+                if len(half) == 1:
+                    t = int(self.tidx[half[0]])
+                    if t != u:
+                        edges.append((t, u))
+                    continue
+                _, relax, table_split = self.levels[len(half)]
+                row = int(self.rank(np.array([half]))[0])
+                w = int(relax[row, u])
+                hang(half, u, w, int(table_split[row, w]))
+
+        hang(base, int(self.tidx[q]), hub, split)
+        return edges
+
+
+def _four_rows(tables: _SharedTables, vertices: np.ndarray, base: np.ndarray, q: int,
+               hub: np.ndarray, cost: np.ndarray, split: np.ndarray) -> dict[str, np.ndarray]:
+    """Column form of the 4-subsets, from one chunk of last masks, whose
+    tree has the subset's terminals as leaves. The tree joins q to `hub`,
+    where the base splits into one terminal and a pair; the pair hangs at
+    its own hub, the pair table's relax at `hub`. The same vertex for both
+    makes a 4-star."""
+    rows = np.arange(len(base))
+    pair = np.where(split == 1, 6, split)  # split 5 (ac), 3 (ab) or 1 (a, pair bc)
+    ends = np.column_stack([base[rows, np.where(pair == 6, 1, 0)],
+                            base[rows, np.where(pair == 3, 1, 2)]])
+    inner = tables.levels[2][1][tables.rank(ends), hub]
+    subset = np.column_stack([base, np.full(len(base), q)])
+    own = tables.tidx[subset]
+    # A terminal at a hub is no leaf: it has an edge towards q's side and
+    # one towards its own part. Without that, each has exactly one edge.
+    keep = ((own != hub[:, None]) & (own != inner[:, None])).all(axis=1)
+    subset, own, hub, inner, pair, cost = (
+        a[keep] for a in (subset, own, hub, inner, pair, cost))
+    two = inner != hub
+    far = np.where(two, pair, 0)
+    at_far = (far[:, None] >> np.arange(4)) & 1 == 1
+    spokes = tables.D[own, np.where(at_far, inner[:, None], hub[:, None])]
+    link = tables.D[hub, inner]  # 0 for a star
+    if (spokes.sum(axis=1) + link != cost).any():
+        raise InternalInvariantError("4-terminal tree disagrees with its table cost")
+    columns = dict(pos=subset, hub=vertices[hub], hub2=np.where(two, vertices[inner], -1),
+                   far=far, link=link, spokes=spokes)
+    columns["loss"] = column_losses(np.full(len(subset), 4), columns["hub"], columns["hub2"],
+                                    far, spokes, link)
+    return columns
 
 
 def enumerate_full_components(instance: Instance, closure: MetricClosure,
@@ -306,8 +514,9 @@ def enumerate_full_components(instance: Instance, closure: MetricClosure,
     tree per subset, kept only when the subset's own terminals are leaves.
     Ordered lexicographically by terminal tuple; interior ids are unique
     across the whole table and numbered in that order from
-    vertex_count + 1. Raises LimitExceededError when there are more than
-    CANDIDATE_BUDGET subsets.
+    vertex_count + 1. Subsets of 4 or more terminals share Dreyfus-Wagner
+    tables (_SharedTables). Raises LimitExceededError when there are more
+    than CANDIDATE_BUDGET subsets.
     """
     if k < 2:
         raise KRestrictionError(f"k must be at least 2, got {k}")
@@ -322,12 +531,13 @@ def enumerate_full_components(instance: Instance, closure: MetricClosure,
         )
     tidx = np.array([closure.index[t] for t in terms], dtype=np.int64)
     rows_of = closure.rows(terms)  # closure distances from each terminal
+    vertices = np.asarray(closure.vertices, dtype=np.int64)
 
     # Pairs: one closure edge each.
     ranks = np.arange(r)
     pairs = np.argwhere(ranks[:, None] < ranks)
     weights = rows_of[pairs[:, 0], tidx[pairs[:, 1]]]
-    blocks = [(pairs, np.full(len(pairs), -1, dtype=np.int64), weights[:, None])]
+    blocks = [dict(pos=pairs, spokes=weights[:, None])]
 
     if k >= 3:
         # 3-stars, grouped by their middle terminal j: for each i < j < c the
@@ -342,85 +552,77 @@ def enumerate_full_components(instance: Instance, closure: MetricClosure,
         keep = (hubs[:, None] != tidx[triples]).all(axis=1)
         triples, hubs = triples[keep], hubs[keep]
         spokes = rows_of[triples, hubs[:, None]]
-        blocks.append((triples, np.asarray(closure.vertices, dtype=np.int64)[hubs], spokes))
+        blocks.append(dict(pos=triples, hub=vertices[hubs], spokes=spokes,
+                           loss=spokes.min(axis=1)))
 
-    larger: list[tuple[tuple[int, ...], list[Edge], dict[int, int]]] = []
+    # Components of 5 or more terminals: (positions, closure edges, interior
+    # closure columns in order of first appearance), built after numbering.
+    larger: list[tuple[list[int], list[tuple[int, int]], list[int]]] = []
     if k >= 4:
-        from .exact import dw_closure_tree
-
         D = closure.dist
-        for size in range(4, k + 1):
-            for combo in itertools.combinations(range(r), size):
-                sub_idx = [int(tidx[x]) for x in combo]
-                cost, cedges = dw_closure_tree(D, sub_idx)
-                degree: dict[int, int] = {}
-                for a, b in cedges:
-                    degree[a] = degree.get(a, 0) + 1
-                    degree[b] = degree.get(b, 0) + 1
-                if any(degree.get(x, 0) != 1 for x in sub_idx):
-                    continue
-                subset = tuple(terms[x] for x in combo)
-                mapping = {x: terms[c] for x, c in zip(sub_idx, combo)}
-                origin: dict[int, int] = {}
-                next_ph = -1
-                edges = []
-                for a, b in cedges:
-                    for x in (a, b):
-                        if x not in mapping:
-                            mapping[x] = next_ph
-                            origin[next_ph] = closure.vertices[x]
-                            next_ph -= 1
-                    edges.append((mapping[a], mapping[b], int(D[a, b])))
-                edges, origin = _normalized_edges(edges, set(subset), origin, closure)
-                if sum(w for _, _, w in edges) != cost:
-                    raise InternalInvariantError(
-                        f"normalization changed optimal cost for subset {subset}"
-                    )
-                larger.append((combo, edges, origin))
+        tables = _SharedTables(D, tidx, k - 2)
+        blocks.extend(_four_rows(tables, vertices, *chunk) for chunk in tables.last_masks(4))
+        for m in range(5, k + 1):
+            for base, q, hub, cost, split in tables.last_masks(m):
+                subset = np.column_stack([base, np.full(len(base), q)])
+                # A terminal at the root hub is never a leaf.
+                for i in np.flatnonzero((tidx[subset] != hub[:, None]).all(axis=1)).tolist():
+                    combo = subset[i].tolist()
+                    edges = tables.tree_edges(combo[:-1], q, int(hub[i]), int(split[i]))
+                    own = tidx[combo].tolist()
+                    ends = [x for e in edges for x in e]
+                    if any(ends.count(x) != 1 for x in own):
+                        continue
+                    if sum(int(D[a, b]) for a, b in edges) != cost[i]:
+                        raise InternalInvariantError(
+                            f"tree for terminals {combo} disagrees with its table cost")
+                    inner = list(dict.fromkeys(x for x in ends if x not in own))
+                    larger.append((combo, edges, inner))
 
-    n = sum(len(p) for p, _, _ in blocks) + len(larger)
-    pos = np.full((n, k), -1, dtype=np.int64)
-    hub = np.full(n, -1, dtype=np.int64)
-    spokes = np.zeros((n, 3), dtype=np.int64)
-    interior = np.zeros(n, dtype=np.int64)
+    n = sum(len(b["pos"]) for b in blocks) + len(larger)
+    cols = dict(pos=np.full((n, k), -1, dtype=np.int64),
+                spokes=np.zeros((n, 4 if k >= 4 else 3), dtype=np.int64),
+                hub=np.full(n, -1, dtype=np.int64), hub2=np.full(n, -1, dtype=np.int64),
+                far=np.zeros(n, dtype=np.int64), link=np.zeros(n, dtype=np.int64),
+                loss=np.zeros(n, dtype=np.int64))
     at = 0
-    for p, h, w in blocks:
-        rows = slice(at, at + len(p))
-        pos[rows, :p.shape[1]] = p
-        hub[rows] = h
-        spokes[rows, :w.shape[1]] = w
-        interior[rows] = h >= 0
-        at += len(p)
-    for combo, _, origin in larger:
-        pos[at, :len(combo)] = combo
-        interior[at] = len(origin)
-        at += 1
+    for block in blocks:
+        rows = slice(at, at + len(block["pos"]))
+        for name, value in block.items():
+            target = cols[name][rows]
+            if value.ndim == 2:
+                target = target[:, :value.shape[1]]
+            target[...] = value
+        at += len(block["pos"])
+    interior = (cols["hub"] >= 0).astype(np.int64) + (cols["hub2"] >= 0)
+    for j, (combo, _, inner) in enumerate(larger):
+        cols["pos"][at + j, :len(combo)] = combo
+        interior[at + j] = len(inner)
 
-    order = np.lexsort(pos.T[::-1])
-    pos, hub, spokes, interior = pos[order], hub[order], spokes[order], interior[order]
+    order = np.lexsort(cols["pos"].T[::-1])
+    cols = {name: col[order] for name, col in cols.items()}
+    interior = interior[order]
     row_of = np.empty(n, dtype=np.int64)
     row_of[order] = np.arange(n)
     first_id = instance.vertex_count + 1 + np.cumsum(interior) - interior
     total = int(interior.sum())
-    costs = spokes.sum(axis=1)
-    losses = np.where(hub >= 0, spokes.min(axis=1), 0)
+    costs = cols["spokes"].sum(axis=1) + cols["link"]
+    losses = cols["loss"]
     built: dict[int, FullComponent] = {}
-    for j, (combo, edges, origin) in enumerate(larger):
-        row = int(row_of[n - len(larger) + j])
-        next_id = int(first_id[row])
-        remap: dict[int, int] = {}
-        for ph in sorted(origin, reverse=True):  # -1 first, then -2, ...
-            remap[ph] = next_id
-            next_id += 1
-        final_edges = [(remap.get(u, u), remap.get(v, v), w) for u, v, w in edges]
-        comp = FullComponent(tuple(terms[x] for x in combo), final_edges,
-                             {remap[ph]: o for ph, o in origin.items()})
+    for j, (combo, edges, inner) in enumerate(larger):
+        row = int(row_of[at + j])
+        ids = {int(tidx[p]): terms[p] for p in combo}
+        ids.update((x, int(first_id[row]) + i) for i, x in enumerate(inner))
+        comp = FullComponent([terms[p] for p in combo],
+                             [(ids[a], ids[b], int(D[a, b])) for a, b in edges],
+                             {ids[x]: closure.vertices[x] for x in inner})
         built[row] = comp
         costs[row] = comp.cost
         losses[row] = comp.loss
     return CandidateTable(
-        np.array(terms, dtype=np.int64), pos, costs, losses, hub, spokes,
-        first_id, built, instance.vertex_count + total if total else 0,
+        np.array(terms, dtype=np.int64), cols["pos"], costs, losses, cols["hub"],
+        cols["spokes"], first_id, built, instance.vertex_count + total if total else 0,
+        hub2=cols["hub2"], far=cols["far"], link=cols["link"],
     )
 
 

@@ -11,6 +11,8 @@ from __future__ import annotations
 import json
 import logging
 import time
+from collections.abc import Iterator
+from contextlib import contextmanager
 from dataclasses import dataclass, field
 from itertools import combinations
 
@@ -165,13 +167,25 @@ def _validate_solution(instance: Instance, tree: Tree) -> None:
             )
 
 
+@contextmanager
+def _stage(instance: Instance, stage: str) -> Iterator[None]:
+    """Prefix an InternalInvariantError raised inside with the instance and
+    the stage of the solve it came from."""
+    try:
+        yield
+    except InternalInvariantError as exc:
+        raise InternalInvariantError(
+            f"instance {instance.name or '(unnamed)'}, stage {stage}: {exc}") from exc
+
+
 def solve(instance: Instance, config: RunConfig | None = None) -> RunResult:
     config = config or RunConfig()
     config.validate()
     started = time.perf_counter()
-    closure = metric_closure(instance)
     terms = sorted(instance.terminals)
-    t0 = minimum_spanning_tree(terms, closure.block(terms))
+    with _stage(instance, "closure"):
+        closure = metric_closure(instance)
+        t0 = minimum_spanning_tree(terms, closure.block(terms))
     mst_cost = t0.total_cost
     log.info("%s: |V|=%d |R|=%d mst=%d", instance.name or "instance",
              instance.vertex_count, len(terms), mst_cost)
@@ -180,19 +194,25 @@ def solve(instance: Instance, config: RunConfig | None = None) -> RunResult:
     p1: Phase1Result | None = None
     p2: Phase2Result | None = None
     if config.mode != "mst":
-        pool = CandidatePool(enumerate_full_components(instance, closure, config.k))
-        p1 = run_phase1(instance, closure, pool, t0)
+        with _stage(instance, "enumerate"):
+            table = enumerate_full_components(instance, closure, config.k)
+        with _stage(instance, "pool"):
+            pool = CandidatePool(table)
+        with _stage(instance, "phase 1"):
+            p1 = run_phase1(instance, closure, pool, t0)
         if config.mode == "full":
-            p2 = run_phase2(instance, pool, t0, p1.base_tree)
+            with _stage(instance, "phase 2"):
+                p2 = run_phase2(instance, pool, t0, p1.base_tree)
 
     opt_cost = None
-    if len(terms) <= config.exact_opt_limit:
-        opt_cost = optimal_steiner_tree(closure, terms, config.exact_opt_limit).cost
     restricted_opt_cost = None
-    if pool is not None and len(terms) <= config.exact_optk_limit:
-        restricted_opt_cost = optimal_k_restricted(
-            terms, pool.table, config.k, config.exact_optk_limit
-        ).cost
+    with _stage(instance, "oracles"):
+        if len(terms) <= config.exact_opt_limit:
+            opt_cost = optimal_steiner_tree(closure, terms, config.exact_opt_limit).cost
+        if pool is not None and len(terms) <= config.exact_optk_limit:
+            restricted_opt_cost = optimal_k_restricted(
+                terms, pool.table, config.k, config.exact_optk_limit
+            ).cost
 
     origin: dict[int, int] = {}
     if config.mode == "mst":
@@ -207,38 +227,40 @@ def solve(instance: Instance, config: RunConfig | None = None) -> RunResult:
         else:
             winner = p2.solution
             origin = p2.steiner_origin
-    solution = expand_solution(closure, winner, terms, origin)
-    _validate_solution(instance, solution)
+    with _stage(instance, "expand"):
+        solution = expand_solution(closure, winner, terms, origin)
+        _validate_solution(instance, solution)
 
-    max_residual_gain = None
-    if p1 is not None and pool is not None and len(pool):
-        base_view = ContractedTree.from_tree(p1.base_tree)
-        max_residual_gain = int((pool.savings_for(base_view) - pool.costs).max())
+    with _stage(instance, "checks"):
+        max_residual_gain = None
+        if p1 is not None and pool is not None and len(pool):
+            base_view = ContractedTree.from_tree(p1.base_tree)
+            max_residual_gain = int((pool.savings_for(base_view) - pool.costs).max())
 
-    max_pair_overlap = None
-    if p2 is not None:
-        max_pair_overlap = 0
-        for a, b in combinations(p2.chosen, 2):
-            shared = len(set(a.comp.terminals) & set(b.comp.terminals))
-            max_pair_overlap = max(max_pair_overlap, shared)
+        max_pair_overlap = None
+        if p2 is not None:
+            max_pair_overlap = 0
+            for a, b in combinations(p2.chosen, 2):
+                shared = len(set(a.comp.terminals) & set(b.comp.terminals))
+                max_pair_overlap = max(max_pair_overlap, shared)
 
-    report = check_run(
-        mst_cost=mst_cost,
-        solution_cost=solution.total_cost,
-        k=config.k,
-        base_cost=p1.base_tree.total_cost if p1 else None,
-        merge1_cost=p1.solution_cost_unpruned if p1 else None,
-        loss_total=sum(e.comp.loss for e in p1.chosen) if p1 else None,
-        max_residual_gain=max_residual_gain,
-        merge2_cost=p2.solution_cost_unpruned if p2 else None,
-        load_total=sum(r["load"] for r in p2.trace["iterations"]) if p2 else None,
-        diff_total=sum(r["saving_diff"] for r in p2.trace["iterations"]) if p2 else None,
-        initial_gap=p2.trace["initial_gap"] if p2 else None,
-        stalled=p2.stalled if p2 else None,
-        max_pair_overlap=max_pair_overlap,
-        opt_cost=opt_cost,
-        restricted_opt_cost=restricted_opt_cost,
-    )
+        report = check_run(
+            mst_cost=mst_cost,
+            solution_cost=solution.total_cost,
+            k=config.k,
+            base_cost=p1.base_tree.total_cost if p1 else None,
+            merge1_cost=p1.solution_cost_unpruned if p1 else None,
+            loss_total=sum(e.comp.loss for e in p1.chosen) if p1 else None,
+            max_residual_gain=max_residual_gain,
+            merge2_cost=p2.solution_cost_unpruned if p2 else None,
+            load_total=sum(r["load"] for r in p2.trace["iterations"]) if p2 else None,
+            diff_total=sum(r["saving_diff"] for r in p2.trace["iterations"]) if p2 else None,
+            initial_gap=p2.trace["initial_gap"] if p2 else None,
+            stalled=p2.stalled if p2 else None,
+            max_pair_overlap=max_pair_overlap,
+            opt_cost=opt_cost,
+            restricted_opt_cost=restricted_opt_cost,
+        )
     for name in report.failed:
         log.warning("bound check failed: %s (%s)", name,
                     report.checks[name]["detail"])

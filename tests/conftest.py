@@ -33,3 +33,31 @@ def make_batch(count, seed0=0, max_vertices=12, max_terminals=8, max_weight=20):
         out.append(random_instance(seed0 + i, nv, nt, extra_edges=extra,
                                    max_weight=max_weight, name=f"rnd-{seed0 + i}"))
     return out
+
+
+FORCED = {
+    "enumerate": "stage enumerate: candidate columns fail component validation",
+    "phase 1": "stage phase 1: candidate .* re-selected at identical cost",
+}
+
+
+def force_invariant_failure(monkeypatch, stage):
+    """Make the next solve fail a self-check inside `stage`: enumeration's
+    column checks, or phase 1's guard against picking a candidate twice,
+    by handing it the first pick again. FORCED[stage] matches the error."""
+    from steinertree import components, phase1
+    from steinertree.errors import InternalInvariantError
+
+    if stage == "enumerate":
+        def reject(table):
+            raise InternalInvariantError("candidate columns fail component validation")
+        monkeypatch.setattr(components.CandidateTable, "_check", reject)
+    else:
+        first = []
+        pick = phase1.argmin_ratio
+
+        def same_pick(num, den):
+            if not first:
+                first.append(pick(num, den))
+            return first[0]
+        monkeypatch.setattr(phase1, "argmin_ratio", same_pick)

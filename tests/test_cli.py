@@ -2,8 +2,11 @@ import csv
 import io
 import json
 
+import re
+
 import pytest
 
+from conftest import FORCED, force_invariant_failure
 from steinertree import Instance, random_instance, save_stp
 from steinertree.cli import main
 
@@ -96,6 +99,19 @@ def test_solve_vertex_count_beyond_limit_is_input_error(tmp_path, capsys):
     assert rc == 2
     err = capsys.readouterr().err
     assert "input error" in err and "vertex count" in err
+
+
+@pytest.mark.parametrize("stage", sorted(FORCED))
+def test_solve_invariant_error_names_instance_and_stage(tmp_path, capsys, monkeypatch,
+                                                        stage):
+    path = str(tmp_path / "forced-k4.stp")
+    save_stp(random_instance(3, 16, 6, extra_edges=10, name="forced-k4"), path)
+    force_invariant_failure(monkeypatch, stage)
+    rc = main(["solve", path, "--k", "4"])
+    assert rc == 3
+    err = capsys.readouterr().err
+    assert re.search(f"^internal invariant violation: instance forced-k4, {FORCED[stage]}",
+                     err), err
 
 
 # ------------------------------

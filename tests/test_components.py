@@ -1,6 +1,7 @@
 import itertools
 import math
 import random
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -13,6 +14,7 @@ from steinertree import (
     Instance,
     Tree,
     enumerate_full_components,
+    grid_instance,
     loss_contract,
     metric_closure,
     minimum_spanning_tree,
@@ -22,6 +24,7 @@ from steinertree import (
 from steinertree import components
 from steinertree.components import CandidateTable
 from steinertree.core import ContractedTree
+from steinertree.exact import dw_closure_tree
 from steinertree.errors import (
     InternalInvariantError,
     KRestrictionError,
@@ -304,34 +307,86 @@ def test_savings_for_unknown_terminal_raises():
 # Columnar table
 # ------------------------------
 
+def _tie_instances():
+    """A unit-weight grid full of equal-cost trees, and a random instance
+    with zero-weight and parallel edges."""
+    grid = grid_instance(6, 6, max_weight=1, terminal_stride=4)
+    rng = random.Random(3)
+    base = random_instance(11, 24, 9, extra_edges=30)
+    edges = list(base.edges)
+    for _ in range(12):
+        u, v = rng.sample(range(1, 25), 2)
+        edges.append((u, v, rng.choice([0, 0, 1, 3])))
+    edges += edges[:10]
+    return [grid, Instance.build(24, edges, sorted(base.terminals))]
+
+
+def _assert_table_matches_reference(inst, k):
+    closure = metric_closure(inst)
+    table = enumerate_full_components(inst, closure, k)
+    ref = oracles.reference_full_components(inst, closure, k)
+    assert len(table) == len(ref)
+    pool = CandidatePool(table)
+    assert pool.max_steiner_id == max(
+        (s for c in ref for s in c.steiner_ids), default=0)
+    assert list(pool.candidates) == [(c.terminals, c.cost, c.loss) for c in ref]
+    for i, want in enumerate(ref):
+        got = table[i]
+        assert got.terminals == want.terminals
+        assert got.edges == want.edges
+        assert got.steiner_origin == want.steiner_origin
+        assert (got.cost, got.loss) == (want.cost, want.loss)
+
+
 def test_table_rows_match_reference_enumeration():
     for inst in make_batch(12, seed0=1600, max_vertices=11, max_terminals=7):
-        closure = metric_closure(inst)
-        for k in (2, 3, 4):
-            table = enumerate_full_components(inst, closure, k)
-            ref = oracles.reference_full_components(inst, closure, k)
-            assert len(table) == len(ref)
-            pool = CandidatePool(table)
-            assert pool.max_steiner_id == max(
-                (s for c in ref for s in c.steiner_ids), default=0)
-            assert list(pool.candidates) == [(c.terminals, c.cost, c.loss) for c in ref]
-            for i, want in enumerate(ref):
-                got = table[i]
-                assert got.terminals == want.terminals
-                assert got.edges == want.edges
-                assert got.steiner_origin == want.steiner_origin
-                assert (got.cost, got.loss) == (want.cost, want.loss)
+        for k in (2, 3, 4, 5):
+            _assert_table_matches_reference(inst, k)
+
+
+@pytest.mark.parametrize("case", range(4))
+def test_four_and_five_rows_match_reference_on_ties_and_dp_shape(case):
+    inst, k = [(random_instance(95008, 60, 20, extra_edges=120), 4),
+               (random_instance(7, 30, 10, extra_edges=40), 5),
+               *((tie, 5) for tie in _tie_instances())][case]
+    _assert_table_matches_reference(inst, k)
+    if k == 5:
+        _assert_table_matches_reference(inst, 4)
+
+
+@pytest.mark.parametrize("case", range(6))
+def test_shared_tables_match_per_subset_dreyfus_wagner(case):
+    # Every subset of 4..k terminals, kept as a candidate or not: the cost
+    # and the exact closure edge list of its tree.
+    inst, k = [(random_instance(95008, 60, 20, extra_edges=120), 4),
+               (random_instance(21, 40, 12, extra_edges=60), 4),
+               (random_instance(22, 30, 10, extra_edges=40), 5),
+               (random_instance(23, 16, 9, extra_edges=8), 5),
+               *((tie, 5) for tie in _tie_instances())][case]
+    closure = metric_closure(inst)
+    D = closure.dist
+    tidx = np.array([closure.index[t] for t in sorted(inst.terminals)])
+    tables = components._SharedTables(D, tidx, k - 2)
+    seen = 0
+    for m in range(4, k + 1):
+        for base, q, hub, cost, split in tables.last_masks(m):
+            for i, row in enumerate(base.tolist()):
+                want_cost, want_edges = dw_closure_tree(D, tidx[row + [q]].tolist())
+                assert cost[i] == want_cost
+                assert tables.tree_edges(row, q, int(hub[i]), int(split[i])) == want_edges
+                seen += 1
+    assert seen == sum(math.comb(len(tidx), m) for m in range(4, k + 1))
 
 
 def test_terminal_set_lookup_matches_reference_dict():
     for inst in make_batch(12, seed0=1700, max_vertices=11, max_terminals=7):
         closure = metric_closure(inst)
         terms = sorted(inst.terminals)
-        for k in (2, 3, 4):
+        for k in (2, 3, 4, 5):
             pool = CandidatePool(enumerate_full_components(inst, closure, k))
-            # Only rows of 4 or more terminals exist built from the start.
+            # Only rows of 5 or more terminals exist built from the start.
             prebuilt = set(pool.table.built)
-            assert all(len(pool.candidates[i].terminals) >= 4 for i in prebuilt)
+            assert all(len(pool.candidates[i].terminals) >= 5 for i in prebuilt)
             ref = {frozenset(c.terminals): i for i, c in
                    enumerate(oracles.reference_full_components(inst, closure, k))}
             for size in range(1, len(terms) + 1):
@@ -363,11 +418,67 @@ def test_table_checks_its_columns(star3):
         rebuild(0, costs=3)
 
 
-def test_only_picked_and_looked_up_candidates_are_built():
-    inst = random_instance(5, 120, 80, extra_edges=240, max_weight=50)
+def _four_row_table(row=None, **changes):
+    """Hand-made k=4 columns over terminals 1..5: a 4-star at vertex 9, two
+    hubs 9 and 8 with terminals 1 and 2 at the second (the pair spokes
+    win the loss), and two hubs 7 and 6 with terminals 2 and 4 at the
+    second (the link wins). `changes` replace one row's columns; cost and
+    loss follow the columns unless given."""
+    cols = dict(
+        terminal_ids=np.array([1, 2, 3, 4, 5]),
+        pos=np.array([[0, 1, 2, 3], [0, 1, 2, 4], [1, 2, 3, 4]]),
+        hub=np.array([9, 9, 7]), hub2=np.array([-1, 8, 6]),
+        far=np.array([0, 0b0011, 0b0101]), link=np.array([0, 5, 1]),
+        spokes=np.array([[4, 1, 3, 2], [2, 3, 6, 4], [5, 3, 4, 6]]),
+        first_id=np.array([20, 21, 23]),
+    )
+    for name, value in changes.items():
+        if name in cols:
+            cols[name][row] = value
+    size = np.full(3, 4)
+    costs = cols["spokes"].sum(axis=1) + cols["link"]
+    losses = components.column_losses(size, cols["hub"], cols["hub2"], cols["far"],
+                                      cols["spokes"], cols["link"])
+    if "costs" in changes:
+        costs[row] = changes["costs"]
+    if "losses" in changes:
+        losses[row] = changes["losses"]
+    return CandidateTable(costs=costs, losses=losses, built={}, max_steiner_id=24, **cols)
+
+
+def test_four_row_columns_build_and_check():
+    table = _four_row_table()
+    # The lightest spoke for the star; then la + lc = 4 + 2 and la + w = 3 + 1.
+    assert table.losses.tolist() == [1, 6, 4]
+    star, pairs, linked = table
+    assert sorted(star.edges) == [(1, 20, 4), (2, 20, 1), (3, 20, 3), (4, 20, 2)]
+    assert star.steiner_origin == {20: 9}
+    assert sorted(pairs.edges) == [(1, 22, 2), (2, 22, 3), (3, 21, 6), (5, 21, 4), (21, 22, 5)]
+    assert pairs.steiner_origin == {21: 9, 22: 8}
+    assert linked.steiner_origin == {23: 7, 24: 6}
+    assert [c.loss for c in table] == [1, 6, 4]
+
+
+@pytest.mark.parametrize("row, change", [
+    (0, dict(hub=3)),                  # a hub is a terminal of its row
+    (1, dict(hub2=5)),
+    (1, dict(hub2=9)),                 # the two hubs are one vertex
+    (1, dict(hub2=-1)),                # terminals at a second hub that is missing
+    (0, dict(spokes=[-1, 1, 3, 2])),   # a negative spoke
+    (2, dict(link=-1)),
+    (1, dict(costs=21)),               # cost is not the sum of the edges
+    (2, dict(losses=5)),               # loss is not the closed form
+    (1, dict(far=0b1001)),             # the last terminal away from the first hub
+])
+def test_four_row_column_checks_reject(row, change):
+    with pytest.raises(InternalInvariantError):
+        _four_row_table(row, **change)
+
+
+def _built_on_use(inst, k):
+    """Solve both phases at k; return the pool and the rows picked."""
     closure = metric_closure(inst)
-    pool = CandidatePool(enumerate_full_components(inst, closure, 3))
-    assert len(pool) > 50000
+    pool = CandidatePool(enumerate_full_components(inst, closure, k))
     t0 = minimum_spanning_tree(sorted(inst.terminals), closure.distance)
     p1 = run_phase1(inst, closure, pool, t0)
     p2 = run_phase2(inst, pool, t0, p1.base_tree)
@@ -380,6 +491,40 @@ def test_only_picked_and_looked_up_candidates_are_built():
                  for part in event["parts"] if part.get("source") == "pool"}
     assert from_pool and not from_pool & picked
     assert set(pool.table.built) == picked | from_pool
+    return pool, picked
+
+
+def test_only_picked_and_looked_up_candidates_are_built():
+    pool, _ = _built_on_use(random_instance(5, 120, 80, extra_edges=240, max_weight=50), 3)
+    assert len(pool) > 50000
+
+
+def test_only_picked_and_looked_up_four_rows_are_built():
+    pool, picked = _built_on_use(random_instance(2, 60, 20, extra_edges=120), 4)
+    assert len(pool) > 2500
+    # Picks include 4-stars and two-hub rows.
+    four = [i for i in picked if pool.table.size[i] == 4]
+    assert {bool(pool.table.hub2[i] >= 0) for i in four} == {False, True}
+
+
+def test_four_row_enumeration_memory_is_bounded():
+    # On a 20x20 grid the 190 pair tables' V x V step, done at once, would
+    # take 190 * 400**2 int64 values, about 232 MiB.
+    inst = grid_instance(20, 20, terminal_stride=20)
+    closure = metric_closure(inst)
+    closure.dist  # noqa: B018 - filled before measuring
+    r, nv = len(inst.terminals), len(closure.vertices)
+    unchunked = math.comb(r - 1, 2) * nv * nv * 8
+    limit = 16 * 2**20
+    assert unchunked > 14 * limit
+    tracemalloc.start()
+    try:
+        table = enumerate_full_components(inst, closure, 4)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert (table.size == 4).sum() > 0
+    assert peak < limit
 
 
 def test_candidate_budget_boundary(monkeypatch):

@@ -3,18 +3,19 @@ import json
 import pytest
 
 import oracles
-from conftest import make_batch
+from conftest import FORCED, force_invariant_failure, make_batch
 from steinertree import (
     Instance,
     InvalidInstanceError,
     RunConfig,
     grid_instance,
     metric_closure,
+    random_instance,
     solve,
     solver,
 )
 from steinertree.core import WEIGHT_LIMIT
-from steinertree.errors import InputError
+from steinertree.errors import InputError, InternalInvariantError
 from steinertree.solver import MODES
 
 
@@ -168,6 +169,14 @@ def test_k4_and_oracle_solves_compute_every_row_once(monkeypatch):
 # ------------------------------
 # Serialization
 # ------------------------------
+
+@pytest.mark.parametrize("stage", sorted(FORCED))
+def test_invariant_errors_name_the_instance_and_the_stage(monkeypatch, stage):
+    inst = random_instance(3, 16, 6, extra_edges=10, name="forced-k4")
+    force_invariant_failure(monkeypatch, stage)
+    with pytest.raises(InternalInvariantError, match=f"^instance forced-k4, {FORCED[stage]}"):
+        solve(inst, RunConfig(k=4))
+
 
 def test_json_shape_and_determinism(star3):
     a = solve(star3, RunConfig(k=3))

@@ -346,27 +346,37 @@ def column_losses(size: np.ndarray, hub: np.ndarray, hub2: np.ndarray, far: np.n
 
 
 # Most int64 elements in one temporary array of the shared Dreyfus-Wagner
-# tables (k >= 4): 2**16 elements are 512 KiB. Pair tables are built and
-# last masks evaluated in chunks of that size, so their transient memory
-# does not grow with the number of pairs or subsets. One pair's V x V step
-# is never split, so above 256 vertices a chunk is V*V, the size of `dist`.
+# tables: 2**16 elements are 512 KiB. Tables are built and last masks
+# evaluated in chunks of subsets sized so that the gathered splits (a
+# closure row per split and subset) and the V x V min-plus step stay within
+# it, so transient memory does not grow with the number of subsets. One
+# subset is never split, so above 256 vertices a table chunk is V*V, the
+# size of `dist`.
 DW_CHUNK = 2**16
 
 
-def _colex(n: int, s: int) -> np.ndarray:
-    """The s-subsets of range(n) as increasing rows in colex order: row i
-    has colex rank i, and the subsets of range(p) are the first C(p, s)."""
-    rows = np.zeros((1, 0), dtype=np.int64)
-    for j in range(s):
-        rows = np.concatenate(
-            [np.column_stack([rows[:math.comb(p, j)], np.full(math.comb(p, j), p)])
-             for p in range(j, n)] or [np.zeros((0, j + 1), dtype=np.int64)])
-    return rows
+def _colex_levels(n: int, top: int) -> list[np.ndarray]:
+    """For s = 0 .. top, the s-subsets of range(n) as increasing rows in
+    colex order: row i has colex rank i, and the subsets of range(p) are
+    the first C(p, s). Level s appends each largest element p to the first
+    C(p, s - 1) rows of level s - 1."""
+    levels = [np.zeros((1, 0), dtype=np.int64)]
+    for s in range(1, top + 1):
+        rows = np.empty((math.comb(n, s), s), dtype=np.int64)
+        at = 0
+        for p in range(s - 1, n):
+            count = math.comb(p, s - 1)
+            rows[at:at + count, :-1] = levels[-1][:count]
+            rows[at:at + count, -1] = p
+            at += count
+        levels.append(rows)
+    return levels
 
 
 class _SharedTables:
     """Dreyfus-Wagner over the metric closure for every terminal subset at
-    once (the Erickson-Monma-Veinott view of dw_closure_tree).
+    once, in the Erickson-Monma-Veinott form; the exact optimum
+    (exact.dw_closure_tree) is the case of a single subset.
 
     A table W[S] depends only on the terminal set S, and a subset's base
     (every terminal but its last) never holds the last terminal. Local bit
@@ -375,43 +385,60 @@ class _SharedTables:
     to `top` are built once, over the positions 0 .. r-2, and each subset
     adds only its last mask, evaluated at its last terminal.
 
-    `levels[s]` holds, for the s-subsets in colex order, W (the cheapest
+    The tables are rows of three arrays of closure columns: W (the cheapest
     tree over S and one more vertex v), relax (the hub u it uses at v) and
-    split (the local sub-mask chosen at u), each a row of closure columns.
+    split (the local sub-mask chosen at u). The s-subsets take the rows from
+    offset[s] on, in colex order; the single terminals (s = 1) come first,
+    as their closure rows.
     """
 
     def __init__(self, D: np.ndarray, tidx: np.ndarray, top: int):
         self.D = D
         self.tidx = tidx
         r, nv = len(tidx), D.shape[0]
-        self._binom = np.array([[math.comb(p, j) for j in range(top + 2)]
+        # C(p, j) for each position p and width j, and a last column of
+        # zeros that pads parts narrower than their row.
+        self._binom = np.array([[math.comb(p, j) for j in range(top + 2)] + [0]
                                 for p in range(r)], dtype=np.int64)
-        self.levels: dict[int, tuple[np.ndarray, np.ndarray, np.ndarray]] = {}
-        step = max(1, DW_CHUNK // (nv * nv))
+        self._subsets = _colex_levels(r - 1, top + 1)
+        self.offset = np.cumsum([0, 0] + [len(self._subsets[s]) for s in range(1, top + 1)])
+        self._splits = {mu: self._split_rows(mu) for mu in range(2, top + 2)}
+        self.W = np.empty((self.offset[-1], nv), dtype=np.int64)
+        self.relax = np.zeros((self.offset[-1], nv), dtype=np.int32)
+        self.split = np.zeros((self.offset[-1], nv), dtype=np.int32)
+        self.W[:r - 1] = D[tidx[:r - 1]]
         for s in range(2, top + 1):
-            subsets = _colex(r - 1, s)
-            W = np.empty((len(subsets), nv), dtype=np.int64)
-            relax = np.empty((len(subsets), nv), dtype=np.int32)
-            split = np.empty((len(subsets), nv), dtype=np.int32)
+            subsets = self._subsets[s]
+            step = max(1, DW_CHUNK // (nv * max(nv, len(self._splits[s][0]))))
             for at in range(0, len(subsets), step):
-                rows = slice(at, at + step)
-                merged, split[rows] = self.merged(subsets[rows])
+                chunk = subsets[at:at + step]
+                rows = slice(self.offset[s] + at, self.offset[s] + at + len(chunk))
+                merged, self.split[rows] = self.merged(chunk)
                 # [i, v, u] is merged[i, u] + D[u, v]; closure distances
                 # are symmetric, and the argmin over u takes the first u.
                 total = merged[:, None, :] + D
-                hub = total.argmin(axis=2)
-                W[rows] = np.take_along_axis(total, hub[..., None], axis=2)[..., 0]
-                relax[rows] = hub
-            self.levels[s] = (W, relax, split)
+                self.W[rows] = total.min(axis=2)
+                self.relax[rows] = total.argmin(axis=2)
 
-    def rank(self, rows: np.ndarray) -> np.ndarray:
-        """Colex rank of each row of increasing terminal positions."""
-        return self._binom[rows, np.arange(1, rows.shape[1] + 1)].sum(axis=1)
+    def row(self, subsets: np.ndarray) -> np.ndarray:
+        """Table row of each subset, given as increasing terminal positions
+        along the last axis."""
+        width = subsets.shape[-1]
+        return self.offset[width] + self._binom[subsets, np.arange(1, width + 1)].sum(axis=-1)
 
-    def _table(self, rows: np.ndarray) -> np.ndarray:
-        if rows.shape[1] == 1:
-            return self.D[self.tidx[rows[:, 0]]]
-        return self.levels[rows.shape[1]][0][self.rank(rows)]
+    def _split_rows(self, mu: int) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+        """The odd proper sub-masks of mu positions in decreasing order, and
+        for each, its part and its rest as base columns in increasing
+        order, padded to mu, with the binomial column and the table offset
+        that turn them into table rows."""
+        subs = np.arange((1 << mu) - 3, 0, -2, dtype=np.int32)
+        halves = subs[:, None] ^ np.array([0, (1 << mu) - 1], dtype=np.int32)
+        outside = (halves[..., None] >> np.arange(mu)) & 1 == 0
+        cols = outside.argsort(axis=2, kind="stable")  # the half's positions first
+        width = mu - outside.sum(axis=2)
+        j = np.arange(mu)
+        binom_col = np.where(j < width[..., None], j + 1, self._binom.shape[1] - 1)
+        return subs, cols, binom_col, self.offset[width]
 
     def merged(self, base: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """For rows of increasing positions, the smallest W[part] + W[rest]
@@ -419,27 +446,22 @@ class _SharedTables:
         sub-mask of the part attaining it. Parts hold the row's first
         position and go in decreasing sub-mask order; a tie keeps the
         earlier split."""
-        mu = base.shape[1]
-        best = choice = None
-        for sub in range((1 << mu) - 3, 0, -2):  # odd proper sub-masks, decreasing
-            part = [i for i in range(mu) if sub >> i & 1]
-            rest = [i for i in range(mu) if not sub >> i & 1]
-            cand = self._table(base[:, part]) + self._table(base[:, rest])
-            if best is None:
-                best, choice = cand, np.full(cand.shape, sub, dtype=np.int32)
-                continue
-            better = cand < best
-            np.copyto(best, cand, where=better)
-            np.copyto(choice, sub, where=better)
-        return best, choice
+        subs, cols, binom_col, offset = self._splits[base.shape[1]]
+        rows = (self._binom[base[:, cols], binom_col].sum(axis=-1) + offset).T
+        cand = self.W[rows[0]]  # [split, row, vertex]
+        cand += self.W[rows[1]]
+        best = cand.min(axis=0)
+        # Sub-masks decrease along the splits, so the first minimum is the
+        # largest sub-mask attaining it.
+        return best, np.where(cand == best, subs[:, None, None], 0).max(axis=0)
 
     def last_masks(self, m: int) -> Iterator[tuple[np.ndarray, int, np.ndarray,
                                                    np.ndarray, np.ndarray]]:
         """Every m-subset's optimal tree root, in chunks of subsets sharing
         their last position q: (base positions, q, the hub u minimizing
         merged[u] + D[u, q], that tree's cost, the split chosen at u)."""
-        bases = _colex(len(self.tidx) - 1, m - 1)
-        step = max(1, DW_CHUNK // self.D.shape[0])
+        bases = self._subsets[m - 1]
+        step = max(1, DW_CHUNK // (self.D.shape[0] * len(self._splits[m - 1][0])))
         for q in range(m - 1, len(self.tidx)):
             count = math.comb(q, m - 1)  # the bases over positions below q
             for at in range(0, count, step):
@@ -451,9 +473,9 @@ class _SharedTables:
                 yield base, q, hub, total[rows, hub], choice[rows, hub]
 
     def tree_edges(self, base: list[int], q: int, hub: int, split: int) -> list[tuple[int, int]]:
-        """Closure edges of one subset's tree, in dw_closure_tree's order:
-        `hub` joined to terminal q, and the parts of `base` split by the
-        local mask `split` hanging from it, each rebuilt from its table."""
+        """Closure edges of one subset's tree: `hub` joined to terminal q,
+        and the parts of `base` split by the local mask `split` hanging from
+        it, each rebuilt from its table, depth first, part before rest."""
         edges: list[tuple[int, int]] = []
 
         def hang(part: list[int], v: int, u: int, s: int) -> None:
@@ -466,10 +488,9 @@ class _SharedTables:
                     if t != u:
                         edges.append((t, u))
                     continue
-                _, relax, table_split = self.levels[len(half)]
-                row = int(self.rank(np.array([half]))[0])
-                w = int(relax[row, u])
-                hang(half, u, w, int(table_split[row, w]))
+                row = int(self.row(np.array(half)))
+                w = int(self.relax[row, u])
+                hang(half, u, w, int(self.split[row, w]))
 
         hang(base, int(self.tidx[q]), hub, split)
         return edges
@@ -486,7 +507,7 @@ def _four_rows(tables: _SharedTables, vertices: np.ndarray, base: np.ndarray, q:
     pair = np.where(split == 1, 6, split)  # split 5 (ac), 3 (ab) or 1 (a, pair bc)
     ends = np.column_stack([base[rows, np.where(pair == 6, 1, 0)],
                             base[rows, np.where(pair == 3, 1, 2)]])
-    inner = tables.levels[2][1][tables.rank(ends), hub]
+    inner = tables.relax[tables.row(ends), hub]
     subset = np.column_stack([base, np.full(len(base), q)])
     own = tables.tidx[subset]
     # A terminal at a hub is no leaf: it has an edge towards q's side and
@@ -774,9 +795,9 @@ class CandidatePool:
     """Scoring index over a CandidateTable; a list of components is turned
     into one. `pool[i]` is candidate i as a FullComponent, built on first
     use. Savings are evaluated as MSTs under the tree's path-bottleneck
-    weights; the from-scratch definition lives in
-    ContractedTree.mst_with_zero_set and the two are cross-checked in
-    tests."""
+    weights; phase 2 checks them against each contraction's cost drop, and
+    the tests against a from-scratch zero-clique MST
+    (tests/oracles.py: mst_with_zero_set)."""
 
     def __init__(self, candidates: Sequence[FullComponent]):
         table = (candidates if isinstance(candidates, CandidateTable)

@@ -2,9 +2,11 @@
 
 Two oracles:
 
-* optimal_steiner_tree: textbook dynamic program over terminal subsets and
-  attachment vertices, run on the metric closure. Exponential in the number
-  of terminals, so gated by a limit.
+* optimal_steiner_tree: Dreyfus-Wagner over terminal subsets and
+  attachment vertices, run on the metric closure. It evaluates the tables
+  the k >= 4 enumeration shares (components._SharedTables) for one subset,
+  all the terminals. Exponential in the number of terminals, so gated by a
+  limit.
 * optimal_k_restricted: cheapest way to connect all terminals using only
   candidate components with at most k terminals each. DP over terminal
   bitmasks seeded and relaxed with whole candidates; components glue only
@@ -13,18 +15,13 @@ Two oracles:
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Sequence
+from typing import Sequence
 
 import numpy as np
 
-from .core import WEIGHT_LIMIT, MetricClosure, Tree, kruskal_indices
+from .components import FullComponent, _SharedTables
+from .core import MetricClosure, Tree, kruskal_indices
 from .errors import InternalInvariantError, LimitExceededError, UnknownNodeError
-
-if TYPE_CHECKING:
-    from .components import FullComponent
-
-# Above every real distance (< WEIGHT_LIMIT); INF + D stays below 2**63.
-INF = np.int64(4 * WEIGHT_LIMIT)
 
 
 @dataclass(frozen=True)
@@ -35,12 +32,11 @@ class ExactResult:
 
 
 def dw_closure_tree(D: np.ndarray, term_idx: Sequence[int]) -> tuple[int, list[tuple[int, int]]]:
-    """Optimal Steiner tree over closure indices.
-
-    Returns (cost, closure edges as index pairs). Tables are keyed by
-    subsets of all terminals but the last; masks are processed in
-    increasing numeric order and all argmins take the first index, which
-    pins the reconstruction.
+    """Optimal Steiner tree over closure indices: (cost, closure edges as
+    index pairs). Dreyfus-Wagner on the shared tables for one subset: the
+    tables of every part of the terminals but the last, then the last mask
+    at the last terminal; sub-masks go in decreasing order and all argmins
+    take the first index, which pins the reconstruction.
     """
     m = len(term_idx)
     if m == 1:
@@ -48,53 +44,9 @@ def dw_closure_tree(D: np.ndarray, term_idx: Sequence[int]) -> tuple[int, list[t
     if m == 2:
         a, b = term_idx
         return int(D[a, b]), [(a, b)]
-    q = term_idx[-1]
-    base = list(term_idx[:-1])
-    mu = len(base)
-    nv = D.shape[0]
-    full = (1 << mu) - 1
-    W: dict[int, np.ndarray] = {}
-    relax: dict[int, np.ndarray] = {}
-    split: dict[int, np.ndarray] = {}
-    for i, t in enumerate(base):
-        W[1 << i] = D[t].astype(np.int64, copy=True)
-    for mask in range(1, full + 1):
-        if mask & (mask - 1) == 0:
-            continue
-        low = mask & (-mask)
-        merged = np.full(nv, INF, dtype=np.int64)
-        choice = np.zeros(nv, dtype=np.int64)
-        sub = (mask - 1) & mask
-        while sub:
-            if sub & low:
-                cand = W[sub] + W[mask ^ sub]
-                better = cand < merged
-                merged = np.where(better, cand, merged)
-                choice = np.where(better, sub, choice)
-            sub = (sub - 1) & mask
-        total = merged[:, None] + D
-        W[mask] = total.min(axis=0)
-        relax[mask] = total.argmin(axis=0)
-        split[mask] = choice
-    cost = int(W[full][q])
-
-    edges: list[tuple[int, int]] = []
-
-    def build(mask: int, v: int) -> None:
-        if mask & (mask - 1) == 0:
-            t = base[mask.bit_length() - 1]
-            if t != v:
-                edges.append((t, v))
-            return
-        u = int(relax[mask][v])
-        if u != v:
-            edges.append((u, v))
-        s = int(split[mask][u])
-        build(s, u)
-        build(mask ^ s, u)
-
-    build(full, q)
-    return cost, edges
+    tables = _SharedTables(D, np.asarray(term_idx, dtype=np.int64), m - 2)
+    (base, q, hub, cost, split), = tables.last_masks(m)
+    return int(cost[0]), tables.tree_edges(base[0].tolist(), q, int(hub[0]), int(split[0]))
 
 
 def optimal_steiner_tree(closure: MetricClosure, terminals: Sequence[int],

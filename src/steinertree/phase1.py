@@ -88,7 +88,6 @@ def run_phase1(instance: Instance, closure: MetricClosure,
     current = [(u, v, w, (BASE, i)) for i, (u, v, w) in enumerate(t0.edges)]
     current_cost = t0.total_cost
     rows: list[dict] = []
-    picked_keys: set[tuple] = set()
     merged = None  # merge of the latest iteration
 
     while True:
@@ -103,12 +102,6 @@ def run_phase1(instance: Instance, closure: MetricClosure,
         if len(rows) + 1 > max(len(pool), 1):
             raise InternalInvariantError("phase 1 ran past the candidate count")
         sel = pool[idx]
-        key = (sel.terminals, sel.cost)
-        if key in picked_keys:
-            raise InternalInvariantError(
-                f"candidate {sel.terminals} re-selected at identical cost"
-            )
-        picked_keys.add(key)
         comp, alloc = sel.reassign_steiner(alloc)
         uid_counter += 1
         entry = ChosenEntry(uid_counter, comp)
@@ -175,10 +168,12 @@ def run_phase1(instance: Instance, closure: MetricClosure,
                 tagged.append((ce.u, ce.v, ce.w, (e.uid, j)))
         kept_idx = kruskal_indices(terms, tagged)
         current = [tagged[i] for i in kept_idx]
+        # The cost is a nonnegative integer that falls with every pick, so
+        # the phase ends.
         new_cost = sum(e[2] for e in current)
-        if new_cost > current_cost:
+        if new_cost >= current_cost:
             raise InternalInvariantError(
-                f"working tree cost rose from {current_cost} to {new_cost}"
+                f"working tree cost did not fall: {current_cost} to {new_cost}"
             )
         current_cost = new_cost
 

@@ -76,8 +76,18 @@ def run_phase2(instance: Instance, pool: CandidatePool, t0: Tree,
         comp, alloc = sel.reassign_steiner(alloc)
         uid += 1
         chosen.append(ChosenEntry(uid, comp))
+        # Each contraction must drop its tree's cost by exactly the saving
+        # the batched scoring gave: cost - load in the base tree, that plus
+        # the difference in the origin tree.
+        saving_base = sel.cost - load_value
+        expected = (t_origin.cost - saving_base - diff_value, t_base.cost - saving_base)
         t_origin = t_origin.contract_zero_set(comp.terminals)
         t_base = t_base.contract_zero_set(comp.terminals)
+        if (t_origin.cost, t_base.cost) != expected:
+            raise InternalInvariantError(
+                f"contracting {sel.terminals} left costs {t_origin.cost}, {t_base.cost};"
+                f" the savings give {expected[0]}, {expected[1]}"
+            )
         f = Fraction(load_value, diff_value)
         log.debug("phase2 pick %s load=%d diff=%d", sel.terminals, load_value, diff_value)
         rows.append({

@@ -2,7 +2,7 @@ import random
 
 import pytest
 
-from steinertree import Instance, random_instance
+from steinertree import Instance, grid_instance, random_instance
 
 ACCEPTANCE_LINES = []
 
@@ -35,16 +35,31 @@ def make_batch(count, seed0=0, max_vertices=12, max_terminals=8, max_weight=20):
     return out
 
 
+def tie_instances():
+    """A unit-weight grid full of equal-cost trees, and a random instance
+    with zero-weight and parallel edges."""
+    grid = grid_instance(6, 6, max_weight=1, terminal_stride=4)
+    rng = random.Random(3)
+    base = random_instance(11, 24, 9, extra_edges=30)
+    edges = list(base.edges)
+    for _ in range(12):
+        u, v = rng.sample(range(1, 25), 2)
+        edges.append((u, v, rng.choice([0, 0, 1, 3])))
+    edges += edges[:10]
+    return [grid, Instance.build(24, edges, sorted(base.terminals))]
+
+
 FORCED = {
     "enumerate": "stage enumerate: candidate columns fail component validation",
-    "phase 1": "stage phase 1: candidate .* re-selected at identical cost",
+    "phase 1": "stage phase 1: working tree cost did not fall: \\d+ to \\d+",
 }
 
 
 def force_invariant_failure(monkeypatch, stage):
     """Make the next solve fail a self-check inside `stage`: enumeration's
-    column checks, or phase 1's guard against picking a candidate twice,
-    by handing it the first pick again. FORCED[stage] matches the error."""
+    column checks, or phase 1's check that every pick lowers the working
+    tree's cost, by handing it the first pick again, whose terminals are
+    already joined. FORCED[stage] matches the error."""
     from steinertree import components, phase1
     from steinertree.errors import InternalInvariantError
 

@@ -4,9 +4,9 @@ Everything here is deliberately naive and written from scratch: exhaustive
 enumeration wherever the instance is small enough, plain dicts and loops
 everywhere else. The tests compare these against the real implementations.
 `reference_full_components` (the earlier object-per-subset enumeration)
-builds package components, and the reference definitions of the greedy
-quantities at the end take package trees and components; everything else
-stands on its own.
+builds package components, and `mst_with_zero_set` and the reference
+definitions of the greedy quantities at the end take package trees and
+components; everything else stands on its own.
 """
 import heapq
 import itertools
@@ -14,11 +14,13 @@ import itertools
 import numpy as np
 
 from steinertree.components import FullComponent, _normalized_edges
-from steinertree.core import edge_key
+from steinertree.core import WEIGHT_LIMIT, edge_key
 from steinertree.errors import InternalInvariantError, UnknownNodeError
-from steinertree.exact import dw_closure_tree
 
 INF = float("inf")
+
+# Above every real distance (< WEIGHT_LIMIT); DW_INF + D stays below 2**63.
+DW_INF = np.int64(4 * WEIGHT_LIMIT)
 
 
 def floyd_warshall(vertex_count, edges):
@@ -98,6 +100,14 @@ def mst_cost_kruskal(nodes, edges):
     if used != len(nodes) - 1:
         return None
     return cost
+
+
+def mst_with_zero_set(tree, group):
+    """Cost of the MST of a ContractedTree plus a zero-cost clique over the
+    representatives of ``group``, by an independent Kruskal."""
+    reps = sorted({tree.rep_of[x] for x in group})
+    zero = [(a, b, 0) for a, b in itertools.combinations(reps, 2)]
+    return mst_cost_kruskal(tree.reps, zero + list(tree.edges))
 
 
 def zero_set_mst_cost(tree_edges, group):
@@ -233,6 +243,66 @@ def reference_closure(instance):
     return vertices, dist, pred
 
 
+def reference_dw_closure_tree(D, term_idx):
+    """The earlier per-subset Dreyfus-Wagner program, the reference for
+    exact.dw_closure_tree and the shared tables: (cost, closure edges as
+    index pairs) of an optimal tree over closure indices. Tables are keyed
+    by subsets of all terminals but the last; masks are processed in
+    increasing numeric order and all argmins take the first index, which
+    pins the reconstruction."""
+    m = len(term_idx)
+    if m == 1:
+        return 0, []
+    if m == 2:
+        a, b = term_idx
+        return int(D[a, b]), [(a, b)]
+    q = term_idx[-1]
+    base = list(term_idx[:-1])
+    mu = len(base)
+    nv = D.shape[0]
+    full = (1 << mu) - 1
+    W, relax, split = {}, {}, {}
+    for i, t in enumerate(base):
+        W[1 << i] = D[t].astype(np.int64, copy=True)
+    for mask in range(1, full + 1):
+        if mask & (mask - 1) == 0:
+            continue
+        low = mask & (-mask)
+        merged = np.full(nv, DW_INF, dtype=np.int64)
+        choice = np.zeros(nv, dtype=np.int64)
+        sub = (mask - 1) & mask
+        while sub:
+            if sub & low:
+                cand = W[sub] + W[mask ^ sub]
+                better = cand < merged
+                merged = np.where(better, cand, merged)
+                choice = np.where(better, sub, choice)
+            sub = (sub - 1) & mask
+        total = merged[:, None] + D
+        W[mask] = total.min(axis=0)
+        relax[mask] = total.argmin(axis=0)
+        split[mask] = choice
+    cost = int(W[full][q])
+
+    edges = []
+
+    def build(mask, v):
+        if mask & (mask - 1) == 0:
+            t = base[mask.bit_length() - 1]
+            if t != v:
+                edges.append((t, v))
+            return
+        u = int(relax[mask][v])
+        if u != v:
+            edges.append((u, v))
+        s = int(split[mask][u])
+        build(s, u)
+        build(mask ^ s, u)
+
+    build(full, q)
+    return cost, edges
+
+
 def reference_full_components(instance, closure, k):
     """Object-per-subset candidate enumeration, the reference for the
     columnar one: one FullComponent per terminal subset of size 2..k whose
@@ -273,7 +343,7 @@ def reference_full_components(instance, closure, k):
         for size in range(4, k + 1):
             for combo in itertools.combinations(range(len(terms)), size):
                 sub_idx = [tidx[x] for x in combo]
-                cost, cedges = dw_closure_tree(D, sub_idx)
+                cost, cedges = reference_dw_closure_tree(D, sub_idx)
                 degree = {}
                 for a, b in cedges:
                     degree[a] = degree.get(a, 0) + 1
@@ -322,7 +392,7 @@ def reference_full_components(instance, closure, k):
 def gain(tree, comp):
     """Cost drop of treating the component's terminals as merged, minus the
     component's price."""
-    return tree.cost - tree.mst_with_zero_set(comp.terminals) - comp.cost
+    return tree.cost - mst_with_zero_set(tree, comp.terminals) - comp.cost
 
 
 def load(tree, comp):
@@ -333,8 +403,8 @@ def load(tree, comp):
 def saving_difference(tree_a, tree_b, comp):
     """How much more the component's terminal merge saves in tree_a than in
     tree_b."""
-    saving_a = tree_a.cost - tree_a.mst_with_zero_set(comp.terminals)
-    saving_b = tree_b.cost - tree_b.mst_with_zero_set(comp.terminals)
+    saving_a = tree_a.cost - mst_with_zero_set(tree_a, comp.terminals)
+    saving_b = tree_b.cost - mst_with_zero_set(tree_b, comp.terminals)
     return saving_a - saving_b
 
 

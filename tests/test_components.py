@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 import oracles
-from conftest import make_batch
+from conftest import make_batch, tie_instances
 from steinertree import (
     CandidatePool,
     FullComponent,
@@ -24,7 +24,6 @@ from steinertree import (
 from steinertree import components
 from steinertree.components import CandidateTable
 from steinertree.core import ContractedTree
-from steinertree.exact import dw_closure_tree
 from steinertree.errors import (
     InternalInvariantError,
     KRestrictionError,
@@ -268,7 +267,7 @@ def test_pool_savings_match_single_route():
         for v in views:
             batch = pool.savings_for(v)
             for i, comp in enumerate(pool.candidates):
-                assert batch[i] == v.cost - v.mst_with_zero_set(comp.terminals)
+                assert batch[i] == v.cost - oracles.mst_with_zero_set(v, comp.terminals)
 
 
 def test_pool_min_cost_index():
@@ -307,20 +306,6 @@ def test_savings_for_unknown_terminal_raises():
 # Columnar table
 # ------------------------------
 
-def _tie_instances():
-    """A unit-weight grid full of equal-cost trees, and a random instance
-    with zero-weight and parallel edges."""
-    grid = grid_instance(6, 6, max_weight=1, terminal_stride=4)
-    rng = random.Random(3)
-    base = random_instance(11, 24, 9, extra_edges=30)
-    edges = list(base.edges)
-    for _ in range(12):
-        u, v = rng.sample(range(1, 25), 2)
-        edges.append((u, v, rng.choice([0, 0, 1, 3])))
-    edges += edges[:10]
-    return [grid, Instance.build(24, edges, sorted(base.terminals))]
-
-
 def _assert_table_matches_reference(inst, k):
     closure = metric_closure(inst)
     table = enumerate_full_components(inst, closure, k)
@@ -348,7 +333,7 @@ def test_table_rows_match_reference_enumeration():
 def test_four_and_five_rows_match_reference_on_ties_and_dp_shape(case):
     inst, k = [(random_instance(95008, 60, 20, extra_edges=120), 4),
                (random_instance(7, 30, 10, extra_edges=40), 5),
-               *((tie, 5) for tie in _tie_instances())][case]
+               *((tie, 5) for tie in tie_instances())][case]
     _assert_table_matches_reference(inst, k)
     if k == 5:
         _assert_table_matches_reference(inst, 4)
@@ -362,7 +347,7 @@ def test_shared_tables_match_per_subset_dreyfus_wagner(case):
                (random_instance(21, 40, 12, extra_edges=60), 4),
                (random_instance(22, 30, 10, extra_edges=40), 5),
                (random_instance(23, 16, 9, extra_edges=8), 5),
-               *((tie, 5) for tie in _tie_instances())][case]
+               *((tie, 5) for tie in tie_instances())][case]
     closure = metric_closure(inst)
     D = closure.dist
     tidx = np.array([closure.index[t] for t in sorted(inst.terminals)])
@@ -371,7 +356,7 @@ def test_shared_tables_match_per_subset_dreyfus_wagner(case):
     for m in range(4, k + 1):
         for base, q, hub, cost, split in tables.last_masks(m):
             for i, row in enumerate(base.tolist()):
-                want_cost, want_edges = dw_closure_tree(D, tidx[row + [q]].tolist())
+                want_cost, want_edges = oracles.reference_dw_closure_tree(D, tidx[row + [q]].tolist())
                 assert cost[i] == want_cost
                 assert tables.tree_edges(row, q, int(hub[i]), int(split[i])) == want_edges
                 seen += 1

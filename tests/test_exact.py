@@ -1,7 +1,7 @@
 import pytest
 
 import oracles
-from conftest import make_batch
+from conftest import make_batch, tie_instances
 from steinertree import (
     Instance,
     LimitExceededError,
@@ -10,8 +10,10 @@ from steinertree import (
     minimum_spanning_tree,
     optimal_k_restricted,
     optimal_steiner_tree,
+    random_instance,
     restricted_ratio_bound,
 )
+from steinertree.exact import dw_closure_tree
 
 
 def _opt(inst, limit=10):
@@ -67,6 +69,32 @@ def test_opt_tree_uses_real_edges():
             weights[key] = min(w, weights.get(key, w))
         for u, v, w in res.tree.edges:
             assert weights[(min(u, v), max(u, v))] == w
+
+
+def _corpus_instance(seed, index, max_terminals=10):
+    """The benchmark's small-corpus shape: terminals cycle through
+    4..max_terminals and vertices through 8..16 (never fewer than
+    terminals + 2), with one extra edge per vertex."""
+    nt = 4 + index % (max_terminals - 3)
+    nv = max(nt + 2, 8 + (index // (max_terminals - 3)) % 9)
+    return random_instance(seed, nv, nt, extra_edges=nv, name=f"corpus-{seed}")
+
+
+@pytest.mark.parametrize("case", range(23))
+def test_exact_optimum_matches_per_subset_dreyfus_wagner(case):
+    # Every prefix of the terminals, so m runs from 1 to 10 over the cases:
+    # the cost and the exact closure edge list. Then the expanded optimum.
+    inst = [*(_corpus_instance(1000 + i, i) for i in range(21)), *tie_instances()][case]
+    closure = metric_closure(inst)
+    terms = sorted(inst.terminals)
+    tidx = [closure.index[t] for t in terms]
+    for m in range(1, len(tidx) + 1):
+        assert (dw_closure_tree(closure.dist, tidx[:m])
+                == oracles.reference_dw_closure_tree(closure.dist, tidx[:m])), m
+    cost, edges = oracles.reference_dw_closure_tree(closure.dist, tidx)
+    want = closure.expand(((closure.vertices[i], closure.vertices[j]) for i, j in edges), terms)
+    res = optimal_steiner_tree(closure, terms)
+    assert (res.cost, res.tree.edges) == (cost, want.edges)
 
 
 def test_opt_deterministic():

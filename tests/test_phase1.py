@@ -10,7 +10,9 @@ from steinertree import (
     metric_closure,
     minimum_spanning_tree,
     optimal_k_restricted,
+    RunConfig,
     random_instance,
+    solve,
 )
 from steinertree.components import argmin_ratio
 from steinertree.phase1 import run_phase1
@@ -177,3 +179,22 @@ def test_select_zero_loss_wins_and_keeps_first():
     assert argmin_ratio(losses, gains) == 2
     assert argmin_ratio(losses, np.array([3, 0, -2, 0, 1], dtype=np.int64)) == 0
     assert argmin_ratio(losses, np.zeros(5, dtype=np.int64)) is None
+
+
+def test_fully_displaced_component_can_be_picked_again():
+    # Iteration 4 displaces the star (3, 24, 38): its part {24, 38} comes
+    # back from the pool as a loss-free pair, which the recomputed working
+    # tree no longer uses, so it is dropped. Nothing chosen then joins 24
+    # and 38, and iteration 6 picks the star again, at a strict fall of
+    # the working-tree cost like every other pick.
+    inst = random_instance(95008, 60, 20, extra_edges=120)
+    res, _, _ = _run(inst, 4)
+    rows = res.trace["iterations"]
+    assert [row["terminals"] for row in rows] == [
+        [6, 26, 44, 57], [6, 30, 32, 60], [3, 24, 38], [3, 38, 41], [3, 41, 55, 60], [3, 24, 38]]
+    assert [row["tree_cost"] for row in rows] == [139, 136, 134, 132, 125, 123]
+    assert [b["action"] for b in rows[3]["basic_events"]] == ["dropped"]
+    assert res.base_tree.total_cost == 123 and res.mst_cost == 145
+    result = solve(inst, RunConfig(k=4))
+    assert result.report.ok
+    assert (result.solution_cost, result.base_cost) == (132, 123)

@@ -126,6 +126,14 @@ def test_solution_matches_bruteforce_on_small_instances():
         assert res.solution_cost >= want
 
 
+def test_k4_dp_shape_sweep_solves_with_passing_reports():
+    # The benchmark's k=4 shape: 60 vertices, 20 terminals. Seed 95008
+    # picks a fully displaced component a second time in phase 1.
+    for seed in [95008, *range(95100, 95139)]:
+        res = solve(random_instance(seed, 60, 20, extra_edges=120), RunConfig(k=4))
+        assert res.report.ok, (seed, res.report.failed)
+
+
 def test_winner_ties_go_to_phase1(star3):
     res = solve(star3, RunConfig(k=3))
     # Both phases cost 3 here; the reported solution must match phase 1's.

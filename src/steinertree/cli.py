@@ -87,8 +87,7 @@ def _configure_logging() -> None:
 def _cmd_solve(args) -> int:
     config = RunConfig(k=args.k, mode=args.mode,
                        exact_opt_limit=args.exact_opt_limit,
-                       exact_optk_limit=args.exact_optk_limit,
-                       output_format=args.format)
+                       exact_optk_limit=args.exact_optk_limit)
     result = solve(load_stp(args.file), config)
     if args.format == "csv":
         buf = io.StringIO()

@@ -11,7 +11,7 @@ tree over the metric closure, keeping only subsets whose own terminals end
 up as leaves. It returns numpy columns (CandidateTable) that the greedy
 phases score in batch; a candidate becomes a FullComponent only when it is
 asked for by index: when a phase picks it, a displacement looks it up, or
-the restricted oracle reads the whole pool.
+the restricted oracle picks it.
 """
 from __future__ import annotations
 
@@ -109,13 +109,9 @@ class FullComponent:
 
 def _loss_indices(comp: FullComponent) -> tuple[int, ...]:
     """Edge indices of the minimal forest connecting every interior node to
-    a terminal: MST(component + zero clique on terminals) minus the clique.
-    One-interior stars take the direct route (cheapest terminal edge)."""
+    a terminal: MST(component + zero clique on terminals) minus the clique."""
     if not comp.steiner_ids:
         return ()
-    if len(comp.steiner_ids) == 1 and len(comp.edges) == len(comp.terminals):
-        best = min(range(len(comp.edges)), key=lambda i: edge_key(*comp.edges[i]))
-        return (best,)
     zero = [(a, b, 0) for a, b in itertools.combinations(comp.terminals, 2)]
     combined = zero + list(comp.edges)
     kept = kruskal_indices({x for e in comp.edges for x in e[:2]}, combined)
@@ -292,37 +288,27 @@ class CandidateTable(Sequence):
         if not 0 <= i < len(self):
             raise IndexError("candidate index out of range")
         if i not in self.built:
-            self._build([i])
+            self.built[i] = self._build(i)
         return self.built[i]
 
-    def __iter__(self) -> Iterator[FullComponent]:
-        self._build([i for i in range(len(self)) if i not in self.built])
-        return (self.built[i] for i in range(len(self)))
-
-    def _build(self, rows: list[int]) -> None:
-        """Build the components of column-form rows into `built`."""
-        idx = np.array(rows, dtype=np.int64)
-        columns = zip(rows, self.terminal_ids[np.maximum(self.pos[idx], 0)].tolist(),
-                      self.size[idx].tolist(), self.hub[idx].tolist(),
-                      self.hub2[idx].tolist(), self.far[idx].tolist(),
-                      self.spokes[idx].tolist(), self.link[idx].tolist(),
-                      self.first_id[idx].tolist(), self.costs[idx].tolist(),
-                      self.losses[idx].tolist())
-        for i, terms, m, hub, hub2, far, weights, link, s, cost, loss in columns:
-            terms = terms[:m]
-            if hub < 0:
-                comp = FullComponent(terms, [(terms[0], terms[1], weights[0])])
-            else:
-                edges = [(t, s + (far >> j & 1), w)
-                         for j, (t, w) in enumerate(zip(terms, weights))]
-                origin = {s: hub}
-                if hub2 >= 0:
-                    edges.append((s, s + 1, link))
-                    origin[s + 1] = hub2
-                comp = FullComponent(terms, edges, origin)
-            if (comp.cost, comp.loss) != (cost, loss):
-                raise InternalInvariantError(f"candidate {i} disagrees with its columns")
-            self.built[i] = comp
+    def _build(self, i: int) -> FullComponent:
+        """The component of column-form row i."""
+        terms = self.terminal_ids[self.pos[i, :self.size[i]]].tolist()
+        weights = self.spokes[i].tolist()
+        hub, hub2, far, link, s = (int(col[i]) for col in (self.hub, self.hub2, self.far,
+                                                           self.link, self.first_id))
+        if hub < 0:
+            comp = FullComponent(terms, [(terms[0], terms[1], weights[0])])
+        else:
+            edges = [(t, s + (far >> j & 1), w) for j, (t, w) in enumerate(zip(terms, weights))]
+            origin = {s: hub}
+            if hub2 >= 0:
+                edges.append((s, s + 1, link))
+                origin[s + 1] = hub2
+            comp = FullComponent(terms, edges, origin)
+        if (comp.cost, comp.loss) != (self.costs[i], self.losses[i]):
+            raise InternalInvariantError(f"candidate {i} disagrees with its columns")
+        return comp
 
 
 _NO_SPOKE = np.iinfo(np.int64).max

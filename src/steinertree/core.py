@@ -147,13 +147,7 @@ class Instance:
                 "exact int64 arithmetic needs a smaller total"
             )
         inst = cls(vertex_count, scaled, terms, name, scale)
-        # Terminal connectivity is part of validity.
-        reach = inst.reachable_from(min(terms))
-        missing = terms - reach
-        if missing:
-            raise DisconnectedTerminalsError(
-                f"terminals {sorted(missing)} unreachable from terminal {min(terms)}"
-            )
+        inst.terminal_component  # terminal connectivity is part of validity
         return inst
 
     @cached_property
@@ -178,8 +172,12 @@ class Instance:
             adj.setdefault(b, []).append((a, w))
         return adj
 
-    def reachable_from(self, start: int) -> set[int]:
+    @cached_property
+    def terminal_component(self) -> frozenset[int]:
+        """Vertices reachable from the smallest terminal. Raises
+        DisconnectedTerminalsError unless every terminal is among them."""
         adj = self.adjacency
+        start = min(self.terminals)
         seen = {start}
         stack = [start]
         while stack:
@@ -188,7 +186,12 @@ class Instance:
                 if y not in seen:
                     seen.add(y)
                     stack.append(y)
-        return seen
+        missing = self.terminals - seen
+        if missing:
+            raise DisconnectedTerminalsError(
+                f"terminals {sorted(missing)} unreachable from terminal {start}"
+            )
+        return frozenset(seen)
 
     def display_cost(self, cost: int) -> str:
         return format_cost(cost, self.scale)
@@ -338,17 +341,11 @@ class MetricClosure:
 
 
 def metric_closure(instance: Instance) -> MetricClosure:
-    """Closure over the terminal component, exact integer distances. Finds
-    the component only; each Dijkstra runs when its row is first read."""
+    """Closure over the terminal component, exact integer distances. Reads
+    the component only (which raises when a terminal lies outside it); each
+    Dijkstra runs when its row is first read."""
     adj = instance.adjacency
-    terms = sorted(instance.terminals)
-    component = instance.reachable_from(terms[0])
-    missing = set(terms) - component
-    if missing:
-        raise DisconnectedTerminalsError(
-            f"terminals {sorted(missing)} unreachable from terminal {terms[0]}"
-        )
-    vertices = sorted(component)
+    vertices = sorted(instance.terminal_component)
     index = {v: i for i, v in enumerate(vertices)}
     columns = [[(index[v], w) for v, w in adj[u]] for u in vertices]
     return MetricClosure(vertices, columns, instance.edge_weights)
@@ -391,24 +388,26 @@ def kruskal_indices(
     edges: Sequence[Sequence[int]],
     merged_groups: Iterable[Iterable[int]] = (),
 ) -> list[int]:
-    """Indices of the edges an MST keeps, over a multigraph given as
-    (u, v, w, ...) rows. `merged_groups` are node sets treated as already
-    connected (zero-cost cliques). Raises if the result does not connect
-    all nodes. Sort is stable, so exact duplicates keep input order.
+    """Indices, increasing, of the edges an MST keeps, over a multigraph
+    given as (u, v, w, ...) rows; the package's one Kruskal. Edges go in
+    `edge_key` order, by one stable lexsort, so exact duplicates keep input
+    order; self-loops are skipped. `merged_groups` are node sets treated as
+    already connected (zero-cost cliques). Raises if the result does not
+    connect all nodes.
     """
-    node_list = list(nodes)
-    uf = UnionFind(node_list)
+    uf = UnionFind(nodes)
     for group in merged_groups:
         members = list(group)
         for other in members[1:]:
             uf.union(members[0], other)
-    order = sorted(range(len(edges)), key=lambda i: edge_key(edges[i][0], edges[i][1], edges[i][2]))
+    u, v, w = np.array([e[:3] for e in edges], dtype=np.int64).reshape(-1, 3).T
+    lo, hi = np.minimum(u, v), np.maximum(u, v)
+    order = np.lexsort((hi, lo, w))
     kept = []
-    for i in order:
-        u, v = edges[i][0], edges[i][1]
-        if u == v:
-            continue
-        if uf.union(u, v):
+    for i, a, b in zip(order.tolist(), lo[order].tolist(), hi[order].tolist()):
+        if uf.groups == 1:
+            break
+        if a != b and uf.union(a, b):
             kept.append(i)
     if uf.groups != 1:
         raise DisconnectedInputError("edge set does not connect the node set")
@@ -420,32 +419,19 @@ def minimum_spanning_tree(nodes: Iterable[int],
                           weights: Callable[[int, int], int] | np.ndarray) -> Tree:
     """MST of the complete graph on the sorted distinct `nodes`. `weights`
     is a symmetric weight oracle, or the matrix of weights between the
-    sorted nodes (as `MetricClosure.block` gives it). The pairs are ordered
-    by `edge_key` with one lexsort; under that strict order the MST is
-    unique."""
+    sorted nodes (as `MetricClosure.block` gives it). Under the strict
+    `edge_key` order the MST is unique."""
     node_list = sorted(set(nodes))
-    r = len(node_list)
     if not node_list:
         raise InvalidInstanceError("empty node set")
-    if r == 1:
-        return Tree(frozenset(node_list), (), 0)
-    first, second = np.triu_indices(r, 1)
+    first, second = (a.tolist() for a in np.triu_indices(len(node_list), 1))
     if callable(weights):
-        w = np.array([weights(node_list[i], node_list[j])
-                      for i, j in zip(first.tolist(), second.tolist())], dtype=np.int64)
+        w = np.array([weights(node_list[i], node_list[j]) for i, j in zip(first, second)],
+                     dtype=np.int64)
     else:
         w = np.asarray(weights, dtype=np.int64)[first, second]
-    ids = np.array(node_list, dtype=np.int64)
-    pairs = list(zip(ids[first].tolist(), ids[second].tolist(), w.tolist()))
-    uf = UnionFind(node_list)
-    kept = []
-    for p in np.lexsort((ids[second], ids[first], w)).tolist():
-        if uf.union(pairs[p][0], pairs[p][1]):
-            kept.append(p)
-            if len(kept) == r - 1:
-                break
-    kept.sort()
-    return Tree.from_edges([pairs[p] for p in kept], node_list)
+    pairs = [(node_list[i], node_list[j], x) for i, j, x in zip(first, second, w.tolist())]
+    return Tree.from_edges([pairs[i] for i in kruskal_indices(node_list, pairs)], node_list)
 
 
 def pruned_mst(edges: Sequence[Edge], terminals: Sequence[int]) -> tuple[int, Tree]:

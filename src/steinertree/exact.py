@@ -19,9 +19,23 @@ from typing import Sequence
 
 import numpy as np
 
-from .components import FullComponent, _SharedTables
+from .components import CandidateTable, FullComponent, _SharedTables
 from .core import MetricClosure, Tree, kruskal_indices
 from .errors import InternalInvariantError, LimitExceededError, UnknownNodeError
+
+
+# The largest limits the oracles accept. Both take time exponential in the
+# terminal count: the exact optimum's tables hold about 2**(m-1) * V
+# entries in three arrays, and the restricted DP visits every terminal mask
+# once per candidate.
+OPT_LIMIT_CAP = 16
+OPTK_LIMIT_CAP = 12
+
+
+def check_limit(limit: int, cap: int, solver: str) -> None:
+    """Raise LimitExceededError when an oracle limit is above its cap."""
+    if limit > cap:
+        raise LimitExceededError(f"{solver} limit {limit} exceeds the cap of {cap} terminals")
 
 
 @dataclass(frozen=True)
@@ -52,8 +66,10 @@ def dw_closure_tree(D: np.ndarray, term_idx: Sequence[int]) -> tuple[int, list[t
 def optimal_steiner_tree(closure: MetricClosure, terminals: Sequence[int],
                          limit: int = 10) -> ExactResult:
     """Globally optimal tree spanning `terminals`, expanded back into
-    original-graph edges. Raises LimitExceededError above `limit` terminals.
+    original-graph edges. Raises LimitExceededError above `limit` terminals
+    or when `limit` exceeds OPT_LIMIT_CAP.
     """
+    check_limit(limit, OPT_LIMIT_CAP, "exact-solver")
     terms = sorted(set(terminals))
     for t in terms:
         if t not in closure.index:
@@ -80,44 +96,48 @@ def optimal_k_restricted(terminals: Sequence[int], candidates: Sequence[FullComp
                          k: int, limit: int = 8) -> ExactResult:
     """Cheapest union of candidate components (each spanning at most k
     terminals) whose terminal sets chain together to cover all terminals.
+    `candidates` is a CandidateTable or a list of components. The DP reads
+    the table's terminal and cost columns, and only the picked rows are
+    built as components. Raises LimitExceededError above `limit` terminals
+    or when `limit` exceeds OPTK_LIMIT_CAP.
 
     Equivalent to exhaustive search over candidate subsets: any connected
     union can be ordered so every prefix stays connected, which is exactly
     the relaxation order the bitmask DP explores. The returned tree keeps
     closure-level component edges; `cost` is the authoritative value.
     """
+    check_limit(limit, OPTK_LIMIT_CAP, "restricted-solver")
     terms = sorted(set(terminals))
     if len(terms) > limit:
         raise LimitExceededError(
             f"{len(terms)} terminals exceeds restricted-solver limit {limit}"
         )
-    bit = {t: 1 << i for i, t in enumerate(terms)}
+    table = (candidates if isinstance(candidates, CandidateTable)
+             else CandidateTable.from_components(candidates))
+    rows = np.flatnonzero(table.size <= k)
+    pos = table.pos[rows]
+    unknown = set(table.terminal_ids[pos[pos >= 0]].tolist()) - set(terms)
+    if unknown:
+        raise UnknownNodeError(f"candidate terminal {min(unknown)} not in terminal set")
+    # The bit of each terminal position, and 0 for the padding (-1).
+    bits = np.array([1 << terms.index(t) if t in terms else 0
+                     for t in table.terminal_ids.tolist()] + [0], dtype=np.int64)
+    pool = list(zip(rows.tolist(), bits[pos].sum(axis=1).tolist(), table.costs[rows].tolist()))
     full = (1 << len(terms)) - 1
-    pool = [c for c in candidates if len(c.terminals) <= k]
-    masks = []
-    for c in pool:
-        m = 0
-        for t in c.terminals:
-            if t not in bit:
-                raise UnknownNodeError(f"candidate terminal {t} not in terminal set")
-            m |= bit[t]
-        masks.append(m)
     best: dict[int, int] = {}
     choice: dict[int, tuple[int, int]] = {}
-    for i, c in enumerate(pool):
-        m = masks[i]
-        if m not in best or c.cost < best[m]:
-            best[m] = c.cost
+    for i, m, cost in pool:
+        if m not in best or cost < best[m]:
+            best[m] = cost
             choice[m] = (0, i)
     for mask in range(1, full + 1):
         if mask not in best:
             continue
         cur = best[mask]
-        for i, c in enumerate(pool):
-            cm = masks[i]
+        for i, cm, cost in pool:
             if cm & mask and (cm | mask) != mask:
                 nm = cm | mask
-                nc = cur + c.cost
+                nc = cur + cost
                 if nm not in best or nc < best[nm]:
                     best[nm] = nc
                     choice[nm] = (mask, i)
@@ -133,9 +153,10 @@ def optimal_k_restricted(terminals: Sequence[int], candidates: Sequence[FullComp
     edges: list[tuple[int, int, int]] = []
     nodes = set(terms)
     for i in picked:
-        edges.extend(pool[i].edges)
-        nodes.update(pool[i].steiner_ids)
-        nodes.update(pool[i].terminals)
+        comp = table[i]
+        edges.extend(comp.edges)
+        nodes.update(comp.steiner_ids)
+        nodes.update(comp.terminals)
     kept = kruskal_indices(nodes, edges)
     tree = Tree.from_edges([edges[j] for j in kept], nodes)
     if tree.total_cost != best[full]:

@@ -27,14 +27,14 @@ from .core import (
     minimum_spanning_tree,
 )
 from .errors import InputError, InternalInvariantError
-from .exact import optimal_k_restricted, optimal_steiner_tree
+from .exact import (OPT_LIMIT_CAP, OPTK_LIMIT_CAP, check_limit, optimal_k_restricted,
+                    optimal_steiner_tree)
 from .phase1 import Phase1Result, run_phase1
 from .phase2 import Phase2Result, run_phase2
 
 log = logging.getLogger(__name__)
 
 MODES = ("mst", "phase1", "full")
-FORMATS = ("json", "csv")
 
 
 @dataclass
@@ -43,17 +43,16 @@ class RunConfig:
     mode: str = "full"
     exact_opt_limit: int = 10
     exact_optk_limit: int = 8
-    output_format: str = "json"
 
     def validate(self) -> None:
         if self.mode not in MODES:
             raise InputError(f"mode must be one of {MODES}, got {self.mode!r}")
-        if self.output_format not in FORMATS:
-            raise InputError(f"format must be one of {FORMATS}, got {self.output_format!r}")
         if self.k < 2:
             raise InputError(f"k must be at least 2, got {self.k}")
         if self.exact_opt_limit < 0 or self.exact_optk_limit < 0:
             raise InputError("oracle limits cannot be negative")
+        check_limit(self.exact_opt_limit, OPT_LIMIT_CAP, "exact-opt")
+        check_limit(self.exact_optk_limit, OPTK_LIMIT_CAP, "exact-optk")
 
 
 @dataclass

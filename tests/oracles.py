@@ -4,7 +4,8 @@ Everything here is deliberately naive and written from scratch: exhaustive
 enumeration wherever the instance is small enough, plain dicts and loops
 everywhere else. The tests compare these against the real implementations.
 `reference_full_components` (the earlier object-per-subset enumeration)
-builds package components, and `mst_with_zero_set` and the reference
+builds package components, `reference_kruskal_indices` is the earlier
+Python-sorted Kruskal, and `mst_with_zero_set` and the reference
 definitions of the greedy quantities at the end take package trees and
 components; everything else stands on its own.
 """
@@ -15,7 +16,7 @@ import numpy as np
 
 from steinertree.components import FullComponent, _normalized_edges
 from steinertree.core import WEIGHT_LIMIT, edge_key
-from steinertree.errors import InternalInvariantError, UnknownNodeError
+from steinertree.errors import DisconnectedInputError, InternalInvariantError, UnknownNodeError
 
 INF = float("inf")
 
@@ -100,6 +101,24 @@ def mst_cost_kruskal(nodes, edges):
     if used != len(nodes) - 1:
         return None
     return cost
+
+
+def reference_kruskal_indices(nodes, edges, merged_groups=()):
+    """Kruskal sorted in Python by edge_key: the indices, increasing, of the
+    edges an MST keeps over (u, v, w, ...) rows, with `merged_groups`
+    already connected. The reference `core.kruskal_indices` is tested
+    against; raises DisconnectedInputError when the nodes stay apart."""
+    nodes = list(nodes)
+    uf = _UF(nodes)
+    for group in merged_groups:
+        members = list(group)
+        for other in members[1:]:
+            uf.union(members[0], other)
+    order = sorted(range(len(edges)), key=lambda i: edge_key(*edges[i][:3]))
+    kept = [i for i in order if edges[i][0] != edges[i][1] and uf.union(edges[i][0], edges[i][1])]
+    if len({uf.find(x) for x in nodes}) != 1:
+        raise DisconnectedInputError("edge set does not connect the node set")
+    return sorted(kept)
 
 
 def mst_with_zero_set(tree, group):
@@ -216,7 +235,7 @@ def reference_closure(instance):
     relaxations are strict. Returns (sorted vertices, int64 distances,
     int32 predecessor columns, -1 on the diagonal)."""
     adj = instance.adjacency
-    component = instance.reachable_from(min(instance.terminals))
+    component = instance.terminal_component
     vertices = sorted(component)
     index = {v: i for i, v in enumerate(vertices)}
     n = len(vertices)

@@ -101,6 +101,15 @@ def test_solve_vertex_count_beyond_limit_is_input_error(tmp_path, capsys):
     assert "input error" in err and "vertex count" in err
 
 
+@pytest.mark.parametrize("flag, value", [("--exact-opt-limit", 17),
+                                         ("--exact-optk-limit", 13)])
+def test_solve_oracle_limit_above_cap_is_input_error(tmp_path, capsys, flag, value):
+    rc = main(["solve", str(_star3_file(tmp_path)), flag, str(value)])
+    assert rc == 2
+    err = capsys.readouterr().err
+    assert "input error" in err and "exceeds the cap" in err
+
+
 @pytest.mark.parametrize("stage", sorted(FORCED))
 def test_solve_invariant_error_names_instance_and_stage(tmp_path, capsys, monkeypatch,
                                                         stage):

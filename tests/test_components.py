@@ -76,6 +76,20 @@ def test_loss_star():
     assert forest == ((1, 5, 1),)
 
 
+def test_loss_forest_is_zero_clique_mst_for_a_small_interior_id():
+    # Interior node 1 lies below every terminal and has two zero spokes.
+    # Both come before any zero-clique edge from terminal 2, so the MST of
+    # the component plus the clique keeps both: the loss forest is that MST
+    # minus the clique, not just the lightest spoke.
+    comp = FullComponent([2, 3, 4], [(1, 2, 0), (1, 3, 0), (1, 4, 7)], {1: 9})
+    zero = [(a, b, 0) for a, b in itertools.combinations(comp.terminals, 2)]
+    kept = oracles.reference_kruskal_indices([1, 2, 3, 4], zero + list(comp.edges))
+    assert comp.loss_forest_indices == tuple(i - len(zero) for i in kept if i >= len(zero))
+    assert comp.loss_forest_indices == (0, 1)
+    assert comp.loss == 0
+    assert loss_contract(comp).cost == 7
+
+
 def test_loss_pair_is_zero():
     comp = FullComponent([1, 2], [(1, 2, 7)])
     assert comp.loss == 0

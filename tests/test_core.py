@@ -59,6 +59,16 @@ def test_build_requires_connected_terminals():
     assert inst.vertex_count == 4
 
 
+def test_terminal_component_is_walked_once_and_read_by_the_closure():
+    inst = Instance.build(5, [(1, 2, 1), (2, 3, 1), (4, 5, 1)], [1, 3])
+    assert vars(inst)["terminal_component"] == {1, 2, 3}  # cached by build
+    assert metric_closure(inst).vertices == (1, 2, 3)
+    # An instance constructed without build still has its terminals checked.
+    unchecked = Instance(4, ((1, 2, 1),), frozenset({1, 3}))
+    with pytest.raises(DisconnectedTerminalsError):
+        metric_closure(unchecked)
+
+
 def test_build_scales_fractional_weights():
     inst = Instance.build(3, [(1, 2, "1.5"), (2, 3, 2)], [1, 3])
     assert inst.scale == 2
@@ -117,7 +127,7 @@ def test_closure_matches_bruteforce_on_random_graphs():
     for inst in make_batch(40, seed0=100, max_vertices=9):
         c = metric_closure(inst)
         want = oracles.floyd_warshall(inst.vertex_count, inst.edges)
-        reach = inst.reachable_from(min(inst.terminals))
+        reach = inst.terminal_component
         for u in reach:
             for v in reach:
                 assert c.distance(u, v) == want[(u, v)], (inst.name, u, v)
@@ -214,7 +224,7 @@ def test_mst_triangle():
 
 def test_mst_matches_enumeration_oracle():
     for inst in make_batch(25, seed0=300, max_vertices=7):
-        reach = sorted(inst.reachable_from(min(inst.terminals)))
+        reach = sorted(inst.terminal_component)
         edges = [e for e in inst.edges if e[0] in reach and e[1] in reach]
         want = oracles.mst_cost_enumerate(reach, edges)
 
@@ -281,10 +291,40 @@ def test_mst_deterministic_under_input_shuffle():
 
 
 def test_kruskal_disconnected_raises():
-    from steinertree.core import kruskal_indices
-
     with pytest.raises(DisconnectedInputError):
         kruskal_indices([1, 2, 3, 4], [(1, 2, 1), (3, 4, 1)])
+
+
+def test_kruskal_matches_reference_on_tied_multigraphs():
+    # Weights in {0, 1, 2} tie heavily; exact duplicates appear in both
+    # orientations, self-loops and tagged rows are mixed in, and merged
+    # groups join some nodes up front. The lexsort Kruskal keeps the same
+    # indices as the Python-sorted reference, or both raise.
+    rng = random.Random(909)
+    outcomes = set()
+    for _ in range(400):
+        nodes = rng.sample(range(1, 40), rng.randint(1, 9))
+        edges = []
+        if rng.random() < 0.8:  # a spanning path, so most trials connect
+            order = rng.sample(nodes, len(nodes))
+            edges += [(a, b, rng.randint(0, 2)) for a, b in zip(order, order[1:])]
+        edges += [(rng.choice(nodes), rng.choice(nodes), rng.randint(0, 2))
+                  for _ in range(rng.randint(0, 3 * len(nodes)))]
+        for u, v, w in rng.sample(edges, min(4, len(edges))):
+            edges.insert(rng.randint(0, len(edges)), (v, u, w) if rng.random() < 0.5 else (u, v, w))
+        edges = [e + ("tag", i) if rng.random() < 0.3 else e for i, e in enumerate(edges)]
+        groups = [rng.sample(nodes, rng.randint(1, len(nodes)))
+                  for _ in range(rng.randint(0, 2))]
+        try:
+            want = oracles.reference_kruskal_indices(nodes, edges, groups)
+        except DisconnectedInputError:
+            with pytest.raises(DisconnectedInputError):
+                kruskal_indices(nodes, edges, groups)
+            outcomes.add("disconnected")
+        else:
+            assert kruskal_indices(nodes, edges, groups) == want, (nodes, edges, groups)
+            outcomes.add("tree")
+    assert outcomes == {"tree", "disconnected"}
 
 
 # ------------------------------

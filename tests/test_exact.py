@@ -13,7 +13,7 @@ from steinertree import (
     random_instance,
     restricted_ratio_bound,
 )
-from steinertree.exact import dw_closure_tree
+from steinertree.exact import OPT_LIMIT_CAP, OPTK_LIMIT_CAP, dw_closure_tree
 
 
 def _opt(inst, limit=10):
@@ -171,3 +171,35 @@ def test_optk_limit():
     cands = enumerate_full_components(inst, closure, 3)
     with pytest.raises(LimitExceededError):
         optimal_k_restricted([1, 2, 3, 4], cands, 3, limit=3)
+
+
+def test_oracle_limits_stop_at_their_caps():
+    # A limit at the cap is accepted; one above it is refused before any
+    # work, whatever the terminal count.
+    assert (OPT_LIMIT_CAP, OPTK_LIMIT_CAP) == (16, 12)
+    inst = Instance.build(4, [(1, 2, 1), (2, 3, 1), (3, 4, 1)], [1, 2, 3, 4])
+    closure = metric_closure(inst)
+    cands = enumerate_full_components(inst, closure, 3)
+    assert _opt(inst, limit=OPT_LIMIT_CAP).cost == 3
+    with pytest.raises(LimitExceededError, match="cap of 16"):
+        _opt(inst, limit=OPT_LIMIT_CAP + 1)
+    assert optimal_k_restricted([1, 2, 3, 4], cands, 3, limit=OPTK_LIMIT_CAP).cost == 3
+    with pytest.raises(LimitExceededError, match="cap of 12"):
+        optimal_k_restricted([1, 2, 3, 4], cands, 3, limit=OPTK_LIMIT_CAP + 1)
+
+
+def test_optk_builds_only_the_picked_rows():
+    inst = random_instance(4, 14, 7, extra_edges=12)
+    closure = metric_closure(inst)
+    terms = sorted(inst.terminals)
+    table = enumerate_full_components(inst, closure, 3)
+    assert not table.built
+    res = optimal_k_restricted(terms, table, 3)
+    picked = table.built
+    assert 0 < len(picked) < len(table)
+    assert sum(c.cost for c in picked.values()) == res.cost
+    used = {e for c in picked.values() for e in c.edges}
+    assert set(res.tree.edges) <= used
+    # The same candidates as a list give the same optimum and tree.
+    again = optimal_k_restricted(terms, list(enumerate_full_components(inst, closure, 3)), 3)
+    assert (again.cost, again.tree) == (res.cost, res.tree)

@@ -15,7 +15,8 @@ from steinertree import (
     solver,
 )
 from steinertree.core import WEIGHT_LIMIT
-from steinertree.errors import InputError, InternalInvariantError
+from steinertree.errors import InputError, InternalInvariantError, LimitExceededError
+from steinertree.exact import OPT_LIMIT_CAP, OPTK_LIMIT_CAP
 from steinertree.solver import MODES
 
 
@@ -89,6 +90,15 @@ def test_config_validation():
         solve(Instance.build(2, [(1, 2, 1)], [1, 2]), RunConfig(k=1))
     with pytest.raises(InputError):
         solve(Instance.build(2, [(1, 2, 1)], [1, 2]), RunConfig(mode="nope"))
+
+
+def test_config_caps_the_oracle_limits():
+    inst = Instance.build(2, [(1, 2, 1)], [1, 2])
+    RunConfig(exact_opt_limit=OPT_LIMIT_CAP, exact_optk_limit=OPTK_LIMIT_CAP).validate()
+    for config in (RunConfig(exact_opt_limit=OPT_LIMIT_CAP + 1),
+                   RunConfig(exact_optk_limit=OPTK_LIMIT_CAP + 1)):
+        with pytest.raises(LimitExceededError):
+            solve(inst, config)
 
 
 # ------------------------------

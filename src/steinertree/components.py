@@ -515,6 +515,33 @@ def _four_rows(tables: _SharedTables, vertices: np.ndarray, base: np.ndarray, q:
     return columns
 
 
+def _middle_triples(r: int) -> np.ndarray:
+    """Every i < j < c below r, by j, then i, then c: one run of c per i < j."""
+    j = np.arange(r)
+    mid = np.repeat(j, j)
+    length = r - 1 - mid
+    runs = np.column_stack([np.arange(len(mid)) - np.repeat(j * (j - 1) // 2, j), mid,
+                            mid + 1 + length - np.cumsum(length)])
+    triples = np.repeat(runs, length, axis=0)
+    triples[:, 2] += np.arange(len(triples))
+    return triples
+
+
+def _three_stars(rows_of: np.ndarray, tidx: np.ndarray, vertices: np.ndarray) -> dict:
+    """3-stars by middle terminal j: for each i < j < c the first closure vertex
+    minimizing the spoke sum, kept when no subset terminal sits there."""
+    triples = _middle_triples(len(tidx))
+    hubs = np.concatenate([
+        ((rows_of[:j] + rows_of[j])[:, None] + rows_of[None, j + 1:]).argmin(axis=2).ravel()
+        for j in range(1, len(tidx) - 1)
+    ])
+    own = tidx[triples]
+    keep = (own[:, 0] != hubs) & (own[:, 1] != hubs) & (own[:, 2] != hubs)
+    triples, hubs = np.compress(keep, triples, axis=0), np.compress(keep, hubs)
+    spokes = rows_of[triples.T, hubs].T  # Fortran order, like the table's columns
+    return dict(pos=triples, hub=vertices[hubs], spokes=spokes, loss=spokes.min(axis=1))
+
+
 def enumerate_full_components(instance: Instance, closure: MetricClosure,
                               k: int) -> CandidateTable:
     """Candidates for every terminal subset of size 2..k: an optimal closure
@@ -541,26 +568,12 @@ def enumerate_full_components(instance: Instance, closure: MetricClosure,
     vertices = np.asarray(closure.vertices, dtype=np.int64)
 
     # Pairs: one closure edge each.
-    ranks = np.arange(r)
-    pairs = np.argwhere(ranks[:, None] < ranks)
+    pairs = np.column_stack(np.triu_indices(r, 1))
     weights = rows_of[pairs[:, 0], tidx[pairs[:, 1]]]
     blocks = [dict(pos=pairs, spokes=weights[:, None])]
 
     if k >= 3:
-        # 3-stars, grouped by their middle terminal j: for each i < j < c the
-        # first closure vertex minimizing the spoke sum, kept when no subset
-        # terminal sits there.
-        middle = (ranks[None, :, None] < ranks[:, None, None]) & (ranks[:, None, None] < ranks)
-        triples = np.argwhere(middle)[:, [1, 0, 2]]
-        hubs = np.concatenate([
-            (rows_of[:j, None] + rows_of[j] + rows_of[None, j + 1:]).argmin(axis=2).ravel()
-            for j in range(1, r - 1)
-        ])
-        keep = (hubs[:, None] != tidx[triples]).all(axis=1)
-        triples, hubs = triples[keep], hubs[keep]
-        spokes = rows_of[triples, hubs[:, None]]
-        blocks.append(dict(pos=triples, hub=vertices[hubs], spokes=spokes,
-                           loss=spokes.min(axis=1)))
+        blocks.append(_three_stars(rows_of, tidx, vertices))
 
     # Components of 5 or more terminals: (positions, closure edges, interior
     # closure columns in order of first appearance), built after numbering.
@@ -587,8 +600,9 @@ def enumerate_full_components(instance: Instance, closure: MetricClosure,
                     larger.append((combo, edges, inner))
 
     n = sum(len(b["pos"]) for b in blocks) + len(larger)
-    cols = dict(pos=np.full((n, k), -1, dtype=np.int64),
-                spokes=np.zeros((n, 4 if k >= 4 else 3), dtype=np.int64),
+    # Fortran order: row-wise checks and sums read one contiguous column at a time.
+    cols = dict(pos=np.full((n, k), -1, dtype=np.int64, order="F"),
+                spokes=np.zeros((n, 4 if k >= 4 else 3), dtype=np.int64, order="F"),
                 hub=np.full(n, -1, dtype=np.int64), hub2=np.full(n, -1, dtype=np.int64),
                 far=np.zeros(n, dtype=np.int64), link=np.zeros(n, dtype=np.int64),
                 loss=np.zeros(n, dtype=np.int64))
@@ -601,13 +615,15 @@ def enumerate_full_components(instance: Instance, closure: MetricClosure,
                 target = target[:, :value.shape[1]]
             target[...] = value
         at += len(block["pos"])
+    del blocks, block, value  # the stacked block columns, before the sort and the checks
     interior = (cols["hub"] >= 0).astype(np.int64) + (cols["hub2"] >= 0)
     for j, (combo, _, inner) in enumerate(larger):
         cols["pos"][at + j, :len(combo)] = combo
         interior[at + j] = len(inner)
 
-    order = np.lexsort(cols["pos"].T[::-1])
-    cols = {name: col[order] for name, col in cols.items()}
+    # The budget caps r at 2000, so int16 keys, which numpy radix-sorts, keep the order.
+    order = np.lexsort(cols["pos"].astype(np.int16).T[::-1])
+    cols = {name: col.T.take(order, axis=-1).T for name, col in cols.items()}  # stays Fortran
     interior = interior[order]
     row_of = np.empty(n, dtype=np.int64)
     row_of[order] = np.arange(n)
@@ -793,31 +809,11 @@ class CandidatePool:
         self.costs = table.costs
         self.losses = table.losses
         self.max_steiner_id = table.max_steiner_id
-        # Per size: the rows, and for each terminal column i >= 1 the flat
-        # indices, into an r x r matrix, of its pairs with columns j < i.
-        r, width = len(table.terminal_ids), table.pos.shape[1]
-        self._groups = []
-        for m in np.flatnonzero(np.bincount(table.size)).tolist():
-            idx = np.flatnonzero(table.size == m)
-            pos = table.pos[idx, :m]
-            earlier = [pos[:, :i].T * r + pos[:, i] for i in range(1, m)]
-            self._groups.append((idx, earlier))
-        # Terminal-set keys: an offset per size plus the colex rank of the
-        # positions among the subsets of that size.
-        counts = [math.comb(r, m) for m in range(width + 1)]
-        if sum(counts) >= 2**63:
-            raise LimitExceededError("candidate terminal sets too large to index")
-        self._offsets = np.cumsum([0] + counts[:-1])
-        self._binom = np.array([[math.comb(p, t) for t in range(1, width + 1)]
-                                for p in range(max(r, 1))], dtype=np.int64)
-        keys = self._keys(table.pos, table.size)
-        self._key_order = np.argsort(keys, kind="stable")
-        self._sorted_keys = keys[self._key_order]
-
-    def _keys(self, pos: np.ndarray, size: np.ndarray) -> np.ndarray:
-        cols = np.arange(pos.shape[1])
-        ranks = np.where(pos >= 0, self._binom[np.maximum(pos, 0), cols], 0)
-        return self._offsets[size] + ranks.sum(axis=1)
+        # For each terminal column i >= 1, the flat indices into an (r+1) x (r+1)
+        # matrix of its pairs with columns j < i; padding reads the zero row r.
+        r = len(table.terminal_ids)
+        pos = np.where(table.pos < 0, r, table.pos)
+        self._earlier = [pos[:, :i].T * (r + 1) + pos[:, i] for i in range(1, pos.shape[1])]
 
     def __len__(self) -> int:
         return len(self.table)
@@ -827,34 +823,26 @@ class CandidatePool:
 
     def by_terminals(self, terminals: Iterable[int]) -> int | None:
         """Index of the first candidate spanning exactly `terminals`."""
-        ids = self.table.terminal_ids
+        ids, width = self.table.terminal_ids, self.table.pos.shape[1]
         terms = np.array(sorted(set(terminals)), dtype=np.int64)
-        m = len(terms)
-        if not 2 <= m <= self.table.pos.shape[1]:
+        if not 2 <= len(terms) <= width:
             return None
         pos = np.searchsorted(ids, terms)
         if pos[-1] >= len(ids) or (ids[pos] != terms).any():
             return None
-        padded = np.full((1, self.table.pos.shape[1]), -1, dtype=np.int64)
-        padded[0, :m] = pos
-        key = self._keys(padded, np.array([m]))[0]
-        at = int(np.searchsorted(self._sorted_keys, key))
-        if at == len(self._sorted_keys) or self._sorted_keys[at] != key:
-            return None
-        return int(self._key_order[at])
+        rows = (self.table.size == len(pos)) & (self.table.pos[:, :len(pos)] == pos).all(axis=1)
+        return int(rows.argmax()) if rows.any() else None
 
     def savings_for(self, tree: ContractedTree) -> np.ndarray:
         """Each candidate's saving in `tree`: the MST of its terminals under
         path-maximum weights b. Path maxima in a tree form an ultrametric,
         so for terminals t0 .. t(m-1) that MST is the sum over i >= 1 of
         min over j < i of b(ti, tj): each Kruskal merge among them is
-        counted once, by the earliest terminal of the later side."""
-        out = np.zeros(len(self.table), dtype=np.int64)
-        if not len(out):
-            return out
+        counted once, by the earliest terminal of the later side. A padded
+        column's pairs read 0, so rows of every size share one gather."""
         reps = tree.rep_rows(self.table.terminal_ids.tolist())
-        # Path maxima between the pool's terminals, flattened.
-        between = tree.bottleneck_matrix[reps[:, None], reps].ravel()
-        for idx, earlier in self._groups:
-            out[idx] = sum(between.take(flat).min(axis=0) for flat in earlier)
-        return out
+        # Path maxima between the pool's terminals, zero-padded, flattened.
+        between = np.zeros((len(reps) + 1, len(reps) + 1), dtype=np.int64)
+        between[:-1, :-1] = tree.bottleneck_matrix[reps[:, None], reps]
+        between = between.ravel()
+        return sum(between.take(flat).min(axis=0) for flat in self._earlier)

@@ -267,9 +267,12 @@ class MetricClosure:
         dist = [WEIGHT_LIMIT] * n  # every real distance is below it
         pred = [-1] * n
         dist[si] = 0
-        heap = [(0, si)]
+        # An entry (d, v) is the int d * n + v, which pops in (d, v) order.
+        heap, pop, push = [si], heapq.heappop, heapq.heappush
         while heap:
-            du, u = heapq.heappop(heap)
+            key = pop(heap)
+            du = key // n
+            u = key - du * n
             if du > dist[u]:
                 continue  # a stale entry; u was settled at dist[u]
             for v, w in adj[u]:
@@ -277,7 +280,7 @@ class MetricClosure:
                 if nd < dist[v]:
                     dist[v] = nd
                     pred[v] = u
-                    heapq.heappush(heap, (nd, v))
+                    push(heap, nd * n + v)
         self._runs += 1
         row = self._dist[si] = np.array(dist, dtype=np.int64)
         self._pred[si] = np.array(pred, dtype=np.int32)
@@ -477,6 +480,7 @@ class ContractedTree:
         reps = sorted(set(self.rep_of.values()))
         self.reps = tuple(reps)
         self.rep_index = {r: i for i, r in enumerate(reps)}
+        self._bottleneck: np.ndarray | None = None
 
     @classmethod
     def from_tree(cls, tree: Tree) -> "ContractedTree":
@@ -487,9 +491,8 @@ class ContractedTree:
         """Dense path-maximum weights between representatives (int64).
         Filled in Kruskal order: the edge joining two parts is the heaviest
         on every path between them."""
-        cached = getattr(self, "_bottleneck", None)
-        if cached is not None:
-            return cached
+        if self._bottleneck is not None:
+            return self._bottleneck
         n = len(self.reps)
         mat = np.zeros((n, n), dtype=np.int64)
         members = [[i] for i in range(n)]
@@ -529,7 +532,9 @@ class ContractedTree:
 
     def contract_zero_set(self, group: Iterable[int]) -> "ContractedTree":
         """Merge the groups touched by `group` and re-run the MST over the
-        surviving edges. The merged representative is the smallest member."""
+        surviving edges. The merged representative is the smallest member.
+        A built bottleneck matrix is carried over exactly: through the zero-cost
+        group, b' = min(b, max(near_x, near_z)), near being the bottleneck to it."""
         group_reps = self._group_reps(group)
         if len(group_reps) <= 1:
             return self
@@ -539,4 +544,11 @@ class ContractedTree:
         new_rep_of = {n: remap[r] for n, r in self.rep_of.items()}
         mapped = [(remap[u], remap[v], w) for u, v, w in self.edges]
         kept = kruskal_indices(sorted(set(remap.values())), mapped)
-        return ContractedTree(new_rep_of, [mapped[i] for i in kept])
+        tree = ContractedTree(new_rep_of, [mapped[i] for i in kept])
+        if self._bottleneck is not None:
+            rows = [self.rep_index[r] for r in group_reps]
+            keep = [rows[0] if r == new_rep else self.rep_index[r] for r in tree.reps]
+            near = self._bottleneck[rows].min(axis=0)[keep]
+            tree._bottleneck = np.minimum(self._bottleneck[np.ix_(keep, keep)],
+                                          np.maximum(near[:, None], near))
+        return tree

@@ -306,6 +306,44 @@ def test_pool_lookup_gives_first_of_duplicates():
     assert pool.by_terminals([1]) is None
 
 
+def test_padded_savings_match_oracle_on_mixed_sizes():
+    # A list-built pool mixing 2- to 5-terminal rows: shorter rows are
+    # padded, and their padded columns must add nothing to the one gather.
+    rng = random.Random(19)
+    for inst in make_batch(30, seed0=1600, max_vertices=12, max_terminals=8):
+        _, view = _closure_view(inst)
+        terms = sorted(inst.terminals)
+        if len(terms) < 5:
+            continue
+        hub = max(terms) + 1
+        groups = [rng.sample(terms, rng.randint(2, 5)) for _ in range(12)]
+        pool = CandidatePool([FullComponent(g, [(t, hub, 1) for t in g], {hub: hub})
+                              for g in groups])
+        assert sorted({len(g) for g in groups})[-1] == pool.table.pos.shape[1] == 5
+        assert pool.savings_for(view).tolist() == [
+            oracles.saving_of_group(view.edges, g) for g in groups]
+        view.bottleneck_matrix  # the contraction below carries it
+        after = view.contract_zero_set(rng.sample(terms, 2))
+        assert pool.savings_for(after).tolist() == [
+            after.cost - oracles.mst_with_zero_set(after, g) for g in groups]
+
+
+def test_middle_triples_are_combinations_grouped_by_middle():
+    for r in range(13):
+        want = sorted(itertools.combinations(range(r), 3), key=lambda t: t[1])
+        got = components._middle_triples(r)
+        assert got.shape == (len(want), 3)
+        assert [tuple(t) for t in got.tolist()] == want
+
+
+def test_candidate_budget_keeps_positions_in_int16():
+    # Enumeration sorts rows by an int16 copy of the terminal positions.
+    # Every pair is a subset, so the budget caps r at 2000 terminals; a
+    # larger budget would need a wider sort key.
+    assert math.comb(2001, 2) > components.CANDIDATE_BUDGET
+    assert 2000 <= np.iinfo(np.int16).max
+
+
 def test_savings_for_unknown_terminal_raises():
     # Terminal 9 lies above every node id of the tree, terminal 2 between two.
     view = ContractedTree.from_tree(Tree.from_edges([(1, 2, 1), (2, 3, 1)], [1, 2, 3]))
@@ -558,9 +596,15 @@ def test_near_minimum_keeps_every_exact_minimizer():
     assert kept == [0, 1, 2]
 
 
-def test_pool_rejects_terminal_sets_too_large_to_index():
-    # 40-terminal sets among 80 terminals have about 10**23 possible keys.
+def test_pool_looks_up_a_forty_terminal_row():
+    # 40-terminal sets among 80 terminals have about 10**23 possible
+    # colex keys, more than int64 holds; the lookup scans rows instead.
     star = FullComponent(range(1, 41), [(t, 100, 1) for t in range(1, 41)], {100: 100})
     pairs = [FullComponent([t, t + 1], [(t, t + 1, 1)]) for t in range(41, 80, 2)]
-    with pytest.raises(LimitExceededError):
-        CandidatePool([star] + pairs)
+    pool = CandidatePool([star] + pairs)
+    assert pool.by_terminals(range(40, 0, -1)) == 0
+    for i, comp in enumerate(pairs, start=1):
+        assert pool.by_terminals(reversed(comp.terminals)) == i
+    assert pool.by_terminals(range(1, 40)) is None
+    assert pool.by_terminals([41, 43]) is None
+    assert pool.by_terminals([1, 41]) is None

@@ -509,3 +509,58 @@ def test_bottleneck_matrix_matches_bruteforce():
             ia, ib = view.rep_index[a], view.rep_index[b]
             assert mat[ia, ib] == mat[ib, ia] == want
         assert not mat.diagonal().any()
+
+
+def _random_tree(rng, nodes, weights):
+    """Random labelled tree on `nodes`, weights drawn from `weights`."""
+    order = rng.sample(nodes, len(nodes))
+    return Tree.from_edges([(order[i], rng.choice(order[:i]), rng.choice(weights))
+                            for i in range(1, len(order))], nodes)
+
+
+def _matrix_from_scratch(view):
+    """The bottleneck matrix of a copy of `view` that carries nothing."""
+    return ContractedTree(view.rep_of, view.edges).bottleneck_matrix
+
+
+def test_carried_bottleneck_matrix_matches_rebuild_and_bruteforce():
+    # Contraction updates a matrix already built instead of rebuilding it.
+    # Read it before every contraction, over sequences of 1-4 contractions
+    # on trees with zero-weight and tied edges, including a group already
+    # merged and a group of one representative.
+    rng = random.Random(17)
+    carried = 0
+    for trial in range(300):
+        nodes = rng.sample(range(1, 30), rng.randint(2, 9))
+        view = ContractedTree.from_tree(_random_tree(rng, nodes, [0, 1, 1, 2, 3]))
+        for _ in range(rng.randint(1, 4)):
+            view.bottleneck_matrix
+            kind = rng.random()
+            if kind < 0.15:  # members of one representative, maybe a merged one
+                rep = rng.choice(view.reps)
+                group = [x for x in view.rep_of if view.rep_of[x] == rep]
+            elif kind < 0.3 and len(view.reps) < len(view.rep_of):  # touches a merged group
+                merged = [x for x in view.rep_of if view.rep_of[x] != x]
+                group = [rng.choice(merged), rng.choice(nodes)]
+            else:
+                group = rng.sample(nodes, rng.randint(2, len(nodes)))
+            after = view.contract_zero_set(group)
+            if after is view:
+                continue
+            assert after._bottleneck is not None
+            carried += 1
+            mat = after.bottleneck_matrix
+            assert mat.tolist() == _matrix_from_scratch(after).tolist()
+            for a, b in itertools.combinations(after.reps, 2):
+                want = oracles.path_bottleneck_bruteforce(after.edges, a, b)
+                ia, ib = after.rep_index[a], after.rep_index[b]
+                assert mat[ia, ib] == mat[ib, ia] == want
+            view = after
+    assert carried > 300
+
+
+def test_contraction_without_a_built_matrix_carries_none():
+    view = ContractedTree.from_tree(Tree.from_edges([(1, 2, 2), (2, 3, 1)], [1, 2, 3]))
+    after = view.contract_zero_set([1, 3])
+    assert after._bottleneck is None
+    assert after.bottleneck_matrix.tolist() == [[0, 1], [1, 0]]

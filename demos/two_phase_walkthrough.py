@@ -39,7 +39,7 @@ def main():
     print(f"  base tree {p1.base_tree.total_cost}, merged solution "
           f"{p1.solution.total_cost}")
 
-    p2 = run_phase2(inst, pool, t0, p1.base_tree)
+    p2 = run_phase2(inst, pool, t0, p1.start, p1.base)
     print(f"\nphase 2: initial gap = {p2.trace['initial_gap']}")
     for row in p2.trace["iterations"]:
         f_num, f_den = row["f"]

@@ -833,8 +833,9 @@ class CandidatePool:
         rows = (self.table.size == len(pos)) & (self.table.pos[:, :len(pos)] == pos).all(axis=1)
         return int(rows.argmax()) if rows.any() else None
 
-    def savings_for(self, tree: ContractedTree) -> np.ndarray:
-        """Each candidate's saving in `tree`: the MST of its terminals under
+    def savings_for(self, tree: ContractedTree, rows: np.ndarray | None = None) -> np.ndarray:
+        """Each candidate's saving in `tree`, or only those of `rows` (row
+        indices, in their order): the MST of its terminals under
         path-maximum weights b. Path maxima in a tree form an ultrametric,
         so for terminals t0 .. t(m-1) that MST is the sum over i >= 1 of
         min over j < i of b(ti, tj): each Kruskal merge among them is
@@ -845,4 +846,5 @@ class CandidatePool:
         between = np.zeros((len(reps) + 1, len(reps) + 1), dtype=np.int64)
         between[:-1, :-1] = tree.bottleneck_matrix[reps[:, None], reps]
         between = between.ravel()
-        return sum(between.take(flat).min(axis=0) for flat in self._earlier)
+        earlier = self._earlier if rows is None else [flat[:, rows] for flat in self._earlier]
+        return sum(between.take(flat).min(axis=0) for flat in earlier)

@@ -392,7 +392,8 @@ def kruskal_indices(
     merged_groups: Iterable[Iterable[int]] = (),
 ) -> list[int]:
     """Indices, increasing, of the edges an MST keeps, over a multigraph
-    given as (u, v, w, ...) rows; the package's one Kruskal. Edges go in
+    given as (u, v, w, ...) rows or an (edges x 3) int64 array; the
+    package's one Kruskal. Edges go in
     `edge_key` order, by one stable lexsort, so exact duplicates keep input
     order; self-loops are skipped. `merged_groups` are node sets treated as
     already connected (zero-cost cliques). Raises if the result does not
@@ -403,7 +404,9 @@ def kruskal_indices(
         members = list(group)
         for other in members[1:]:
             uf.union(members[0], other)
-    u, v, w = np.array([e[:3] for e in edges], dtype=np.int64).reshape(-1, 3).T
+    if not isinstance(edges, np.ndarray):
+        edges = np.array([e[:3] for e in edges], dtype=np.int64)
+    u, v, w = edges.reshape(-1, 3).T
     lo, hi = np.minimum(u, v), np.maximum(u, v)
     order = np.lexsort((hi, lo, w))
     kept = []
@@ -427,14 +430,16 @@ def minimum_spanning_tree(nodes: Iterable[int],
     node_list = sorted(set(nodes))
     if not node_list:
         raise InvalidInstanceError("empty node set")
-    first, second = (a.tolist() for a in np.triu_indices(len(node_list), 1))
+    first, second = np.triu_indices(len(node_list), 1)
     if callable(weights):
-        w = np.array([weights(node_list[i], node_list[j]) for i, j in zip(first, second)],
-                     dtype=np.int64)
+        w = np.array([weights(node_list[i], node_list[j])
+                      for i, j in zip(first.tolist(), second.tolist())], dtype=np.int64)
     else:
         w = np.asarray(weights, dtype=np.int64)[first, second]
-    pairs = [(node_list[i], node_list[j], x) for i, j, x in zip(first, second, w.tolist())]
-    return Tree.from_edges([pairs[i] for i in kruskal_indices(node_list, pairs)], node_list)
+    ids = np.array(node_list, dtype=np.int64)
+    pairs = np.column_stack((ids[first], ids[second], w))
+    kept = pairs[kruskal_indices(node_list, pairs)].tolist()
+    return Tree.from_edges(list(map(tuple, kept)), node_list)
 
 
 def pruned_mst(edges: Sequence[Edge], terminals: Sequence[int]) -> tuple[int, Tree]:
@@ -489,29 +494,35 @@ class ContractedTree:
     @property
     def bottleneck_matrix(self) -> np.ndarray:
         """Dense path-maximum weights between representatives (int64).
-        Filled in Kruskal order: the edge joining two parts is the heaviest
-        on every path between them."""
+        Filled in one breadth-first pass: every node seen before x is
+        reached through x's parent p, so x's row over them is p's row raised
+        to the weight of edge (p, x), one slice per node, mirrored into the
+        column."""
         if self._bottleneck is not None:
             return self._bottleneck
         n = len(self.reps)
+        adj: list[list[tuple[int, int]]] = [[] for _ in range(n)]
+        for u, v, w in self.edges:
+            a, b = self.rep_index[u], self.rep_index[v]
+            adj[a].append((b, w))
+            adj[b].append((a, w))
+        seen_at = [0] + [-1] * (n - 1)  # breadth-first position of each node
+        order, up = [0], [(0, 0)]       # nodes, and (parent position, weight)
+        for x in order:
+            for y, w in adj[x]:
+                if seen_at[y] < 0:
+                    seen_at[y] = len(order)
+                    order.append(y)
+                    up.append((seen_at[x], w))
+        if len(order) != n or len(self.edges) != n - 1:
+            raise InternalInvariantError(
+                f"{len(self.edges)} edges are not a spanning tree of {n} representatives")
         mat = np.zeros((n, n), dtype=np.int64)
-        members = [[i] for i in range(n)]
-        part = list(range(n))
-        for u, v, w in sorted(self.edges, key=lambda e: e[2]):
-            a, b = part[self.rep_index[u]], part[self.rep_index[v]]
-            if a == b:
-                raise InternalInvariantError(f"cycle through edge ({u},{v})")
-            if len(members[a]) < len(members[b]):
-                a, b = b, a
-            left, right = np.array(members[a]), np.array(members[b])
-            mat[left[:, None], right] = w
-            mat[right[:, None], left] = w
-            for x in members[b]:
-                part[x] = a
-            members[a].extend(members[b])
-            members[b] = []
-        self._bottleneck = mat
-        return mat
+        for k in range(1, n):
+            p, w = up[k]
+            mat[k, :k] = mat[:k, k] = np.maximum(mat[p, :k], w)
+        self._bottleneck = mat[np.ix_(seen_at, seen_at)]
+        return self._bottleneck
 
     def rep_rows(self, nodes: Iterable[int]) -> np.ndarray:
         """Representative row index of each node id."""

@@ -10,12 +10,20 @@ that lose every contracted edge shrink to a two-edge remnant.
 The phase ends when no candidate has positive gain. Its two outputs are the
 final working tree (the base tree) and the merge of everything chosen so
 far with the starting MST (the phase-1 solution).
+
+After the first scan only rows with positive gain on the starting MST are
+rescored: the working tree is an MST over a superset of its edges, and path
+maxima in an MST are minimax path values (Hu 1961), so every bottleneck, and
+with it every saving, is at most its value there.
 """
 from __future__ import annotations
 
 import logging
 from dataclasses import dataclass
 from fractions import Fraction
+from typing import NamedTuple
+
+import numpy as np
 
 from .components import (
     CandidatePool,
@@ -46,9 +54,17 @@ class ChosenEntry:
     comp: FullComponent
 
 
+class ScoredTree(NamedTuple):
+    """A tree over the terminals with every candidate's saving in it."""
+    view: ContractedTree
+    savings: np.ndarray
+
+
 @dataclass
 class Phase1Result:
     base_tree: Tree                  # final working tree over the terminals
+    start: ScoredTree                # the terminal MST, scored
+    base: ScoredTree                 # the base tree, scored
     solution: Tree                   # merged phase-1 tree, interior leaves pruned
     solution_cost_unpruned: int
     mst_cost: int
@@ -89,23 +105,27 @@ def run_phase1(instance: Instance, closure: MetricClosure,
     current_cost = t0.total_cost
     rows: list[dict] = []
     merged = None  # merge of the latest iteration
+    view = ContractedTree.from_tree(t0)
+    start = ScoredTree(view, pool.savings_for(view))
+    active = np.flatnonzero(start.savings > pool.costs)
+    costs, losses = pool.costs[active], pool.losses[active]
+    gains = start.savings[active] - costs
 
     while True:
-        view = ContractedTree({t: t for t in terms},
-                              [(u, v, w) for u, v, w, _ in current])
-        gains = pool.savings_for(view) - pool.costs
         # Best gain/loss ratio among positive gains, as the smallest
-        # loss/gain; a zero loss is ratio 0 and wins.
-        idx = argmin_ratio(pool.losses, gains)
-        if idx is None:
+        # loss/gain; a zero loss is ratio 0 and wins. Rows stay in pool
+        # order, so ties still go to the earliest row.
+        pick = argmin_ratio(losses, gains)
+        if pick is None:
             break
+        idx = int(active[pick])
         if len(rows) + 1 > max(len(pool), 1):
             raise InternalInvariantError("phase 1 ran past the candidate count")
         sel = pool[idx]
         comp, alloc = sel.reassign_steiner(alloc)
         uid_counter += 1
         entry = ChosenEntry(uid_counter, comp)
-        gain_value = int(gains[idx])
+        gain_value = int(gains[pick])
         loss_value = int(pool.losses[idx])
         log.debug("phase1 pick %s gain=%d loss=%d", sel.terminals, gain_value, loss_value)
 
@@ -227,8 +247,11 @@ def run_phase1(instance: Instance, closure: MetricClosure,
             "merge_cost_unpruned": merged_cost,
             "loss_total": loss_total,
         })
+        view = ContractedTree({t: t for t in terms}, [(u, v, w) for u, v, w, _ in current])
+        gains = pool.savings_for(view, active) - costs
 
     base_tree = Tree.from_edges([(u, v, w) for u, v, w, _ in current], terms)
+    base = start if view is start.view else ScoredTree(view, pool.savings_for(view))
     merged_cost, solution, origin = merged or merge(t0, chosen)
     trace = {
         "mst_cost": t0.total_cost,
@@ -245,6 +268,8 @@ def run_phase1(instance: Instance, closure: MetricClosure,
     }
     return Phase1Result(
         base_tree=base_tree,
+        start=start,
+        base=base,
         solution=solution,
         solution_cost_unpruned=merged_cost,
         mst_cost=t0.total_cost,

@@ -1,9 +1,9 @@
 """Second greedy phase.
 
-Runs two contracted trees side by side: one starting from the terminal MST,
-one from the phase-1 base tree. Each step picks the candidate minimizing
-load divided by the difference of the savings it produces in the two trees,
-then contracts its terminals in both. The gap between the tree costs shrinks
+Runs two contracted trees side by side, starting from the terminal MST and
+the phase-1 base tree as phase 1 scored them. Each step picks the candidate
+minimizing load divided by the difference of the savings it produces in the
+two trees, then contracts its terminals in both. The gap between the tree costs shrinks
 by exactly that difference, so the loop ends when the costs meet. A scan
 with no positive difference while the gap is still open is a stall; it is
 recorded and the merge built so far is returned.
@@ -14,10 +14,12 @@ import logging
 from dataclasses import dataclass
 from fractions import Fraction
 
+import numpy as np
+
 from .components import CandidatePool, argmin_ratio
-from .core import ContractedTree, Instance, Tree
+from .core import Instance, Tree
 from .errors import InternalInvariantError
-from .phase1 import ChosenEntry, merge
+from .phase1 import ChosenEntry, ScoredTree, merge
 
 log = logging.getLogger(__name__)
 
@@ -32,26 +34,26 @@ class Phase2Result:
     trace: dict
 
 
-def select_candidate(t_origin: ContractedTree, t_base: ContractedTree,
-                     pool: CandidatePool) -> tuple[int, int, int] | None:
+def select_candidate(costs: np.ndarray, sav_origin: np.ndarray,
+                     sav_base: np.ndarray) -> tuple[int, int, int] | None:
     """(index, load, saving difference) of the candidate minimizing
-    load / difference among positive differences; ties fall to the earliest
+    load / difference among positive differences, given every candidate's
+    cost and its savings in the two trees; ties fall to the earliest
     candidate. None when no candidate has a positive difference. Float
     ratios only narrow the field; integer cross-multiplication decides."""
-    sav_origin = pool.savings_for(t_origin)
-    sav_base = pool.savings_for(t_base)
     diffs = sav_origin - sav_base
-    loads = pool.costs - sav_base
+    loads = costs - sav_base
     i = argmin_ratio(loads, diffs)
     return None if i is None else (i, int(loads[i]), int(diffs[i]))
 
 
 def run_phase2(instance: Instance, pool: CandidatePool, t0: Tree,
-               base_tree: Tree) -> Phase2Result:
-    """Phase 2 between `t0`, the terminal MST, and the phase-1 base tree."""
+               origin: ScoredTree, base: ScoredTree) -> Phase2Result:
+    """Phase 2 between `t0`, the terminal MST, and the phase-1 base tree,
+    starting from their scored views (Phase1Result.start and .base)."""
     terms = sorted(instance.terminals)
-    t_origin = ContractedTree.from_tree(t0)
-    t_base = ContractedTree.from_tree(base_tree)
+    t_origin, t_base = origin.view, base.view
+    savings = origin.savings, base.savings
     initial_gap = t_origin.cost - t_base.cost
     if initial_gap < 0:
         raise InternalInvariantError("base tree costs more than the MST")
@@ -66,7 +68,9 @@ def run_phase2(instance: Instance, pool: CandidatePool, t0: Tree,
             raise InternalInvariantError("origin tree fell below the base tree")
         if len(rows) >= len(terms):
             raise InternalInvariantError("phase 2 ran past the terminal count")
-        pick = select_candidate(t_origin, t_base, pool)
+        if savings is None:
+            savings = pool.savings_for(t_origin), pool.savings_for(t_base)
+        pick = select_candidate(pool.costs, *savings)
         if pick is None:
             stalled = True
             log.debug("phase2 stalled with gap %d", t_origin.cost - t_base.cost)
@@ -83,6 +87,7 @@ def run_phase2(instance: Instance, pool: CandidatePool, t0: Tree,
         expected = (t_origin.cost - saving_base - diff_value, t_base.cost - saving_base)
         t_origin = t_origin.contract_zero_set(comp.terminals)
         t_base = t_base.contract_zero_set(comp.terminals)
+        savings = None
         if (t_origin.cost, t_base.cost) != expected:
             raise InternalInvariantError(
                 f"contracting {sel.terminals} left costs {t_origin.cost}, {t_base.cost};"

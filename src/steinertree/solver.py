@@ -18,14 +18,7 @@ from itertools import combinations
 
 from .bounds import BoundReport, check_run
 from .components import CandidatePool, enumerate_full_components
-from .core import (
-    ContractedTree,
-    Instance,
-    MetricClosure,
-    Tree,
-    metric_closure,
-    minimum_spanning_tree,
-)
+from .core import Instance, MetricClosure, Tree, metric_closure, minimum_spanning_tree
 from .errors import InputError, InternalInvariantError
 from .exact import (OPT_LIMIT_CAP, OPTK_LIMIT_CAP, check_limit, optimal_k_restricted,
                     optimal_steiner_tree)
@@ -201,7 +194,7 @@ def solve(instance: Instance, config: RunConfig | None = None) -> RunResult:
             p1 = run_phase1(instance, closure, pool, t0)
         if config.mode == "full":
             with _stage(instance, "phase 2"):
-                p2 = run_phase2(instance, pool, t0, p1.base_tree)
+                p2 = run_phase2(instance, pool, t0, p1.start, p1.base)
 
     opt_cost = None
     restricted_opt_cost = None
@@ -233,8 +226,7 @@ def solve(instance: Instance, config: RunConfig | None = None) -> RunResult:
     with _stage(instance, "checks"):
         max_residual_gain = None
         if p1 is not None and pool is not None and len(pool):
-            base_view = ContractedTree.from_tree(p1.base_tree)
-            max_residual_gain = int((pool.savings_for(base_view) - pool.costs).max())
+            max_residual_gain = int((p1.base.savings - pool.costs).max())
 
         max_pair_overlap = None
         if p2 is not None:

@@ -518,8 +518,7 @@ def _built_on_use(inst, k):
     pool = CandidatePool(enumerate_full_components(inst, closure, k))
     t0 = minimum_spanning_tree(sorted(inst.terminals), closure.distance)
     p1 = run_phase1(inst, closure, pool, t0)
-    p2 = run_phase2(inst, pool, t0, p1.base_tree)
-    pool.savings_for(ContractedTree.from_tree(p1.base_tree))
+    p2 = run_phase2(inst, pool, t0, p1.start, p1.base)
     list(pool.candidates)
     picked = {row["candidate_index"]
               for row in p1.trace["iterations"] + p2.trace["iterations"]}

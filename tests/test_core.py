@@ -28,6 +28,7 @@ from steinertree.core import (
     kruskal_indices,
     prune_leaves,
 )
+from steinertree.errors import InternalInvariantError
 
 
 # ------------------------------
@@ -315,16 +316,22 @@ def test_kruskal_matches_reference_on_tied_multigraphs():
         edges = [e + ("tag", i) if rng.random() < 0.3 else e for i, e in enumerate(edges)]
         groups = [rng.sample(nodes, rng.randint(1, len(nodes)))
                   for _ in range(rng.randint(0, 2))]
+        # The same rows as an (edges x 3) int64 array, empty included.
+        table = np.array([e[:3] for e in edges], dtype=np.int64).reshape(-1, 3)
         try:
             want = oracles.reference_kruskal_indices(nodes, edges, groups)
         except DisconnectedInputError:
-            with pytest.raises(DisconnectedInputError):
-                kruskal_indices(nodes, edges, groups)
+            for given in (edges, table):
+                with pytest.raises(DisconnectedInputError):
+                    kruskal_indices(nodes, given, groups)
             outcomes.add("disconnected")
         else:
             assert kruskal_indices(nodes, edges, groups) == want, (nodes, edges, groups)
+            assert kruskal_indices(nodes, table, groups) == want, (nodes, edges, groups)
             outcomes.add("tree")
-    assert outcomes == {"tree", "disconnected"}
+        if not edges:
+            outcomes.add("empty")
+    assert outcomes == {"tree", "disconnected", "empty"}
 
 
 # ------------------------------
@@ -557,6 +564,48 @@ def test_carried_bottleneck_matrix_matches_rebuild_and_bruteforce():
                 assert mat[ia, ib] == mat[ib, ia] == want
             view = after
     assert carried > 300
+
+
+def _assert_bottlenecks(view):
+    mat = view.bottleneck_matrix
+    for a, b in itertools.combinations(view.reps, 2):
+        want = oracles.path_bottleneck_bruteforce(view.edges, a, b)
+        ia, ib = view.rep_index[a], view.rep_index[b]
+        assert mat[ia, ib] == mat[ib, ia] == want
+    assert mat.shape == (len(view.reps),) * 2 and not mat.diagonal().any()
+
+
+def test_breadth_first_fill_matches_bruteforce():
+    # Trees over representatives that stand for several nodes each, with
+    # zero and tied weights; single representatives; and views after a
+    # contraction, filled from scratch there.
+    rng = random.Random(19)
+    for trial in range(200):
+        nodes = rng.sample(range(1, 60), rng.randint(1, 14))
+        reps = sorted(rng.sample(nodes, rng.randint(1, len(nodes))))
+        rep_of = {x: (x if x in reps else rng.choice(reps)) for x in nodes}
+        tree = _random_tree(rng, reps, [0, 0, 1, 1, 2, 5])
+        view = ContractedTree(rep_of, tree.edges)
+        _assert_bottlenecks(view)
+        if len(nodes) >= 2:
+            after = ContractedTree.from_tree(_random_tree(rng, nodes, [0, 1, 1, 2]))
+            after = after.contract_zero_set(rng.sample(nodes, rng.randint(2, len(nodes))))
+            assert after._bottleneck is None
+            _assert_bottlenecks(after)
+    single = ContractedTree({1: 1, 4: 1, 7: 1}, [])
+    assert single.bottleneck_matrix.tolist() == [[0]]
+
+
+@pytest.mark.parametrize("nodes, edges", [
+    ([1, 2, 3], [(1, 2, 1), (2, 3, 1), (1, 3, 1)]),     # a cycle, one edge too many
+    ([1, 2, 3, 4], [(1, 2, 1), (2, 3, 1), (1, 3, 1)]),  # a cycle, and 4 unreached
+    ([1, 2, 3], [(1, 2, 1)]),                           # 3 unreached
+    ([1, 2, 3], [(1, 2, 1), (1, 1, 0)]),                # a self-loop instead of an edge
+])
+def test_breadth_first_fill_rejects_a_non_tree(nodes, edges):
+    view = ContractedTree({x: x for x in nodes}, edges)
+    with pytest.raises(InternalInvariantError, match="not a spanning tree"):
+        view.bottleneck_matrix
 
 
 def test_contraction_without_a_built_matrix_carries_none():

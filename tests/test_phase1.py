@@ -5,7 +5,9 @@ import numpy as np
 from conftest import make_batch
 from steinertree import (
     CandidatePool,
+    FullComponent,
     Instance,
+    Tree,
     enumerate_full_components,
     metric_closure,
     minimum_spanning_tree,
@@ -14,7 +16,9 @@ from steinertree import (
     random_instance,
     solve,
 )
+from steinertree import solver
 from steinertree.components import argmin_ratio
+from steinertree.core import ContractedTree, kruskal_indices
 from steinertree.phase1 import run_phase1
 
 
@@ -106,11 +110,10 @@ def test_phase1_invariants_batch():
                 assert row["merge_cost_unpruned"] == row["tree_cost"] + row["loss_total"]
 
             # Exit condition: no candidate improves the base tree any more.
-            from steinertree.core import ContractedTree
-
             view = ContractedTree.from_tree(p1.base_tree)
             residual = pool.savings_for(view) - pool.costs
             assert residual.max(initial=0) <= 0
+            assert p1.base.savings.tolist() == (residual + pool.costs).tolist()
 
             # Pruned output is a real tree over the terminals.
             leaves = {}
@@ -198,3 +201,81 @@ def test_fully_displaced_component_can_be_picked_again():
     result = solve(inst, RunConfig(k=4))
     assert result.report.ok
     assert (result.solution_cost, result.base_cost) == (132, 123)
+
+
+# ------------------------------
+# The filter: only rows with positive gain on the terminal MST are rescored
+# ------------------------------
+
+def _tree_key(view):
+    return tuple(sorted(view.rep_of.items())), tuple(sorted(view.edges))
+
+
+def test_adding_edges_only_lowers_bottlenecks_and_savings():
+    # The MST of a tree T plus extra edges has every path maximum at most
+    # T's (Hu 1961: path maxima in an MST are minimax path values), and so
+    # every saving at most T's.
+    rng = random.Random(23)
+    for trial in range(200):
+        nodes = rng.sample(range(1, 40), rng.randint(2, 10))
+        order = rng.sample(nodes, len(nodes))
+        weights = [0, 0, 1, 2, 2, 3, 7]
+        tree = Tree.from_edges([(order[i], rng.choice(order[:i]), rng.choice(weights))
+                                for i in range(1, len(order))], nodes)
+        extra = [(*rng.sample(nodes, 2), rng.choice(weights))
+                 for _ in range(rng.randint(1, 2 * len(nodes)))]
+        edges = list(tree.edges) + extra
+        upper = ContractedTree.from_tree(tree)
+        lower = ContractedTree(upper.rep_of, [edges[i] for i in kruskal_indices(nodes, edges)])
+        assert (lower.bottleneck_matrix <= upper.bottleneck_matrix).all()
+        hub = max(nodes) + 1
+        groups = [rng.sample(nodes, rng.randint(2, min(4, len(nodes)))) for _ in range(12)]
+        pool = CandidatePool([FullComponent(g, [(t, hub, 1) for t in g], {hub: hub})
+                              for g in groups])
+        assert (pool.savings_for(lower) <= pool.savings_for(upper)).all()
+        rows = np.array(sorted(rng.sample(range(len(groups)), 5)))
+        assert pool.savings_for(lower, rows).tolist() == pool.savings_for(lower)[rows].tolist()
+
+
+def test_picks_gain_on_the_start_and_each_tree_is_scored_once(monkeypatch):
+    # Every phase-1 pick has positive gain on the terminal MST, every later
+    # saving is at most the one there, and the terminal MST and the base
+    # tree are each scored over all rows exactly once per solve.
+    full_scans, phase1_runs, start_savings = [], [], []
+    score = CandidatePool.savings_for
+    run = solver.run_phase1
+
+    def recording_score(pool, tree, rows=None):
+        out = score(pool, tree, rows)
+        if rows is None:
+            full_scans.append(_tree_key(tree))
+        elif phase1_runs == []:  # a phase-1 rescan of the active rows
+            assert (score(pool, tree) <= start_savings[-1]).all()
+            assert out.tolist() == score(pool, tree)[rows].tolist()
+        return out
+
+    def recording_run(instance, closure, pool, t0):
+        start_savings.append(score(pool, ContractedTree.from_tree(t0)))
+        phase1_runs.append(run(instance, closure, pool, t0))
+        return phase1_runs[-1]
+
+    monkeypatch.setattr(CandidatePool, "savings_for", recording_score)
+    monkeypatch.setattr(solver, "run_phase1", recording_run)
+    picks = 0
+    for inst in make_batch(30, seed0=5100, max_vertices=20, max_terminals=12):
+        for k in (3, 4):
+            for mode in ("phase1", "full"):
+                full_scans.clear()
+                phase1_runs.clear()
+                solve(inst, RunConfig(k=k, mode=mode))
+                (p1,) = phase1_runs
+                assert p1.start.savings.tolist() == start_savings[-1].tolist()
+                for row in p1.trace["iterations"]:
+                    assert p1.start.savings[row["candidate_index"]] > row["candidate_cost"]
+                    picks += 1
+                start = _tree_key(p1.start.view)
+                base = _tree_key(ContractedTree.from_tree(p1.base_tree))
+                assert full_scans.count(start) == 1
+                assert full_scans.count(base) == 1
+                assert _tree_key(p1.base.view) == base
+    assert picks > 60

@@ -10,7 +10,7 @@ from steinertree import (
     select_candidate,
 )
 from steinertree.core import ContractedTree
-from steinertree.phase1 import run_phase1
+from steinertree.phase1 import ScoredTree, run_phase1
 from steinertree.phase2 import run_phase2
 
 
@@ -29,6 +29,11 @@ def _pair(u, v, cost):
     return FullComponent([u, v], [(u, v, cost)])
 
 
+def _select(t_origin, t_base, pool):
+    """select_candidate on every candidate's savings in the two trees."""
+    return select_candidate(pool.costs, pool.savings_for(t_origin), pool.savings_for(t_base))
+
+
 # ------------------------------
 # Candidate selection
 # ------------------------------
@@ -37,20 +42,20 @@ def test_select_smaller_ratio_wins_regardless_of_order():
     t_origin, t_base = _twin_paths([9, 9, 9], [1, 2, 3])
     # {1,2}: load 7-1=6, diff 9-1=8. {2,3}: load 4-2=2, diff 9-2=7.
     pool = CandidatePool([_pair(1, 2, 7), _pair(2, 3, 4)])
-    assert select_candidate(t_origin, t_base, pool) == (1, 2, 7)
+    assert _select(t_origin, t_base, pool) == (1, 2, 7)
 
 
 def test_select_tie_goes_to_earlier_candidate():
     t_origin, t_base = _twin_paths([9, 9, 9], [1, 2, 3])
     pool = CandidatePool([_pair(1, 2, 5), _pair(1, 2, 5)])
-    assert select_candidate(t_origin, t_base, pool) == (0, 4, 8)
+    assert _select(t_origin, t_base, pool) == (0, 4, 8)
 
 
 def test_select_nonpositive_load_beats_positive():
     t_origin, t_base = _twin_paths([9, 9, 9], [1, 2, 3])
     # {3,4}: load 2-3=-1, diff 6; {1,2}: load 4, diff 8.
     pool = CandidatePool([_pair(1, 2, 5), _pair(3, 4, 2)])
-    assert select_candidate(t_origin, t_base, pool) == (1, -1, 6)
+    assert _select(t_origin, t_base, pool) == (1, -1, 6)
 
 
 def test_select_decides_float_ties_exactly():
@@ -59,13 +64,13 @@ def test_select_decides_float_ties_exactly():
     w = 2**58
     t_origin, t_base = _twin_paths([w, w, w], [1, 1, 1])
     pool = CandidatePool([_pair(1, 2, 2**57 + 3), _pair(3, 4, 2**57 + 1)])
-    assert select_candidate(t_origin, t_base, pool) == (1, 2**57, w - 1)
+    assert _select(t_origin, t_base, pool) == (1, 2**57, w - 1)
 
 
 def test_select_none_without_positive_difference():
     t_origin, t_base = _twin_paths([1, 1, 1], [9, 9, 9])
     pool = CandidatePool([_pair(1, 2, 5), _pair(2, 4, 5)])
-    assert select_candidate(t_origin, t_base, pool) is None
+    assert _select(t_origin, t_base, pool) is None
 
 
 # ------------------------------
@@ -77,7 +82,7 @@ def _run_both(inst, k):
     pool = CandidatePool(enumerate_full_components(inst, closure, k))
     t0 = minimum_spanning_tree(sorted(inst.terminals), closure.distance)
     p1 = run_phase1(inst, closure, pool, t0)
-    p2 = run_phase2(inst, pool, t0, p1.base_tree)
+    p2 = run_phase2(inst, pool, t0, p1.start, p1.base)
     return p1, p2
 
 
@@ -141,7 +146,9 @@ def test_forced_stall_is_reported_in_band(star3):
     t0 = minimum_spanning_tree([1, 2, 3], closure.distance)
     pool = CandidatePool([_pair(1, 2, 2)])
     base = Tree.from_edges([(1, 2, 1), (1, 3, 1)], [1, 2, 3])
-    p2 = run_phase2(star3, pool, t0, base)
+    origin, base = (ContractedTree.from_tree(t) for t in (t0, base))
+    p2 = run_phase2(star3, pool, t0, ScoredTree(origin, pool.savings_for(origin)),
+                    ScoredTree(base, pool.savings_for(base)))
     assert p2.stalled
     assert p2.trace["stalled"] is True
     assert set(star3.terminals) <= set(p2.solution.nodes)

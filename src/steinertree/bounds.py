@@ -46,9 +46,10 @@ def crossover_alpha(tol: float = 1e-8) -> tuple[float, float]:
     """Bisection for the alpha in (1/2, 1) where the two ratio curves meet.
     Returns (alpha, common ratio). The worst case of the solver sits at
     this point, since below it the doubling curve rules and above it the
-    merge-bound curve does."""
-    if tol <= 0:
-        raise ValueError("tolerance must be positive")
+    merge-bound curve does. Stops early once the midpoint rounds to an
+    end, so a tolerance below the float spacing still terminates."""
+    if not (tol > 0 and math.isfinite(tol)):
+        raise ValueError(f"tolerance must be positive and finite, got {tol}")
     lo, hi = 0.5, 1.0
 
     def gap(a: float) -> float:
@@ -57,6 +58,8 @@ def crossover_alpha(tol: float = 1e-8) -> tuple[float, float]:
 
     while hi - lo > tol:
         mid = (lo + hi) / 2.0
+        if mid in (lo, hi):
+            break
         if gap(mid) > 0.0:
             lo = mid
         else:

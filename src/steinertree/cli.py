@@ -20,6 +20,7 @@ import argparse
 import csv
 import io
 import logging
+import math
 import os
 import sys
 
@@ -117,8 +118,8 @@ def _cmd_bench(args) -> int:
 
 def _cmd_bounds(args) -> int:
     if args.solve_alpha_star:
-        if args.tol <= 0:
-            raise InputError("tolerance must be positive")
+        if not (args.tol > 0 and math.isfinite(args.tol)):
+            raise InputError(f"tolerance must be positive and finite, got {args.tol}")
         alpha, ratio = crossover_alpha(args.tol)
         print(f"alpha_star = {alpha:.8f}")
         print(f"ratio = {ratio:.8f}")

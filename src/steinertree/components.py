@@ -196,40 +196,32 @@ class CandidateTable(Sequence):
     sorted terminal tuple.
 
     `pos` holds each row's terminals as positions into `terminal_ids`,
-    padded with -1. A pair row is one closure edge of weight `spokes[i, 0]`.
-    A star row joins its 3 or 4 terminals at graph vertex `hub[i]` by
-    `spokes[i]`, through an interior node with id `first_id[i]`. A two-hub
-    row has 4 terminals and a second hub, graph vertex `hub2[i]` with id
-    `first_id[i] + 1`, joined to the first by an edge of weight `link[i]`:
-    the two terminals whose position bits are set in `far[i]` hang at the
-    second hub by their spokes, the other two, the last among them, at the
-    first. Rows in `built` from the start (components of 5 or more
-    terminals, and every row of a table made from a list) have no column
-    form. Indexing builds a row's FullComponent once and keeps it in
-    `built`. `hub2`, `far` and `link` may be left out when no row has a
-    second hub.
+    padded with -1. `edges` holds each row's tree as (endpoint, endpoint,
+    weight) closure edges, the row's edges first and zeros after them: a
+    pair has 1 edge, a star 3 or 4, a two-hub 4-row 5, and an m-row at most
+    2m - 3. Each edge after the first joins one new node to the earlier
+    ones, as enumeration's depth-first order does. An endpoint is a
+    terminal id or the graph vertex an interior node copies, so the table
+    needs no closure to build a row; interior node j of row i, in order of
+    first appearance, gets the id `first_id[i] + j`. `edges` is in Fortran
+    order, so `edges.T`, [end or weight, edge, row], reads contiguous rows.
+    `losses` come from the edges (`tree_losses`). Indexing builds a row's
+    FullComponent once and keeps it in `built`. A table made from a list
+    holds its components' own ids and is built from the start.
     """
 
     def __init__(self, terminal_ids: np.ndarray, pos: np.ndarray, costs: np.ndarray,
-                 losses: np.ndarray, hub: np.ndarray, spokes: np.ndarray,
-                 first_id: np.ndarray, built: dict[int, FullComponent],
-                 max_steiner_id: int, hub2: np.ndarray | None = None,
-                 far: np.ndarray | None = None, link: np.ndarray | None = None):
-        n = len(costs)
+                 edges: np.ndarray, first_id: np.ndarray, built: dict[int, FullComponent],
+                 max_steiner_id: int):
         self.terminal_ids = terminal_ids
         self.pos = pos
         self.size = (pos >= 0).sum(axis=1)
         self.costs = costs
-        self.losses = losses
-        self.hub = hub
-        self.spokes = spokes
-        self.hub2 = np.full(n, -1, dtype=np.int64) if hub2 is None else hub2
-        self.far = np.zeros(n, dtype=np.int64) if far is None else far
-        self.link = np.zeros(n, dtype=np.int64) if link is None else link
+        self.edges = edges
         self.first_id = first_id
         self.built = built
         self.max_steiner_id = max_steiner_id
-        self._check()
+        self.losses = tree_losses(edges, self._check(), self.size)
 
     @classmethod
     def from_components(cls, comps: Sequence[FullComponent]) -> "CandidateTable":
@@ -237,48 +229,44 @@ class CandidateTable(Sequence):
         comps = list(comps)
         ids = sorted({t for c in comps for t in c.terminals})
         index = {t: i for i, t in enumerate(ids)}
-        width = max((len(c.terminals) for c in comps), default=2)
-        pos = np.full((len(comps), width), -1, dtype=np.int64)
+        n = len(comps)
+        pos = np.full((n, max((len(c.terminals) for c in comps), default=2)), -1,
+                      dtype=np.int64)
+        edges = np.zeros((n, max((len(c.edges) for c in comps), default=1), 3),
+                         dtype=np.int64, order="F")
         for row, c in enumerate(comps):
             pos[row, :len(c.terminals)] = [index[t] for t in c.terminals]
-        n = len(comps)
-        return cls(
-            np.array(ids, dtype=np.int64), pos,
-            np.array([c.cost for c in comps], dtype=np.int64),
-            np.array([c.loss for c in comps], dtype=np.int64),
-            np.full(n, -1, dtype=np.int64), np.zeros((n, 3), dtype=np.int64),
-            np.full(n, -1, dtype=np.int64), dict(enumerate(comps)),
-            max((s for c in comps for s in c.steiner_ids), default=0),
-        )
+            edges[row, :len(c.edges)] = _grown_order(c.edges)
+        return cls(np.array(ids, dtype=np.int64), pos,
+                   np.array([c.cost for c in comps], dtype=np.int64), edges,
+                   np.full(n, -1, dtype=np.int64), dict(enumerate(comps)),
+                   max((s for c in comps for s in c.steiner_ids), default=0))
 
-    def _check(self) -> None:
-        """Component validation, vectorized, for rows that have a column
-        form: each is a pair, a one-hub star of 3 or 4 terminals, or two
-        distinct hubs with two of its 4 terminals each, the last at the
-        first hub; terminal positions increase; no hub is a terminal of its
-        row; spokes and link are nonnegative; cost is their sum and loss
-        the closed form of `column_losses`."""
-        rows = np.ones(len(self), dtype=bool)
-        rows[list(self.built)] = False
-        if rows.all():
-            rows = slice(None)  # views of the columns, not copies
-        pos, size, spokes = self.pos[rows], self.size[rows], self.spokes[rows]
-        hub, hub2, far, link = self.hub[rows], self.hub2[rows], self.far[rows], self.link[rows]
-        plain = (hub2 < 0) & (far == 0) & (link == 0)
-        pair = (size == 2) & (hub < 0) & plain
-        star = ((size == 3) | (size == 4)) & (hub >= 0) & plain
-        two = (size == 4) & (hub >= 0) & (hub2 >= 0) & ((far == 3) | (far == 5) | (far == 6))
-        used = np.arange(spokes.shape[1]) < np.where(pair, 1, size)[:, None]
-        terms = self.terminal_ids[np.maximum(pos, 0)]
-        at_hub = (pos >= 0) & ((terms == hub[:, None]) | (terms == hub2[:, None]))
-        ok = ((pair | star | two).all() and (pos[:, :2] >= 0).all()
+    def _check(self) -> np.ndarray:
+        """Component validation, vectorized: terminal positions increase;
+        each terminal appears once among its row's endpoints (so it is a
+        leaf and no interior node); edges have positive endpoints and come
+        before the zero padding; the first edge has two ends and each later
+        one exactly one end among the earlier ones, so the edges grow a tree;
+        weights are nonnegative and costs their sums. Returns which ends are
+        the row's terminals, as an [end, edge, row] mask like `edges.T`."""
+        pos, ends, weights = self.pos, self.edges.T[:2], self.edges.T[2]
+        real = ends[0] != 0
+        terms = np.append(self.terminal_ids, -1)[pos].T  # padded positions read -1
+        leaves, at_term = _leaves(ends, terms)
+        grows = (ends[0, 0] != ends[1, 0]).all()
+        for j in range(1, len(real)):
+            old = [(ends[:, :j] == end).any(axis=0).any(axis=0) for end in ends[:, j]]
+            grows &= ((old[0] != old[1]) | ~real[j]).all()
+        ok = (leaves.all() and grows and (pos[:, :2] >= 0).all()
               and ((np.diff(pos, axis=1) > 0) | (pos[:, 1:] < 0)).all()
-              and not at_hub.any() and (hub != hub2)[two].all()
-              and (spokes >= 0).all() and (link >= 0).all() and (spokes[~used] == 0).all()
-              and (self.costs[rows] == spokes.sum(axis=1) + link).all()
-              and (self.losses[rows] == column_losses(size, hub, hub2, far, spokes, link)).all())
+              and (real[:-1] | ~real[1:]).all()
+              and ((np.minimum(ends[0], ends[1]) > 0) | ~real).all()
+              and (real | (ends[1] == 0) & (weights == 0)).all()
+              and (weights >= 0).all() and (self.costs == weights.sum(axis=0)).all())
         if not ok:
             raise InternalInvariantError("candidate columns fail component validation")
+        return at_term
 
     def __len__(self) -> int:
         return len(self.costs)
@@ -292,43 +280,68 @@ class CandidateTable(Sequence):
         return self.built[i]
 
     def _build(self, i: int) -> FullComponent:
-        """The component of column-form row i."""
+        """The component of row i, interior ids numbered from first_id[i]
+        in order of first appearance."""
         terms = self.terminal_ids[self.pos[i, :self.size[i]]].tolist()
-        weights = self.spokes[i].tolist()
-        hub, hub2, far, link, s = (int(col[i]) for col in (self.hub, self.hub2, self.far,
-                                                           self.link, self.first_id))
-        if hub < 0:
-            comp = FullComponent(terms, [(terms[0], terms[1], weights[0])])
-        else:
-            edges = [(t, s + (far >> j & 1), w) for j, (t, w) in enumerate(zip(terms, weights))]
-            origin = {s: hub}
-            if hub2 >= 0:
-                edges.append((s, s + 1, link))
-                origin[s + 1] = hub2
-            comp = FullComponent(terms, edges, origin)
+        edges = [e for e in self.edges[i].tolist() if e[0]]
+        ids = {t: t for t in terms}
+        origin: dict[int, int] = {}
+        for x in (x for u, v, _ in edges for x in (u, v)):
+            if x not in ids:
+                ids[x] = int(self.first_id[i]) + len(origin)
+                origin[ids[x]] = x
+        comp = FullComponent(terms, [(ids[u], ids[v], w) for u, v, w in edges], origin)
         if (comp.cost, comp.loss) != (self.costs[i], self.losses[i]):
             raise InternalInvariantError(f"candidate {i} disagrees with its columns")
         return comp
 
 
-_NO_SPOKE = np.iinfo(np.int64).max
+def _grown_order(edges: Sequence[Edge]) -> list[Edge]:
+    """A tree's edges, each after the first joining one new node."""
+    out, seen = [], set(edges[0][:2])
+    while len(out) < len(edges):
+        out.append(next(e for e in edges if e not in out and {e[0], e[1]} & seen))
+        seen.update(out[-1][:2])
+    return out
 
 
-def column_losses(size: np.ndarray, hub: np.ndarray, hub2: np.ndarray, far: np.ndarray,
-                  spokes: np.ndarray, link: np.ndarray) -> np.ndarray:
-    """Loss of column-form rows in closed form: 0 for a pair, the lightest
-    spoke for a star, and for two hubs min(la + lc, la + w, lc + w), with la
-    and lc the lightest spokes at the first and second hub and w the link:
-    each hub reaches a terminal through its own spokes or through the
-    other hub. That minimum is min(la, lc) + min(max(la, lc), w)."""
-    near = np.full(len(size), _NO_SPOKE, dtype=np.int64)
-    away = near.copy()
-    for j in range(spokes.shape[1]):  # one column at a time, so temporaries stay 1-D
-        at_far = (far >> j) & 1 == 1
-        np.minimum(near, spokes[:, j], out=near, where=~at_far & (j < size))
-        np.minimum(away, spokes[:, j], out=away, where=at_far)
-    two_hub = np.minimum(near, away) + np.minimum(np.maximum(near, away), link)
-    return np.where(hub < 0, 0, np.where(hub2 < 0, near, two_hub))
+def tree_losses(edges: np.ndarray, at_term: np.ndarray, size: np.ndarray) -> np.ndarray:
+    """Loss of each row's tree: the MST of its edges with its terminals
+    (`at_term`) merged into one node, grown by Prim from that node on every
+    row at once, one interior node per step, so no row's edges need
+    sorting. The padding counts as grown."""
+    ends, weights = edges.T[:2], edges.T[2]
+    grown = at_term | (ends == 0)
+    losses = np.zeros(len(edges), dtype=np.int64)
+    interior = (ends[0] != 0).sum(axis=0, dtype=np.int16) + 1 - size  # nodes - edges = 1
+    for left in range(int(interior.max(initial=0)), 0, -1):
+        cand = np.where(grown[0] != grown[1], weights, _UNREACHED)
+        step = cand.min(axis=0)
+        reached = step < _UNREACHED
+        np.add(losses, step, out=losses, where=reached)
+        if left > 1:
+            j = cand.argmin(axis=0)[None]
+            u, v = (np.take_along_axis(end, j, axis=0)[0] for end in ends)
+            new = np.where(np.take_along_axis(grown[0], j, axis=0)[0], v, u)
+            grown |= (ends == new) & reached
+    return losses
+
+
+def _leaves(ends: np.ndarray, terms: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Per row, whether its `terms` ([terminal, row], -1 padded) each appear
+    once among its `ends` ([end, edge, row]), and the ends that are terms."""
+    at_term = np.zeros(ends.shape, dtype=bool)
+    present = np.ones(ends.shape[-1], dtype=bool)
+    for t in terms:
+        hit = ends == t
+        present &= hit.any(axis=0).any(axis=0) | (t < 0)
+        at_term |= hit
+    # 16-bit sums run several times faster than int64 ones.
+    count = at_term.sum(axis=0, dtype=np.int16).sum(axis=0, dtype=np.int16)
+    return present & (count == (terms >= 0).sum(axis=0, dtype=np.int16)), at_term
+
+
+_UNREACHED = np.iinfo(np.int64).max
 
 
 # Most int64 elements in one temporary array of the shared Dreyfus-Wagner
@@ -339,6 +352,25 @@ def column_losses(size: np.ndarray, hub: np.ndarray, hub2: np.ndarray, far: np.n
 # subset is never split, so above 256 vertices a table chunk is V*V, the
 # size of `dist`.
 DW_CHUNK = 2**16
+
+# Most bytes of the dense arrays over the V closure vertices that k >= 4
+# enumeration and the exact optimum allocate: the distance matrix, 8 V^2
+# bytes, and the shared tables, 16 bytes per table row and vertex (W in
+# int64, relax and split in int32). 1 GiB keeps a solve well inside a
+# machine of a few GiB: the matrix alone fits 11,585 vertices, and the
+# exact optimum at its cap of 16 terminals (2**15 - 2 rows) 1,987.
+DENSE_BUDGET = 2**30
+
+
+def check_dense_budget(vertices: int, terminals: int, top: int, remedy: str) -> None:
+    """Raise LimitExceededError when the distance matrix and the tables for
+    up to `top` of all terminals but the last exceed DENSE_BUDGET."""
+    rows = sum(math.comb(terminals - 1, s) for s in range(1, top + 1))
+    need = 8 * vertices * vertices + 16 * vertices * rows
+    if need > DENSE_BUDGET:
+        raise LimitExceededError(
+            f"the distance matrix and Dreyfus-Wagner tables over {vertices} vertices "
+            f"need {need} bytes, above the budget of {DENSE_BUDGET}; {remedy}")
 
 
 def _colex_levels(n: int, top: int) -> list[np.ndarray]:
@@ -375,27 +407,30 @@ class _SharedTables:
     tree over S and one more vertex v), relax (the hub u it uses at v) and
     split (the local sub-mask chosen at u). The s-subsets take the rows from
     offset[s] on, in colex order; the single terminals (s = 1) come first,
-    as their closure rows.
+    as their closure rows, each its own relax.
     """
 
     def __init__(self, D: np.ndarray, tidx: np.ndarray, top: int):
         self.D = D
         self.tidx = tidx
         r, nv = len(tidx), D.shape[0]
-        # C(p, j) for each position p and width j, and a last column of
-        # zeros that pads parts narrower than their row.
-        self._binom = np.array([[math.comb(p, j) for j in range(top + 2)] + [0]
-                                for p in range(r)], dtype=np.int64)
+        # C(p, j) for each position p and width j, and the bit count of
+        # each sub-mask of up to top + 1 positions.
+        self._binom = np.array([[math.comb(p, j) for j in range(top + 2)] for p in range(r)],
+                               dtype=np.int64)
+        self._size = np.zeros(1, dtype=np.int64)
+        for _ in range(top + 1):
+            self._size = np.concatenate([self._size, self._size + 1])
         self._subsets = _colex_levels(r - 1, top + 1)
         self.offset = np.cumsum([0, 0] + [len(self._subsets[s]) for s in range(1, top + 1)])
-        self._splits = {mu: self._split_rows(mu) for mu in range(2, top + 2)}
         self.W = np.empty((self.offset[-1], nv), dtype=np.int64)
         self.relax = np.zeros((self.offset[-1], nv), dtype=np.int32)
         self.split = np.zeros((self.offset[-1], nv), dtype=np.int32)
         self.W[:r - 1] = D[tidx[:r - 1]]
+        self.relax[:r - 1] = tidx[:r - 1, None]
         for s in range(2, top + 1):
             subsets = self._subsets[s]
-            step = max(1, DW_CHUNK // (nv * max(nv, len(self._splits[s][0]))))
+            step = max(1, DW_CHUNK // (nv * max(nv, (1 << (s - 1)) - 1)))
             for at in range(0, len(subsets), step):
                 chunk = subsets[at:at + step]
                 rows = slice(self.offset[s] + at, self.offset[s] + at + len(chunk))
@@ -406,25 +441,16 @@ class _SharedTables:
                 self.W[rows] = total.min(axis=2)
                 self.relax[rows] = total.argmin(axis=2)
 
-    def row(self, subsets: np.ndarray) -> np.ndarray:
-        """Table row of each subset, given as increasing terminal positions
-        along the last axis."""
-        width = subsets.shape[-1]
-        return self.offset[width] + self._binom[subsets, np.arange(1, width + 1)].sum(axis=-1)
-
-    def _split_rows(self, mu: int) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-        """The odd proper sub-masks of mu positions in decreasing order, and
-        for each, its part and its rest as base columns in increasing
-        order, padded to mu, with the binomial column and the table offset
-        that turn them into table rows."""
-        subs = np.arange((1 << mu) - 3, 0, -2, dtype=np.int32)
-        halves = subs[:, None] ^ np.array([0, (1 << mu) - 1], dtype=np.int32)
-        outside = (halves[..., None] >> np.arange(mu)) & 1 == 0
-        cols = outside.argsort(axis=2, kind="stable")  # the half's positions first
-        width = mu - outside.sum(axis=2)
-        j = np.arange(mu)
-        binom_col = np.where(j < width[..., None], j + 1, self._binom.shape[1] - 1)
-        return subs, cols, binom_col, self.offset[width]
+    def _part_rows(self, base: np.ndarray) -> np.ndarray:
+        """The table row of every part of each row of increasing positions,
+        as [part bits, row]: the binomial sum of its positions, filled in by
+        the highest bit, plus the offset of its size (for one, its position)."""
+        size = self._size[:1 << base.shape[1]]
+        rows = np.zeros((len(size), len(base)), dtype=np.int64)
+        for j in range(base.shape[1]):
+            high = slice(1 << j, 2 << j)
+            rows[high] = rows[:1 << j] + self._binom.T[size[high]][:, base[:, j]]
+        return rows + self.offset[size][:, None]
 
     def merged(self, base: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """For rows of increasing positions, the smallest W[part] + W[rest]
@@ -432,87 +458,91 @@ class _SharedTables:
         sub-mask of the part attaining it. Parts hold the row's first
         position and go in decreasing sub-mask order; a tie keeps the
         earlier split."""
-        subs, cols, binom_col, offset = self._splits[base.shape[1]]
-        rows = (self._binom[base[:, cols], binom_col].sum(axis=-1) + offset).T
-        cand = self.W[rows[0]]  # [split, row, vertex]
-        cand += self.W[rows[1]]
+        full = (1 << base.shape[1]) - 1
+        subs = np.arange(full - 2, 0, -2)  # the odd proper sub-masks
+        rows = self._part_rows(base)
+        cand = self.W[rows[subs]]  # [split, row, vertex]
+        cand += self.W[rows[full ^ subs]]
         best = cand.min(axis=0)
         # Sub-masks decrease along the splits, so the first minimum is the
         # largest sub-mask attaining it.
         return best, np.where(cand == best, subs[:, None, None], 0).max(axis=0)
 
-    def last_masks(self, m: int) -> Iterator[tuple[np.ndarray, int, np.ndarray,
-                                                   np.ndarray, np.ndarray]]:
-        """Every m-subset's optimal tree root, in chunks of subsets sharing
-        their last position q: (base positions, q, the hub u minimizing
-        merged[u] + D[u, q], that tree's cost, the split chosen at u)."""
+    def last_masks(self, m: int) -> Iterator[tuple[np.ndarray, np.ndarray, np.ndarray,
+                                                   np.ndarray]]:
+        """Every m-subset's optimal tree root, in colex order: (the subsets
+        as increasing positions, the hub u minimizing merged[u] + D[u, q]
+        for the last position q, that tree's cost, the split chosen at u),
+        in batches of about DW_CHUNK tree ends, from chunks sharing q."""
         bases = self._subsets[m - 1]
-        step = max(1, DW_CHUNK // (self.D.shape[0] * len(self._splits[m - 1][0])))
+        step = max(1, DW_CHUNK // (self.D.shape[0] * ((1 << (m - 2)) - 1)))
+        batch: list[tuple[np.ndarray, ...]] = []
         for q in range(m - 1, len(self.tidx)):
-            count = math.comb(q, m - 1)  # the bases over positions below q
-            for at in range(0, count, step):
-                base = bases[at:min(at + step, count)]
+            for at in range(0, math.comb(q, m - 1), step):  # the bases over positions below q
+                base = bases[at:min(at + step, math.comb(q, m - 1))]
                 total, choice = self.merged(base)
                 total += self.D[self.tidx[q]]
                 hub = total.argmin(axis=1)
                 rows = np.arange(len(base))
-                yield base, q, hub, total[rows, hub], choice[rows, hub]
+                batch.append((np.column_stack([base, np.full(len(base), q)]), hub,
+                              total[rows, hub], choice[rows, hub]))
+                if sum(len(b[0]) for b in batch) * 2 * (2 * m - 3) >= DW_CHUNK:
+                    yield tuple(np.concatenate(col) for col in zip(*batch))
+                    batch = []
+        if batch:
+            yield tuple(np.concatenate(col) for col in zip(*batch))
 
-    def tree_edges(self, base: list[int], q: int, hub: int, split: int) -> list[tuple[int, int]]:
-        """Closure edges of one subset's tree: `hub` joined to terminal q,
-        and the parts of `base` split by the local mask `split` hanging from
-        it, each rebuilt from its table, depth first, part before rest."""
-        edges: list[tuple[int, int]] = []
+    def trees(self, subsets: np.ndarray, hub: np.ndarray, split: np.ndarray) -> np.ndarray:
+        """Closure edges of each subset's tree, as (child, parent) indices in
+        a (2, 2m - 3, rows) array: `hub` joined to the last terminal q, and
+        the parts of the other terminals split by `split` hanging from it,
+        each rebuilt from its table, one split level at a time for all rows.
+        Edges go depth first, part before rest: a part of p terminals takes
+        2p - 1 slots, its own edge first. Edges whose ends coincide are
+        left out; each row's edges come first, padded with -1."""
+        base = subsets[:, :-1]
+        n, mu = base.shape
+        row_of, size, bits = self._part_rows(base), self._size, 1 << np.arange(mu)
+        ends = np.full((2, (2 * mu - 1) * n), -1, dtype=np.int64)  # [end, slot * n + row]
+        ends[:, :n] = hub, self.tidx[subsets[:, -1]]
+        # The parts that split at their hub: row, base columns as bits, the
+        # hub, the local sub-mask chosen there, the slot of the edge to it.
+        row, mask, at, sub, slot = np.arange(n), np.full(n, bits.sum()), hub, split, 0 * hub
+        while len(row):
+            on = mask[:, None] & bits != 0  # the part takes the columns whose rank is in sub
+            part = ((sub[:, None] >> (on.cumsum(axis=1) - on) & on) * bits).sum(axis=1)
+            halves = np.concatenate([part, mask ^ part])
+            slot = np.concatenate([slot + 1, slot + 2 * size[part]])
+            row, above = np.concatenate([row, row]), np.concatenate([at, at])
+            table = row_of[halves, row]
+            at = self.relax[table, above]  # a single terminal's own vertex
+            ends[:, slot * n + row] = at, above
+            more = size[halves] > 1
+            row, mask, at, slot = row[more], halves[more], at[more], slot[more]
+            sub = self.split[table[more], at]
+        ends = ends.reshape(2, 2 * mu - 1, n)
+        ends[:, ends[0] == ends[1]] = -1
+        return np.take_along_axis(ends, (ends[:1] < 0).argsort(axis=1, kind="stable"), axis=1)
 
-        def hang(part: list[int], v: int, u: int, s: int) -> None:
-            if u != v:
-                edges.append((u, v))
-            for half in ([p for i, p in enumerate(part) if s >> i & 1],
-                         [p for i, p in enumerate(part) if not s >> i & 1]):
-                if len(half) == 1:
-                    t = int(self.tidx[half[0]])
-                    if t != u:
-                        edges.append((t, u))
-                    continue
-                row = int(self.row(np.array(half)))
-                w = int(self.relax[row, u])
-                hang(half, u, w, int(self.split[row, w]))
 
-        hang(base, int(self.tidx[q]), hub, split)
-        return edges
-
-
-def _four_rows(tables: _SharedTables, vertices: np.ndarray, base: np.ndarray, q: int,
-               hub: np.ndarray, cost: np.ndarray, split: np.ndarray) -> dict[str, np.ndarray]:
-    """Column form of the 4-subsets, from one chunk of last masks, whose
-    tree has the subset's terminals as leaves. The tree joins q to `hub`,
-    where the base splits into one terminal and a pair; the pair hangs at
-    its own hub, the pair table's relax at `hub`. The same vertex for both
-    makes a 4-star."""
-    rows = np.arange(len(base))
-    pair = np.where(split == 1, 6, split)  # split 5 (ac), 3 (ab) or 1 (a, pair bc)
-    ends = np.column_stack([base[rows, np.where(pair == 6, 1, 0)],
-                            base[rows, np.where(pair == 3, 1, 2)]])
-    inner = tables.relax[tables.row(ends), hub]
-    subset = np.column_stack([base, np.full(len(base), q)])
-    own = tables.tidx[subset]
-    # A terminal at a hub is no leaf: it has an edge towards q's side and
-    # one towards its own part. Without that, each has exactly one edge.
-    keep = ((own != hub[:, None]) & (own != inner[:, None])).all(axis=1)
-    subset, own, hub, inner, pair, cost = (
-        a[keep] for a in (subset, own, hub, inner, pair, cost))
-    two = inner != hub
-    far = np.where(two, pair, 0)
-    at_far = (far[:, None] >> np.arange(4)) & 1 == 1
-    spokes = tables.D[own, np.where(at_far, inner[:, None], hub[:, None])]
-    link = tables.D[hub, inner]  # 0 for a star
-    if (spokes.sum(axis=1) + link != cost).any():
-        raise InternalInvariantError("4-terminal tree disagrees with its table cost")
-    columns = dict(pos=subset, hub=vertices[hub], hub2=np.where(two, vertices[inner], -1),
-                   far=far, link=link, spokes=spokes)
-    columns["loss"] = column_losses(np.full(len(subset), 4), columns["hub"], columns["hub2"],
-                                    far, spokes, link)
-    return columns
+def _dw_rows(tables: _SharedTables, vertices: np.ndarray, subset: np.ndarray, hub: np.ndarray,
+             cost: np.ndarray, split: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Positions and transposed edge columns of the subsets in one batch of
+    last masks whose trees have their terminals as leaves. A terminal at
+    the root hub never is one, so those trees are not rebuilt."""
+    keep = (tables.tidx[subset] != hub[:, None]).all(axis=1)
+    subset, hub, cost, split = subset[keep], hub[keep], cost[keep], split[keep]
+    ends = tables.trees(subset, hub, split)
+    keep = _leaves(ends, tables.tidx[subset].T)[0]
+    ends, subset, cost = ends[..., keep], subset[keep], cost[keep]
+    real = ends[0] >= 0
+    weights = np.where(real, tables.D[ends[0], ends[1]], 0)
+    wrong = np.flatnonzero(weights.sum(axis=0) != cost)
+    if len(wrong):
+        raise InternalInvariantError(
+            f"tree for terminal positions {subset[wrong[0]].tolist()} disagrees with its "
+            "table cost")
+    return subset, np.concatenate([np.where(real, vertices[ends], 0), weights[None]])
 
 
 def _middle_triples(r: int) -> np.ndarray:
@@ -527,7 +557,8 @@ def _middle_triples(r: int) -> np.ndarray:
     return triples
 
 
-def _three_stars(rows_of: np.ndarray, tidx: np.ndarray, vertices: np.ndarray) -> dict:
+def _three_stars(rows_of: np.ndarray, tidx: np.ndarray,
+                 vertices: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """3-stars by middle terminal j: for each i < j < c the first closure vertex
     minimizing the spoke sum, kept when no subset terminal sits there."""
     triples = _middle_triples(len(tidx))
@@ -535,11 +566,13 @@ def _three_stars(rows_of: np.ndarray, tidx: np.ndarray, vertices: np.ndarray) ->
         ((rows_of[:j] + rows_of[j])[:, None] + rows_of[None, j + 1:]).argmin(axis=2).ravel()
         for j in range(1, len(tidx) - 1)
     ])
-    own = tidx[triples]
-    keep = (own[:, 0] != hubs) & (own[:, 1] != hubs) & (own[:, 2] != hubs)
+    keep = (tidx[triples] != hubs[:, None]).all(axis=1)
     triples, hubs = np.compress(keep, triples, axis=0), np.compress(keep, hubs)
-    spokes = rows_of[triples.T, hubs].T  # Fortran order, like the table's columns
-    return dict(pos=triples, hub=vertices[hubs], spokes=spokes, loss=spokes.min(axis=1))
+    edges = np.empty((3, 3, len(hubs)), dtype=np.int64)  # transposed, like _dw_rows
+    np.take(vertices[tidx], triples.T, out=edges[0])
+    edges[1] = vertices[hubs]
+    edges[2] = rows_of[triples.T, hubs]
+    return triples, edges
 
 
 def enumerate_full_components(instance: Instance, closure: MetricClosure,
@@ -550,7 +583,8 @@ def enumerate_full_components(instance: Instance, closure: MetricClosure,
     across the whole table and numbered in that order from
     vertex_count + 1. Subsets of 4 or more terminals share Dreyfus-Wagner
     tables (_SharedTables). Raises LimitExceededError when there are more
-    than CANDIDATE_BUDGET subsets.
+    than CANDIDATE_BUDGET subsets, or when the tables would exceed
+    DENSE_BUDGET.
     """
     if k < 2:
         raise KRestrictionError(f"k must be at least 2, got {k}")
@@ -567,86 +601,40 @@ def enumerate_full_components(instance: Instance, closure: MetricClosure,
     rows_of = closure.rows(terms)  # closure distances from each terminal
     vertices = np.asarray(closure.vertices, dtype=np.int64)
 
-    # Pairs: one closure edge each.
+    # Blocks of positions and transposed edge columns. Pairs: one closure edge each.
     pairs = np.column_stack(np.triu_indices(r, 1))
     weights = rows_of[pairs[:, 0], tidx[pairs[:, 1]]]
-    blocks = [dict(pos=pairs, spokes=weights[:, None])]
-
+    blocks = [(pairs, np.vstack([vertices[tidx[pairs.T]], weights])[:, None])]
     if k >= 3:
         blocks.append(_three_stars(rows_of, tidx, vertices))
-
-    # Components of 5 or more terminals: (positions, closure edges, interior
-    # closure columns in order of first appearance), built after numbering.
-    larger: list[tuple[list[int], list[tuple[int, int]], list[int]]] = []
     if k >= 4:
-        D = closure.dist
-        tables = _SharedTables(D, tidx, k - 2)
-        blocks.extend(_four_rows(tables, vertices, *chunk) for chunk in tables.last_masks(4))
-        for m in range(5, k + 1):
-            for base, q, hub, cost, split in tables.last_masks(m):
-                subset = np.column_stack([base, np.full(len(base), q)])
-                # A terminal at the root hub is never a leaf.
-                for i in np.flatnonzero((tidx[subset] != hub[:, None]).all(axis=1)).tolist():
-                    combo = subset[i].tolist()
-                    edges = tables.tree_edges(combo[:-1], q, int(hub[i]), int(split[i]))
-                    own = tidx[combo].tolist()
-                    ends = [x for e in edges for x in e]
-                    if any(ends.count(x) != 1 for x in own):
-                        continue
-                    if sum(int(D[a, b]) for a, b in edges) != cost[i]:
-                        raise InternalInvariantError(
-                            f"tree for terminals {combo} disagrees with its table cost")
-                    inner = list(dict.fromkeys(x for x in ends if x not in own))
-                    larger.append((combo, edges, inner))
+        check_dense_budget(len(vertices), r, k - 2, "use a smaller k")
+        tables = _SharedTables(closure.dist, tidx, k - 2)
+        for m in range(4, k + 1):
+            blocks.extend(_dw_rows(tables, vertices, *last) for last in tables.last_masks(m))
 
-    n = sum(len(b["pos"]) for b in blocks) + len(larger)
-    # Fortran order: row-wise checks and sums read one contiguous column at a time.
-    cols = dict(pos=np.full((n, k), -1, dtype=np.int64, order="F"),
-                spokes=np.zeros((n, 4 if k >= 4 else 3), dtype=np.int64, order="F"),
-                hub=np.full(n, -1, dtype=np.int64), hub2=np.full(n, -1, dtype=np.int64),
-                far=np.zeros(n, dtype=np.int64), link=np.zeros(n, dtype=np.int64),
-                loss=np.zeros(n, dtype=np.int64))
+    n = sum(len(p) for p, _ in blocks)
+    # Fortran order, and edges built transposed: row-wise checks and sums
+    # read one contiguous column at a time.
+    pos = np.full((n, k), -1, dtype=np.int64, order="F")
+    edges = np.zeros((3, max(1, 2 * k - 3), n), dtype=np.int64)
     at = 0
-    for block in blocks:
-        rows = slice(at, at + len(block["pos"]))
-        for name, value in block.items():
-            target = cols[name][rows]
-            if value.ndim == 2:
-                target = target[:, :value.shape[1]]
-            target[...] = value
-        at += len(block["pos"])
-    del blocks, block, value  # the stacked block columns, before the sort and the checks
-    interior = (cols["hub"] >= 0).astype(np.int64) + (cols["hub2"] >= 0)
-    for j, (combo, _, inner) in enumerate(larger):
-        cols["pos"][at + j, :len(combo)] = combo
-        interior[at + j] = len(inner)
+    for p, e in blocks:
+        pos[at:at + len(p), :p.shape[1]] = p
+        edges[:, :e.shape[1], at:at + len(p)] = e
+        at += len(p)
+    del blocks, p, e  # the block columns, before the sort and the checks
 
     # The budget caps r at 2000, so int16 keys, which numpy radix-sorts, keep the order.
-    order = np.lexsort(cols["pos"].astype(np.int16).T[::-1])
-    cols = {name: col.T.take(order, axis=-1).T for name, col in cols.items()}  # stays Fortran
-    interior = interior[order]
-    row_of = np.empty(n, dtype=np.int64)
-    row_of[order] = np.arange(n)
+    order = np.lexsort(pos.astype(np.int16).T[::-1])
+    for plane in (*pos.T, *edges.reshape(-1, n)):  # in place, one plane at a time
+        plane[:] = plane[order]
+    # A tree over its terminals and interior nodes has one node more than edges.
+    interior = (edges[0] != 0).sum(axis=0) + 1 - (pos >= 0).sum(axis=1)
     first_id = instance.vertex_count + 1 + np.cumsum(interior) - interior
     total = int(interior.sum())
-    costs = cols["spokes"].sum(axis=1) + cols["link"]
-    losses = cols["loss"]
-    built: dict[int, FullComponent] = {}
-    for j, (combo, edges, inner) in enumerate(larger):
-        row = int(row_of[at + j])
-        ids = {int(tidx[p]): terms[p] for p in combo}
-        ids.update((x, int(first_id[row]) + i) for i, x in enumerate(inner))
-        comp = FullComponent([terms[p] for p in combo],
-                             [(ids[a], ids[b], int(D[a, b])) for a, b in edges],
-                             {ids[x]: closure.vertices[x] for x in inner})
-        built[row] = comp
-        costs[row] = comp.cost
-        losses[row] = comp.loss
-    return CandidateTable(
-        np.array(terms, dtype=np.int64), cols["pos"], costs, losses, cols["hub"],
-        cols["spokes"], first_id, built, instance.vertex_count + total if total else 0,
-        hub2=cols["hub2"], far=cols["far"], link=cols["link"],
-    )
+    return CandidateTable(np.array(terms, dtype=np.int64), pos, edges[2].sum(axis=0), edges.T,
+                          first_id, {}, instance.vertex_count + total if total else 0)
 
 
 def _normalized_edges(edges: list[Edge], keep: set[int], origin: dict[int, int],

@@ -19,7 +19,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .components import CandidateTable, FullComponent, _SharedTables
+from .components import CandidateTable, FullComponent, _SharedTables, check_dense_budget
 from .core import MetricClosure, Tree, kruskal_indices
 from .errors import InternalInvariantError, LimitExceededError, UnknownNodeError
 
@@ -59,8 +59,9 @@ def dw_closure_tree(D: np.ndarray, term_idx: Sequence[int]) -> tuple[int, list[t
         a, b = term_idx
         return int(D[a, b]), [(a, b)]
     tables = _SharedTables(D, np.asarray(term_idx, dtype=np.int64), m - 2)
-    (base, q, hub, cost, split), = tables.last_masks(m)
-    return int(cost[0]), tables.tree_edges(base[0].tolist(), q, int(hub[0]), int(split[0]))
+    (subset, hub, cost, split), = tables.last_masks(m)
+    children, parents = tables.trees(subset, hub, split)[..., 0].tolist()
+    return int(cost[0]), [(a, b) for a, b in zip(children, parents) if a >= 0]
 
 
 def optimal_steiner_tree(closure: MetricClosure, terminals: Sequence[int],
@@ -80,6 +81,8 @@ def optimal_steiner_tree(closure: MetricClosure, terminals: Sequence[int],
         )
     if len(terms) == 1:
         return ExactResult(Tree(frozenset(terms), (), 0), 0)
+    check_dense_budget(len(closure.vertices), len(terms), len(terms) - 2,
+                       f"lower the exact-opt limit (--exact-opt-limit) below {len(terms)}")
     tidx = [closure.index[t] for t in terms]
     cost, closure_edges = dw_closure_tree(closure.dist, tidx)
     tree = closure.expand(

@@ -22,6 +22,15 @@ def star3():
                           name="star3")
 
 
+@pytest.fixture(scope="session")
+def long_path():
+    """A 150,000-vertex unit path with 5 terminals: its V x V closure
+    matrix would take 180 GB."""
+    n = 150_000
+    return Instance.build(n, [(v, v + 1, 1) for v in range(1, n)],
+                          [1, 40_000, 75_000, 110_000, n], name="long-path")
+
+
 def make_batch(count, seed0=0, max_vertices=12, max_terminals=8, max_weight=20):
     """Seeded list of small random instances shared by the property tests."""
     out = []

@@ -33,6 +33,18 @@ def test_crossover_tolerance_contract():
     assert abs(loose_alpha - tight_alpha) <= 1e-4
     with pytest.raises(ValueError):
         crossover_alpha(tol=0)
+    for tol in (math.nan, math.inf):
+        with pytest.raises(ValueError):
+            crossover_alpha(tol=tol)
+
+
+def test_crossover_stops_below_the_float_spacing():
+    # Near 0.71 doubles are about 1e-16 apart, so hi - lo never falls below
+    # 1e-300; the bisection stops once the midpoint rounds to an end.
+    alpha, ratio = crossover_alpha(tol=1e-300)
+    want, _ = crossover_alpha(tol=1e-8)
+    assert abs(alpha - want) < 1e-8
+    assert ratio == 2.0 * alpha
 
 
 def test_ratio_curves_endpoints():

@@ -180,6 +180,13 @@ def test_bench_empty_directory_header_only(tmp_path, capsys):
 # bounds
 # ------------------------------
 
+def test_solve_rejects_a_closure_matrix_over_the_dense_budget(tmp_path, capsys, long_path):
+    path = str(tmp_path / "path.stp")
+    save_stp(long_path, path)
+    assert main(["solve", path, "--mode", "mst"]) == 2
+    assert "--exact-opt-limit" in capsys.readouterr().err
+
+
 def test_bounds_crossover(capsys):
     rc = main(["bounds", "--solve-alpha-star", "--tol", "1e-8"])
     assert rc == 0
@@ -190,6 +197,17 @@ def test_bounds_crossover(capsys):
         values[key] = float(val)
     assert abs(values["alpha_star"] - 0.7147) < 1e-3
     assert abs(values["ratio"] - 1.4295) < 1e-3
+
+
+@pytest.mark.parametrize("tol", ["nan", "inf", "0", "-1"])
+def test_bounds_rejects_a_tolerance_that_is_not_positive_and_finite(tol, capsys):
+    assert main(["bounds", "--solve-alpha-star", "--tol", tol]) == 2
+    assert "tolerance must be positive and finite" in capsys.readouterr().err
+
+
+def test_bounds_crossover_at_a_tolerance_below_the_float_spacing(capsys):
+    assert main(["bounds", "--solve-alpha-star", "--tol", "1e-300"]) == 0
+    assert "alpha_star = 0.714" in capsys.readouterr().out
 
 
 def test_bounds_curve_point(capsys):

@@ -361,6 +361,7 @@ def test_savings_for_unknown_terminal_raises():
 def _assert_table_matches_reference(inst, k):
     closure = metric_closure(inst)
     table = enumerate_full_components(inst, closure, k)
+    assert not table.built  # enumeration builds no component
     ref = oracles.reference_full_components(inst, closure, k)
     assert len(table) == len(ref)
     pool = CandidatePool(table)
@@ -373,12 +374,33 @@ def _assert_table_matches_reference(inst, k):
         assert got.edges == want.edges
         assert got.steiner_origin == want.steiner_origin
         assert (got.cost, got.loss) == (want.cost, want.loss)
+    return table
 
 
 def test_table_rows_match_reference_enumeration():
     for inst in make_batch(12, seed0=1600, max_vertices=11, max_terminals=7):
-        for k in (2, 3, 4, 5):
+        for k in (2, 3, 4, 5, 6):
             _assert_table_matches_reference(inst, k)
+
+
+def _binary_tree_instance():
+    """Terminals 1..6 are the leaves of a binary tree on vertices 7..10:
+    the 6-row's tree joins terminal 6 to hub 7, where the base splits into
+    {1, 2, 3} (hub 8, with {2, 3} at hub 10) and {4, 5} (hub 9)."""
+    return Instance.build(10, [(6, 7, 3), (7, 8, 2), (7, 9, 4), (8, 1, 5), (8, 10, 1),
+                               (10, 2, 6), (10, 3, 2), (9, 4, 3), (9, 5, 7)], range(1, 7))
+
+
+def test_six_row_numbers_interior_nodes_depth_first():
+    # Depth first, part before rest, the hubs appear as 7, 8, 10, 9; a
+    # breadth-first order would number 9 before 10.
+    table = _assert_table_matches_reference(_binary_tree_instance(), 6)
+    (row,) = np.flatnonzero(table.size == 6)
+    edges = [e for e in table.edges[row].tolist() if e[0]]
+    assert len(edges) + 1 - 6 == 4
+    assert [e[0] for e in edges if e[0] > 6] == [7, 8, 10, 9]
+    first = int(table.first_id[row])
+    assert table[row].steiner_origin == {first: 7, first + 1: 8, first + 2: 10, first + 3: 9}
 
 
 @pytest.mark.parametrize("case", range(4))
@@ -391,26 +413,28 @@ def test_four_and_five_rows_match_reference_on_ties_and_dp_shape(case):
         _assert_table_matches_reference(inst, 4)
 
 
-@pytest.mark.parametrize("case", range(6))
+@pytest.mark.parametrize("case", range(7))
 def test_shared_tables_match_per_subset_dreyfus_wagner(case):
     # Every subset of 4..k terminals, kept as a candidate or not: the cost
-    # and the exact closure edge list of its tree.
+    # and the exact closure edge list of its tree, in order.
     inst, k = [(random_instance(95008, 60, 20, extra_edges=120), 4),
                (random_instance(21, 40, 12, extra_edges=60), 4),
                (random_instance(22, 30, 10, extra_edges=40), 5),
-               (random_instance(23, 16, 9, extra_edges=8), 5),
-               *((tie, 5) for tie in tie_instances())][case]
+               (random_instance(23, 16, 9, extra_edges=8), 6),
+               (_binary_tree_instance(), 6),
+               *((tie, 6) for tie in tie_instances())][case]
     closure = metric_closure(inst)
     D = closure.dist
     tidx = np.array([closure.index[t] for t in sorted(inst.terminals)])
     tables = components._SharedTables(D, tidx, k - 2)
     seen = 0
     for m in range(4, k + 1):
-        for base, q, hub, cost, split in tables.last_masks(m):
-            for i, row in enumerate(base.tolist()):
-                want_cost, want_edges = oracles.reference_dw_closure_tree(D, tidx[row + [q]].tolist())
+        for subsets, hub, cost, split in tables.last_masks(m):
+            trees = tables.trees(subsets, hub, split).T.tolist()
+            for i, row in enumerate(subsets.tolist()):
+                want_cost, want_edges = oracles.reference_dw_closure_tree(D, tidx[row].tolist())
                 assert cost[i] == want_cost
-                assert tables.tree_edges(row, q, int(hub[i]), int(split[i])) == want_edges
+                assert [(a, b) for a, b in trees[i] if a >= 0] == want_edges
                 seen += 1
     assert seen == sum(math.comb(len(tidx), m) for m in range(4, k + 1))
 
@@ -421,33 +445,33 @@ def test_terminal_set_lookup_matches_reference_dict():
         terms = sorted(inst.terminals)
         for k in (2, 3, 4, 5):
             pool = CandidatePool(enumerate_full_components(inst, closure, k))
-            # Only rows of 5 or more terminals exist built from the start.
-            prebuilt = set(pool.table.built)
-            assert all(len(pool.candidates[i].terminals) >= 5 for i in prebuilt)
+            assert not pool.table.built  # no row is built from the start
             ref = {frozenset(c.terminals): i for i, c in
                    enumerate(oracles.reference_full_components(inst, closure, k))}
             for size in range(1, len(terms) + 1):
                 for subset in itertools.combinations(terms, size):
                     assert pool.by_terminals(subset) == ref.get(frozenset(subset))
             assert pool.by_terminals([terms[0], inst.vertex_count + 1]) is None
-            assert set(pool.table.built) == prebuilt
+            assert not pool.table.built
 
 
 def test_table_checks_its_columns(star3):
     table = enumerate_full_components(star3, metric_closure(star3), 3)
     assert [c.terminals for c in CandidatePool(table).candidates] == [
         (1, 2), (1, 2, 3), (1, 3), (2, 3)]
+    assert table.edges[1].tolist() == [[1, 4, 1], [2, 4, 1], [3, 4, 1]]
 
     def rebuild(row, **changes):
         cols = {name: getattr(table, name).copy() for name in
-                ("terminal_ids", "pos", "costs", "losses", "hub", "spokes", "first_id")}
+                ("terminal_ids", "pos", "costs", "edges", "first_id")}
         for name, value in changes.items():
             cols[name][row] = value
         return CandidateTable(**cols, built={}, max_steiner_id=table.max_steiner_id)
 
     assert len(rebuild(1)) == 4  # unchanged columns pass
-    bad = [dict(costs=4), dict(losses=0), dict(hub=2), dict(spokes=[2, 0, 1]),
-           dict(pos=[1, 0, 2]), dict(hub=-1)]
+    bad = [dict(costs=4), dict(edges=[[1, 2, 1], [2, 4, 1], [3, 4, 1]]),  # 2 is no leaf
+           dict(edges=[[1, 4, 2], [2, 4, 1], [3, 4, 1]]),  # not the stated cost
+           dict(pos=[1, 0, 2]), dict(edges=[[1, 4, 1], [2, 4, 1], [3, 0, 1]])]  # no vertex 0
     for change in bad:
         with pytest.raises(InternalInvariantError):
             rebuild(1, **change)
@@ -455,61 +479,86 @@ def test_table_checks_its_columns(star3):
         rebuild(0, costs=3)
 
 
-def _four_row_table(row=None, **changes):
-    """Hand-made k=4 columns over terminals 1..5: a 4-star at vertex 9, two
-    hubs 9 and 8 with terminals 1 and 2 at the second (the pair spokes
-    win the loss), and two hubs 7 and 6 with terminals 2 and 4 at the
-    second (the link wins). `changes` replace one row's columns; cost and
-    loss follow the columns unless given."""
+def _edge_table(row=None, change=None):
+    """Hand-made edge rows over terminals 1..5, edges as (child, parent,
+    weight) like enumeration's: the pair 1-2; a 3-star at vertex 9; a
+    4-star at 9; two hubs 9 and 8 with terminals 1 and 2 at the second
+    (the spokes win the loss); and two hubs 7 and 6 with terminals 2 and
+    4 at the second (the link wins). `change` sets one row's column, or
+    the part `at` of it; each cost is its row's weight sum unless `costs`
+    is given."""
     cols = dict(
         terminal_ids=np.array([1, 2, 3, 4, 5]),
-        pos=np.array([[0, 1, 2, 3], [0, 1, 2, 4], [1, 2, 3, 4]]),
-        hub=np.array([9, 9, 7]), hub2=np.array([-1, 8, 6]),
-        far=np.array([0, 0b0011, 0b0101]), link=np.array([0, 5, 1]),
-        spokes=np.array([[4, 1, 3, 2], [2, 3, 6, 4], [5, 3, 4, 6]]),
-        first_id=np.array([20, 21, 23]),
+        pos=np.array([[0, 1, -1, -1], [0, 2, 4, -1], [0, 1, 2, 3], [0, 1, 2, 4], [1, 2, 3, 4]]),
+        edges=np.array([
+            [(1, 2, 7), (0, 0, 0), (0, 0, 0), (0, 0, 0), (0, 0, 0)],
+            [(1, 9, 2), (3, 9, 5), (5, 9, 3), (0, 0, 0), (0, 0, 0)],
+            [(1, 9, 4), (2, 9, 1), (3, 9, 3), (4, 9, 2), (0, 0, 0)],
+            [(9, 5, 4), (8, 9, 5), (1, 8, 2), (2, 8, 3), (3, 9, 6)],
+            [(7, 5, 6), (6, 7, 1), (2, 6, 5), (4, 6, 4), (3, 7, 3)],
+        ]),
+        first_id=np.array([-1, 20, 21, 22, 24]),
     )
-    for name, value in changes.items():
-        if name in cols:
+    change = dict(change or {})
+    at = change.pop("at", None)
+    costs = change.pop("costs", None)
+    for name, value in change.items():
+        if at is None:
             cols[name][row] = value
-    size = np.full(3, 4)
-    costs = cols["spokes"].sum(axis=1) + cols["link"]
-    losses = components.column_losses(size, cols["hub"], cols["hub2"], cols["far"],
-                                      cols["spokes"], cols["link"])
-    if "costs" in changes:
-        costs[row] = changes["costs"]
-    if "losses" in changes:
-        losses[row] = changes["losses"]
-    return CandidateTable(costs=costs, losses=losses, built={}, max_steiner_id=24, **cols)
+        else:
+            cols[name][row][at] = value
+    cols["costs"] = cols["edges"][..., 2].sum(axis=1)
+    if costs is not None:
+        cols["costs"][row] = costs
+    return CandidateTable(built={}, max_steiner_id=25, **cols)
 
 
 def test_four_row_columns_build_and_check():
-    table = _four_row_table()
-    # The lightest spoke for the star; then la + lc = 4 + 2 and la + w = 3 + 1.
-    assert table.losses.tolist() == [1, 6, 4]
-    star, pairs, linked = table
-    assert sorted(star.edges) == [(1, 20, 4), (2, 20, 1), (3, 20, 3), (4, 20, 2)]
-    assert star.steiner_origin == {20: 9}
-    assert sorted(pairs.edges) == [(1, 22, 2), (2, 22, 3), (3, 21, 6), (5, 21, 4), (21, 22, 5)]
-    assert pairs.steiner_origin == {21: 9, 22: 8}
-    assert linked.steiner_origin == {23: 7, 24: 6}
-    assert [c.loss for c in table] == [1, 6, 4]
+    table = _edge_table()
+    # The lightest spoke for a star; then la + lc = 4 + 2 and la + w = 3 + 1.
+    assert table.losses.tolist() == [0, 2, 1, 6, 4]
+    pair, star3, star4, pairs, linked = table
+    assert pair.edges == ((1, 2, 7),) and pair.steiner_origin == {}
+    assert star3.edges == ((1, 20, 2), (5, 20, 3), (3, 20, 5))
+    assert sorted(star4.edges) == [(1, 21, 4), (2, 21, 1), (3, 21, 3), (4, 21, 2)]
+    assert star4.steiner_origin == {21: 9}
+    # Interior ids follow first appearance: hub 9, next to the last
+    # terminal, before hub 8.
+    assert sorted(pairs.edges) == [(1, 23, 2), (2, 23, 3), (3, 22, 6), (5, 22, 4), (22, 23, 5)]
+    assert pairs.steiner_origin == {22: 9, 23: 8}
+    assert linked.steiner_origin == {24: 7, 25: 6}
+    assert [c.loss for c in table] == [0, 2, 1, 6, 4]
+
+
+_PAD = [(0, 0, 0)]
 
 
 @pytest.mark.parametrize("row, change", [
-    (0, dict(hub=3)),                  # a hub is a terminal of its row
-    (1, dict(hub2=5)),
-    (1, dict(hub2=9)),                 # the two hubs are one vertex
-    (1, dict(hub2=-1)),                # terminals at a second hub that is missing
-    (0, dict(spokes=[-1, 1, 3, 2])),   # a negative spoke
-    (2, dict(link=-1)),
-    (1, dict(costs=21)),               # cost is not the sum of the edges
-    (2, dict(losses=5)),               # loss is not the closed form
-    (1, dict(far=0b1001)),             # the last terminal away from the first hub
+    (0, dict(pos=[1, 0, -1, -1])),                          # positions do not increase
+    (1, dict(edges=[(1, 3, 2), (5, 3, 3)] + _PAD * 3)),     # terminal 3 is no leaf
+    (1, dict(edges=_PAD + [(5, 9, 3)], at=slice(2, 4))),    # an edge after the padding
+    (1, dict(edges=1, at=(4, 2))),                          # padding that is not zero
+    (0, dict(pos=[0, -1, -1, -1])),                         # one terminal
+    (2, dict(edges=6, at=(3, 0))),                          # terminal 4 is missing
+    (1, dict(edges=[(9, 9, 0), (1, 9, 2), (3, 9, 5), (5, 9, 3)], at=slice(4))),  # a loop first
+    (2, dict(edges=-9, at=(slice(4), 1))),                  # an endpoint that is no vertex
+    (1, dict(edges=[(1, 9, 2), (9, 8, 1), (3, 8, 5), (8, 9, 1), (5, 9, 3)])),  # a cycle
+    (3, dict(edges=[(1, 2, 1), (3, 9, 1), (5, 9, 1)] + _PAD * 2)),  # two trees
+    (2, dict(edges=-1, at=(0, 2))),                         # a negative weight
+    (4, dict(costs=20)),                                    # cost is not the weight sum
 ])
 def test_four_row_column_checks_reject(row, change):
     with pytest.raises(InternalInvariantError):
-        _four_row_table(row, **change)
+        _edge_table(row, change)
+
+
+@pytest.mark.parametrize("column", ["costs", "losses"])
+def test_building_a_row_checks_its_cost_and_loss(column):
+    table = _edge_table()
+    getattr(table, column)[3] += 1
+    assert table[2].loss == 1
+    with pytest.raises(InternalInvariantError):
+        table[3]
 
 
 def _built_on_use(inst, k):
@@ -538,9 +587,10 @@ def test_only_picked_and_looked_up_candidates_are_built():
 def test_only_picked_and_looked_up_four_rows_are_built():
     pool, picked = _built_on_use(random_instance(2, 60, 20, extra_edges=120), 4)
     assert len(pool) > 2500
-    # Picks include 4-stars and two-hub rows.
-    four = [i for i in picked if pool.table.size[i] == 4]
-    assert {bool(pool.table.hub2[i] >= 0) for i in four} == {False, True}
+    # Picks include 4-stars and two-hub rows: one interior node or two.
+    table = pool.table
+    interior = (table.edges[:, :, 0] != 0).sum(axis=1) + 1 - table.size
+    assert {int(interior[i]) for i in picked if table.size[i] == 4} == {1, 2}
 
 
 def test_four_row_enumeration_memory_is_bounded():

@@ -92,6 +92,12 @@ def test_config_validation():
         solve(Instance.build(2, [(1, 2, 1)], [1, 2]), RunConfig(mode="nope"))
 
 
+def test_dense_budget_rejects_the_exact_optimum_of_a_long_path(long_path):
+    # The exact optimum reads the closure matrix even in mst mode.
+    with pytest.raises(LimitExceededError, match="--exact-opt-limit"):
+        solve(long_path, RunConfig(mode="mst"))
+
+
 def test_config_caps_the_oracle_limits():
     inst = Instance.build(2, [(1, 2, 1)], [1, 2])
     RunConfig(exact_opt_limit=OPT_LIMIT_CAP, exact_optk_limit=OPTK_LIMIT_CAP).validate()

@@ -252,16 +252,16 @@ class CandidateTable(Sequence):
         the row's terminals, as an [end, edge, row] mask like `edges.T`."""
         pos, ends, weights = self.pos, self.edges.T[:2], self.edges.T[2]
         real = ends[0] != 0
-        terms = np.append(self.terminal_ids, -1)[pos].T  # padded positions read -1
-        leaves, at_term = _leaves(ends, terms)
+        # Padded positions read -1.
+        leaves, at_term = _leaves(ends, np.append(self.terminal_ids, -1)[pos].T)
         grows = (ends[0, 0] != ends[1, 0]).all()
         for j in range(1, len(real)):
             old = [(ends[:, :j] == end).any(axis=0).any(axis=0) for end in ends[:, j]]
             grows &= ((old[0] != old[1]) | ~real[j]).all()
         ok = (leaves.all() and grows and (pos[:, :2] >= 0).all()
-              and ((np.diff(pos, axis=1) > 0) | (pos[:, 1:] < 0)).all()
+              and ((pos[:, 1:] > pos[:, :-1]) | (pos[:, 1:] < 0)).all()
               and (real[:-1] | ~real[1:]).all()
-              and ((np.minimum(ends[0], ends[1]) > 0) | ~real).all()
+              and ((ends[0] > 0) & (ends[1] > 0) | ~real).all()
               and (real | (ends[1] == 0) & (weights == 0)).all()
               and (weights >= 0).all() and (self.costs == weights.sum(axis=0)).all())
         if not ok:
@@ -557,22 +557,17 @@ def _middle_triples(r: int) -> np.ndarray:
     return triples
 
 
-def _three_stars(rows_of: np.ndarray, tidx: np.ndarray,
-                 vertices: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+def _three_stars(rows_of: np.ndarray, tidx: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """3-stars by middle terminal j: for each i < j < c the first closure vertex
-    minimizing the spoke sum, kept when no subset terminal sits there."""
+    minimizing the spoke sum, kept when no subset terminal sits there, as
+    (positions, hub columns)."""
     triples = _middle_triples(len(tidx))
     hubs = np.concatenate([
         ((rows_of[:j] + rows_of[j])[:, None] + rows_of[None, j + 1:]).argmin(axis=2).ravel()
         for j in range(1, len(tidx) - 1)
     ])
     keep = (tidx[triples] != hubs[:, None]).all(axis=1)
-    triples, hubs = np.compress(keep, triples, axis=0), np.compress(keep, hubs)
-    edges = np.empty((3, 3, len(hubs)), dtype=np.int64)  # transposed, like _dw_rows
-    np.take(vertices[tidx], triples.T, out=edges[0])
-    edges[1] = vertices[hubs]
-    edges[2] = rows_of[triples.T, hubs]
-    return triples, edges
+    return np.compress(keep, triples, axis=0), np.compress(keep, hubs)
 
 
 def enumerate_full_components(instance: Instance, closure: MetricClosure,
@@ -606,7 +601,9 @@ def enumerate_full_components(instance: Instance, closure: MetricClosure,
     weights = rows_of[pairs[:, 0], tidx[pairs[:, 1]]]
     blocks = [(pairs, np.vstack([vertices[tidx[pairs.T]], weights])[:, None])]
     if k >= 3:
-        blocks.append(_three_stars(rows_of, tidx, vertices))
+        # The 3-stars come as positions and hubs; their edges, three spokes
+        # to the hub, go straight into the table's columns below.
+        blocks.append(_three_stars(rows_of, tidx))
     if k >= 4:
         check_dense_budget(len(vertices), r, k - 2, "use a smaller k")
         tables = _SharedTables(closure.dist, tidx, k - 2)
@@ -620,8 +617,13 @@ def enumerate_full_components(instance: Instance, closure: MetricClosure,
     edges = np.zeros((3, max(1, 2 * k - 3), n), dtype=np.int64)
     at = 0
     for p, e in blocks:
-        pos[at:at + len(p), :p.shape[1]] = p
-        edges[:, :e.shape[1], at:at + len(p)] = e
+        rows = slice(at, at + len(p))
+        pos[rows, :p.shape[1]] = p
+        if e.ndim == 1:  # 3-star hubs, one spoke at a time
+            for j in range(3):
+                edges[:, j, rows] = vertices[tidx[p[:, j]]], vertices[e], rows_of[p[:, j], e]
+        else:
+            edges[:, :e.shape[1], rows] = e
         at += len(p)
     del blocks, p, e  # the block columns, before the sort and the checks
 

@@ -222,18 +222,61 @@ def format_cost(cost: int, scale: int) -> str:
 # Metric closure
 
 
+# S closure rows over V vertices and E edges are S * (V + 2E) units of
+# work; Dijkstra spends 0.11-0.20 us on a unit (timeit, best of 5, on a
+# shared 2-core x86-64 host). The batch adds a fixed cost of about 0.15 ms
+# plus 20-30 us of numpy calls per round, which it wins back only on
+# enough work: on random graphs of 20-50 vertices it took 1.27x Dijkstra's
+# time at 2,760 units, 1.01x at 4,176, 0.98x at 5,560 and 0.84x at 6,240.
+# Smaller batches run Dijkstra per row. That covers every batch of the
+# small oracle corpus (at most 1,248 units), while the 20 terminal rows of
+# a 60-vertex k=4 instance (8,360 units) batch in 0.7 ms against 1.1 ms.
+BATCH_MIN_WORK = 5_000
+
+# A batch may take one round per ROUND_WORK units of its work. A round
+# costs at least about 25 us, what Dijkstra spends on some 200 units, so a
+# batch out of rounds has cost about as much as Dijkstra on its rows, which
+# then rerun by Dijkstra: hop-deep graphs (a long path needs a round per
+# hop) pay at most about twice Dijkstra's time. The benchmark shapes need
+# at most 1.9 rounds per 1,000 units (60-vertex random graphs), against
+# the 5 the budget allows.
+ROUND_WORK = 200
+
+# Rows beyond BATCH_MAX_WORK units are computed in several batches. Larger
+# batches are slower, as each round's arrays outgrow the caches: all 3,600
+# rows of a 60 x 60 grid (17,760 units a row) took 2.8-3.1 s in batches of
+# 2**20 units against 5.2 s in one batch, whose round arrays peaked at
+# 62 MiB beside the 99 MiB matrix (2 MiB in batches).
+BATCH_MAX_WORK = 2**20
+
+
+def _distinct(flat: np.ndarray, at: np.ndarray, values: np.ndarray) -> np.ndarray:
+    """The positions `at`, each once: every entry writes its own index into
+    `flat` at its position, as -1 - index, and the entries that read their
+    index back are kept. `values` (equal for repeats) are then written
+    there, so `flat` ends as if assigned `values` at `at`."""
+    mark = -1 - np.arange(len(at))
+    flat[at] = mark
+    keep = at[flat[at] == mark]
+    flat[at] = values
+    return keep
+
+
 class MetricClosure:
-    """Shortest paths over the component containing the terminals, one
-    source at a time.
+    """Shortest paths over the component containing the terminals, computed
+    on demand and kept.
 
     Vertices outside that component are excluded; `vertices` are its sorted
-    ids and `index` maps a vertex id to its column. A source's distance row
-    and predecessor row are computed together, by one Dijkstra, the first
-    time `distance`, `rows`, `block`, `predecessors`, `path_edges` or
-    `expand` needs them, and kept. Heap ties pop the smaller vertex and
-    relaxations are strict, so every row is the same whichever order the
-    rows are asked for in. `rows_computed` counts the Dijkstra runs.
-    `dist`, the full int64 matrix, computes every row that is still missing.
+    ids and `index` maps a vertex id to its column. The first read that
+    needs rows not yet computed (`distance`, `rows`, `block`, `dist`,
+    `predecessors`, `path_edges` or `expand`) computes all of them at once:
+    one batched Δ-stepping over the sources when every weight is positive
+    and the batch is large enough to pay (`_delta_stepping`), else one
+    Dijkstra per source. Distances are unique, and predecessors follow
+    Dijkstra's tie rule either way, so every row is the same whichever path
+    computed it and whichever order the rows are asked for in.
+    `rows_computed` counts the rows computed. `dist`, the full int64
+    matrix, computes every row that is still missing.
     """
 
     def __init__(self, vertices: Sequence[int], adjacency: Sequence[Sequence[tuple[int, int]]],
@@ -242,13 +285,14 @@ class MetricClosure:
         self.index = {v: i for i, v in enumerate(self.vertices)}
         self._adj = adjacency  # per column: (neighbor column, weight), sorted
         self._edge_weight = edge_weight
+        self._work = len(self.vertices) + sum(map(len, adjacency))  # V + 2E per row
         self._dist: dict[int, np.ndarray] = {}
         self._pred: dict[int, np.ndarray] = {}
         self._runs = 0
 
     @property
     def rows_computed(self) -> int:
-        """Number of Dijkstra runs so far, one per source row."""
+        """Number of rows computed so far, by either path."""
         return self._runs
 
     def _column(self, u: int) -> int:
@@ -257,11 +301,21 @@ class MetricClosure:
         except KeyError:
             raise UnknownNodeError(f"vertex {u} not in closure") from None
 
-    def _row(self, si: int) -> np.ndarray:
-        """Distance row of column `si`; runs Dijkstra on first use."""
-        row = self._dist.get(si)
-        if row is not None:
-            return row
+    @cached_property
+    def _arcs(self) -> tuple[np.ndarray, np.ndarray, np.ndarray] | None:
+        """The adjacency as CSR arrays (row starts, neighbor columns,
+        weights), or None when a weight is 0: a zero-weight edge breaks the
+        pop-order argument of the predecessor rule, so such a closure
+        computes every row by Dijkstra."""
+        flat = np.array([x for nbrs in self._adj for x in nbrs], dtype=np.int64).reshape(-1, 2)
+        if flat[:, 1].min() == 0:
+            return None
+        start = np.zeros(len(self._adj) + 1, dtype=np.int64)
+        np.cumsum([len(nbrs) for nbrs in self._adj], out=start[1:])
+        return start, flat[:, 0].copy(), flat[:, 1].copy()
+
+    def _dijkstra(self, si: int) -> tuple[list[int], list[int]]:
+        """Distances and predecessors from column `si`."""
         adj = self._adj
         n = len(adj)
         dist = [WEIGHT_LIMIT] * n  # every real distance is below it
@@ -281,16 +335,112 @@ class MetricClosure:
                     dist[v] = nd
                     pred[v] = u
                     push(heap, nd * n + v)
-        self._runs += 1
-        row = self._dist[si] = np.array(dist, dtype=np.int64)
-        self._pred[si] = np.array(pred, dtype=np.int32)
-        self._pred[si].flags.writeable = False
-        return row
+        return dist, pred
+
+    def _delta_stepping(self, out: np.ndarray, slots: np.ndarray, sources: np.ndarray) -> bool:
+        """Distances from each of `sources` into row `slots[i]` of `out`, all
+        at once: Δ-stepping (Meyer & Sanders 2003) with Δ the largest edge
+        weight, over the disjoint union of one graph copy per source. An
+        entry is a flat position row * V + column of `out`. Bucket b holds
+        the entries with distance in [bΔ, (b + 1)Δ); relaxing one reaches
+        only buckets b and b + 1, so two lists of pending entries suffice.
+        Each round relaxes every pending entry of the current bucket. False
+        when the rounds exceed the budget (`ROUND_WORK`), the rows then
+        being partial."""
+        start, head, weight = self._arcs
+        n = len(start) - 1
+        flat = out.reshape(-1)  # a view: out is C-contiguous
+        out[slots] = WEIGHT_LIMIT
+        cur = slots * n + sources
+        flat[cur] = 0
+        delta = int(weight.max())
+        top, later, budget = delta, [], len(sources) * self._work // ROUND_WORK
+        while True:
+            while len(cur):
+                budget -= 1
+                if budget < 0:
+                    return False
+                col = cur % n
+                first, degree = start[col], start[col + 1] - start[col]
+                ends = np.cumsum(degree)
+                arc = np.arange(ends[-1]) + np.repeat(first - ends + degree, degree)
+                to = np.repeat(cur - col, degree) + head[arc]
+                d = np.repeat(flat[cur], degree) + weight[arc]
+                better = d < flat[to]
+                to, d = to[better], d[better]
+                np.minimum.at(flat, to, d)
+                won = d == flat[to]
+                cur = _distinct(flat, to[won], d[won])
+                low = flat[cur] < top
+                later.append(cur[~low])
+                cur = cur[low]
+            if not later:
+                return True
+            # Entries lowered below `top` since they were put off were relaxed then.
+            pending = np.concatenate(later)
+            later, top = [], top + delta
+            d = flat[pending]
+            keep = d >= top - delta
+            cur = _distinct(flat, pending[keep], d[keep])
+
+    @cached_property
+    def _incoming(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """Every arc (u, v, w) into column v, sorted by v, then heaviest
+        first, then smallest u."""
+        start, head, weight = self._arcs
+        # Edges are undirected: the arcs out of column v are the arcs into it.
+        v = np.repeat(np.arange(len(start) - 1), np.diff(start))
+        order = np.lexsort((head, -weight, v))
+        return head[order], v[order], weight[order]
+
+    def _tight_predecessors(self, row: np.ndarray) -> np.ndarray:
+        """Dijkstra's predecessors, from a distance row over positive
+        weights. Dijkstra sets pred[v] to the first popped u with
+        row[u] + w(u, v) == row[v], a tight neighbor. With positive weights
+        every vertex at distance d is in the heap before any of them pops, so
+        vertices pop in (distance, column) order and that u is the tight
+        neighbor of smallest row[u] = row[v] - w, that is of largest w, ties
+        going to the smallest column."""
+        u, v, w = self._incoming
+        tight = np.flatnonzero(row[u] + w == row[v])
+        first = tight[np.diff(v[tight], prepend=-1) != 0]
+        pred = np.full(len(row), -1, dtype=np.int32)
+        pred[v[first]] = u[first]
+        return pred
+
+    def _compute(self, out: np.ndarray, slots: Sequence[int], sources: Sequence[int]) -> None:
+        """Rows from the columns `sources` into rows `slots` of `out`, kept as
+        views of it: batches of up to BATCH_MAX_WORK units when they pay,
+        else Dijkstra per source, which also reruns a batch out of rounds."""
+        step = max(1, BATCH_MAX_WORK // self._work)
+        for at in range(0, len(sources), step):
+            into, part = slots[at:at + step], sources[at:at + step]
+            batched = (len(part) * self._work >= BATCH_MIN_WORK and self._arcs is not None
+                       and self._delta_stepping(out, np.asarray(into), np.asarray(part)))
+            for slot, si in zip(into, part):
+                if not batched:
+                    dist, pred = self._dijkstra(si)
+                    out[slot] = dist
+                    self._pred[si] = np.array(pred, dtype=np.int32)
+                    self._pred[si].flags.writeable = False
+                self._dist[si] = out[slot]
+        self._runs += len(sources)
+
+    def _row(self, si: int) -> np.ndarray:
+        row = self._dist.get(si)
+        return self._rows([si])[0] if row is None else row
+
+    def _rows(self, columns: Sequence[int]) -> list[np.ndarray]:
+        """Distance rows of `columns`; computes the missing ones together."""
+        missing = list(dict.fromkeys(c for c in columns if c not in self._dist))
+        self._compute(np.empty((len(missing), len(self._adj)), dtype=np.int64),
+                      range(len(missing)), missing)
+        return [self._dist[c] for c in columns]
 
     def rows(self, nodes: Iterable[int]) -> np.ndarray:
         """Distances from each of `nodes` (rows) to every closure vertex
         (columns, in `vertices` order)."""
-        return np.stack([self._row(self._column(u)) for u in nodes])
+        return np.stack(self._rows([self._column(u) for u in nodes]))
 
     def block(self, nodes: Sequence[int]) -> np.ndarray:
         """Distances between `nodes`, rows and columns in the given order."""
@@ -300,17 +450,25 @@ class MetricClosure:
         """Column of the vertex before each vertex on its shortest path
         from `u`; -1 at `u`."""
         si = self._column(u)
-        self._row(si)
-        return self._pred[si]
+        row = self._row(si)
+        pred = self._pred.get(si)
+        if pred is None:
+            pred = self._pred[si] = self._tight_predecessors(row)
+            pred.flags.writeable = False
+        return pred
 
     @cached_property
     def dist(self) -> np.ndarray:
-        """All-pairs distances, filled row by row. Rows computed earlier
-        move into the matrix, so no second copy of them stays behind."""
+        """All-pairs distances. Rows computed earlier move into the matrix,
+        so no second copy of them stays behind; the missing rows are
+        computed straight into it."""
         n = len(self.vertices)
         full = np.empty((n, n), dtype=np.int64)
+        for i, row in self._dist.items():
+            full[i] = row
+        missing = [i for i in range(n) if i not in self._dist]
+        self._compute(full, missing, missing)
         for i in range(n):
-            full[i] = self._row(i)
             self._dist[i] = full[i]
         full.flags.writeable = False
         return full
@@ -345,8 +503,8 @@ class MetricClosure:
 
 def metric_closure(instance: Instance) -> MetricClosure:
     """Closure over the terminal component, exact integer distances. Reads
-    the component only (which raises when a terminal lies outside it); each
-    Dijkstra runs when its row is first read."""
+    the component only (which raises when a terminal lies outside it); rows
+    are computed when first read."""
     adj = instance.adjacency
     vertices = sorted(instance.terminal_component)
     index = {v: i for i, v in enumerate(vertices)}

@@ -63,8 +63,9 @@ class ScoredTree(NamedTuple):
 @dataclass
 class Phase1Result:
     base_tree: Tree                  # final working tree over the terminals
-    start: ScoredTree                # the terminal MST, scored
-    base: ScoredTree                 # the base tree, scored
+    # The terminal MST and the base tree, scored; solve's own copy drops them.
+    start: ScoredTree | None
+    base: ScoredTree | None
     solution: Tree                   # merged phase-1 tree, interior leaves pruned
     solution_cost_unpruned: int
     mst_cost: int

@@ -13,7 +13,7 @@ import logging
 import time
 from collections.abc import Iterator
 from contextlib import contextmanager
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from itertools import combinations
 
 from .bounds import BoundReport, check_run
@@ -185,6 +185,7 @@ def solve(instance: Instance, config: RunConfig | None = None) -> RunResult:
     pool = None
     p1: Phase1Result | None = None
     p2: Phase2Result | None = None
+    max_residual_gain = None
     if config.mode != "mst":
         with _stage(instance, "enumerate"):
             table = enumerate_full_components(instance, closure, config.k)
@@ -192,9 +193,13 @@ def solve(instance: Instance, config: RunConfig | None = None) -> RunResult:
             pool = CandidatePool(table)
         with _stage(instance, "phase 1"):
             p1 = run_phase1(instance, closure, pool, t0)
+        if len(pool):
+            max_residual_gain = int((p1.base.savings - pool.costs).max())
         if config.mode == "full":
             with _stage(instance, "phase 2"):
                 p2 = run_phase2(instance, pool, t0, p1.start, p1.base)
+        # The checks need only the largest residual gain, not the scored trees.
+        p1 = replace(p1, start=None, base=None)
 
     opt_cost = None
     restricted_opt_cost = None
@@ -224,10 +229,6 @@ def solve(instance: Instance, config: RunConfig | None = None) -> RunResult:
         _validate_solution(instance, solution)
 
     with _stage(instance, "checks"):
-        max_residual_gain = None
-        if p1 is not None and pool is not None and len(pool):
-            max_residual_gain = int((p1.base.savings - pool.costs).max())
-
         max_pair_overlap = None
         if p2 is not None:
             max_pair_overlap = 0

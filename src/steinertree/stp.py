@@ -124,8 +124,16 @@ def _int_field(tokens: list[str], ln: int, what: str) -> int:
 
 
 def load_stp(path: str) -> Instance:
-    with open(path, "r", encoding="utf-8") as fh:
-        text = fh.read()
+    """Read an STP file. Raises StpSyntaxError, naming the file and the
+    byte offset, when it is not UTF-8 text."""
+    with open(path, "rb") as fh:
+        data = fh.read()
+    try:
+        text = data.decode("utf-8")
+    except UnicodeDecodeError as exc:
+        raise StpSyntaxError(f"{path} is not UTF-8 text: byte {exc.start} is "
+                             f"{data[exc.start]:#04x}", data.count(b"\n", 0, exc.start) + 1
+                             ) from None
     default = os.path.splitext(os.path.basename(path))[0]
     inst = parse_stp(text)
     if not inst.name:

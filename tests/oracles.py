@@ -229,20 +229,20 @@ def path_bottleneck_bruteforce(tree_edges, u, v):
     raise AssertionError("endpoints not connected in tree")
 
 
-def reference_closure(instance):
+def reference_closure(instance, sources=None):
     """The earlier eager closure: Dijkstra from every vertex of the terminal
-    component into two dense matrices. Heap ties pop the smaller vertex and
-    relaxations are strict. Returns (sorted vertices, int64 distances,
-    int32 predecessor columns, -1 on the diagonal)."""
+    component, or from each of `sources`, into two dense matrices. Heap ties
+    pop the smaller vertex and relaxations are strict. Returns (sorted
+    vertices, int64 distances, int32 predecessor columns, -1 at the source),
+    one row per source."""
     adj = instance.adjacency
     component = instance.terminal_component
     vertices = sorted(component)
     index = {v: i for i, v in enumerate(vertices)}
-    n = len(vertices)
-    dist = np.zeros((n, n), dtype=np.int64)
-    pred = np.full((n, n), -1, dtype=np.int32)
-    for src in vertices:
-        si = index[src]
+    sources = vertices if sources is None else list(sources)
+    dist = np.zeros((len(sources), len(vertices)), dtype=np.int64)
+    pred = np.full(dist.shape, -1, dtype=np.int32)
+    for si, src in enumerate(sources):
         d = {src: 0}
         done = set()
         heap = [(0, src)]

@@ -63,6 +63,15 @@ def test_solve_malformed_file_is_input_error(tmp_path, capsys):
     assert rc == 2
 
 
+def test_solve_non_utf8_file_is_input_error(tmp_path, capsys):
+    path = tmp_path / "bad.stp"
+    path.write_bytes(b"33D32945 STP File\n\xff\xfeSECTION Graph\n")
+    assert main(["solve", str(path)]) == 2
+    err = capsys.readouterr().err
+    assert "input error" in err and "Traceback" not in err
+    assert str(path) in err and "byte 18" in err and "line 2" in err
+
+
 def test_solve_over_candidate_budget_is_input_error(tmp_path, capsys):
     # 80 terminals at k=6 would mean about 3 * 10**8 terminal subsets.
     path = str(tmp_path / "many.stp")
@@ -150,6 +159,18 @@ def test_bench_keeps_going_after_bad_file(tmp_path, capsys):
     byname = {r[0]: r for r in rows[1:]}
     assert byname["broken"][-1].startswith("error:")
     assert rows[-1][-1] == "ok=1;error=1"
+
+
+def test_bench_keeps_going_after_a_non_utf8_file(tmp_path, capsys):
+    for name in ("a", "c"):
+        save_stp(Instance.build(2, [(1, 2, 5)], [1, 2], name=name), str(tmp_path / f"{name}.stp"))
+    (tmp_path / "b.stp").write_bytes(b"\xff\xfe" + "SECTION Graph".encode("utf-16-le"))
+    assert main(["bench", str(tmp_path)]) == 0
+    rows = list(csv.reader(io.StringIO(capsys.readouterr().out)))
+    assert [r[0] for r in rows] == ["instance", "a", "b", "c", "(summary)"]
+    assert rows[1][-1] == rows[3][-1] == "ok"
+    assert rows[2][-1].startswith("error:") and "not UTF-8" in rows[2][-1]
+    assert rows[-1][-1] == "ok=2;error=1"
 
 
 def test_bench_out_file(tmp_path, capsys):

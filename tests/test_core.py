@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 import oracles
-from conftest import make_batch
+from conftest import make_batch, tie_instances
 from steinertree import (
     CandidatePool,
     DisconnectedInputError,
@@ -17,10 +17,12 @@ from steinertree import (
     Tree,
     UnknownNodeError,
     enumerate_full_components,
+    grid_instance,
     metric_closure,
     minimum_spanning_tree,
     random_instance,
 )
+from steinertree import core
 from steinertree.core import (
     WEIGHT_LIMIT,
     ContractedTree,
@@ -161,18 +163,23 @@ def test_closure_path_edges_unknown_vertex():
         c.predecessors(999)
 
 
-def test_closure_rows_match_eager_reference():
-    # Vertex 6 lies outside the terminal component; 1-2 has parallel edges,
-    # and zero-weight edges make ties between paths of equal length.
-    odd = Instance.build(
+def _odd_instance():
+    """Vertex 6 lies outside the terminal component; 1-2 has parallel
+    edges, and zero-weight edges make ties between paths of equal length."""
+    return Instance.build(
         7,
         [(1, 2, 4), (2, 1, 3), (1, 2, 3), (2, 3, 0), (3, 4, 2), (1, 4, 5),
          (4, 5, 0), (2, 5, 2), (5, 3, 0), (6, 7, 1)],
         [1, 4, 5],
     )
-    for inst in make_batch(60, seed0=150, max_vertices=12) + [odd]:
+
+
+def test_closure_rows_match_eager_reference():
+    for inst in make_batch(60, seed0=150, max_vertices=12) + [_odd_instance()]:
         vertices, want_dist, want_pred = oracles.reference_closure(inst)
         c = metric_closure(inst)
+        # Each row read here is a batch too small to pay: Dijkstra.
+        assert len(vertices) * c._work < core.BATCH_MIN_WORK
         assert list(c.vertices) == vertices
         assert c.rows_computed == 0
         # Rows asked for in reverse order, one at a time.
@@ -192,6 +199,161 @@ def test_closure_rows_match_eager_reference():
             assert (fresh.predecessors(v) == want_pred[i]).all()
         assert fresh.rows_computed == len(vertices)
     assert 6 not in c.index  # the last case leaves vertex 6 outside
+
+
+def _batch_every_read(monkeypatch):
+    """Batch however small the work, with rounds to spare."""
+    monkeypatch.setattr(core, "BATCH_MIN_WORK", 0)
+    monkeypatch.setattr(core, "ROUND_WORK", 1)
+
+
+def _record_closure_paths(monkeypatch):
+    """Record (sources, finished) for every batch and count Dijkstra runs."""
+    calls = {"batches": [], "dijkstra": 0}
+    batch, dijkstra = core.MetricClosure._delta_stepping, core.MetricClosure._dijkstra
+
+    def recording_batch(self, out, slots, sources):
+        calls["batches"].append((len(sources), batch(self, out, slots, sources)))
+        return calls["batches"][-1][1]
+
+    def counting_dijkstra(self, si):
+        calls["dijkstra"] += 1
+        return dijkstra(self, si)
+
+    monkeypatch.setattr(core.MetricClosure, "_delta_stepping", recording_batch)
+    monkeypatch.setattr(core.MetricClosure, "_dijkstra", counting_dijkstra)
+    return calls
+
+
+def _assert_closure_rows(c, vertices, want_dist, want_pred, sources):
+    for i, v in enumerate(sources):
+        assert (c.rows([v])[0] == want_dist[i]).all(), v
+        assert (c.predecessors(v) == want_pred[i]).all(), v
+    assert list(c.vertices) == vertices
+
+
+def test_closure_batch_matches_eager_reference(monkeypatch):
+    # Positive weights: one Δ-stepping batch computes every row asked for,
+    # and predecessors come from the tight-neighbor rule. Unit weights tie
+    # everywhere; the 30 x 30 grid is the benchmark's shape.
+    _batch_every_read(monkeypatch)
+    calls = _record_closure_paths(monkeypatch)
+    bench_grid = grid_instance(30, 30, seed=1, terminal_stride=30)
+    cases = [(grid_instance(12, 12, max_weight=1, terminal_stride=5), None),
+             (tie_instances()[0], None),
+             (bench_grid, sorted(bench_grid.terminals))]
+    cases += [(inst, None) for inst in make_batch(60, seed0=150, max_vertices=12)]
+    for inst, sources in cases:
+        vertices, want_dist, want_pred = oracles.reference_closure(inst, sources)
+        sources = sources or vertices
+        calls["batches"].clear()
+        c = metric_closure(inst)
+        assert (c.rows(sources) == want_dist).all(), inst.name
+        assert calls["batches"] == [(len(sources), True)]
+        assert c.rows_computed == len(sources)
+        _assert_closure_rows(c, vertices, want_dist, want_pred, sources)
+        if len(sources) == len(vertices):  # the matrix takes the rows over
+            assert (c.dist == want_dist).all()
+    assert calls["dijkstra"] == 0
+
+
+def test_zero_weight_closures_take_the_dijkstra_path(monkeypatch):
+    _batch_every_read(monkeypatch)
+    calls = _record_closure_paths(monkeypatch)
+    for inst in (_odd_instance(), tie_instances()[1]):
+        vertices, want_dist, want_pred = oracles.reference_closure(inst)
+        c = metric_closure(inst)
+        assert (c.dist == want_dist).all()
+        _assert_closure_rows(c, vertices, want_dist, want_pred, vertices)
+        assert calls["dijkstra"] == len(vertices) and calls["batches"] == []
+        calls["dijkstra"] = 0
+
+
+def _weighted_path(n, seed):
+    """A path 1 - 2 - ... - n with weights 1..9, and its closure rows from
+    `sources` in closed form: prefix-sum differences, each predecessor
+    one step toward the source."""
+    rng = random.Random(seed)
+    weights = [rng.randint(1, 9) for _ in range(n - 1)]
+    inst = Instance.build(n, [(v, v + 1, w) for v, w in enumerate(weights, 1)], [1, n])
+    prefix = np.concatenate([[0], np.cumsum(weights)])
+    cols = np.arange(n)
+
+    def rows(sources):
+        dist = np.array([np.abs(prefix - prefix[s - 1]) for s in sources])
+        pred = np.array([np.where(cols < s - 1, cols + 1, cols - 1) for s in sources])
+        for i, s in enumerate(sources):
+            pred[i, s - 1] = -1
+        return dist, pred
+
+    return inst, rows
+
+
+def test_closure_batch_out_of_rounds_reruns_its_sources(monkeypatch):
+    # A path needs one round per hop. With rounds for about ten, the batch
+    # gives up and Dijkstra recomputes its rows; with enough it finishes.
+    inst, reference = _weighted_path(3000, seed=4)
+    sources = [1, 1700, 3000]
+    want_dist, want_pred = reference(sources)
+    calls = _record_closure_paths(monkeypatch)
+    work = len(sources) * (3000 + 2 * 2999)
+    for round_work, finished in ((work // 10, False), (1, True)):
+        monkeypatch.setattr(core, "ROUND_WORK", round_work)
+        calls["batches"].clear()
+        calls["dijkstra"] = 0
+        c = metric_closure(inst)
+        assert (c.rows(sources) == want_dist).all()
+        assert calls["batches"] == [(3, finished)]
+        assert calls["dijkstra"] == (0 if finished else 3)
+        assert c.rows_computed == 3
+        for i, s in enumerate(sources):
+            assert (c.predecessors(s) == want_pred[i]).all()
+
+
+def test_closure_batches_from_the_stated_work(monkeypatch):
+    # A batch of S rows is S * (V + 2E) units; it runs from BATCH_MIN_WORK.
+    calls = _record_closure_paths(monkeypatch)
+    monkeypatch.setattr(core, "ROUND_WORK", 1)
+    inst = grid_instance(6, 6, seed=3, terminal_stride=4)
+    terms = sorted(inst.terminals)
+    work = len(terms) * (36 + 2 * len(inst.edges))
+    want = oracles.reference_closure(inst, terms)[1][:, [t - 1 for t in terms]]
+    for bound, batches in ((work + 1, []), (work, [(len(terms), True)])):
+        monkeypatch.setattr(core, "BATCH_MIN_WORK", bound)
+        calls["batches"].clear()
+        assert (metric_closure(inst).block(terms) == want).all()
+        assert calls["batches"] == batches
+    assert calls["dijkstra"] == len(terms)
+    # Past BATCH_MAX_WORK units the rows split into several batches.
+    monkeypatch.setattr(core, "BATCH_MIN_WORK", 0)
+    monkeypatch.setattr(core, "BATCH_MAX_WORK", 2 * work // len(terms) + 1)
+    calls["batches"].clear()
+    assert (metric_closure(inst).block(terms) == want).all()
+    assert calls["batches"] == [(2, True)] * (len(terms) // 2) + [(1, True)] * (len(terms) % 2)
+    # The benchmark's shapes sit on either side of the stated constant: all
+    # rows of the small oracle corpus's largest instances run Dijkstra, the
+    # 20 terminal rows of the 60-vertex k=4 instances batch.
+    monkeypatch.undo()
+    corpus = random_instance(1, 16, 10, extra_edges=16)
+    k4 = random_instance(1, 60, 20, extra_edges=120)
+    assert 16 * (16 + 2 * 31) < core.BATCH_MIN_WORK <= 20 * (60 + 2 * 179)
+    assert [len(i.edge_weights) for i in (corpus, k4)] == [31, 179]
+
+
+def test_closure_rows_compute_each_missing_row_once(monkeypatch):
+    _batch_every_read(monkeypatch)
+    calls = _record_closure_paths(monkeypatch)
+    inst = grid_instance(8, 8, seed=5, terminal_stride=3)
+    vertices, want_dist, _ = oracles.reference_closure(inst)
+    c = metric_closure(inst)
+    c.rows([5, 9])
+    got = c.rows([9, 1, 5, 1, 30, 9])
+    assert (got == want_dist[[8, 0, 4, 0, 29, 8]]).all()
+    assert calls["batches"] == [(2, True), (2, True)]
+    assert c.rows_computed == 4
+    c.dist
+    assert calls["batches"][-1] == (60, True) and c.rows_computed == 64
+    assert (c.dist == want_dist).all()
 
 
 # ------------------------------

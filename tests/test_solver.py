@@ -1,4 +1,7 @@
 import json
+import os
+import subprocess
+import sys
 
 import pytest
 
@@ -7,6 +10,7 @@ from conftest import FORCED, force_invariant_failure, make_batch
 from steinertree import (
     Instance,
     InvalidInstanceError,
+    MetricClosure,
     RunConfig,
     grid_instance,
     metric_closure,
@@ -170,14 +174,42 @@ def _solve_counting_rows(monkeypatch, instance, config):
 
 def test_k3_solve_without_oracles_computes_terminal_rows_only(monkeypatch):
     # At k=3 every closure distance or path the solve reads starts at a
-    # terminal: a hub is only ever the far end of a spoke.
+    # terminal: a hub is only ever the far end of a spoke. The terminal
+    # MST reads them all first, in one batch.
     inst = grid_instance(30, 30, seed=1, terminal_stride=30)
+    batches = []
+    batch = MetricClosure._delta_stepping
+
+    def recording_batch(self, out, slots, sources):
+        batches.append((len(sources), batch(self, out, slots, sources)))
+        return batches[-1][1]
+
+    monkeypatch.setattr(MetricClosure, "_delta_stepping", recording_batch)
     for mode in MODES:
+        batches.clear()
         res, closure = _solve_counting_rows(
             monkeypatch, inst, RunConfig(k=3, mode=mode, exact_opt_limit=0, exact_optk_limit=0))
         assert res.report.ok
         assert len(closure.vertices) == 900
         assert closure.rows_computed == len(inst.terminals) == 31
+        assert batches == [(31, True)]
+
+
+def test_solving_imports_only_declared_dependencies():
+    # pyproject declares numpy alone. A k=4 solve with both oracles on
+    # reads every closure path: batched rows, Dijkstra rows, the tables.
+    code = (
+        "import sys\n"
+        "from steinertree import RunConfig, random_instance, solve\n"
+        "res = solve(random_instance(1, 60, 8, extra_edges=120), RunConfig(k=4))\n"
+        "assert res.report.ok and res.opt_cost and res.restricted_opt_cost\n"
+        "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))\n"
+    )
+    src = os.path.dirname(os.path.dirname(solver.__file__))
+    env = {**os.environ, "PYTHONPATH": src}
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                         text=True, check=True).stdout
+    assert out.strip() == "[]"
 
 
 def test_k4_and_oracle_solves_compute_every_row_once(monkeypatch):

@@ -20,7 +20,6 @@ import argparse
 import csv
 import io
 import logging
-import math
 import os
 import sys
 
@@ -85,11 +84,13 @@ def _configure_logging() -> None:
     )
 
 
+def _config(args) -> RunConfig:
+    return RunConfig(k=args.k, mode=args.mode, exact_opt_limit=args.exact_opt_limit,
+                     exact_optk_limit=args.exact_optk_limit)
+
+
 def _cmd_solve(args) -> int:
-    config = RunConfig(k=args.k, mode=args.mode,
-                       exact_opt_limit=args.exact_opt_limit,
-                       exact_optk_limit=args.exact_optk_limit)
-    result = solve(load_stp(args.file), config)
+    result = solve(load_stp(args.file), _config(args))
     if args.format == "csv":
         buf = io.StringIO()
         writer = csv.writer(buf, lineterminator="\n")
@@ -105,10 +106,7 @@ def _cmd_solve(args) -> int:
 
 
 def _cmd_bench(args) -> int:
-    config = RunConfig(k=args.k, mode=args.mode,
-                       exact_opt_limit=args.exact_opt_limit,
-                       exact_optk_limit=args.exact_optk_limit)
-    _, text = run_benchmark(args.directory, config, args.out)
+    _, text = run_benchmark(args.directory, _config(args), args.out)
     if args.out:
         print(f"wrote {args.out}")
     else:
@@ -117,20 +115,19 @@ def _cmd_bench(args) -> int:
 
 
 def _cmd_bounds(args) -> int:
-    if args.solve_alpha_star:
-        if not (args.tol > 0 and math.isfinite(args.tol)):
-            raise InputError(f"tolerance must be positive and finite, got {args.tol}")
-        alpha, ratio = crossover_alpha(args.tol)
-        print(f"alpha_star = {alpha:.8f}")
-        print(f"ratio = {ratio:.8f}")
-    else:
-        if not 0.0 <= args.alpha <= 1.0:
-            raise InputError(f"alpha must lie in [0, 1], got {args.alpha}")
-        merge_curve, double_curve = ratio_curves(args.alpha)
-        print(f"alpha = {args.alpha:.8f}")
-        print(f"curve_merge_bound = {merge_curve:.8f}")
-        print(f"curve_doubling = {double_curve:.8f}")
-        print(f"worst_case = {max(merge_curve, double_curve):.8f}")
+    # The calculators reject a bad tolerance or alpha with ValueError.
+    try:
+        if args.solve_alpha_star:
+            lines = dict(zip(("alpha_star", "ratio"), crossover_alpha(args.tol)))
+        else:
+            merge_curve, double_curve = ratio_curves(args.alpha)
+            lines = {"alpha": args.alpha, "curve_merge_bound": merge_curve,
+                     "curve_doubling": double_curve,
+                     "worst_case": max(merge_curve, double_curve)}
+    except ValueError as exc:
+        raise InputError(str(exc)) from exc
+    for name, value in lines.items():
+        print(f"{name} = {value:.8f}")
     return 0
 
 
@@ -141,11 +138,8 @@ def main(argv=None) -> int:
         args = parser.parse_args(argv)
         if args.command is None:
             raise UsageError("a subcommand is required (solve, bench, bounds)")
-        if args.command == "solve":
-            return _cmd_solve(args)
-        if args.command == "bench":
-            return _cmd_bench(args)
-        return _cmd_bounds(args)
+        commands = {"solve": _cmd_solve, "bench": _cmd_bench, "bounds": _cmd_bounds}
+        return commands[args.command](args)
     except UsageError as exc:
         print(f"usage error: {exc}", file=sys.stderr)
         return 1

@@ -9,9 +9,9 @@ yields the component's cheaper stand-in used while building the base tree.
 Enumeration produces, for every terminal subset of size 2..k, an optimal
 tree over the metric closure, keeping only subsets whose own terminals end
 up as leaves. It returns numpy columns (CandidateTable) that the greedy
-phases score in batch; a candidate becomes a FullComponent only when it is
-asked for by index: when a phase picks it, a displacement looks it up, or
-the restricted oracle picks it.
+phases score in batch; a candidate becomes a FullComponent only when a
+phase picks it, a displacement looks it up, or the restricted oracle picks
+it, and then once, with the interior ids it keeps.
 """
 from __future__ import annotations
 
@@ -92,16 +92,6 @@ class FullComponent:
         if self._contraction is None:
             self._contraction = loss_contract(self)
         return self._contraction
-
-    def reassign_steiner(self, next_id: int) -> tuple["FullComponent", int]:
-        """Copy with fresh interior ids starting at next_id."""
-        mapping = {}
-        for s in self.steiner_ids:
-            mapping[s] = next_id
-            next_id += 1
-        edges = [(mapping.get(u, u), mapping.get(v, v), w) for u, v, w in self.edges]
-        origin = {mapping[s]: o for s, o in self.steiner_origin.items()}
-        return FullComponent(self.terminals, edges, origin), next_id
 
     def __repr__(self) -> str:
         return f"FullComponent(terminals={self.terminals}, cost={self.cost})"
@@ -202,30 +192,33 @@ class CandidateTable(Sequence):
     2m - 3. Each edge after the first joins one new node to the earlier
     ones, as enumeration's depth-first order does. An endpoint is a
     terminal id or the graph vertex an interior node copies, so the table
-    needs no closure to build a row; interior node j of row i, in order of
-    first appearance, gets the id `first_id[i] + j`. `edges` is in Fortran
-    order, so `edges.T`, [end or weight, edge, row], reads contiguous rows.
-    `losses` come from the edges (`tree_losses`). Indexing builds a row's
-    FullComponent once and keeps it in `built`. A table made from a list
-    holds its components' own ids and is built from the start.
+    needs no closure to build a row. `edges` is in Fortran order, so
+    `edges.T`, [end or weight, edge, row], reads contiguous rows. `losses`
+    come from the edges (`tree_losses`). `component(i, first)` builds row
+    i; `table[i]` numbers its interior nodes from `first_id[i]`, so that
+    every row has ids of its own: the table's interior nodes, row by row
+    from `base`, end at `max_steiner_id`.
     """
 
     def __init__(self, terminal_ids: np.ndarray, pos: np.ndarray, costs: np.ndarray,
-                 edges: np.ndarray, first_id: np.ndarray, built: dict[int, FullComponent],
-                 max_steiner_id: int):
+                 edges: np.ndarray, base: int):
         self.terminal_ids = terminal_ids
         self.pos = pos
         self.size = (pos >= 0).sum(axis=1)
         self.costs = costs
         self.edges = edges
-        self.first_id = first_id
-        self.built = built
-        self.max_steiner_id = max_steiner_id
         self.losses = tree_losses(edges, self._check(), self.size)
+        # A tree over its terminals and interior nodes has one node more than edges.
+        interior = (edges.T[0] != 0).sum(axis=0) + 1 - self.size
+        self.first_id = base + np.cumsum(interior) - interior
+        self.max_steiner_id = base - 1 + int(interior.sum())
 
     @classmethod
     def from_components(cls, comps: Sequence[FullComponent]) -> "CandidateTable":
-        """Table over a given list, in its order; every row is built."""
+        """Table over a given list, in its order, each row in vertex form
+        (`_vertex_form`). Interior ids start at the list's smallest one, or
+        above its largest terminal when that is larger, so a list that
+        numbers its interior nodes as a table does keeps its ids."""
         comps = list(comps)
         ids = sorted({t for c in comps for t in c.terminals})
         index = {t: i for i, t in enumerate(ids)}
@@ -236,11 +229,11 @@ class CandidateTable(Sequence):
                          dtype=np.int64, order="F")
         for row, c in enumerate(comps):
             pos[row, :len(c.terminals)] = [index[t] for t in c.terminals]
-            edges[row, :len(c.edges)] = _grown_order(c.edges)
+            edges[row, :len(c.edges)] = _vertex_form(c)
+        base = max(min((s for c in comps for s in c.steiner_ids), default=0),
+                   ids[-1] + 1 if ids else 1)
         return cls(np.array(ids, dtype=np.int64), pos,
-                   np.array([c.cost for c in comps], dtype=np.int64), edges,
-                   np.full(n, -1, dtype=np.int64), dict(enumerate(comps)),
-                   max((s for c in comps for s in c.steiner_ids), default=0))
+                   np.array([c.cost for c in comps], dtype=np.int64), edges, base)
 
     def _check(self) -> np.ndarray:
         """Component validation, vectorized: terminal positions increase;
@@ -272,37 +265,44 @@ class CandidateTable(Sequence):
         return len(self.costs)
 
     def __getitem__(self, i: int) -> FullComponent:
+        return self.component(i, int(self.first_id[i]))[0]
+
+    def component(self, i: int, first: int) -> tuple[FullComponent, int]:
+        """Row i as a FullComponent, its interior nodes numbered from
+        `first` in order of first appearance, and the next free id. The
+        component's cost and loss are checked against the columns."""
         i = operator.index(i)
         if not 0 <= i < len(self):
             raise IndexError("candidate index out of range")
-        if i not in self.built:
-            self.built[i] = self._build(i)
-        return self.built[i]
-
-    def _build(self, i: int) -> FullComponent:
-        """The component of row i, interior ids numbered from first_id[i]
-        in order of first appearance."""
         terms = self.terminal_ids[self.pos[i, :self.size[i]]].tolist()
         edges = [e for e in self.edges[i].tolist() if e[0]]
         ids = {t: t for t in terms}
         origin: dict[int, int] = {}
         for x in (x for u, v, _ in edges for x in (u, v)):
             if x not in ids:
-                ids[x] = int(self.first_id[i]) + len(origin)
+                ids[x] = first + len(origin)
                 origin[ids[x]] = x
         comp = FullComponent(terms, [(ids[u], ids[v], w) for u, v, w in edges], origin)
         if (comp.cost, comp.loss) != (self.costs[i], self.losses[i]):
             raise InternalInvariantError(f"candidate {i} disagrees with its columns")
-        return comp
+        return comp, first + len(origin)
 
 
-def _grown_order(edges: Sequence[Edge]) -> list[Edge]:
-    """A tree's edges, each after the first joining one new node."""
-    out, seen = [], set(edges[0][:2])
-    while len(out) < len(edges):
-        out.append(next(e for e in edges if e not in out and {e[0], e[1]} & seen))
-        seen.update(out[-1][:2])
-    return out
+def _vertex_form(comp: FullComponent) -> list[Edge]:
+    """A component's edges as a table row, interior nodes written as the
+    vertices they copy, grown from its smallest interior node by new
+    terminals first, then the smallest new interior node. A component that
+    copies a vertex twice, or one of its terminals, fails the table's checks."""
+    origin = comp.steiner_origin
+    seen = {min(comp.steiner_ids, default=comp.edges[0][0])}
+    out: list[Edge] = []
+    while len(out) < len(comp.edges):
+        # (is interior, new node, edge) of each edge joining one new node
+        _, new, edge = min((x in origin, x, e) for e in comp.edges for x in e[:2]
+                           if x not in seen and {e[0], e[1]} & seen)
+        seen.add(new)
+        out.append(edge)
+    return [(origin.get(u, u), origin.get(v, v), w) for u, v, w in out]
 
 
 def tree_losses(edges: np.ndarray, at_term: np.ndarray, size: np.ndarray) -> np.ndarray:
@@ -631,12 +631,8 @@ def enumerate_full_components(instance: Instance, closure: MetricClosure,
     order = np.lexsort(pos.astype(np.int16).T[::-1])
     for plane in (*pos.T, *edges.reshape(-1, n)):  # in place, one plane at a time
         plane[:] = plane[order]
-    # A tree over its terminals and interior nodes has one node more than edges.
-    interior = (edges[0] != 0).sum(axis=0) + 1 - (pos >= 0).sum(axis=1)
-    first_id = instance.vertex_count + 1 + np.cumsum(interior) - interior
-    total = int(interior.sum())
     return CandidateTable(np.array(terms, dtype=np.int64), pos, edges[2].sum(axis=0), edges.T,
-                          first_id, {}, instance.vertex_count + total if total else 0)
+                          instance.vertex_count + 1)
 
 
 def _normalized_edges(edges: list[Edge], keep: set[int], origin: dict[int, int],
@@ -785,11 +781,11 @@ class CandidateRows(Sequence):
 
 class CandidatePool:
     """Scoring index over a CandidateTable; a list of components is turned
-    into one. `pool[i]` is candidate i as a FullComponent, built on first
-    use. Savings are evaluated as MSTs under the tree's path-bottleneck
-    weights; phase 2 checks them against each contraction's cost drop, and
-    the tests against a from-scratch zero-clique MST
-    (tests/oracles.py: mst_with_zero_set)."""
+    into one. `pool.component(i, first)` builds candidate i as a
+    FullComponent with interior ids from `first`. Savings are evaluated as
+    MSTs under the tree's path-bottleneck weights; phase 2 checks them
+    against each contraction's cost drop, and the tests against a
+    from-scratch zero-clique MST (tests/oracles.py: mst_with_zero_set)."""
 
     def __init__(self, candidates: Sequence[FullComponent]):
         table = (candidates if isinstance(candidates, CandidateTable)
@@ -799,6 +795,7 @@ class CandidatePool:
         self.costs = table.costs
         self.losses = table.losses
         self.max_steiner_id = table.max_steiner_id
+        self.component = table.component
         # For each terminal column i >= 1, the flat indices into an (r+1) x (r+1)
         # matrix of its pairs with columns j < i; padding reads the zero row r.
         r = len(table.terminal_ids)
@@ -807,9 +804,6 @@ class CandidatePool:
 
     def __len__(self) -> int:
         return len(self.table)
-
-    def __getitem__(self, i: int) -> FullComponent:
-        return self.table[i]
 
     def by_terminals(self, terminals: Iterable[int]) -> int | None:
         """Index of the first candidate spanning exactly `terminals`."""

@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import heapq
 import math
+import operator
 from dataclasses import dataclass
 from functools import cached_property
 from fractions import Fraction
@@ -44,6 +45,14 @@ WEIGHT_LIMIT = 2**59
 # numbered in int64 columns from vertex_count + 1, and the candidate budget
 # keeps their number far below 2**62, so they stay below 2**63.
 VERTEX_LIMIT = 2**62
+
+
+def _vertex_id(x: object, what: str) -> int:
+    """x as an int, from any integer type; anything else is rejected, not truncated."""
+    try:
+        return operator.index(x)
+    except TypeError:
+        raise InvalidInstanceError(f"{what} {x!r} is not an integer") from None
 
 
 def edge_key(u: int, v: int, w: int) -> tuple[int, int, int]:
@@ -108,6 +117,7 @@ class Instance:
     ) -> "Instance":
         """Validate and normalize. Weights may be int, Fraction, Decimal, or
         numeric strings; floats are rejected to keep arithmetic exact.
+        Endpoints and terminals must be integers of any integer type.
         """
         if vertex_count < 1:
             raise InvalidInstanceError("vertex count must be positive")
@@ -115,11 +125,12 @@ class Instance:
             raise InvalidInstanceError(
                 f"vertex count {vertex_count} exceeds the limit of 2**62"
             )
-        terms = frozenset(int(t) for t in terminals)
+        terms = frozenset(_vertex_id(t, "terminal") for t in terminals)
         if len(terms) < 2:
             raise InvalidInstanceError("need at least 2 terminals")
-        fractions = []
+        ends, fractions = [], []
         for u, v, w in edges:
+            u, v = _vertex_id(u, "edge endpoint"), _vertex_id(v, "edge endpoint")
             if isinstance(w, float):
                 raise InvalidInstanceError(
                     f"edge ({u},{v}) has float weight {w!r}; pass str or Fraction"
@@ -132,15 +143,16 @@ class Instance:
             for x in (u, v):
                 if not 1 <= x <= vertex_count:
                     raise InvalidInstanceError(f"edge endpoint {x} out of range")
+            ends.append((u, v))
             fractions.append(fw)
         for t in terms:
             if not 1 <= t <= vertex_count:
                 raise InvalidInstanceError(f"terminal {t} out of range")
         scale = math.lcm(*(fw.denominator for fw in fractions))
-        scaled = tuple(
-            (int(u), int(v), int(fw * scale))
-            for (u, v, _), fw in zip(edges, fractions)
-        )
+        if scale >= WEIGHT_LIMIT:  # given by bit length: it may have too many digits to print
+            raise InvalidInstanceError(f"the weights' common denominator has {scale.bit_length()}"
+                                       " bits, 2**59 or more; exact int64 arithmetic needs less")
+        scaled = tuple((u, v, int(fw * scale)) for (u, v), fw in zip(ends, fractions))
         if sum(w for _, _, w in scaled) >= WEIGHT_LIMIT:
             raise InvalidInstanceError(
                 f"scaled weights (scale {scale}) sum to 2**59 or more; "
@@ -279,12 +291,10 @@ class MetricClosure:
     matrix, computes every row that is still missing.
     """
 
-    def __init__(self, vertices: Sequence[int], adjacency: Sequence[Sequence[tuple[int, int]]],
-                 edge_weight: Mapping[tuple[int, int], int]):
+    def __init__(self, vertices: Sequence[int], adjacency: Sequence[Sequence[tuple[int, int]]]):
         self.vertices = tuple(vertices)
         self.index = {v: i for i, v in enumerate(self.vertices)}
         self._adj = adjacency  # per column: (neighbor column, weight), sorted
-        self._edge_weight = edge_weight
         self._work = len(self.vertices) + sum(map(len, adjacency))  # V + 2E per row
         self._dist: dict[int, np.ndarray] = {}
         self._pred: dict[int, np.ndarray] = {}
@@ -477,15 +487,17 @@ class MetricClosure:
         return int(self._row(self._column(u))[self._column(v)])
 
     def path_edges(self, u: int, v: int) -> list[Edge]:
-        """Original-graph edges of one shortest u-v path (deterministic)."""
+        """Original-graph edges of one shortest u-v path (deterministic).
+        A predecessor edge is tight, so its weight is the rise in distance
+        along it."""
         pred = self.predecessors(u)
         iu, cur = self.index[u], self._column(v)
+        row = self._row(iu)
         out: list[Edge] = []
         while cur != iu:
             prev = int(pred[cur])
             a, b = self.vertices[prev], self.vertices[cur]
-            key = (a, b) if a < b else (b, a)
-            out.append((key[0], key[1], self._edge_weight[key]))
+            out.append((min(a, b), max(a, b), int(row[cur] - row[prev])))
             cur = prev
         out.reverse()
         return out
@@ -509,7 +521,7 @@ def metric_closure(instance: Instance) -> MetricClosure:
     vertices = sorted(instance.terminal_component)
     index = {v: i for i, v in enumerate(vertices)}
     columns = [[(index[v], w) for v, w in adj[u]] for u in vertices]
-    return MetricClosure(vertices, columns, instance.edge_weights)
+    return MetricClosure(vertices, columns)
 
 
 # ---------------------------------------------------------------------------

@@ -122,13 +122,12 @@ def run_phase1(instance: Instance, closure: MetricClosure,
         idx = int(active[pick])
         if len(rows) + 1 > max(len(pool), 1):
             raise InternalInvariantError("phase 1 ran past the candidate count")
-        sel = pool[idx]
-        comp, alloc = sel.reassign_steiner(alloc)
+        comp, alloc = pool.component(idx, alloc)
         uid_counter += 1
         entry = ChosenEntry(uid_counter, comp)
         gain_value = int(gains[pick])
         loss_value = int(pool.losses[idx])
-        log.debug("phase1 pick %s gain=%d loss=%d", sel.terminals, gain_value, loss_value)
+        log.debug("phase1 pick %s gain=%d loss=%d", comp.terminals, gain_value, loss_value)
 
         # Edges the merge displaces from the current tree, by owner.
         kept_now = set(kruskal_indices(terms, current,
@@ -164,7 +163,7 @@ def run_phase1(instance: Instance, closure: MetricClosure,
                 converted = component_from_part(old.comp, nodes, closure)
                 pool_idx = pool.by_terminals(part_terms)
                 if pool_idx is not None and pool.costs[pool_idx] <= converted.cost:
-                    fresh, alloc = pool[pool_idx].reassign_steiner(alloc)
+                    fresh, alloc = pool.component(pool_idx, alloc)
                     source = "pool"
                 else:
                     fresh = converted
@@ -236,8 +235,8 @@ def run_phase1(instance: Instance, closure: MetricClosure,
             "iteration": len(rows) + 1,
             "candidate_index": idx,
             "uid": entry.uid,
-            "terminals": list(sel.terminals),
-            "candidate_cost": sel.cost,
+            "terminals": list(comp.terminals),
+            "candidate_cost": comp.cost,
             "loss": loss_value,
             "gain": gain_value,
             "ratio": _ratio_json(gain_value, loss_value),

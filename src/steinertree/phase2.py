@@ -76,31 +76,30 @@ def run_phase2(instance: Instance, pool: CandidatePool, t0: Tree,
             log.debug("phase2 stalled with gap %d", t_origin.cost - t_base.cost)
             break
         i, load_value, diff_value = pick
-        sel = pool[i]
-        comp, alloc = sel.reassign_steiner(alloc)
+        comp, alloc = pool.component(i, alloc)
         uid += 1
         chosen.append(ChosenEntry(uid, comp))
         # Each contraction must drop its tree's cost by exactly the saving
         # the batched scoring gave: cost - load in the base tree, that plus
         # the difference in the origin tree.
-        saving_base = sel.cost - load_value
+        saving_base = comp.cost - load_value
         expected = (t_origin.cost - saving_base - diff_value, t_base.cost - saving_base)
         t_origin = t_origin.contract_zero_set(comp.terminals)
         t_base = t_base.contract_zero_set(comp.terminals)
         savings = None
         if (t_origin.cost, t_base.cost) != expected:
             raise InternalInvariantError(
-                f"contracting {sel.terminals} left costs {t_origin.cost}, {t_base.cost};"
+                f"contracting {comp.terminals} left costs {t_origin.cost}, {t_base.cost};"
                 f" the savings give {expected[0]}, {expected[1]}"
             )
         f = Fraction(load_value, diff_value)
-        log.debug("phase2 pick %s load=%d diff=%d", sel.terminals, load_value, diff_value)
+        log.debug("phase2 pick %s load=%d diff=%d", comp.terminals, load_value, diff_value)
         rows.append({
             "iteration": len(rows) + 1,
             "candidate_index": i,
             "uid": uid,
-            "terminals": list(sel.terminals),
-            "candidate_cost": sel.cost,
+            "terminals": list(comp.terminals),
+            "candidate_cost": comp.cost,
             "load": load_value,
             "saving_diff": diff_value,
             "f": [f.numerator, f.denominator],

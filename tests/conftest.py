@@ -1,3 +1,4 @@
+import contextlib
 import random
 
 import pytest
@@ -56,6 +57,25 @@ def tie_instances():
         edges.append((u, v, rng.choice([0, 0, 1, 3])))
     edges += edges[:10]
     return [grid, Instance.build(24, edges, sorted(base.terminals))]
+
+
+@contextlib.contextmanager
+def counting_components():
+    """Every call of CandidateTable.component made inside, as (row, the
+    component built), in call order. Pools take the method when they are
+    made, so make them inside too."""
+    from steinertree.components import CandidateTable
+
+    calls = []
+    build = CandidateTable.component
+
+    def counting(table, i, first):
+        out = build(table, i, first)
+        calls.append((i, out[0]))
+        return out
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(CandidateTable, "component", counting)
+        yield calls
 
 
 FORCED = {

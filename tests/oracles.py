@@ -4,7 +4,7 @@ Everything here is deliberately naive and written from scratch: exhaustive
 enumeration wherever the instance is small enough, plain dicts and loops
 everywhere else. The tests compare these against the real implementations.
 `reference_full_components` (the earlier object-per-subset enumeration)
-builds package components, `reference_kruskal_indices` is the earlier
+and `renumbered` build package components, `reference_kruskal_indices` is the earlier
 Python-sorted Kruskal, and `mst_with_zero_set` and the reference
 definitions of the greedy quantities at the end take package trees and
 components; everything else stands on its own.
@@ -400,6 +400,15 @@ def reference_full_components(instance, closure, k):
         final_origin = {remap[ph]: o for ph, o in origin.items()}
         out.append(FullComponent(subset, final_edges, final_origin))
     return out
+
+
+def renumbered(comp, first):
+    """The component with its interior ids replaced by first, first + 1, ...
+    in increasing order of the old ids, and the next free id."""
+    new = {s: first + j for j, s in enumerate(sorted(comp.steiner_origin))}
+    edges = [(new.get(u, u), new.get(v, v), w) for u, v, w in comp.edges]
+    origin = {new[s]: o for s, o in comp.steiner_origin.items()}
+    return FullComponent(comp.terminals, edges, origin), first + len(new)
 
 
 # ---------------------------------------------------------------------------

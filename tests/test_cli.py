@@ -99,6 +99,26 @@ def test_solve_weights_beyond_headroom_is_input_error(tmp_path, capsys, nodes, e
     assert "input error" in capsys.readouterr().err
 
 
+def _huge_denominator_files(directory):
+    """A 2-vertex file whose one weight has a 30,001-digit denominator, and
+    a 3-vertex one that adds a unit edge."""
+    paths = []
+    for name, nodes, edges, last in [("huge1", 2, ["E 1 2 1e-30000"], 2),
+                                     ("huge2", 3, ["E 1 2 1e-30000", "E 2 3 1"], 3)]:
+        lines = ["SECTION Graph", f"Nodes {nodes}", f"Edges {len(edges)}", *edges, "END",
+                 "SECTION Terminals", "Terminals 2", "T 1", f"T {last}", "END", "EOF"]
+        paths.append(directory / f"{name}.stp")
+        paths[-1].write_text("\n".join(lines) + "\n")
+    return paths
+
+
+def test_solve_huge_common_denominator_is_input_error(tmp_path, capsys):
+    for path in _huge_denominator_files(tmp_path):
+        assert main(["solve", str(path)]) == 2
+        err = capsys.readouterr().err
+        assert "input error" in err and "common denominator" in err and "bits" in err
+
+
 def test_solve_vertex_count_beyond_limit_is_input_error(tmp_path, capsys):
     # One vertex past core.VERTEX_LIMIT (2**62), declared over a 3-star.
     text = (tmp_path / _star3_file(tmp_path)).read_text()
@@ -159,6 +179,16 @@ def test_bench_keeps_going_after_bad_file(tmp_path, capsys):
     byname = {r[0]: r for r in rows[1:]}
     assert byname["broken"][-1].startswith("error:")
     assert rows[-1][-1] == "ok=1;error=1"
+
+
+def test_bench_keeps_going_after_a_huge_common_denominator(tmp_path, capsys):
+    _huge_denominator_files(tmp_path)
+    _star3_file(tmp_path)
+    assert main(["bench", str(tmp_path)]) == 0
+    rows = list(csv.reader(io.StringIO(capsys.readouterr().out)))
+    assert [r[0] for r in rows] == ["instance", "huge1", "huge2", "star3", "(summary)"]
+    assert all(r[-1].startswith("error:") and "common denominator" in r[-1] for r in rows[1:3])
+    assert rows[3][-1] == "ok" and rows[-1][-1] == "ok=1;error=2"
 
 
 def test_bench_keeps_going_after_a_non_utf8_file(tmp_path, capsys):

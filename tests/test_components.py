@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 import oracles
-from conftest import make_batch, tie_instances
+from conftest import counting_components, make_batch, tie_instances
 from steinertree import (
     CandidatePool,
     FullComponent,
@@ -360,13 +360,14 @@ def test_savings_for_unknown_terminal_raises():
 
 def _assert_table_matches_reference(inst, k):
     closure = metric_closure(inst)
-    table = enumerate_full_components(inst, closure, k)
-    assert not table.built  # enumeration builds no component
+    with counting_components() as built:
+        table = enumerate_full_components(inst, closure, k)
+    assert not built  # enumeration builds no component
     ref = oracles.reference_full_components(inst, closure, k)
     assert len(table) == len(ref)
     pool = CandidatePool(table)
     assert pool.max_steiner_id == max(
-        (s for c in ref for s in c.steiner_ids), default=0)
+        (s for c in ref for s in c.steiner_ids), default=inst.vertex_count)
     assert list(pool.candidates) == [(c.terminals, c.cost, c.loss) for c in ref]
     for i, want in enumerate(ref):
         got = table[i]
@@ -444,15 +445,15 @@ def test_terminal_set_lookup_matches_reference_dict():
         closure = metric_closure(inst)
         terms = sorted(inst.terminals)
         for k in (2, 3, 4, 5):
-            pool = CandidatePool(enumerate_full_components(inst, closure, k))
-            assert not pool.table.built  # no row is built from the start
-            ref = {frozenset(c.terminals): i for i, c in
-                   enumerate(oracles.reference_full_components(inst, closure, k))}
-            for size in range(1, len(terms) + 1):
-                for subset in itertools.combinations(terms, size):
-                    assert pool.by_terminals(subset) == ref.get(frozenset(subset))
-            assert pool.by_terminals([terms[0], inst.vertex_count + 1]) is None
-            assert not pool.table.built
+            with counting_components() as built:
+                pool = CandidatePool(enumerate_full_components(inst, closure, k))
+                ref = {frozenset(c.terminals): i for i, c in
+                       enumerate(oracles.reference_full_components(inst, closure, k))}
+                for size in range(1, len(terms) + 1):
+                    for subset in itertools.combinations(terms, size):
+                        assert pool.by_terminals(subset) == ref.get(frozenset(subset))
+                assert pool.by_terminals([terms[0], inst.vertex_count + 1]) is None
+            assert not built  # lookups build no component
 
 
 def test_table_checks_its_columns(star3):
@@ -463,10 +464,10 @@ def test_table_checks_its_columns(star3):
 
     def rebuild(row, **changes):
         cols = {name: getattr(table, name).copy() for name in
-                ("terminal_ids", "pos", "costs", "edges", "first_id")}
+                ("terminal_ids", "pos", "costs", "edges")}
         for name, value in changes.items():
             cols[name][row] = value
-        return CandidateTable(**cols, built={}, max_steiner_id=table.max_steiner_id)
+        return CandidateTable(**cols, base=star3.vertex_count + 1)
 
     assert len(rebuild(1)) == 4  # unchanged columns pass
     bad = [dict(costs=4), dict(edges=[[1, 2, 1], [2, 4, 1], [3, 4, 1]]),  # 2 is no leaf
@@ -497,7 +498,6 @@ def _edge_table(row=None, change=None):
             [(9, 5, 4), (8, 9, 5), (1, 8, 2), (2, 8, 3), (3, 9, 6)],
             [(7, 5, 6), (6, 7, 1), (2, 6, 5), (4, 6, 4), (3, 7, 3)],
         ]),
-        first_id=np.array([-1, 20, 21, 22, 24]),
     )
     change = dict(change or {})
     at = change.pop("at", None)
@@ -510,7 +510,7 @@ def _edge_table(row=None, change=None):
     cols["costs"] = cols["edges"][..., 2].sum(axis=1)
     if costs is not None:
         cols["costs"][row] = costs
-    return CandidateTable(built={}, max_steiner_id=25, **cols)
+    return CandidateTable(base=20, **cols)
 
 
 def test_four_row_columns_build_and_check():
@@ -561,21 +561,106 @@ def test_building_a_row_checks_its_cost_and_loss(column):
         table[3]
 
 
+def _same(a, b):
+    return (a.terminals, a.edges, a.steiner_origin) == (b.terminals, b.edges, b.steiner_origin)
+
+
+def _tables():
+    """(instance, table) for a batch and the tie instances at k = 2..5."""
+    for inst in make_batch(8, seed0=1900, max_vertices=11, max_terminals=7) + tie_instances():
+        closure = metric_closure(inst)
+        for k in (2, 3, 4, 5):
+            yield inst, enumerate_full_components(inst, closure, k)
+
+
+def _assert_components_are_renumbered_rows(table):
+    # Ids handed out one row after another from the first free one, as
+    # the phases hand them out to their picks.
+    first = table.max_steiner_id + 1
+    for i in range(len(table)):
+        comp, after = table.component(i, first)
+        want, want_after = oracles.renumbered(table[i], first)
+        assert _same(comp, want) and after == want_after
+        first = after
+
+
+def test_component_numbers_the_row_as_a_renumbering_of_its_item():
+    for _, table in _tables():
+        _assert_components_are_renumbered_rows(table)
+        _assert_components_are_renumbered_rows(CandidateTable.from_components(list(table)))
+    rng = random.Random(4)
+    hub = 30  # shared by every star and two-hub tree of the list
+    stars = [FullComponent(g, [(t, hub, rng.randint(0, 9)) for t in g], {hub: hub})
+             for g in (rng.sample(range(1, 20), rng.randint(2, 6)) for _ in range(10))]
+    two_hubs = [FullComponent([1, 2, 3, 4], [(1, 40, 1), (2, 40, 2), (40, 41, 3), (3, 41, 1),
+                                             (4, 41, 5)], {40: 7, 41: 6})]
+    table = CandidateTable.from_components(stars + two_hubs)
+    assert table.first_id.tolist() == list(range(30, 41)) and table.max_steiner_id == 41
+    assert table[10].steiner_origin == {40: 7, 41: 6}
+    _assert_components_are_renumbered_rows(table)
+    # Ids from 3 would give the second row's interior node its terminal 4.
+    low = CandidateTable.from_components([
+        FullComponent([1, 2], [(1, 3, 1), (2, 3, 1)], {3: 9}),
+        FullComponent([4, 5], [(4, 6, 1), (5, 6, 1)], {6: 9})])
+    assert low.first_id.tolist() == [6, 7] and low[1].steiner_origin == {7: 9}
+    _assert_components_are_renumbered_rows(low)
+
+
+def _row_trees(table):
+    """Each row's edges, as sorted (smaller end, larger end, weight)."""
+    return [sorted((min(u, v), max(u, v), w) for u, v, w in row if u)
+            for row in table.edges.tolist()]
+
+
+def test_a_table_made_from_its_items_gives_back_its_columns():
+    # The list's columns are as wide as its widest row; enumeration pads
+    # them to k. Within a row, edges follow the growth order of a
+    # component's sorted edges, not enumeration's depth-first order, so
+    # the rows' trees are compared as edge sets.
+    for inst, table in _tables():
+        again = CandidateTable.from_components(list(table))
+        m, e = again.pos.shape[1], again.edges.shape[1]
+        assert (table.pos[:, m:] < 0).all() and (table.edges[:, e:] == 0).all()
+        assert again.pos.tolist() == table.pos[:, :m].tolist()
+        assert again.costs.tolist() == table.costs.tolist()
+        assert again.losses.tolist() == table.losses.tolist()
+        assert _row_trees(again) == _row_trees(table)
+        # Interior ids start at the list's smallest one, vertex_count + 1
+        # when there is one, so every row keeps its ids.
+        if table.max_steiner_id > inst.vertex_count:
+            assert again.first_id.tolist() == table.first_id.tolist()
+            assert again.max_steiner_id == table.max_steiner_id
+        assert all(_same(a, b) for a, b in zip(again, table))
+
+
+def test_a_list_component_without_a_vertex_form_is_rejected():
+    copies_twice = FullComponent([1, 2, 3, 4], [(1, 5, 1), (2, 5, 1), (5, 6, 1), (6, 7, 1),
+                                                (3, 7, 1), (4, 7, 1)], {5: 9, 6: 8, 7: 9})
+    copies_a_terminal = FullComponent([1, 2, 3], [(1, 5, 1), (2, 5, 1), (3, 5, 1)], {5: 1})
+    for comp in (copies_twice, copies_a_terminal):
+        with pytest.raises(InternalInvariantError):
+            CandidateTable.from_components([comp])
+
+
 def _built_on_use(inst, k):
-    """Solve both phases at k; return the pool and the rows picked."""
+    """Solve both phases at k; return the pool and the rows picked. Each
+    pick and each part taken from the pool builds its row once; nothing
+    else builds one."""
     closure = metric_closure(inst)
-    pool = CandidatePool(enumerate_full_components(inst, closure, k))
-    t0 = minimum_spanning_tree(sorted(inst.terminals), closure.distance)
-    p1 = run_phase1(inst, closure, pool, t0)
-    p2 = run_phase2(inst, pool, t0, p1.start, p1.base)
-    list(pool.candidates)
-    picked = {row["candidate_index"]
-              for row in p1.trace["iterations"] + p2.trace["iterations"]}
-    from_pool = {pool.by_terminals(part["terminals"])
+    with counting_components() as built:
+        pool = CandidatePool(enumerate_full_components(inst, closure, k))
+        t0 = minimum_spanning_tree(sorted(inst.terminals), closure.distance)
+        p1 = run_phase1(inst, closure, pool, t0)
+        p2 = run_phase2(inst, pool, t0, p1.start, p1.base)
+        list(pool.candidates)
+    iterations = p1.trace["iterations"] + p2.trace["iterations"]
+    from_pool = [pool.by_terminals(part["terminals"])
                  for row in p1.trace["iterations"] for event in row["replacements"]
-                 for part in event["parts"] if part.get("source") == "pool"}
-    assert from_pool and not from_pool & picked
-    assert set(pool.table.built) == picked | from_pool
+                 for part in event["parts"] if part.get("source") == "pool"]
+    picked = {row["candidate_index"] for row in iterations}
+    assert from_pool and not set(from_pool) & picked
+    assert sorted(i for i, _ in built) == sorted(
+        [row["candidate_index"] for row in iterations] + from_pool)
     return pool, picked
 
 

@@ -54,6 +54,27 @@ def test_build_rejects_bad_input():
         Instance.build(3, [(1, 2, 1)], [1, 4])  # terminal out of range
 
 
+def test_build_rejects_vertex_ids_that_are_not_integers():
+    # int() would truncate them and make (1, 2.5, 4) the edge (1, 2, 4).
+    with pytest.raises(InvalidInstanceError, match="endpoint 2.5"):
+        Instance.build(3, [(1, 2.5, 4), (2, 3, 1)], [1, 3])
+    with pytest.raises(InvalidInstanceError, match="terminal 2.9"):
+        Instance.build(3, [(1, 2, 4), (2, 3, 1)], [1, 2.9])
+    with pytest.raises(InvalidInstanceError, match="terminal '3'"):
+        Instance.build(3, [(1, 2, 4), (2, 3, 1)], [1, "3"])
+    inst = Instance.build(3, [(np.int64(1), np.int32(2), 4), (2, 3, 1)], [np.int16(1), 3])
+    assert inst.edges == ((1, 2, 4), (2, 3, 1)) and inst.terminals == {1, 3}
+    assert all(type(x) is int for x in (*inst.edges[0], *inst.terminals))
+
+
+def test_build_common_denominator_boundary():
+    # The scale itself must stay below WEIGHT_LIMIT, whatever the weights sum to.
+    assert Instance.build(2, [(1, 2, Fraction(1, WEIGHT_LIMIT - 1))], [1, 2]).scale == (
+        WEIGHT_LIMIT - 1)
+    with pytest.raises(InvalidInstanceError, match="60 bits"):
+        Instance.build(2, [(1, 2, Fraction(1, WEIGHT_LIMIT))], [1, 2])
+
+
 def test_build_requires_connected_terminals():
     with pytest.raises(DisconnectedTerminalsError):
         Instance.build(4, [(1, 2, 1)], [1, 3])

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 import oracles
-from conftest import make_batch, tie_instances
+from conftest import counting_components, make_batch, tie_instances
 from steinertree import (
     Instance,
     LimitExceededError,
@@ -233,10 +233,12 @@ def test_optk_builds_only_the_picked_rows():
     inst = random_instance(4, 14, 7, extra_edges=12)
     closure = metric_closure(inst)
     terms = sorted(inst.terminals)
-    table = enumerate_full_components(inst, closure, 3)
-    assert not table.built
-    res = optimal_k_restricted(terms, table, 3)
-    picked = table.built
+    with counting_components() as built:
+        table = enumerate_full_components(inst, closure, 3)
+        assert not built
+        res = optimal_k_restricted(terms, table, 3)
+    picked = dict(built)
+    assert len(picked) == len(built)  # each pick is built once
     assert 0 < len(picked) < len(table)
     assert sum(c.cost for c in picked.values()) == res.cost
     used = {e for c in picked.values() for e in c.edges}

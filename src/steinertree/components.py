@@ -345,12 +345,12 @@ _UNREACHED = np.iinfo(np.int64).max
 
 
 # Most int64 elements in one temporary array of the shared Dreyfus-Wagner
-# tables: 2**16 elements are 512 KiB. Tables are built and last masks
-# evaluated in chunks of subsets sized so that the gathered splits (a
-# closure row per split and subset) and the V x V min-plus step stay within
-# it, so transient memory does not grow with the number of subsets. One
-# subset is never split, so above 256 vertices a table chunk is V*V, the
-# size of `dist`.
+# tables: 2**16 elements are 512 KiB. Tables are built in chunks of subsets,
+# and last masks evaluated in chunks of bases, sized so that the gathered
+# splits (a closure row per split and subset or base) and the V x V min-plus
+# step stay within it, so transient memory does not grow with the number of
+# subsets. One subset or base is never split, so above 256 vertices a table
+# chunk is V*V, the size of `dist`.
 DW_CHUNK = 2**16
 
 # Most bytes of the dense arrays over the V closure vertices that k >= 4
@@ -434,7 +434,10 @@ class _SharedTables:
             for at in range(0, len(subsets), step):
                 chunk = subsets[at:at + step]
                 rows = slice(self.offset[s] + at, self.offset[s] + at + len(chunk))
-                merged, self.split[rows] = self.merged(chunk)
+                subs, _, cand = self.splits(chunk)
+                merged = cand.min(axis=0)
+                self.split[rows] = subs[cand.argmin(axis=0)]
+                del cand  # the gathered splits and the min-plus step are never held together
                 # [i, v, u] is merged[i, u] + D[u, v]; closure distances
                 # are symmetric, and the argmin over u takes the first u.
                 total = merged[:, None, :] + D
@@ -452,40 +455,47 @@ class _SharedTables:
             rows[high] = rows[:1 << j] + self._binom.T[size[high]][:, base[:, j]]
         return rows + self.offset[size][:, None]
 
-    def merged(self, base: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """For rows of increasing positions, the smallest W[part] + W[rest]
-        at every closure vertex over the splits of the row, and the local
-        sub-mask of the part attaining it. Parts hold the row's first
-        position and go in decreasing sub-mask order; a tie keeps the
-        earlier split."""
+    def splits(self, base: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """For rows of increasing positions: the local sub-masks of the parts
+        holding the row's first position, in decreasing order; the table
+        rows of each part and its rest, as [half, split, row]; and
+        W[part] + W[rest] for each, as [split, row, vertex]. The first
+        minimum over the splits is the largest sub-mask attaining it, the
+        choice that keeps the earlier split on a tie."""
         full = (1 << base.shape[1]) - 1
         subs = np.arange(full - 2, 0, -2)  # the odd proper sub-masks
         rows = self._part_rows(base)
-        cand = self.W[rows[subs]]  # [split, row, vertex]
-        cand += self.W[rows[full ^ subs]]
-        best = cand.min(axis=0)
-        # Sub-masks decrease along the splits, so the first minimum is the
-        # largest sub-mask attaining it.
-        return best, np.where(cand == best, subs[:, None, None], 0).max(axis=0)
+        halves = np.stack([rows[subs], rows[full ^ subs]])
+        cand = self.W[halves[0]]
+        cand += self.W[halves[1]]
+        return subs, halves, cand
 
     def last_masks(self, m: int) -> Iterator[tuple[np.ndarray, np.ndarray, np.ndarray,
                                                    np.ndarray]]:
-        """Every m-subset's optimal tree root, in colex order: (the subsets
-        as increasing positions, the hub u minimizing merged[u] + D[u, q]
-        for the last position q, that tree's cost, the split chosen at u),
-        in batches of about DW_CHUNK tree ends, from chunks sharing q."""
+        """Every m-subset's optimal tree root: (the subsets as increasing
+        positions, the hub u minimizing merged[u] + D[u, q] for the last
+        position q, that tree's cost, the split chosen at u), in batches of
+        about DW_CHUNK tree ends. The bases (every position but the last)
+        are merged once, a chunk at a time, and each chunk is read at every
+        q above it: in colex order the bases over positions below q are the
+        first C(q, m - 1). The split is chosen only at the hub."""
         bases = self._subsets[m - 1]
         step = max(1, DW_CHUNK // (self.D.shape[0] * ((1 << (m - 2)) - 1)))
         batch: list[tuple[np.ndarray, ...]] = []
-        for q in range(m - 1, len(self.tidx)):
-            for at in range(0, math.comb(q, m - 1), step):  # the bases over positions below q
-                base = bases[at:min(at + step, math.comb(q, m - 1))]
-                total, choice = self.merged(base)
-                total += self.D[self.tidx[q]]
+        for at in range(0, len(bases), step):
+            chunk = bases[at:at + step]
+            subs, halves, cand = self.splits(chunk)
+            merged = cand.min(axis=0)
+            del cand  # the splits are read again at the hubs alone, from W
+            for q in range(m - 1, len(self.tidx)):
+                n = min(len(chunk), math.comb(q, m - 1) - at)
+                if n <= 0:
+                    continue
+                total = merged[:n] + self.D[self.tidx[q]]
                 hub = total.argmin(axis=1)
-                rows = np.arange(len(base))
-                batch.append((np.column_stack([base, np.full(len(base), q)]), hub,
-                              total[rows, hub], choice[rows, hub]))
+                at_hub = self.W[halves[0, :, :n], hub] + self.W[halves[1, :, :n], hub]
+                batch.append((np.column_stack([chunk[:n], np.full(n, q)]), hub,
+                              total[np.arange(n), hub], subs[at_hub.argmin(axis=0)]))
                 if sum(len(b[0]) for b in batch) * 2 * (2 * m - 3) >= DW_CHUNK:
                     yield tuple(np.concatenate(col) for col in zip(*batch))
                     batch = []

@@ -4,11 +4,14 @@ Line-oriented: a Graph section declares node/edge counts and E lines, a
 Terminals section declares the terminal list. Keywords are matched case
 insensitively, blank lines and # comments are skipped, unknown sections are
 skipped wholesale. Weights may be integers, decimals, or fractions; they
-are scaled to exact integers on load.
+are scaled to exact integers on load. A decimal whose digits and exponent
+put its magnitude or its denominator at 2**59 or more is refused before
+its value is computed.
 """
 from __future__ import annotations
 
 import os
+import re
 from fractions import Fraction
 
 from .core import Instance, format_cost
@@ -73,7 +76,7 @@ def parse_stp(text: str, name: str = "") -> Instance:
                     raise syntax("E line needs: E <u> <v> <weight>", ln)
                 try:
                     u, v = int(tokens[1]), int(tokens[2])
-                    w = Fraction(tokens[3])
+                    w = _weight(tokens[3], ln)
                 except (ValueError, ZeroDivisionError):
                     raise syntax(f"cannot parse edge line {line!r}", ln) from None
                 edges.append((u, v, w))
@@ -112,6 +115,39 @@ def parse_stp(text: str, name: str = "") -> Instance:
         )
     return Instance.build(vertex_count, edges, terminals,
                           name=name or comment_name or "")
+
+
+# A decimal as Fraction spells it, loosely: a sign, digits with an optional
+# point, an optional exponent. Fraction itself checks the spelling.
+_DECIMAL = re.compile(r"[-+]?([\d_]*)(?:\.([\d_]*))?(?:[eE]([-+]?[\d_]+))?")
+
+
+def _weight(token: str, ln: int) -> Fraction:
+    """The exact value of an edge weight token, as Fraction reads it.
+    Fraction expands a decimal exponent into a power of ten, seconds of work
+    for an exponent of a few million, so a decimal is checked first: a zero
+    is read without its exponent, and one whose digits and exponent cannot
+    give a magnitude and a denominator below 2**59, both of which
+    Instance.build requires, raises StpSyntaxError. Raises ValueError or
+    ZeroDivisionError when Fraction cannot read the token."""
+    m = _DECIMAL.fullmatch(token)
+    if m:
+        frac = (m[2] or "").replace("_", "")
+        number = m[1].replace("_", "") + frac
+        exponent = int(m[3] or 0)
+        digits = number.strip("0")
+        if not digits:
+            return Fraction(token[:max(m.end(1), m.end(2))])
+        # |value| is int(digits) * 10**shift, and int(digits) is no multiple of 10.
+        shift = exponent - len(frac) + len(number) - len(number.rstrip("0"))
+        if len(digits) - 1 + shift >= 18:  # |value| >= 10**18 > 2**59
+            raise StpSyntaxError(f"edge weight {token!r} is 2**59 or more; exact int64 "
+                                 "arithmetic needs a smaller total", ln)
+        if -shift >= 59:  # the denominator is a multiple of 2**-shift or of 5**-shift
+            raise StpSyntaxError(f"edge weight {token!r} has a denominator of more than "
+                                 f"{-shift} bits, so the weights' common denominator is 2**59 "
+                                 "or more; exact int64 arithmetic needs less", ln)
+    return Fraction(token)
 
 
 def _int_field(tokens: list[str], ln: int, what: str) -> int:

@@ -11,6 +11,7 @@ components; everything else stands on its own.
 """
 import heapq
 import itertools
+import math
 
 import numpy as np
 
@@ -320,6 +321,29 @@ def reference_dw_closure_tree(D, term_idx):
 
     build(full, q)
     return cost, edges
+
+
+def reference_last_masks(tables, m):
+    """The earlier per-q last masks, the reference for
+    _SharedTables.last_masks: {subset positions: (hub, cost, split)} for
+    every m-subset. For each last position q it merges every base below q
+    again, in chunks, and finds the split at every vertex as the largest
+    sub-mask attaining the minimum, then reads it at the hub."""
+    full = (1 << (m - 1)) - 1
+    subs = np.arange(full - 2, 0, -2)
+    out = {}
+    for q in range(m - 1, len(tables.tidx)):
+        bases = tables._subsets[m - 1][:math.comb(q, m - 1)]
+        for at in range(0, len(bases), 256):
+            base = bases[at:at + 256]
+            rows = tables._part_rows(base)
+            cand = tables.W[rows[subs]] + tables.W[rows[full ^ subs]]
+            best = cand.min(axis=0)
+            choice = np.where(cand == best, subs[:, None, None], 0).max(axis=0)
+            total = best + tables.D[tables.tidx[q]]
+            for i, hub in enumerate(total.argmin(axis=1).tolist()):
+                out[(*base[i].tolist(), q)] = (hub, int(total[i, hub]), int(choice[i, hub]))
+    return out
 
 
 def reference_full_components(instance, closure, k):

@@ -3,6 +3,7 @@ import io
 import json
 
 import re
+import time
 
 import pytest
 
@@ -119,6 +120,26 @@ def test_solve_huge_common_denominator_is_input_error(tmp_path, capsys):
         assert "input error" in err and "common denominator" in err and "bits" in err
 
 
+def _huge_exponent_files(directory):
+    """Two 2-vertex files whose one weight has an exponent of four million,
+    below and above one."""
+    paths = []
+    for name, weight in [("tiny", "1e-4000000"), ("vast", "1e4000000")]:
+        paths.append(directory / f"{name}.stp")
+        paths[-1].write_text(f"SECTION Graph\nNodes 2\nEdges 1\nE 1 2 {weight}\nEND\n"
+                             "SECTION Terminals\nTerminals 2\nT 1\nT 2\nEND\nEOF\n")
+    return paths
+
+
+def test_solve_huge_weight_exponent_is_a_quick_input_error(tmp_path, capsys):
+    for path in _huge_exponent_files(tmp_path):
+        start = time.perf_counter()
+        assert main(["solve", str(path)]) == 2
+        assert time.perf_counter() - start < 0.1
+        err = capsys.readouterr().err
+        assert "input error" in err and "line 4: edge weight" in err and "2**59" in err
+
+
 def test_solve_vertex_count_beyond_limit_is_input_error(tmp_path, capsys):
     # One vertex past core.VERTEX_LIMIT (2**62), declared over a 3-star.
     text = (tmp_path / _star3_file(tmp_path)).read_text()
@@ -189,6 +210,16 @@ def test_bench_keeps_going_after_a_huge_common_denominator(tmp_path, capsys):
     assert [r[0] for r in rows] == ["instance", "huge1", "huge2", "star3", "(summary)"]
     assert all(r[-1].startswith("error:") and "common denominator" in r[-1] for r in rows[1:3])
     assert rows[3][-1] == "ok" and rows[-1][-1] == "ok=1;error=2"
+
+
+def test_bench_keeps_going_after_a_huge_weight_exponent(tmp_path, capsys):
+    _huge_exponent_files(tmp_path)
+    _star3_file(tmp_path)
+    assert main(["bench", str(tmp_path)]) == 0
+    rows = list(csv.reader(io.StringIO(capsys.readouterr().out)))
+    assert [r[0] for r in rows] == ["instance", "star3", "tiny", "vast", "(summary)"]
+    assert all(r[-1].startswith("error:") and "edge weight" in r[-1] for r in rows[2:4])
+    assert rows[1][-1] == "ok" and rows[-1][-1] == "ok=1;error=2"
 
 
 def test_bench_keeps_going_after_a_non_utf8_file(tmp_path, capsys):

@@ -440,6 +440,49 @@ def test_shared_tables_match_per_subset_dreyfus_wagner(case):
     assert seen == sum(math.comb(len(tidx), m) for m in range(4, k + 1))
 
 
+@pytest.mark.parametrize("case", range(4))
+def test_last_masks_match_per_q_reference_across_chunk_sizes(case, monkeypatch):
+    # Every m-subset once, with the reference's hub, cost and split, whether
+    # a chunk of bases holds one base, five (at m = 4 the chunk of bases 0-4
+    # ends inside bases 4-9, those whose largest position is 4), or the
+    # default count. k = 6 reads m = 4, 5 and 6.
+    inst = [random_instance(95008, 60, 20, extra_edges=120), _binary_tree_instance(),
+            *tie_instances()][case]
+    k = 6
+    closure = metric_closure(inst)
+    tidx = np.array([closure.index[t] for t in sorted(inst.terminals)])
+    tables = components._SharedTables(closure.dist, tidx, k - 2)
+    nv, default = len(closure.vertices), components.DW_CHUNK
+    for m in range(4, k + 1):
+        want = oracles.reference_last_masks(tables, m)
+        assert len(want) == math.comb(len(tidx), m)
+        for chunk in (1, 5 * nv * ((1 << (m - 2)) - 1), default):
+            monkeypatch.setattr(components, "DW_CHUNK", chunk)
+            got = {}
+            for subsets, hub, cost, split in tables.last_masks(m):
+                for row in zip(subsets.tolist(), hub.tolist(), cost.tolist(), split.tolist()):
+                    assert tuple(row[0]) not in got
+                    got[tuple(row[0])] = tuple(row[1:])
+            assert got == want
+
+
+def test_last_masks_merge_each_base_once(monkeypatch):
+    # The bases of m - 1 terminals, all but the last position, are gathered
+    # once each: C(r - 1, m - 1) rows, where merging them again for every
+    # last terminal q above them would gather C(r, m).
+    inst = random_instance(95008, 60, 20, extra_edges=120)
+    closure = metric_closure(inst)
+    tidx = np.array([closure.index[t] for t in sorted(inst.terminals)])
+    tables = components._SharedTables(closure.dist, tidx, 4)
+    gathered = []
+    splits = tables.splits
+    monkeypatch.setattr(tables, "splits", lambda base: gathered.append(len(base)) or splits(base))
+    for m in (4, 5, 6):
+        gathered.clear()
+        assert sum(len(s) for s, *_ in tables.last_masks(m)) == math.comb(20, m)
+        assert sum(gathered) == math.comb(19, m - 1)
+
+
 def test_terminal_set_lookup_matches_reference_dict():
     for inst in make_batch(12, seed0=1700, max_vertices=11, max_terminals=7):
         closure = metric_closure(inst)

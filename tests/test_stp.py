@@ -1,5 +1,6 @@
 import random
 import time
+from fractions import Fraction
 
 import pytest
 
@@ -113,6 +114,86 @@ EOF
     assert inst.scale == 2
     assert [w for _, _, w in inst.edges] == [3, 4]
     assert inst.display_cost(3) == "1.5"
+
+
+def _pair_text(weight):
+    """A 2-vertex file whose one edge, on line 4, has the weight token `weight`."""
+    return (f"SECTION Graph\nNodes 2\nEdges 1\nE 1 2 {weight}\nEND\n"
+            "SECTION Terminals\nTerminals 2\nT 1\nT 2\nEND\nEOF\n")
+
+
+def _built(weight):
+    """What parsing a weight meant before its digits and exponent were
+    checked: Instance.build on Fraction(token), or the error it raises."""
+    try:
+        inst = Instance.build(2, [(1, 2, Fraction(weight))], [1, 2])
+    except InvalidInstanceError as err:
+        return type(err)
+    return inst.edges, inst.scale
+
+
+@pytest.mark.parametrize("weight", ["1e-4000000", "1e4000000", "-1e-4000000",
+                                    "1_0.5e-4_000_000", "3E+4000000"])
+def test_huge_weight_exponent_is_rejected_before_fraction(weight):
+    # Fraction would spend seconds on the power of ten; the digits and the
+    # exponent alone show the weight or its denominator is 2**59 or more.
+    start = time.perf_counter()
+    with pytest.raises(StpSyntaxError, match=r"^line 4: edge weight .* 2\*\*59") as err:
+        parse_stp(_pair_text(weight))
+    assert time.perf_counter() - start < 0.1
+    assert err.value.line == 4
+
+
+def test_zero_weight_reads_without_its_exponent():
+    start = time.perf_counter()
+    for weight in ("0e-4000000", "-0.000e4000000", "0_0.0E+4000000"):
+        inst = parse_stp(_pair_text(weight))
+        assert inst.edges == ((1, 2, 0),) and inst.scale == 1
+    assert time.perf_counter() - start < 0.1
+    for weight in ("0e4_", "0e", ".e5", "0.0e1.5"):
+        with pytest.raises(StpSyntaxError, match="cannot parse edge line"):
+            parse_stp(_pair_text(weight))
+
+
+# Just inside and just outside each bound: 2**59 - 1 and 2**59 as values,
+# 2**-58 and 2**-59 as denominators, and powers of ten on either side.
+BOUND_WEIGHTS = ["5.76460752303423487e17", "576460752303423487", "57646075230342348.7e1",
+                 "5.76460752303423488e17", "9.99999999999999999e17", "1e18", "10e17",
+                 "3.4694469519536141888238489627838134765625e-18",
+                 "1.73472347597680709441192448139190673828125e-18",
+                 "1e-17", "1e-58", "5e-59", "1e-59", "12.5e-60", "0.000125e-55", "4e-59"]
+
+
+def _assert_parses_as_fraction_did(weight):
+    # A weight the digit check refuses is one Instance.build refused anyway.
+    want = _built(weight)
+    try:
+        inst = parse_stp(_pair_text(weight))
+    except StpSyntaxError as err:
+        assert "edge weight" in str(err) and want is InvalidInstanceError
+        return "refused"
+    except InvalidInstanceError as err:
+        assert type(err) is want
+        return "rejected"
+    assert (inst.edges, inst.scale) == want
+    return "parsed"
+
+
+@pytest.mark.parametrize("weight", BOUND_WEIGHTS)
+def test_weights_near_the_bounds_parse_as_fraction_did(weight):
+    _assert_parses_as_fraction_did(weight)
+
+
+def test_weight_check_agrees_with_fraction_on_random_decimals():
+    rng = random.Random(17)
+    seen = set()
+    for _ in range(2000):
+        whole = "".join(rng.choices("0123456789", k=rng.randint(0, 6)))
+        frac = "".join(rng.choices("0123456789", k=rng.randint(0 if whole else 1, 25)))
+        mantissa = whole + "." + frac if frac else whole
+        seen.add(_assert_parses_as_fraction_did(mantissa + rng.choice(
+            ["", f"e{rng.randint(-80, 30)}", f"E+{rng.randint(0, 20)}"])))
+    assert seen == {"refused", "rejected", "parsed"}
 
 
 def test_parse_errors_carry_line_numbers():

@@ -441,8 +441,10 @@ class _SharedTables:
                 # [i, v, u] is merged[i, u] + D[u, v]; closure distances
                 # are symmetric, and the argmin over u takes the first u.
                 total = merged[:, None, :] + D
-                self.W[rows] = total.min(axis=2)
-                self.relax[rows] = total.argmin(axis=2)
+                relax = total.argmin(axis=2)
+                self.relax[rows] = relax
+                self.W[rows] = total.reshape(-1, nv)[np.arange(relax.size),
+                                                     relax.ravel()].reshape(relax.shape)
 
     def _part_rows(self, base: np.ndarray) -> np.ndarray:
         """The table row of every part of each row of increasing positions,
@@ -567,16 +569,28 @@ def _middle_triples(r: int) -> np.ndarray:
     return triples
 
 
+def _work_dtype(values: np.ndarray, terms: int) -> type:
+    """int32 when a sum of `terms` of the nonnegative `values` stays below
+    2**31, so that int32 arithmetic on them is exact, else int64. A kernel
+    that forms nothing larger than such a sum runs the same lines in either
+    dtype, and its results match an int64 run's bit for bit."""
+    return np.int32 if terms * int(values.max(initial=0)) < 2**31 else np.int64
+
+
 def _three_stars(rows_of: np.ndarray, tidx: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """3-stars by middle terminal j: for each i < j < c the first closure vertex
     minimizing the spoke sum, kept when no subset terminal sits there, as
     (positions, hub columns)."""
     triples = _middle_triples(len(tidx))
+    # The largest value formed is a spoke sum, three closure distances.
+    rows_of = rows_of.astype(_work_dtype(rows_of, 3), copy=False)
     hubs = np.concatenate([
         ((rows_of[:j] + rows_of[j])[:, None] + rows_of[None, j + 1:]).argmin(axis=2).ravel()
         for j in range(1, len(tidx) - 1)
     ])
-    keep = (tidx[triples] != hubs[:, None]).all(axis=1)
+    keep = tidx[triples[:, 0]] != hubs
+    for j in (1, 2):
+        keep &= tidx[triples[:, j]] != hubs
     return np.compress(keep, triples, axis=0), np.compress(keep, hubs)
 
 
@@ -605,11 +619,12 @@ def enumerate_full_components(instance: Instance, closure: MetricClosure,
     tidx = np.array([closure.index[t] for t in terms], dtype=np.int64)
     rows_of = closure.rows(terms)  # closure distances from each terminal
     vertices = np.asarray(closure.vertices, dtype=np.int64)
+    leaf, nv = vertices[tidx], len(vertices)
 
     # Blocks of positions and transposed edge columns. Pairs: one closure edge each.
     pairs = np.column_stack(np.triu_indices(r, 1))
     weights = rows_of[pairs[:, 0], tidx[pairs[:, 1]]]
-    blocks = [(pairs, np.vstack([vertices[tidx[pairs.T]], weights])[:, None])]
+    blocks = [(pairs, np.vstack([leaf[pairs.T], weights])[:, None])]
     if k >= 3:
         # The 3-stars come as positions and hubs; their edges, three spokes
         # to the hub, go straight into the table's columns below.
@@ -629,9 +644,11 @@ def enumerate_full_components(instance: Instance, closure: MetricClosure,
     for p, e in blocks:
         rows = slice(at, at + len(p))
         pos[rows, :p.shape[1]] = p
-        if e.ndim == 1:  # 3-star hubs, one spoke at a time
+        if e.ndim == 1:  # 3-star hubs: the hub ends all three spokes
+            edges[1, :3, rows] = vertices[e]
             for j in range(3):
-                edges[:, j, rows] = vertices[tidx[p[:, j]]], vertices[e], rows_of[p[:, j], e]
+                edges[0, j, rows] = leaf[p[:, j]]
+                edges[2, j, rows] = rows_of.take(p[:, j] * nv + e)
         else:
             edges[:, :e.shape[1], rows] = e
         at += len(p)
@@ -836,9 +853,14 @@ class CandidatePool:
         counted once, by the earliest terminal of the later side. A padded
         column's pairs read 0, so rows of every size share one gather."""
         reps = tree.rep_rows(self.table.terminal_ids.tolist())
+        block = tree.bottleneck_matrix[reps[:, None], reps]
         # Path maxima between the pool's terminals, zero-padded, flattened.
-        between = np.zeros((len(reps) + 1, len(reps) + 1), dtype=np.int64)
-        between[:-1, :-1] = tree.bottleneck_matrix[reps[:, None], reps]
+        # A saving sums one entry per column after the first. The bound is
+        # the gathered block's, not the pool's: any tree may be scored, and
+        # assigning a larger value into int32 would wrap.
+        between = np.zeros((len(reps) + 1, len(reps) + 1),
+                           dtype=_work_dtype(block, len(self._earlier)))
+        between[:-1, :-1] = block
         between = between.ravel()
         earlier = self._earlier if rows is None else [flat[:, rows] for flat in self._earlier]
-        return sum(between.take(flat).min(axis=0) for flat in earlier)
+        return sum(between.take(flat).min(axis=0) for flat in earlier).astype(np.int64, copy=False)

@@ -78,6 +78,22 @@ def counting_components():
         yield calls
 
 
+@contextlib.contextmanager
+def recording_work_dtypes():
+    """Every dtype components._work_dtype chooses inside, in call order."""
+    from steinertree import components
+
+    chosen = []
+    choose = components._work_dtype
+
+    def recording(values, terms):
+        chosen.append(choose(values, terms))
+        return chosen[-1]
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(components, "_work_dtype", recording)
+        yield chosen
+
+
 FORCED = {
     "enumerate": "stage enumerate: candidate columns fail component validation",
     "phase 1": "stage phase 1: working tree cost did not fall: \\d+ to \\d+",

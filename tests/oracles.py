@@ -346,6 +346,19 @@ def reference_last_masks(tables, m):
     return out
 
 
+def reference_three_stars(rows_of, tidx):
+    """The reference for components._three_stars: {(i, j, c): hub column}
+    for every i < j < c whose hub, the first closure vertex minimizing the
+    int64 spoke sum, sits at none of the three terminals."""
+    rows_of = np.asarray(rows_of, dtype=np.int64)
+    out = {}
+    for triple in itertools.combinations(range(len(tidx)), 3):
+        hub = int(rows_of[list(triple)].sum(axis=0).argmin())
+        if hub not in {int(tidx[x]) for x in triple}:
+            out[triple] = hub
+    return out
+
+
 def reference_full_components(instance, closure, k):
     """Object-per-subset candidate enumeration, the reference for the
     columnar one: one FullComponent per terminal subset of size 2..k whose

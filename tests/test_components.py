@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 import oracles
-from conftest import counting_components, make_batch, tie_instances
+from conftest import counting_components, make_batch, recording_work_dtypes, tie_instances
 from steinertree import (
     CandidatePool,
     FullComponent,
@@ -334,6 +334,74 @@ def test_middle_triples_are_combinations_grouped_by_middle():
         got = components._middle_triples(r)
         assert got.shape == (len(want), 3)
         assert [tuple(t) for t in got.tolist()] == want
+
+
+def _assert_three_stars_match_reference(inst):
+    """_three_stars on the instance's closure rows equals the int64
+    reference; returns the work dtype it chose."""
+    closure = metric_closure(inst)
+    terms = sorted(inst.terminals)
+    tidx = np.array([closure.index[t] for t in terms])
+    rows_of = closure.rows(terms)
+    with recording_work_dtypes() as chosen:
+        pos, hubs = components._three_stars(rows_of, tidx)
+    got = dict(zip(map(tuple, pos.tolist()), hubs.tolist()))
+    assert len(got) == len(pos)
+    assert got == oracles.reference_three_stars(rows_of, tidx)
+    (dtype,) = chosen
+    return dtype
+
+
+def _zero_weight_instances():
+    """Every second edge, and then every edge, of two random instances
+    set to weight 0."""
+    out = []
+    for seed in (31, 32):
+        base = random_instance(seed, 14, 8, extra_edges=10)
+        for step in (2, 1):
+            out.append(Instance.build(14, [(u, v, 0 if i % step == 0 else w)
+                                           for i, (u, v, w) in enumerate(base.edges)],
+                                      base.terminals))
+    return out
+
+
+def test_three_stars_match_reference():
+    cases = [*make_batch(30, seed0=1800, max_vertices=12, max_terminals=8),
+             *tie_instances(), *_zero_weight_instances()]
+    for inst in cases:
+        if len(inst.terminals) >= 3:
+            assert _assert_three_stars_match_reference(inst) == np.int32
+
+
+def _three_star_bound_instances(top):
+    """Instances whose largest terminal-to-vertex distance is `top`. In the
+    first, terminals 1, 2 and 3 hang from hub 4 by weight 1 and vertex 5 is
+    `top` from each of them, so the spoke sum at 5 is 3 * top; a sum that
+    wrapped would make 5 the hub. The others are random graphs scaled so
+    their distances stay below top / 2, with a pendant vertex `top` from the
+    terminal farthest from it."""
+    out = [Instance.build(5, [(1, 4, 1), (2, 4, 1), (3, 4, 1), (4, 5, top - 1)], [1, 2, 3])]
+    for seed in (41, 43):
+        small = random_instance(seed, 12, 7, extra_edges=6, max_weight=20)
+        c = top // 2 // sum(w for _, _, w in small.edges)
+        scaled = [(u, v, w * c) for u, v, w in small.edges]
+        inst = Instance.build(12, scaled, small.terminals)
+        far = int(metric_closure(inst).rows(sorted(inst.terminals))[:, 0].max())
+        out.append(Instance.build(13, scaled + [(1, 13, top - far)], small.terminals))
+    return out
+
+
+@pytest.mark.parametrize("top, dtype", [((2**31 - 1) // 3, np.int32),
+                                        ((2**31 - 1) // 3 + 1, np.int64)])
+def test_three_stars_at_the_int32_bound(top, dtype):
+    # 2**31 - 1 and 2**31 are not multiples of 3: the largest distance
+    # whose triple fits in int32 (3 * top = 2**31 - 2), and one more
+    # (2**31 + 1), the first that must stay int64.
+    for inst in _three_star_bound_instances(top):
+        closure = metric_closure(inst)
+        assert closure.rows(sorted(inst.terminals)).max() == top
+        assert _assert_three_stars_match_reference(inst) == dtype
+        _assert_table_matches_reference(inst, 3)
 
 
 def test_candidate_budget_keeps_positions_in_int16():

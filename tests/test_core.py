@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 import oracles
-from conftest import make_batch, tie_instances
+from conftest import make_batch, recording_work_dtypes, tie_instances
 from steinertree import (
     CandidatePool,
     DisconnectedInputError,
@@ -22,7 +22,7 @@ from steinertree import (
     minimum_spanning_tree,
     random_instance,
 )
-from steinertree import core
+from steinertree import components, core
 from steinertree.core import (
     WEIGHT_LIMIT,
     ContractedTree,
@@ -683,6 +683,63 @@ def test_pool_savings_at_weight_headroom_k4():
     star = ContractedTree.from_tree(
         minimum_spanning_tree(range(2, 7), metric_closure(cases[0]).distance))
     assert star.cost == 8 * spoke > 2**59
+
+
+def _pendant_bottleneck_instance(seed, top):
+    """A random graph scaled so its distances stay below top / 2, plus a
+    pendant terminal 13 that is `top` from its nearest terminal: the
+    terminal MST's largest edge, and so its largest path maximum, is top."""
+    small = random_instance(seed, 12, 7, extra_edges=6, max_weight=20)
+    c = top // 2 // sum(w for _, _, w in small.edges)
+    scaled = [(u, v, w * c) for u, v, w in small.edges]
+    near = int(metric_closure(Instance.build(12, scaled, small.terminals))
+               .rows(sorted(small.terminals))[:, 0].min())
+    return Instance.build(13, scaled + [(1, 13, top - near)], [*small.terminals, 13])
+
+
+@pytest.mark.parametrize("side", [0, 1])
+@pytest.mark.parametrize("k", [2, 3, 4])
+def test_pool_savings_at_the_int32_bound(k, side):
+    # A saving sums k - 1 path maxima, so the gather narrows to int32 while
+    # k - 1 times the largest path maximum it gathers is below 2**31. top is
+    # the largest such maximum (2**31 - 1 at k = 2), or one more (2**31).
+    top = (2**31 - 1) // (k - 1) + side
+    want = (np.int32, np.int64)[side]
+    # A star whose every path maximum is top, so a k-terminal saving is
+    # (k - 1) * top, scored against a pool of 2..k-terminal stars of cost
+    # 1 per spoke; and k-row pools of random graphs with one edge of top in
+    # their terminal MSTs.
+    leaves = range(1, k + 3)
+    groups = [g for m in range(2, k + 1) for g in itertools.combinations(leaves, m)]
+    cases = [(CandidatePool([FullComponent(g, [(t, 50, 1) for t in g], {50: 50})
+                             for g in groups]),
+              Tree.from_edges([(t, 100, top) for t in leaves], leaves))]
+    for seed in (52, 53):
+        inst = _pendant_bottleneck_instance(seed, top)
+        closure = metric_closure(inst)
+        cases.append((CandidatePool(enumerate_full_components(inst, closure, k)),
+                      minimum_spanning_tree(sorted(inst.terminals), closure.distance)))
+    for pool, t in cases:
+        assert pool.table.pos.shape[1] == k
+        rows = [row.terminals for row in pool.candidates]
+        view = ContractedTree.from_tree(t)
+        assert view.bottleneck_matrix.max() == top
+        with recording_work_dtypes() as chosen:
+            got = pool.savings_for(view)
+        assert chosen == [want]
+        assert got.dtype == np.int64  # widened where it leaves the kernel
+        assert got.tolist() == [oracles.saving_of_group(t.edges, r) for r in rows]
+        # Contracting two terminals other than the pendant one keeps top.
+        after = view.contract_zero_set(rows[0][:2])
+        with recording_work_dtypes() as chosen:
+            got = pool.savings_for(after)
+        assert chosen == [want]
+        assert got.tolist() == [after.cost - oracles.mst_with_zero_set(after, r) for r in rows]
+    star, star_tree = cases[0]
+    assert star.savings_for(ContractedTree.from_tree(star_tree)).max() == (k - 1) * top
+    # Every pool cost is far below the tree's path maxima: a bound taken
+    # from the pool would narrow, and at one more than top, wrap.
+    assert components._work_dtype(star.costs, k - 1) == np.int32
 
 
 def test_bottleneck_matrix_matches_bruteforce():

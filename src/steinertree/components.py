@@ -172,6 +172,10 @@ def loss_contract(comp: FullComponent) -> Contraction:
 # would be about 3 * 10**8.
 CANDIDATE_BUDGET = 2_000_000
 
+# Most terminals a candidate table holds, as int16 positions. Every pair is
+# a subset, so the candidate budget keeps enumeration's at 2,000.
+POSITION_LIMIT = 2**15
+
 
 class CandidateRow(NamedTuple):
     """A candidate's terminals, cost and loss, read from the columns."""
@@ -186,15 +190,19 @@ class CandidateTable(Sequence):
     sorted terminal tuple.
 
     `pos` holds each row's terminals as positions into `terminal_ids`,
-    padded with -1. `edges` holds each row's tree as (endpoint, endpoint,
-    weight) closure edges, the row's edges first and zeros after them: a
-    pair has 1 edge, a star 3 or 4, a two-hub 4-row 5, and an m-row at most
-    2m - 3. Each edge after the first joins one new node to the earlier
-    ones, as enumeration's depth-first order does. An endpoint is a
-    terminal id or the graph vertex an interior node copies, so the table
-    needs no closure to build a row. `edges` is in Fortran order, so
-    `edges.T`, [end or weight, edge, row], reads contiguous rows. `losses`
-    come from the edges (`tree_losses`). `component(i, first)` builds row
+    padded with -1, and `size` their number, both int16 (POSITION_LIMIT).
+    `edges` holds each row's tree as (endpoint, endpoint, weight) closure
+    edges, the row's edges first and zeros after them: a pair has 1 edge,
+    a star 3 or 4, a two-hub 4-row 5, and an m-row at most 2m - 3. Each
+    edge after the first joins one new node to the earlier ones, as
+    enumeration's depth-first order does. An endpoint is a terminal id or
+    the graph vertex an interior node copies, so the table needs no
+    closure to build a row. `edges` is in Fortran order, so
+    `edges.T`, [end or weight, edge, row], reads contiguous rows. Its
+    dtype is int32 when every endpoint and weight is below 2**31
+    (`_work_dtype`), else int64; `costs`, `losses` and `first_id` are
+    int64, and sums over the edges accumulate in int64. `losses` come
+    from the edges (`tree_losses`). `component(i, first)` builds row
     i; `table[i]` numbers its interior nodes from `first_id[i]`, so that
     every row has ids of its own: the table's interior nodes, row by row
     from `base`, end at `max_steiner_id`.
@@ -204,7 +212,7 @@ class CandidateTable(Sequence):
                  edges: np.ndarray, base: int):
         self.terminal_ids = terminal_ids
         self.pos = pos
-        self.size = (pos >= 0).sum(axis=1)
+        self.size = (pos >= 0).sum(axis=1, dtype=np.int16)
         self.costs = costs
         self.edges = edges
         self.losses = tree_losses(edges, self._check(), self.size)
@@ -221,10 +229,13 @@ class CandidateTable(Sequence):
         numbers its interior nodes as a table does keeps its ids."""
         comps = list(comps)
         ids = sorted({t for c in comps for t in c.terminals})
+        if len(ids) > POSITION_LIMIT:
+            raise LimitExceededError(
+                f"{len(ids)} terminals exceed the {POSITION_LIMIT} that int16 positions hold")
         index = {t: i for i, t in enumerate(ids)}
         n = len(comps)
         pos = np.full((n, max((len(c.terminals) for c in comps), default=2)), -1,
-                      dtype=np.int64)
+                      dtype=np.int16)
         edges = np.zeros((n, max((len(c.edges) for c in comps), default=1), 3),
                          dtype=np.int64, order="F")
         for row, c in enumerate(comps):
@@ -232,8 +243,10 @@ class CandidateTable(Sequence):
             edges[row, :len(c.edges)] = _vertex_form(c)
         base = max(min((s for c in comps for s in c.steiner_ids), default=0),
                    ids[-1] + 1 if ids else 1)
+        # Enumeration's rule, on the values the rows store.
         return cls(np.array(ids, dtype=np.int64), pos,
-                   np.array([c.cost for c in comps], dtype=np.int64), edges, base)
+                   np.array([c.cost for c in comps], dtype=np.int64),
+                   edges.astype(_work_dtype(np.abs(edges), 1)), base)
 
     def _check(self) -> np.ndarray:
         """Component validation, vectorized: terminal positions increase;
@@ -245,18 +258,22 @@ class CandidateTable(Sequence):
         the row's terminals, as an [end, edge, row] mask like `edges.T`."""
         pos, ends, weights = self.pos, self.edges.T[:2], self.edges.T[2]
         real = ends[0] != 0
-        # Padded positions read -1.
-        leaves, at_term = _leaves(ends, np.append(self.terminal_ids, -1)[pos].T)
+        # Terminal ids in the endpoints' dtype; padded positions read -1.
+        ids = np.append(self.terminal_ids, -1)
+        terms = ids.astype(ends.dtype)
+        leaves, at_term = _leaves(ends, terms[pos].T)
         grows = (ends[0, 0] != ends[1, 0]).all()
         for j in range(1, len(real)):
             old = [(ends[:, :j] == end).any(axis=0).any(axis=0) for end in ends[:, j]]
             grows &= ((old[0] != old[1]) | ~real[j]).all()
         ok = (leaves.all() and grows and (pos[:, :2] >= 0).all()
+              and (terms == ids).all()
               and ((pos[:, 1:] > pos[:, :-1]) | (pos[:, 1:] < 0)).all()
               and (real[:-1] | ~real[1:]).all()
               and ((ends[0] > 0) & (ends[1] > 0) | ~real).all()
               and (real | (ends[1] == 0) & (weights == 0)).all()
-              and (weights >= 0).all() and (self.costs == weights.sum(axis=0)).all())
+              and (weights >= 0).all()
+              and (self.costs == weights.sum(axis=0, dtype=np.int64)).all())
         if not ok:
             raise InternalInvariantError("candidate columns fail component validation")
         return at_term
@@ -309,15 +326,19 @@ def tree_losses(edges: np.ndarray, at_term: np.ndarray, size: np.ndarray) -> np.
     """Loss of each row's tree: the MST of its edges with its terminals
     (`at_term`) merged into one node, grown by Prim from that node on every
     row at once, one interior node per step, so no row's edges need
-    sorting. The padding counts as grown."""
+    sorting. The padding counts as grown. Work arrays keep the edges'
+    dtype; the losses are int64."""
     ends, weights = edges.T[:2], edges.T[2]
     grown = at_term | (ends == 0)
     losses = np.zeros(len(edges), dtype=np.int64)
     interior = (ends[0] != 0).sum(axis=0, dtype=np.int16) + 1 - size  # nodes - edges = 1
+    # Read as unsigned, the sentinel -1 exceeds every nonnegative weight of
+    # the dtype, int32's largest included, so a minimum is a crossing edge.
+    unsigned = np.dtype(f"u{weights.itemsize}")
     for left in range(int(interior.max(initial=0)), 0, -1):
-        cand = np.where(grown[0] != grown[1], weights, _UNREACHED)
-        step = cand.min(axis=0)
-        reached = step < _UNREACHED
+        cand = np.where(grown[0] != grown[1], weights, weights.dtype.type(-1)).view(unsigned)
+        step = cand.min(axis=0).view(weights.dtype)
+        reached = step >= 0  # the rows with an interior node left
         np.add(losses, step, out=losses, where=reached)
         if left > 1:
             j = cand.argmin(axis=0)[None]
@@ -339,9 +360,6 @@ def _leaves(ends: np.ndarray, terms: np.ndarray) -> tuple[np.ndarray, np.ndarray
     # 16-bit sums run several times faster than int64 ones.
     count = at_term.sum(axis=0, dtype=np.int16).sum(axis=0, dtype=np.int16)
     return present & (count == (terms >= 0).sum(axis=0, dtype=np.int16)), at_term
-
-
-_UNREACHED = np.iinfo(np.int64).max
 
 
 # Most int64 elements in one temporary array of the shared Dreyfus-Wagner
@@ -558,14 +576,16 @@ def _dw_rows(tables: _SharedTables, vertices: np.ndarray, subset: np.ndarray, hu
 
 
 def _middle_triples(r: int) -> np.ndarray:
-    """Every i < j < c below r, by j, then i, then c: one run of c per i < j."""
-    j = np.arange(r)
-    mid = np.repeat(j, j)
-    length = r - 1 - mid
-    runs = np.column_stack([np.arange(len(mid)) - np.repeat(j * (j - 1) // 2, j), mid,
-                            mid + 1 + length - np.cumsum(length)])
-    triples = np.repeat(runs, length, axis=0)
-    triples[:, 2] += np.arange(len(triples))
+    """Every i < j < c below r, by j, then i, then c, as int16 positions:
+    for each j, the grid of i < j by c > j."""
+    triples = np.empty((math.comb(r, 3), 3), dtype=np.int16)
+    at = 0
+    for j in range(1, r - 1):
+        block = triples[at:at + j * (r - 1 - j)].reshape(j, r - 1 - j, 3)
+        block[..., 0] = np.arange(j)[:, None]
+        block[..., 1] = j
+        block[..., 2] = np.arange(j + 1, r)
+        at += j * (r - 1 - j)
     return triples
 
 
@@ -636,10 +656,14 @@ def enumerate_full_components(instance: Instance, closure: MetricClosure,
             blocks.extend(_dw_rows(tables, vertices, *last) for last in tables.last_masks(m))
 
     n = sum(len(p) for p, _ in blocks)
+    # Rows store closure vertices and distances: at k = 3 those from the
+    # terminals, at k >= 4 any of the matrix, which the tables have read.
+    top = (closure.dist if k >= 4 else rows_of).max()
+    edge_dtype = _work_dtype(np.array([vertices.max(), top]), 1)
     # Fortran order, and edges built transposed: row-wise checks and sums
     # read one contiguous column at a time.
-    pos = np.full((n, k), -1, dtype=np.int64, order="F")
-    edges = np.zeros((3, max(1, 2 * k - 3), n), dtype=np.int64)
+    pos = np.full((n, k), -1, dtype=np.int16, order="F")
+    edges = np.zeros((3, max(1, 2 * k - 3), n), dtype=edge_dtype)
     at = 0
     for p, e in blocks:
         rows = slice(at, at + len(p))
@@ -648,17 +672,18 @@ def enumerate_full_components(instance: Instance, closure: MetricClosure,
             edges[1, :3, rows] = vertices[e]
             for j in range(3):
                 edges[0, j, rows] = leaf[p[:, j]]
-                edges[2, j, rows] = rows_of.take(p[:, j] * nv + e)
+                edges[2, j, rows] = rows_of.take(p[:, j].astype(np.int64) * nv + e)
         else:
             edges[:, :e.shape[1], rows] = e
         at += len(p)
     del blocks, p, e  # the block columns, before the sort and the checks
 
-    # The budget caps r at 2000, so int16 keys, which numpy radix-sorts, keep the order.
-    order = np.lexsort(pos.astype(np.int16).T[::-1])
+    # numpy radix-sorts the int16 keys.
+    order = np.lexsort(pos.T[::-1])
     for plane in (*pos.T, *edges.reshape(-1, n)):  # in place, one plane at a time
         plane[:] = plane[order]
-    return CandidateTable(np.array(terms, dtype=np.int64), pos, edges[2].sum(axis=0), edges.T,
+    return CandidateTable(np.array(terms, dtype=np.int64), pos,
+                          edges[2].sum(axis=0, dtype=np.int64), edges.T,
                           instance.vertex_count + 1)
 
 
@@ -826,7 +851,8 @@ class CandidatePool:
         # For each terminal column i >= 1, the flat indices into an (r+1) x (r+1)
         # matrix of its pairs with columns j < i; padding reads the zero row r.
         r = len(table.terminal_ids)
-        pos = np.where(table.pos < 0, r, table.pos)
+        # A typed r makes the positions int64: int16 would wrap at pos * (r + 1).
+        pos = np.where(table.pos < 0, np.int64(r), table.pos)
         self._earlier = [pos[:, :i].T * (r + 1) + pos[:, i] for i in range(1, pos.shape[1])]
 
     def __len__(self) -> int:

@@ -405,11 +405,50 @@ def test_three_stars_at_the_int32_bound(top, dtype):
 
 
 def test_candidate_budget_keeps_positions_in_int16():
-    # Enumeration sorts rows by an int16 copy of the terminal positions.
-    # Every pair is a subset, so the budget caps r at 2000 terminals; a
-    # larger budget would need a wider sort key.
+    # Tables hold terminal positions and row sizes in int16, and enumeration
+    # sorts rows by those positions. Every pair is a subset, so the budget
+    # caps r at 2000 terminals; a larger budget would need wider positions.
     assert math.comb(2001, 2) > components.CANDIDATE_BUDGET
-    assert 2000 <= np.iinfo(np.int16).max
+    assert 2000 <= components.POSITION_LIMIT <= np.iinfo(np.int16).max + 1
+    inst = make_batch(1, seed0=1800, max_terminals=8)[0]
+    for k in (2, 3, 4):
+        table = enumerate_full_components(inst, metric_closure(inst), k)
+        assert table.pos.dtype == table.size.dtype == np.int16
+        assert CandidateTable.from_components(list(table)).pos.dtype == np.int16
+
+
+def test_positions_are_widened_before_index_arithmetic():
+    # Products of int16 positions wrap above 32767: position times V in the
+    # spoke reads, position times r + 1 in the pool's pair indices.
+    inst = grid_instance(40, 40, terminal_stride=60)
+    closure = metric_closure(inst)
+    terms = sorted(inst.terminals)
+    assert (len(terms) - 1) * len(closure.vertices) > np.iinfo(np.int16).max
+    table = enumerate_full_components(inst, closure, 3)
+    stars = np.flatnonzero(table.size == 3)
+    assert len(stars) > 0
+    rows_of = closure.rows(terms)
+    for i in stars.tolist():
+        for t, hub, w in table.edges[i, :3].tolist():
+            assert w == rows_of[terms.index(t), closure.index[hub]]
+    path = Tree.from_edges([(t, t + 1, t % 7) for t in range(1, 200)], range(1, 201))
+    groups = [[t, t + 1] for t in range(1, 200, 2)] + [[1, 200], [2, 150, 199],
+                                                        [3, 60, 130, 197]]
+    pool = CandidatePool([FullComponent(g, [(t, 300, 1) for t in g], {300: 300})
+                          for g in groups])
+    r = len(pool.table.terminal_ids)
+    assert (r - 1) * (r + 1) > np.iinfo(np.int16).max
+    assert pool.savings_for(ContractedTree.from_tree(path)).tolist() == [
+        oracles.saving_of_group(path.edges, g) for g in groups]
+
+
+def test_a_list_with_more_terminals_than_positions_hold_is_rejected(monkeypatch):
+    comps = [FullComponent([1, 2], [(1, 2, 1)]), FullComponent([3, 4], [(3, 4, 1)])]
+    monkeypatch.setattr(components, "POSITION_LIMIT", 4)
+    assert len(CandidateTable.from_components(comps)) == 2
+    monkeypatch.setattr(components, "POSITION_LIMIT", 3)
+    with pytest.raises(LimitExceededError):
+        CandidateTable.from_components(comps)
 
 
 def test_savings_for_unknown_terminal_raises():
@@ -444,6 +483,59 @@ def _assert_table_matches_reference(inst, k):
         assert got.steiner_origin == want.steiner_origin
         assert (got.cost, got.loss) == (want.cost, want.loss)
     return table
+
+
+def _distance_bound_instance(seed, top):
+    """A random graph scaled so its distances stay below top / 2, with a
+    pendant terminal 13 `top` from the vertex farthest from vertex 1, also
+    a terminal: the largest closure distance, among the terminals' rows and
+    in the whole matrix, is `top`, and the pair of those two stores it."""
+    small = random_instance(seed, 12, 7, extra_edges=6, max_weight=20)
+    c = top // 2 // sum(w for _, _, w in small.edges)
+    scaled = [(u, v, w * c) for u, v, w in small.edges]
+    dist = metric_closure(Instance.build(12, scaled, small.terminals)).dist
+    x = int(dist[:, 0].argmax())
+    edges = scaled + [(1, 13, top - int(dist[x, 0]))]
+    return Instance.build(13, edges, small.terminals | {x + 1, 13})
+
+
+def _relabelled_instance(seed, top):
+    """A random graph with its vertices renumbered so that the largest id,
+    a terminal, is `top`."""
+    small = random_instance(seed, 12, 7, extra_edges=6)
+    shift = top - 12
+    return Instance.build(top, [(u + shift, v + shift, w) for u, v, w in small.edges],
+                          [t + shift for t in small.terminals | {12}])
+
+
+@pytest.mark.parametrize("top, dtype", [(2**31 - 1, np.int32), (2**31, np.int64)])
+@pytest.mark.parametrize("k", [3, 4])
+def test_edge_columns_at_the_int32_bound(top, dtype, k):
+    # One step each side of the bound, first on the largest stored closure
+    # distance, then on the largest vertex id.
+    for seed in (41, 43):
+        inst = _distance_bound_instance(seed, top)
+        closure = metric_closure(inst)
+        terms = sorted(inst.terminals)
+        assert closure.rows(terms).max() == closure.dist.max() == top
+        table = _assert_table_matches_reference(inst, k)
+        assert table.edges.dtype == dtype
+        assert table.edges[:, :, 2].max() == top
+        assert CandidateTable.from_components(list(table)).edges.dtype == dtype
+        inst = _relabelled_instance(seed, top)
+        table = _assert_table_matches_reference(inst, k)
+        assert table.edges.dtype == dtype
+        assert table.terminal_ids.max() == table.edges[:, :, :2].max() == top
+        assert CandidateTable.from_components(list(table)).edges.dtype == dtype
+
+
+def test_terminal_ids_the_edge_dtype_cannot_hold_are_rejected():
+    # 2**32 + 2 would read as 2 in int32, the row's second endpoint.
+    cols = dict(pos=np.array([[0, 1]]), costs=np.array([5]),
+                edges=np.array([[(1, 2, 5)]], dtype=np.int32), base=10)
+    assert len(CandidateTable(np.array([1, 2]), **cols)) == 1
+    with pytest.raises(InternalInvariantError):
+        CandidateTable(np.array([1, 2**32 + 2]), **cols)
 
 
 def test_table_rows_match_reference_enumeration():
@@ -661,6 +753,40 @@ _PAD = [(0, 0, 0)]
 def test_four_row_column_checks_reject(row, change):
     with pytest.raises(InternalInvariantError):
         _edge_table(row, change)
+
+
+def _narrowed(table, dtype):
+    return CandidateTable(table.terminal_ids, table.pos, table.costs,
+                          table.edges.astype(dtype), table.first_id[0] if len(table) else 1)
+
+
+def test_losses_on_int32_columns_equal_int64():
+    # An int64 sentinel taken into int32 arithmetic once read -1 and gave
+    # every pair row a loss of -1. Here: pair rows, which have no interior
+    # node; hand-made rows whose only interior edge, the link between two
+    # hubs, is the heaviest, at the largest int32 value; and a star whose
+    # spokes all weigh that much.
+    top = np.iinfo(np.int32).max
+    heavy = _edge_table(3, dict(edges=top, at=(1, 2)))
+    linked = _edge_table(4, dict(edges=top, at=(1, 2)))
+    spokes = _edge_table(1, dict(edges=top, at=(slice(3), 2)))
+    assert heavy.losses[3] == 6 and linked.losses[4] == 7 and spokes.losses[1] == top
+    tables = [heavy, linked, spokes]
+    for inst in make_batch(6, seed0=1950, max_vertices=11, max_terminals=7) + tie_instances():
+        closure = metric_closure(inst)
+        for k in (2, 3, 4, 5):
+            table = enumerate_full_components(inst, closure, k)
+            assert table.edges.dtype == np.int32
+            tables.append(table)
+    for table in tables:
+        wide, narrow = _narrowed(table, np.int64), _narrowed(table, np.int32)
+        assert (narrow.losses >= 0).all()
+        assert narrow.losses.dtype == wide.losses.dtype == np.int64
+        assert narrow.losses.tolist() == wide.losses.tolist() == table.losses.tolist()
+        got = components.tree_losses(narrow.edges, narrow._check(), narrow.size)
+        assert got.tolist() == components.tree_losses(wide.edges, wide._check(),
+                                                      wide.size).tolist()
+        assert all(_same(a, b) for a, b in zip(narrow, wide))
 
 
 @pytest.mark.parametrize("column", ["costs", "losses"])

@@ -799,6 +799,15 @@ def argmin_ratio(num: np.ndarray, den: np.ndarray) -> int | None:
     return best
 
 
+def rows_at_most(floor: np.ndarray, num: int, den: int) -> np.ndarray:
+    """Rows, in increasing order, whose float `floor` may be at most num/den
+    (den > 0). The float test is widened by RATIO_TOLERANCE, as in
+    near_minimum, so every row whose exact floor is at most num/den is kept;
+    a floor of -inf is always kept and one of +inf never."""
+    bound = num / den
+    return np.flatnonzero(floor <= bound + RATIO_TOLERANCE * abs(bound))
+
+
 class CandidateRows(Sequence):
     """The pool's candidates as (terminals, cost, loss) rows, read from the
     columns without building components."""
@@ -850,10 +859,23 @@ class CandidatePool:
         self.component = table.component
         # For each terminal column i >= 1, the flat indices into an (r+1) x (r+1)
         # matrix of its pairs with columns j < i; padding reads the zero row r.
+        # Each array is allocated once and filled a column at a time, from
+        # positions widened before * (r + 1): int16 would wrap there.
         r = len(table.terminal_ids)
-        # A typed r makes the positions int64: int16 would wrap at pos * (r + 1).
-        pos = np.where(table.pos < 0, np.int64(r), table.pos)
-        self._earlier = [pos[:, :i].T * (r + 1) + pos[:, i] for i in range(1, pos.shape[1])]
+
+        def column(j: int) -> np.ndarray:
+            at = table.pos[:, j].astype(np.int64)
+            at[at < 0] = r
+            return at
+
+        self._earlier = []
+        for i in range(1, table.pos.shape[1]):
+            later = column(i)
+            flat = np.empty((i, len(table)), dtype=np.int64)
+            for j in range(i):
+                np.multiply(column(j), r + 1, out=flat[j])
+                flat[j] += later
+            self._earlier.append(flat)
 
     def __len__(self) -> int:
         return len(self.table)
@@ -879,7 +901,7 @@ class CandidatePool:
         counted once, by the earliest terminal of the later side. A padded
         column's pairs read 0, so rows of every size share one gather."""
         reps = tree.rep_rows(self.table.terminal_ids.tolist())
-        block = tree.bottleneck_matrix[reps[:, None], reps]
+        block = tree.bottleneck_matrix.take(reps, axis=0).take(reps, axis=1)
         # Path maxima between the pool's terminals, zero-padded, flattened.
         # A saving sums one entry per column after the first. The bound is
         # the gathered block's, not the pool's: any tree may be scored, and
@@ -888,5 +910,7 @@ class CandidatePool:
                            dtype=_work_dtype(block, len(self._earlier)))
         between[:-1, :-1] = block
         between = between.ravel()
-        earlier = self._earlier if rows is None else [flat[:, rows] for flat in self._earlier]
+        # take(axis=1) gathers the columns about six times faster than flat[:, rows].
+        earlier = (self._earlier if rows is None
+                   else [flat.take(rows, axis=1) for flat in self._earlier])
         return sum(between.take(flat).min(axis=0) for flat in earlier).astype(np.int64, copy=False)

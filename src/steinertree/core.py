@@ -261,6 +261,17 @@ ROUND_WORK = 200
 # 62 MiB beside the 99 MiB matrix (2 MiB in batches).
 BATCH_MAX_WORK = 2**20
 
+# Predecessors derived from computed rows take them in blocks of at most
+# PREDECESSOR_BLOCK (row, arc) pairs, some 128 KiB per int64 temporary.
+# Blocks of BATCH_MAX_WORK units held every source of a 900-vertex grid
+# solve at once, some 0.8 MiB per temporary, and raised its peak RSS by
+# 1.9 MB (38.0 -> 39.9 MB over three passes of big-graph-k3's seed-1
+# instances); at 2**14 pairs it rose 0.3 MB, at 2**16 1.1 MB. For the 29
+# sources of such a grid (3,480 arcs a row) blocks of 2**14 pairs took
+# 0.82 ms against 1.03 ms row by row, and for the 52 of a many-terminals
+# solve (706 arcs) 0.27 against 0.89 ms.
+PREDECESSOR_BLOCK = 2**14
+
 
 def _distinct(flat: np.ndarray, at: np.ndarray, values: np.ndarray) -> np.ndarray:
     """The positions `at`, each once: every entry writes its own index into
@@ -403,20 +414,37 @@ class MetricClosure:
         order = np.lexsort((head, -weight, v))
         return head[order], v[order], weight[order]
 
-    def _tight_predecessors(self, row: np.ndarray) -> np.ndarray:
-        """Dijkstra's predecessors, from a distance row over positive
-        weights. Dijkstra sets pred[v] to the first popped u with
+    def _tight_predecessors(self, columns: Sequence[int]) -> None:
+        """Dijkstra's predecessors of the computed rows `columns`, from their
+        distances over positive weights, in blocks of up to
+        PREDECESSOR_BLOCK (row, arc) pairs; a single row is a block of one.
+        Dijkstra sets pred[v] to the first popped u with
         row[u] + w(u, v) == row[v], a tight neighbor. With positive weights
-        every vertex at distance d is in the heap before any of them pops, so
-        vertices pop in (distance, column) order and that u is the tight
+        every vertex at distance d is in the heap before any of them pops,
+        so vertices pop in (distance, column) order and that u is the tight
         neighbor of smallest row[u] = row[v] - w, that is of largest w, ties
-        going to the smallest column."""
+        going to the smallest column: v's first tight arc in `_incoming`
+        order."""
         u, v, w = self._incoming
-        tight = np.flatnonzero(row[u] + w == row[v])
-        first = tight[np.diff(v[tight], prepend=-1) != 0]
-        pred = np.full(len(row), -1, dtype=np.int32)
-        pred[v[first]] = u[first]
-        return pred
+        step = max(1, PREDECESSOR_BLOCK // len(u))
+        for at in range(0, len(columns), step):
+            part = columns[at:at + step]
+            rows = np.stack([self._dist[c] for c in part])
+            # take(axis=1) runs some 1.5 times faster than rows[:, u] here.
+            reach = rows.take(u, axis=1)
+            reach += w
+            # Tight arcs as flat (row, arc) positions, row-major, so each
+            # row's run is sorted by v and its first arc per v leads.
+            tight = np.flatnonzero(reach == rows.take(v, axis=1))
+            row = tight // len(u)
+            arc = tight - row * len(u)
+            at_v = row * rows.shape[1] + v[arc]
+            first = np.diff(at_v, prepend=-1) != 0
+            pred = np.full(rows.shape, -1, dtype=np.int32)
+            pred.reshape(-1)[at_v[first]] = u[arc[first]]
+            for c, p in zip(part, pred):
+                p.flags.writeable = False
+                self._pred[c] = p
 
     def _compute(self, out: np.ndarray, slots: Sequence[int], sources: Sequence[int]) -> None:
         """Rows from the columns `sources` into rows `slots` of `out`, kept as
@@ -460,12 +488,22 @@ class MetricClosure:
         """Column of the vertex before each vertex on its shortest path
         from `u`; -1 at `u`."""
         si = self._column(u)
-        row = self._row(si)
         pred = self._pred.get(si)
         if pred is None:
-            pred = self._pred[si] = self._tight_predecessors(row)
-            pred.flags.writeable = False
+            self._predecessor_rows([si])
+            pred = self._pred[si]
         return pred
+
+    def _predecessor_rows(self, columns: Iterable[int]) -> None:
+        """Computes the missing predecessors of `columns` in one pass: rows
+        still to compute first, then those rows the batch computed (rows
+        computed by Dijkstra keep the predecessors they stored)."""
+        missing = [c for c in dict.fromkeys(columns) if c not in self._pred]
+        if missing:
+            self._rows(missing)
+            missing = [c for c in missing if c not in self._pred]
+        if missing:
+            self._tight_predecessors(missing)
 
     @cached_property
     def dist(self) -> np.ndarray:
@@ -505,6 +543,8 @@ class MetricClosure:
     def expand(self, pairs: Iterable[tuple[int, int]], terminals: Sequence[int]) -> Tree:
         """Tree over original edges: one shortest path per (u, v) pair,
         their union reduced by pruned_mst."""
+        pairs = list(pairs)
+        self._predecessor_rows(self._column(u) for u, _ in pairs)
         assembled: dict[tuple[int, int], int] = {}
         for u, v in pairs:
             for a, b, w in self.path_edges(u, v):

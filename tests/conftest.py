@@ -45,6 +45,22 @@ def make_batch(count, seed0=0, max_vertices=12, max_terminals=8, max_weight=20):
     return out
 
 
+def family(terminals, seed):
+    """Sparse random graph with 1.5 vertices per terminal and 3 edges per
+    vertex, weights 1..50: the complexity-trend shape, and the benchmark's
+    many-terminals instances."""
+    nv = int(1.5 * terminals)
+    rng = random.Random(seed * 1000 + terminals)
+    edges = []
+    for v in range(2, nv + 1):
+        edges.append((rng.randint(1, v - 1), v, rng.randint(1, 50)))
+    while len(edges) < 3 * nv:
+        u, v = rng.sample(range(1, nv + 1), 2)
+        edges.append((u, v, rng.randint(1, 50)))
+    terms = rng.sample(range(1, nv + 1), terminals)
+    return Instance.build(nv, edges, terms, name=f"family-{terminals}-{seed}")
+
+
 def tie_instances():
     """A unit-weight grid full of equal-cost trees, and a random instance
     with zero-weight and parallel edges."""
@@ -92,6 +108,25 @@ def recording_work_dtypes():
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(components, "_work_dtype", recording)
         yield chosen
+
+
+@contextlib.contextmanager
+def recording_scans():
+    """Every phase-2 pick made inside, in call order, as (rows in the pool,
+    rows scored for the pick, summed over its scans)."""
+    from steinertree.phase2 import FloorPrefix
+
+    picks = []
+    pick = FloorPrefix.pick
+
+    def recording(prefix, score, gap):
+        before = prefix.scored
+        out = pick(prefix, score, gap)
+        picks.append((len(prefix.floor), prefix.scored - before))
+        return out
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(FloorPrefix, "pick", recording)
+        yield picks
 
 
 FORCED = {

@@ -5,19 +5,22 @@ enumeration wherever the instance is small enough, plain dicts and loops
 everywhere else. The tests compare these against the real implementations.
 `reference_full_components` (the earlier object-per-subset enumeration)
 and `renumbered` build package components, `reference_kruskal_indices` is the earlier
-Python-sorted Kruskal, and `mst_with_zero_set` and the reference
+Python-sorted Kruskal, `reference_phase2` is the earlier phase-2 loop that
+scores every row at every pick, and `mst_with_zero_set` and the reference
 definitions of the greedy quantities at the end take package trees and
 components; everything else stands on its own.
 """
 import heapq
 import itertools
 import math
+from fractions import Fraction
 
 import numpy as np
 
 from steinertree.components import FullComponent, _normalized_edges
 from steinertree.core import WEIGHT_LIMIT, edge_key
 from steinertree.errors import DisconnectedInputError, InternalInvariantError, UnknownNodeError
+from steinertree.phase2 import select_candidate
 
 INF = float("inf")
 
@@ -512,3 +515,39 @@ def bottleneck_edge(tree, u, v):
         path.append(parent_edge[cur])
         cur = parent[cur]
     return max(path, key=lambda e: edge_key(*e))
+
+
+def reference_phase2(instance, pool, origin, base):
+    """Phase 2's picks by a full scan: every pick scores every row in both
+    trees (the first reads phase 1's savings) and takes select_candidate's
+    pick. Returns the iteration rows, as run_phase2 traces them, and
+    whether the scan stalled."""
+    t_origin, t_base = origin.view, base.view
+    savings = origin.savings, base.savings
+    alloc = max(instance.vertex_count, pool.max_steiner_id) + 1
+    rows = []
+    while t_origin.cost != t_base.cost:
+        if savings is None:
+            savings = pool.savings_for(t_origin), pool.savings_for(t_base)
+        pick = select_candidate(pool.costs, *savings)
+        if pick is None:
+            return rows, True
+        i, load, diff = pick
+        comp, alloc = pool.component(i, alloc)
+        t_origin = t_origin.contract_zero_set(comp.terminals)
+        t_base = t_base.contract_zero_set(comp.terminals)
+        savings = None
+        f = Fraction(load, diff)
+        rows.append({
+            "iteration": len(rows) + 1,
+            "candidate_index": i,
+            "uid": len(rows) + 1,
+            "terminals": list(comp.terminals),
+            "candidate_cost": comp.cost,
+            "load": load,
+            "saving_diff": diff,
+            "f": [f.numerator, f.denominator],
+            "origin_cost": t_origin.cost,
+            "base_cost": t_base.cost,
+        })
+    return rows, False

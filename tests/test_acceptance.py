@@ -6,7 +6,6 @@ the suite fail loudly if the criterion does not hold.
 """
 import json
 import math
-import random
 import sys
 import time
 
@@ -15,7 +14,7 @@ import pytest
 
 import conftest
 import oracles
-from conftest import make_batch
+from conftest import family, make_batch
 from steinertree import (
     CandidatePool,
     Instance,
@@ -233,19 +232,6 @@ def test_criterion_6_star3_golden(star3, report):
 # 7. Complexity trend at fixed k
 # ------------------------------
 
-def _family(nr, seed):
-    nv = int(1.5 * nr)
-    rng = random.Random(seed * 1000 + nr)
-    edges = []
-    for v in range(2, nv + 1):
-        edges.append((rng.randint(1, v - 1), v, rng.randint(1, 50)))
-    while len(edges) < 3 * nv:
-        u, v = rng.sample(range(1, nv + 1), 2)
-        edges.append((u, v, rng.randint(1, 50)))
-    terms = rng.sample(range(1, nv + 1), nr)
-    return Instance.build(nv, edges, terms, name=f"family-{nr}-{seed}")
-
-
 def test_criterion_7_complexity_trend(report):
     sizes = [10, 20, 40, 80]
     config = RunConfig(k=3, exact_opt_limit=2, exact_optk_limit=2)
@@ -253,7 +239,7 @@ def test_criterion_7_complexity_trend(report):
     for nr in sizes:
         times = []
         for seed in (1, 2, 3):
-            inst = _family(nr, seed)
+            inst = family(nr, seed)
             t0 = time.perf_counter()
             res = solve(inst, config)
             times.append(time.perf_counter() - t0)

@@ -361,6 +361,60 @@ def test_closure_batches_from_the_stated_work(monkeypatch):
     assert [len(i.edge_weights) for i in (corpus, k4)] == [31, 179]
 
 
+def _record_predecessor_passes(monkeypatch):
+    """The columns of every tight-arc predecessor pass, in call order."""
+    blocks = []
+    tight = core.MetricClosure._tight_predecessors
+
+    def recording(self, columns):
+        blocks.append(list(columns))
+        return tight(self, columns)
+    monkeypatch.setattr(core.MetricClosure, "_tight_predecessors", recording)
+    return blocks
+
+
+@pytest.mark.parametrize("block", [core.PREDECESSOR_BLOCK, 2**20, 300])
+def test_expand_computes_its_predecessors_in_one_pass(monkeypatch, block):
+    # Every source's predecessors come from one tight-arc pass, in blocks of
+    # at most PREDECESSOR_BLOCK (row, arc) pairs, and equal Dijkstra's; unit
+    # weights tie everywhere.
+    _batch_every_read(monkeypatch)
+    monkeypatch.setattr(core, "PREDECESSOR_BLOCK", block)
+    blocks = _record_predecessor_passes(monkeypatch)
+    for inst in (tie_instances()[0], grid_instance(12, 12, max_weight=1, terminal_stride=5),
+                 grid_instance(9, 7, max_weight=1, seed=2, terminal_stride=2)):
+        vertices, want_dist, want_pred = oracles.reference_closure(inst)
+        c = metric_closure(inst)
+        c.rows(vertices)
+        sources = vertices[::3]
+        blocks.clear()
+        root = min(inst.terminals)
+        c.expand([(u, root) for u in sources], sorted({root, *sources}))
+        assert blocks == [[c.index[u] for u in sources]]
+        for u in sources:
+            assert (c.predecessors(u) == want_pred[c.index[u]]).all(), (inst.name, u)
+        # Rows read again reuse their predecessors; one more row is a block of one.
+        blocks.clear()
+        c.expand([(sources[0], vertices[-1])], [sources[0], vertices[-1]])
+        assert blocks == []
+        assert (c.predecessors(vertices[1]) == want_pred[1]).all()
+        assert blocks == [[1]]
+
+
+def test_expand_keeps_the_predecessors_of_dijkstra_rows(monkeypatch):
+    blocks = _record_predecessor_passes(monkeypatch)
+    inst = tie_instances()[1]  # zero weights: every row runs Dijkstra
+    vertices, want_dist, want_pred = oracles.reference_closure(inst)
+    c = metric_closure(inst)
+    c.rows(vertices)
+    stored = dict(c._pred)
+    c.expand([(u, vertices[0]) for u in vertices[1:]], vertices)
+    assert blocks == []
+    for i, u in enumerate(vertices):
+        assert c.predecessors(u) is stored[i]
+        assert (stored[i] == want_pred[i]).all()
+
+
 def test_closure_rows_compute_each_missing_row_once(monkeypatch):
     _batch_every_read(monkeypatch)
     calls = _record_closure_paths(monkeypatch)

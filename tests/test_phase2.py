@@ -1,17 +1,24 @@
-from conftest import make_batch
+import numpy as np
+import pytest
+
+import oracles
+from conftest import family, make_batch, recording_scans, tie_instances
 from steinertree import (
     CandidatePool,
     FullComponent,
     Instance,
+    RunConfig,
     Tree,
     enumerate_full_components,
     metric_closure,
     minimum_spanning_tree,
     select_candidate,
+    solve,
 )
 from steinertree.core import ContractedTree
+from steinertree.errors import InternalInvariantError
 from steinertree.phase1 import ScoredTree, run_phase1
-from steinertree.phase2 import run_phase2
+from steinertree.phase2 import PREFIX, FloorPrefix, run_phase2
 
 
 def _twin_paths(origin_weights, base_weights):
@@ -160,3 +167,172 @@ def test_phase2_deterministic():
     b = _run_both(inst, 3)[1]
     assert a.trace == b.trace
     assert a.solution.edges == b.solution.edges
+
+
+# ------------------------------
+# Picks over a floor prefix
+# ------------------------------
+
+def _start(n, seed, gap=40):
+    """Synthetic start savings of n rows, with positive loads."""
+    rng = np.random.default_rng(seed)
+    base0 = rng.integers(0, 40, n)
+    origin0 = np.maximum(base0 + rng.integers(-10, 30, n), 0)
+    costs = base0 + rng.integers(1, 60, n)
+    return costs, origin0, base0, gap
+
+
+def _fall(origin, base, gap, seed):
+    """Later savings: both fall, and no difference exceeds the gap."""
+    rng = np.random.default_rng(seed)
+    base = np.maximum(base - rng.integers(0, 3, len(base)), 0)
+    origin = np.maximum(origin - rng.integers(0, 4, len(origin)), 0)
+    return np.minimum(origin, base + gap), base
+
+
+def _scores(origin, base):
+    return lambda rows: (origin[rows], base[rows])
+
+
+def test_floor_picks_equal_the_full_scan_while_savings_fall():
+    for seed in range(6):
+        costs, origin, base, gap = _start(5000, seed)
+        prefix = FloorPrefix(costs, origin, base, gap)
+        assert PREFIX <= len(prefix.rows) < len(costs)
+        for step in range(8):
+            want = select_candidate(costs, origin, base)
+            assert prefix.pick(_scores(origin, base), gap) == want
+            gap -= 2
+            origin, base = _fall(origin, base, gap, seed * 100 + step)
+        assert prefix.scored < 8 * len(costs)
+
+
+def test_floor_pick_from_a_pool_smaller_than_the_prefix():
+    costs, origin, base, gap = _start(PREFIX - 24, 3)
+    prefix = FloorPrefix(costs, origin, base, gap)
+    live = np.flatnonzero(np.minimum(origin, gap) > 0)
+    assert prefix.tau is None and (prefix.rows == live).all()
+    for step in range(3):
+        assert prefix.pick(_scores(origin, base), gap) == select_candidate(costs, origin, base)
+        origin, base = _fall(origin, base, gap, step)
+    assert prefix.scored == 3 * len(live)
+
+
+def test_floor_prefix_without_an_eligible_row_doubles():
+    costs, origin, base, gap = _start(5000, 4)
+    prefix = FloorPrefix(costs, origin, base, gap)
+    first = prefix.rows
+    # The first prefix's rows lose their difference; the rest keep theirs.
+    base = base.copy()
+    base[first] = np.minimum(origin, base)[first]
+    origin = origin.copy()
+    origin[first] = base[first]
+    assert prefix.pick(_scores(origin, base), gap) == select_candidate(costs, origin, base)
+    assert len(prefix.rows) >= 2 * len(first)
+    assert prefix.scored == len(first) + len(prefix.rows)
+
+
+def test_floor_best_above_tau_raises_tau_and_rescans():
+    costs, origin, base, gap = _start(5000, 5)
+    prefix = FloorPrefix(costs, origin, base, gap)
+    first, tau = prefix.rows, prefix.tau
+    # The prefix's rows now have their costs as loads and a difference of
+    # 1; the rest keep their start savings.
+    origin, base = origin.copy(), base.copy()
+    origin[first], base[first] = 1, 0
+    best = select_candidate(costs[first], origin[first], base[first])
+    assert best[1] * tau[1] > tau[0] * best[2]
+    want = select_candidate(costs, origin, base)
+    assert prefix.pick(_scores(origin, base), gap) == want
+    assert prefix.tau == best[1:] and len(prefix.rows) > len(first)
+    assert prefix.scored == len(first) + len(prefix.rows)
+    assert want[0] not in first.tolist()
+
+
+def test_floor_ratio_zero_picks_end():
+    # More than PREFIX rows have load 0: tau is itself a ratio-0 pair, and
+    # a ratio-0 best must certify at equality.
+    costs, origin, base, gap = _start(5000, 6)
+    costs = costs.copy()
+    costs[::2] = base[::2]
+    prefix = FloorPrefix(costs, origin, base, gap)
+    assert prefix.tau[0] == 0
+    for _ in range(3):
+        i, load, diff = prefix.pick(_scores(origin, base), gap)
+        assert load == 0 and (i, load, diff) == select_candidate(costs, origin, base)
+        assert prefix.tau[0] == 0
+    assert prefix.scored == 3 * len(prefix.rows)
+
+
+def test_floor_keeps_a_negative_start_load_in_every_prefix():
+    # Loads of -gap/2 on 2,000 rows put tau at -1/2. The last row's floor,
+    # -1/gap, is above it, but a negative load is no bound: with its
+    # difference down to 1 the row's ratio is -1.
+    costs, origin, base, gap = _start(5000, 7)
+    costs, origin = costs.copy(), np.maximum(origin, base + gap)
+    costs[:2000] = base[:2000] - gap // 2
+    row = len(costs) - 1
+    costs[row] = base[row] - 1
+    prefix = FloorPrefix(costs, origin, base, gap)
+    assert prefix.tau == (-gap // 2, gap)
+    assert row in prefix.rows.tolist()
+    later = origin.copy()
+    later[row] = base[row] + 1
+    assert prefix.pick(_scores(later, base), gap) == (row, -1, 1)
+
+
+def test_floor_stall_scans_every_live_row():
+    costs, origin, base, gap = _start(5000, 8)
+    prefix = FloorPrefix(costs, origin, base, gap)
+    live = np.flatnonzero(np.minimum(origin, gap) > 0)
+    assert prefix.pick(_scores(np.minimum(origin, base), np.minimum(origin, base)), gap) is None
+    assert prefix.tau is None and (prefix.rows == live).all()
+    # With no live row, a pick stalls without scoring anything.
+    none = FloorPrefix(costs, np.zeros_like(origin), base, gap)
+    assert none.pick(_scores(origin, base), gap) is None and none.scored == 0
+
+
+def test_floor_guard_names_the_row_and_the_iteration():
+    costs, origin, base, gap = _start(5000, 9)
+    prefix = FloorPrefix(costs, origin, base, gap)
+    prefix.pick(_scores(origin, base), gap)
+    row = int(prefix.rows[7])
+    raised = base.copy()
+    raised[row] += 1
+    with pytest.raises(InternalInvariantError, match=f"^phase-2 iteration 2, row {row}: load"):
+        prefix.pick(_scores(origin, raised), gap)
+    wide = origin.copy()
+    wide[row] = base[row] + gap + 1
+    with pytest.raises(InternalInvariantError, match=f"^phase-2 iteration 3, row {row}: "):
+        prefix.pick(_scores(wide, base), gap)
+
+
+def _phase2_cases():
+    cases = [(inst, k) for inst in make_batch(60, seed0=4200) for k in (3, 4)]
+    cases += [(inst, k) for inst in tie_instances() for k in (3, 4)]
+    cases += [(family(n, seed), 3) for n in (40, 60, 80, 100) for seed in (1, 2)]
+    cases += [(family(n, 1), 4) for n in (40, 60)]
+    return cases
+
+
+def test_phase2_picks_equal_the_full_scan_at_every_iteration():
+    longest = 0
+    for inst, k in _phase2_cases():
+        closure = metric_closure(inst)
+        pool = CandidatePool(enumerate_full_components(inst, closure, k))
+        t0 = minimum_spanning_tree(sorted(inst.terminals), closure.distance)
+        p1 = run_phase1(inst, closure, pool, t0)
+        want, stalled = oracles.reference_phase2(inst, pool, p1.start, p1.base)
+        p2 = run_phase2(inst, pool, t0, p1.start, p1.base)
+        assert p2.trace["iterations"] == want and p2.stalled == stalled, (inst.name, k)
+        longest = max(longest, len(want))
+    assert longest >= 10
+
+
+def test_later_picks_score_a_fifth_of_the_pool():
+    inst = family(80, 1000)
+    with recording_scans() as picks:
+        solve(inst, RunConfig(k=3))
+    assert len(picks) >= 5
+    for rows, scored in picks[1:]:
+        assert scored <= rows // 5, picks

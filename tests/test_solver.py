@@ -8,6 +8,7 @@ import pytest
 import oracles
 from conftest import FORCED, force_invariant_failure, make_batch
 from steinertree import (
+    CandidatePool,
     Instance,
     InvalidInstanceError,
     MetricClosure,
@@ -231,6 +232,23 @@ def test_invariant_errors_name_the_instance_and_the_stage(monkeypatch, stage):
     inst = random_instance(3, 16, 6, extra_edges=10, name="forced-k4")
     force_invariant_failure(monkeypatch, stage)
     with pytest.raises(InternalInvariantError, match=f"^instance forced-k4, {FORCED[stage]}"):
+        solve(inst, RunConfig(k=4))
+
+
+def test_phase2_floor_guard_names_the_instance_and_the_stage(monkeypatch):
+    # Savings scored during phase 2 come back raised by 1: the loads fall
+    # below their start, which the floor that prunes the scans rules out.
+    inst = random_instance(4, 16, 8, extra_edges=10, name="raised-savings")
+    assert len(solve(inst, RunConfig(k=4)).phase2_trace["iterations"]) >= 2
+    score, run = CandidatePool.savings_for, solver.run_phase2
+
+    def raised(*args):
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(CandidatePool, "savings_for", lambda *a: score(*a) + 1)
+            return run(*args)
+    monkeypatch.setattr(solver, "run_phase2", raised)
+    with pytest.raises(InternalInvariantError, match="^instance raised-savings, stage phase 2:"
+                       " phase-2 iteration 2, row \\d+: load \\d+ \\(start \\d+\\)"):
         solve(inst, RunConfig(k=4))
 
 

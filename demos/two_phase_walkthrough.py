@@ -30,7 +30,8 @@ def main():
         print(f"  terminals {comp.terminals}  cost {comp.cost}  loss {comp.loss}")
 
     pool = CandidatePool(candidates)
-    t0 = minimum_spanning_tree(sorted(inst.terminals), closure.distance)
+    terms = sorted(inst.terminals)
+    t0 = minimum_spanning_tree(terms, closure.block(terms))
     p1 = run_phase1(inst, closure, pool, t0)
     print(f"\nphase 1: terminal MST = {p1.mst_cost}")
     for row in p1.trace["iterations"]:

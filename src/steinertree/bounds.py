@@ -6,6 +6,7 @@ can only ever soften a check, never produce a spurious failure.
 """
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, field
 from fractions import Fraction
@@ -42,12 +43,15 @@ def ratio_curves(alpha: float) -> tuple[float, float]:
     return merge_curve, 2.0 * alpha
 
 
+@functools.cache
 def crossover_alpha(tol: float = 1e-8) -> tuple[float, float]:
     """Bisection for the alpha in (1/2, 1) where the two ratio curves meet.
     Returns (alpha, common ratio). The worst case of the solver sits at
     this point, since below it the doubling curve rules and above it the
     merge-bound curve does. Stops early once the midpoint rounds to an
-    end, so a tolerance below the float spacing still terminates."""
+    end, so a tolerance below the float spacing still terminates. Each
+    tolerance is bisected once per process: every solve with an exact
+    optimum checks its ratio."""
     if not (tol > 0 and math.isfinite(tol)):
         raise ValueError(f"tolerance must be positive and finite, got {tol}")
     lo, hi = 0.5, 1.0

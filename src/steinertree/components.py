@@ -172,17 +172,12 @@ def loss_contract(comp: FullComponent) -> Contraction:
 # would be about 3 * 10**8.
 CANDIDATE_BUDGET = 2_000_000
 
-# Most terminals a candidate table holds, as int16 positions. Every pair is
-# a subset, so the candidate budget keeps enumeration's at 2,000.
-POSITION_LIMIT = 2**15
-
 
 class CandidateRow(NamedTuple):
-    """A candidate's terminals, cost and loss, read from the columns."""
+    """A candidate's terminals and cost, read from the columns."""
 
     terminals: tuple[int, ...]
     cost: int
-    loss: int
 
 
 class CandidateTable(Sequence):
@@ -190,7 +185,8 @@ class CandidateTable(Sequence):
     sorted terminal tuple.
 
     `pos` holds each row's terminals as positions into `terminal_ids`,
-    padded with -1, and `size` their number, both int16 (POSITION_LIMIT).
+    padded with -1, and `size` their number, both int16: every pair is a
+    subset, so CANDIDATE_BUDGET keeps enumeration at 2,000 terminals.
     `edges` holds each row's tree as (endpoint, endpoint, weight) closure
     edges, the row's edges first and zeros after them: a pair has 1 edge,
     a star 3 or 4, a two-hub 4-row 5, and an m-row at most 2m - 3. Each
@@ -205,7 +201,7 @@ class CandidateTable(Sequence):
     from the edges (`tree_losses`). `component(i, first)` builds row
     i; `table[i]` numbers its interior nodes from `first_id[i]`, so that
     every row has ids of its own: the table's interior nodes, row by row
-    from `base`, end at `max_steiner_id`.
+    from `base` (vertex_count + 1 for enumeration), end at `max_steiner_id`.
     """
 
     def __init__(self, terminal_ids: np.ndarray, pos: np.ndarray, costs: np.ndarray,
@@ -220,33 +216,6 @@ class CandidateTable(Sequence):
         interior = (edges.T[0] != 0).sum(axis=0) + 1 - self.size
         self.first_id = base + np.cumsum(interior) - interior
         self.max_steiner_id = base - 1 + int(interior.sum())
-
-    @classmethod
-    def from_components(cls, comps: Sequence[FullComponent]) -> "CandidateTable":
-        """Table over a given list, in its order, each row in vertex form
-        (`_vertex_form`). Interior ids start at the list's smallest one, or
-        above its largest terminal when that is larger, so a list that
-        numbers its interior nodes as a table does keeps its ids."""
-        comps = list(comps)
-        ids = sorted({t for c in comps for t in c.terminals})
-        if len(ids) > POSITION_LIMIT:
-            raise LimitExceededError(
-                f"{len(ids)} terminals exceed the {POSITION_LIMIT} that int16 positions hold")
-        index = {t: i for i, t in enumerate(ids)}
-        n = len(comps)
-        pos = np.full((n, max((len(c.terminals) for c in comps), default=2)), -1,
-                      dtype=np.int16)
-        edges = np.zeros((n, max((len(c.edges) for c in comps), default=1), 3),
-                         dtype=np.int64, order="F")
-        for row, c in enumerate(comps):
-            pos[row, :len(c.terminals)] = [index[t] for t in c.terminals]
-            edges[row, :len(c.edges)] = _vertex_form(c)
-        base = max(min((s for c in comps for s in c.steiner_ids), default=0),
-                   ids[-1] + 1 if ids else 1)
-        # Enumeration's rule, on the values the rows store.
-        return cls(np.array(ids, dtype=np.int64), pos,
-                   np.array([c.cost for c in comps], dtype=np.int64),
-                   edges.astype(_work_dtype(np.abs(edges), 1)), base)
 
     def _check(self) -> np.ndarray:
         """Component validation, vectorized: terminal positions increase;
@@ -303,23 +272,6 @@ class CandidateTable(Sequence):
         if (comp.cost, comp.loss) != (self.costs[i], self.losses[i]):
             raise InternalInvariantError(f"candidate {i} disagrees with its columns")
         return comp, first + len(origin)
-
-
-def _vertex_form(comp: FullComponent) -> list[Edge]:
-    """A component's edges as a table row, interior nodes written as the
-    vertices they copy, grown from its smallest interior node by new
-    terminals first, then the smallest new interior node. A component that
-    copies a vertex twice, or one of its terminals, fails the table's checks."""
-    origin = comp.steiner_origin
-    seen = {min(comp.steiner_ids, default=comp.edges[0][0])}
-    out: list[Edge] = []
-    while len(out) < len(comp.edges):
-        # (is interior, new node, edge) of each edge joining one new node
-        _, new, edge = min((x in origin, x, e) for e in comp.edges for x in e[:2]
-                           if x not in seen and {e[0], e[1]} & seen)
-        seen.add(new)
-        out.append(edge)
-    return [(origin.get(u, u), origin.get(v, v), w) for u, v, w in out]
 
 
 def tree_losses(edges: np.ndarray, at_term: np.ndarray, size: np.ndarray) -> np.ndarray:
@@ -502,6 +454,7 @@ class _SharedTables:
         bases = self._subsets[m - 1]
         step = max(1, DW_CHUNK // (self.D.shape[0] * ((1 << (m - 2)) - 1)))
         batch: list[tuple[np.ndarray, ...]] = []
+        held = 0  # the rows in batch
         for at in range(0, len(bases), step):
             chunk = bases[at:at + step]
             subs, halves, cand = self.splits(chunk)
@@ -516,9 +469,10 @@ class _SharedTables:
                 at_hub = self.W[halves[0, :, :n], hub] + self.W[halves[1, :, :n], hub]
                 batch.append((np.column_stack([chunk[:n], np.full(n, q)]), hub,
                               total[np.arange(n), hub], subs[at_hub.argmin(axis=0)]))
-                if sum(len(b[0]) for b in batch) * 2 * (2 * m - 3) >= DW_CHUNK:
+                held += n
+                if held * 2 * (2 * m - 3) >= DW_CHUNK:
                     yield tuple(np.concatenate(col) for col in zip(*batch))
-                    batch = []
+                    batch, held = [], 0
         if batch:
             yield tuple(np.concatenate(col) for col in zip(*batch))
 
@@ -808,51 +762,16 @@ def rows_at_most(floor: np.ndarray, num: int, den: int) -> np.ndarray:
     return np.flatnonzero(floor <= bound + RATIO_TOLERANCE * abs(bound))
 
 
-class CandidateRows(Sequence):
-    """The pool's candidates as (terminals, cost, loss) rows, read from the
-    columns without building components."""
+class CandidatePool:
+    """Scoring index over a CandidateTable. `pool.component(i, first)`
+    builds candidate i as a FullComponent with interior ids from `first`.
+    Savings are evaluated as MSTs under the tree's path-bottleneck weights;
+    phase 2 checks them against each contraction's cost drop, and the tests
+    against a from-scratch zero-clique MST (tests/oracles.py:
+    mst_with_zero_set)."""
 
     def __init__(self, table: CandidateTable):
-        self._table = table
-
-    def __len__(self) -> int:
-        return len(self._table)
-
-    def __getitem__(self, i: int) -> CandidateRow:
-        t = self._table
-        return CandidateRow(tuple(t.terminal_ids[t.pos[i, :t.size[i]]].tolist()),
-                            int(t.costs[i]), int(t.losses[i]))
-
-    def __iter__(self) -> Iterator[CandidateRow]:
-        t = self._table
-        by_size = {}
-        for m in np.flatnonzero(np.bincount(t.size)).tolist():
-            idx = np.flatnonzero(t.size == m)
-            terms = np.ascontiguousarray(t.terminal_ids[t.pos[idx, :m]])
-            # A structured view's tolist() makes all the tuples in one call.
-            fields = np.dtype([(f"t{j}", np.int64) for j in range(m)])
-            rows = zip(terms.view(fields).reshape(-1).tolist(), t.costs[idx].tolist(),
-                       t.losses[idx].tolist())
-            # tuple.__new__ makes each row without a Python-level call.
-            by_size[m] = map(tuple.__new__, itertools.repeat(CandidateRow), rows)
-        # Each row comes from its size's stream, in row order, and is made
-        # only when reached, so a pass over every row stays cheap.
-        return map(next, map(by_size.__getitem__, t.size.tolist()))
-
-
-class CandidatePool:
-    """Scoring index over a CandidateTable; a list of components is turned
-    into one. `pool.component(i, first)` builds candidate i as a
-    FullComponent with interior ids from `first`. Savings are evaluated as
-    MSTs under the tree's path-bottleneck weights; phase 2 checks them
-    against each contraction's cost drop, and the tests against a
-    from-scratch zero-clique MST (tests/oracles.py: mst_with_zero_set)."""
-
-    def __init__(self, candidates: Sequence[FullComponent]):
-        table = (candidates if isinstance(candidates, CandidateTable)
-                 else CandidateTable.from_components(candidates))
         self.table = table
-        self.candidates = CandidateRows(table)
         self.costs = table.costs
         self.losses = table.losses
         self.max_steiner_id = table.max_steiner_id
@@ -879,6 +798,24 @@ class CandidatePool:
 
     def __len__(self) -> int:
         return len(self.table)
+
+    @property
+    def candidates(self) -> Iterator[CandidateRow]:
+        """The rows as (terminals, cost), in row order, read from the
+        columns without building components; each read starts a new pass."""
+        t = self.table
+        by_size = {}
+        for m in np.flatnonzero(np.bincount(t.size)).tolist():
+            idx = np.flatnonzero(t.size == m)
+            terms = np.ascontiguousarray(t.terminal_ids[t.pos[idx, :m]])
+            # A structured view's tolist() makes all the tuples in one call.
+            fields = np.dtype([(f"t{j}", np.int64) for j in range(m)])
+            rows = zip(terms.view(fields).reshape(-1).tolist(), t.costs[idx].tolist())
+            # tuple.__new__ makes each row without a Python-level call.
+            by_size[m] = map(tuple.__new__, itertools.repeat(CandidateRow), rows)
+        # Each row comes from its size's stream, in row order, and is made
+        # only when reached, so a pass over every row stays cheap.
+        return map(next, map(by_size.__getitem__, t.size.tolist()))
 
     def by_terminals(self, terminals: Iterable[int]) -> int | None:
         """Index of the first candidate spanning exactly `terminals`."""

@@ -15,7 +15,7 @@ import operator
 from dataclasses import dataclass
 from functools import cached_property
 from fractions import Fraction
-from typing import Callable, Iterable, Mapping, Sequence
+from typing import Iterable, Mapping, Sequence
 
 import numpy as np
 
@@ -631,21 +631,16 @@ def kruskal_indices(
     return kept
 
 
-def minimum_spanning_tree(nodes: Iterable[int],
-                          weights: Callable[[int, int], int] | np.ndarray) -> Tree:
+def minimum_spanning_tree(nodes: Iterable[int], weights: np.ndarray) -> Tree:
     """MST of the complete graph on the sorted distinct `nodes`. `weights`
-    is a symmetric weight oracle, or the matrix of weights between the
-    sorted nodes (as `MetricClosure.block` gives it). Under the strict
-    `edge_key` order the MST is unique."""
+    is the symmetric matrix of weights between the sorted nodes (as
+    `MetricClosure.block` gives it). Under the strict `edge_key` order the
+    MST is unique."""
     node_list = sorted(set(nodes))
     if not node_list:
         raise InvalidInstanceError("empty node set")
     first, second = np.triu_indices(len(node_list), 1)
-    if callable(weights):
-        w = np.array([weights(node_list[i], node_list[j])
-                      for i, j in zip(first.tolist(), second.tolist())], dtype=np.int64)
-    else:
-        w = np.asarray(weights, dtype=np.int64)[first, second]
+    w = np.asarray(weights, dtype=np.int64)[first, second]
     ids = np.array(node_list, dtype=np.int64)
     pairs = np.column_stack((ids[first], ids[second], w))
     kept = pairs[kruskal_indices(node_list, pairs)].tolist()

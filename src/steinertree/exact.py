@@ -19,7 +19,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .components import CandidateTable, FullComponent, _SharedTables, check_dense_budget
+from .components import CandidateTable, _SharedTables, check_dense_budget
 from .core import MetricClosure, Tree, kruskal_indices
 from .errors import InternalInvariantError, LimitExceededError, UnknownNodeError
 
@@ -95,14 +95,13 @@ def optimal_steiner_tree(closure: MetricClosure, terminals: Sequence[int],
     return ExactResult(tree, cost)
 
 
-def optimal_k_restricted(terminals: Sequence[int], candidates: Sequence[FullComponent],
+def optimal_k_restricted(terminals: Sequence[int], table: CandidateTable,
                          k: int, limit: int = 8) -> ExactResult:
-    """Cheapest union of candidate components (each spanning at most k
+    """Cheapest union of the table's candidates (each spanning at most k
     terminals) whose terminal sets chain together to cover all terminals.
-    `candidates` is a CandidateTable or a list of components. The DP reads
-    the table's terminal and cost columns, and only the picked rows are
-    built as components. Raises LimitExceededError above `limit` terminals
-    or when `limit` exceeds OPTK_LIMIT_CAP.
+    The DP reads the table's terminal and cost columns, and only the picked
+    rows are built as components. Raises LimitExceededError above `limit`
+    terminals or when `limit` exceeds OPTK_LIMIT_CAP.
 
     Equivalent to exhaustive search over candidate subsets: any connected
     union can be ordered so every prefix stays connected, which is exactly
@@ -115,8 +114,6 @@ def optimal_k_restricted(terminals: Sequence[int], candidates: Sequence[FullComp
         raise LimitExceededError(
             f"{len(terms)} terminals exceeds restricted-solver limit {limit}"
         )
-    table = (candidates if isinstance(candidates, CandidateTable)
-             else CandidateTable.from_components(candidates))
     rows = np.flatnonzero(table.size <= k)
     pos = table.pos[rows]
     unknown = set(table.terminal_ids[pos[pos >= 0]].tolist()) - set(terms)

@@ -1,9 +1,11 @@
 import contextlib
 import random
 
+import numpy as np
 import pytest
 
 from steinertree import Instance, grid_instance, random_instance
+from steinertree.components import CandidateTable, _work_dtype
 
 ACCEPTANCE_LINES = []
 
@@ -73,6 +75,27 @@ def tie_instances():
         edges.append((u, v, rng.choice([0, 0, 1, 3])))
     edges += edges[:10]
     return [grid, Instance.build(24, edges, sorted(base.terminals))]
+
+
+def candidate_table(rows):
+    """A CandidateTable over hand-made pairs and single-hub stars, in the
+    given order. Each row is its edge list: one edge (u, v, w) for a pair,
+    or spokes (terminal, hub, w) for a star, the hub named by the vertex it
+    copies, its own id. Interior ids start at the smallest hub, or above
+    the largest terminal when that is larger."""
+    rows = [sorted(row) for row in rows]  # a star's spokes in terminal order
+    terms = [sorted(row[0][:2]) if len(row) == 1 else [t for t, _, _ in row] for row in rows]
+    ids = sorted({t for ts in terms for t in ts})
+    index = {t: i for i, t in enumerate(ids)}
+    pos = np.full((len(rows), max(map(len, terms), default=2)), -1, dtype=np.int16)
+    edges = np.zeros((3, max(map(len, rows), default=1), len(rows)), dtype=np.int64)
+    for i, (ts, row) in enumerate(zip(terms, rows)):
+        pos[i, :len(ts)] = [index[t] for t in ts]
+        edges[:, :len(row), i] = np.array(row, dtype=np.int64).T
+    base = max(min((row[0][1] for row in rows if len(row) > 1), default=0),
+               ids[-1] + 1 if ids else 1)
+    return CandidateTable(np.array(ids, dtype=np.int64), pos, edges[2].sum(axis=0),
+                          edges.astype(_work_dtype(edges, 1)).T, base)
 
 
 @contextlib.contextmanager

@@ -126,7 +126,7 @@ def test_criterion_3_lemma_suite(report):
     for inst in make_batch(30, seed0=31000, max_vertices=10, max_terminals=6):
         closure = metric_closure(inst)
         cands = enumerate_full_components(inst, closure, 3)
-        t0 = minimum_spanning_tree(sorted(inst.terminals), closure.distance)
+        t0 = minimum_spanning_tree(inst.terminals, closure.block(sorted(inst.terminals)))
         p1 = run_phase1(inst, closure, CandidatePool(cands), t0)
         optk = oracles.restricted_opt_bruteforce(
             sorted(inst.terminals), [(c.terminals, c.cost) for c in cands]

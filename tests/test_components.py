@@ -7,7 +7,13 @@ import numpy as np
 import pytest
 
 import oracles
-from conftest import counting_components, make_batch, recording_work_dtypes, tie_instances
+from conftest import (
+    candidate_table,
+    counting_components,
+    make_batch,
+    recording_work_dtypes,
+    tie_instances,
+)
 from steinertree import (
     CandidatePool,
     FullComponent,
@@ -41,7 +47,7 @@ def _star_component():
 
 def _closure_view(inst):
     c = metric_closure(inst)
-    t = minimum_spanning_tree(sorted(inst.terminals), c.distance)
+    t = minimum_spanning_tree(inst.terminals, c.block(sorted(inst.terminals)))
     return c, ContractedTree.from_tree(t)
 
 
@@ -163,7 +169,8 @@ def test_gain_examples(star3):
     # After phase 1 absorbs the star, the working tree is the contracted
     # component itself (cost 2); re-adding the star can only hurt.
     base = ContractedTree.from_tree(
-        minimum_spanning_tree([1, 2, 3], lambda u, v: 1 if 1 in (u, v) else 2)
+        # Weights 1 to terminal 1, 2 between terminals 2 and 3.
+        minimum_spanning_tree([1, 2, 3], np.array([[0, 1, 1], [1, 0, 2], [1, 2, 0]]))
     )
     assert base.cost == 2
     assert oracles.gain(base, star) == 2 - 0 - 3 == -1
@@ -182,7 +189,8 @@ def test_load_negates_gain():
 def test_saving_difference_examples(star3):
     closure, origin_view = _closure_view(star3)
     base_view = ContractedTree.from_tree(
-        minimum_spanning_tree([1, 2, 3], lambda u, v: 1 if 1 in (u, v) else 2)
+        # Weights 1 to terminal 1, 2 between terminals 2 and 3.
+        minimum_spanning_tree([1, 2, 3], np.array([[0, 1, 1], [1, 0, 2], [1, 2, 0]]))
     )
     star = _star_component()
     assert oracles.saving_difference(origin_view, origin_view, star) == 0
@@ -292,13 +300,11 @@ def test_pool_min_cost_index():
         for key in {frozenset(c.terminals) for c in pool.candidates}:
             idx = pool.by_terminals(key)
             same = [c.cost for c in cands if frozenset(c.terminals) == key]
-            assert pool.candidates[idx].cost == min(same)
+            assert pool.costs[idx] == min(same)
 
 
 def test_pool_lookup_gives_first_of_duplicates():
-    pool = CandidatePool([FullComponent([1, 2], [(1, 2, 5)]),
-                          FullComponent([1, 2], [(1, 2, 3)]),
-                          FullComponent([2, 3], [(2, 3, 4)])])
+    pool = CandidatePool(candidate_table([[(1, 2, 5)], [(1, 2, 3)], [(2, 3, 4)]]))
     assert pool.by_terminals([2, 1]) == 0
     assert pool.by_terminals({2, 3}) == 2
     assert pool.by_terminals([1, 3]) is None
@@ -307,7 +313,7 @@ def test_pool_lookup_gives_first_of_duplicates():
 
 
 def test_padded_savings_match_oracle_on_mixed_sizes():
-    # A list-built pool mixing 2- to 5-terminal rows: shorter rows are
+    # A hand-made pool mixing 2- to 5-terminal rows: shorter rows are
     # padded, and their padded columns must add nothing to the one gather.
     rng = random.Random(19)
     for inst in make_batch(30, seed0=1600, max_vertices=12, max_terminals=8):
@@ -317,8 +323,7 @@ def test_padded_savings_match_oracle_on_mixed_sizes():
             continue
         hub = max(terms) + 1
         groups = [rng.sample(terms, rng.randint(2, 5)) for _ in range(12)]
-        pool = CandidatePool([FullComponent(g, [(t, hub, 1) for t in g], {hub: hub})
-                              for g in groups])
+        pool = CandidatePool(candidate_table([(t, hub, 1) for t in g] for g in groups))
         assert sorted({len(g) for g in groups})[-1] == pool.table.pos.shape[1] == 5
         assert pool.savings_for(view).tolist() == [
             oracles.saving_of_group(view.edges, g) for g in groups]
@@ -409,12 +414,11 @@ def test_candidate_budget_keeps_positions_in_int16():
     # sorts rows by those positions. Every pair is a subset, so the budget
     # caps r at 2000 terminals; a larger budget would need wider positions.
     assert math.comb(2001, 2) > components.CANDIDATE_BUDGET
-    assert 2000 <= components.POSITION_LIMIT <= np.iinfo(np.int16).max + 1
+    assert 2000 <= np.iinfo(np.int16).max
     inst = make_batch(1, seed0=1800, max_terminals=8)[0]
     for k in (2, 3, 4):
         table = enumerate_full_components(inst, metric_closure(inst), k)
         assert table.pos.dtype == table.size.dtype == np.int16
-        assert CandidateTable.from_components(list(table)).pos.dtype == np.int16
 
 
 def test_positions_are_widened_before_index_arithmetic():
@@ -434,31 +438,21 @@ def test_positions_are_widened_before_index_arithmetic():
     path = Tree.from_edges([(t, t + 1, t % 7) for t in range(1, 200)], range(1, 201))
     groups = [[t, t + 1] for t in range(1, 200, 2)] + [[1, 200], [2, 150, 199],
                                                         [3, 60, 130, 197]]
-    pool = CandidatePool([FullComponent(g, [(t, 300, 1) for t in g], {300: 300})
-                          for g in groups])
+    pool = CandidatePool(candidate_table([(t, 300, 1) for t in g] for g in groups))
     r = len(pool.table.terminal_ids)
     assert (r - 1) * (r + 1) > np.iinfo(np.int16).max
     assert pool.savings_for(ContractedTree.from_tree(path)).tolist() == [
         oracles.saving_of_group(path.edges, g) for g in groups]
 
 
-def test_a_list_with_more_terminals_than_positions_hold_is_rejected(monkeypatch):
-    comps = [FullComponent([1, 2], [(1, 2, 1)]), FullComponent([3, 4], [(3, 4, 1)])]
-    monkeypatch.setattr(components, "POSITION_LIMIT", 4)
-    assert len(CandidateTable.from_components(comps)) == 2
-    monkeypatch.setattr(components, "POSITION_LIMIT", 3)
-    with pytest.raises(LimitExceededError):
-        CandidateTable.from_components(comps)
-
-
 def test_savings_for_unknown_terminal_raises():
     # Terminal 9 lies above every node id of the tree, terminal 2 between two.
     view = ContractedTree.from_tree(Tree.from_edges([(1, 2, 1), (2, 3, 1)], [1, 2, 3]))
     with pytest.raises(UnknownNodeError):
-        CandidatePool([FullComponent([1, 9], [(1, 9, 4)])]).savings_for(view)
+        CandidatePool(candidate_table([[(1, 9, 4)]])).savings_for(view)
     sparse = ContractedTree.from_tree(Tree.from_edges([(1, 3, 1), (3, 5, 1)], [1, 3, 5]))
     with pytest.raises(UnknownNodeError):
-        CandidatePool([FullComponent([1, 2], [(1, 2, 4)])]).savings_for(sparse)
+        CandidatePool(candidate_table([[(1, 2, 4)]])).savings_for(sparse)
 
 
 # ------------------------------
@@ -475,7 +469,8 @@ def _assert_table_matches_reference(inst, k):
     pool = CandidatePool(table)
     assert pool.max_steiner_id == max(
         (s for c in ref for s in c.steiner_ids), default=inst.vertex_count)
-    assert list(pool.candidates) == [(c.terminals, c.cost, c.loss) for c in ref]
+    assert list(pool.candidates) == [(c.terminals, c.cost) for c in ref]
+    assert pool.losses.tolist() == [c.loss for c in ref]
     for i, want in enumerate(ref):
         got = table[i]
         assert got.terminals == want.terminals
@@ -521,12 +516,10 @@ def test_edge_columns_at_the_int32_bound(top, dtype, k):
         table = _assert_table_matches_reference(inst, k)
         assert table.edges.dtype == dtype
         assert table.edges[:, :, 2].max() == top
-        assert CandidateTable.from_components(list(table)).edges.dtype == dtype
         inst = _relabelled_instance(seed, top)
         table = _assert_table_matches_reference(inst, k)
         assert table.edges.dtype == dtype
         assert table.terminal_ids.max() == table.edges[:, :, :2].max() == top
-        assert CandidateTable.from_components(list(table)).edges.dtype == dtype
 
 
 def test_terminal_ids_the_edge_dtype_cannot_hold_are_rejected():
@@ -824,59 +817,14 @@ def _assert_components_are_renumbered_rows(table):
 def test_component_numbers_the_row_as_a_renumbering_of_its_item():
     for _, table in _tables():
         _assert_components_are_renumbered_rows(table)
-        _assert_components_are_renumbered_rows(CandidateTable.from_components(list(table)))
     rng = random.Random(4)
-    hub = 30  # shared by every star and two-hub tree of the list
-    stars = [FullComponent(g, [(t, hub, rng.randint(0, 9)) for t in g], {hub: hub})
-             for g in (rng.sample(range(1, 20), rng.randint(2, 6)) for _ in range(10))]
-    two_hubs = [FullComponent([1, 2, 3, 4], [(1, 40, 1), (2, 40, 2), (40, 41, 3), (3, 41, 1),
-                                             (4, 41, 5)], {40: 7, 41: 6})]
-    table = CandidateTable.from_components(stars + two_hubs)
-    assert table.first_id.tolist() == list(range(30, 41)) and table.max_steiner_id == 41
-    assert table[10].steiner_origin == {40: 7, 41: 6}
+    hub = 30  # shared by every star
+    table = candidate_table([(t, hub, rng.randint(0, 9)) for t in g]
+                            for g in (rng.sample(range(1, 20), rng.randint(2, 6))
+                                      for _ in range(10)))
+    assert table.first_id.tolist() == list(range(30, 40)) and table.max_steiner_id == 39
+    assert table[9].steiner_origin == {39: 30}
     _assert_components_are_renumbered_rows(table)
-    # Ids from 3 would give the second row's interior node its terminal 4.
-    low = CandidateTable.from_components([
-        FullComponent([1, 2], [(1, 3, 1), (2, 3, 1)], {3: 9}),
-        FullComponent([4, 5], [(4, 6, 1), (5, 6, 1)], {6: 9})])
-    assert low.first_id.tolist() == [6, 7] and low[1].steiner_origin == {7: 9}
-    _assert_components_are_renumbered_rows(low)
-
-
-def _row_trees(table):
-    """Each row's edges, as sorted (smaller end, larger end, weight)."""
-    return [sorted((min(u, v), max(u, v), w) for u, v, w in row if u)
-            for row in table.edges.tolist()]
-
-
-def test_a_table_made_from_its_items_gives_back_its_columns():
-    # The list's columns are as wide as its widest row; enumeration pads
-    # them to k. Within a row, edges follow the growth order of a
-    # component's sorted edges, not enumeration's depth-first order, so
-    # the rows' trees are compared as edge sets.
-    for inst, table in _tables():
-        again = CandidateTable.from_components(list(table))
-        m, e = again.pos.shape[1], again.edges.shape[1]
-        assert (table.pos[:, m:] < 0).all() and (table.edges[:, e:] == 0).all()
-        assert again.pos.tolist() == table.pos[:, :m].tolist()
-        assert again.costs.tolist() == table.costs.tolist()
-        assert again.losses.tolist() == table.losses.tolist()
-        assert _row_trees(again) == _row_trees(table)
-        # Interior ids start at the list's smallest one, vertex_count + 1
-        # when there is one, so every row keeps its ids.
-        if table.max_steiner_id > inst.vertex_count:
-            assert again.first_id.tolist() == table.first_id.tolist()
-            assert again.max_steiner_id == table.max_steiner_id
-        assert all(_same(a, b) for a, b in zip(again, table))
-
-
-def test_a_list_component_without_a_vertex_form_is_rejected():
-    copies_twice = FullComponent([1, 2, 3, 4], [(1, 5, 1), (2, 5, 1), (5, 6, 1), (6, 7, 1),
-                                                (3, 7, 1), (4, 7, 1)], {5: 9, 6: 8, 7: 9})
-    copies_a_terminal = FullComponent([1, 2, 3], [(1, 5, 1), (2, 5, 1), (3, 5, 1)], {5: 1})
-    for comp in (copies_twice, copies_a_terminal):
-        with pytest.raises(InternalInvariantError):
-            CandidateTable.from_components([comp])
 
 
 def _built_on_use(inst, k):
@@ -886,7 +834,7 @@ def _built_on_use(inst, k):
     closure = metric_closure(inst)
     with counting_components() as built:
         pool = CandidatePool(enumerate_full_components(inst, closure, k))
-        t0 = minimum_spanning_tree(sorted(inst.terminals), closure.distance)
+        t0 = minimum_spanning_tree(inst.terminals, closure.block(sorted(inst.terminals)))
         p1 = run_phase1(inst, closure, pool, t0)
         p2 = run_phase2(inst, pool, t0, p1.start, p1.base)
         list(pool.candidates)
@@ -970,12 +918,12 @@ def test_near_minimum_keeps_every_exact_minimizer():
 def test_pool_looks_up_a_forty_terminal_row():
     # 40-terminal sets among 80 terminals have about 10**23 possible
     # colex keys, more than int64 holds; the lookup scans rows instead.
-    star = FullComponent(range(1, 41), [(t, 100, 1) for t in range(1, 41)], {100: 100})
-    pairs = [FullComponent([t, t + 1], [(t, t + 1, 1)]) for t in range(41, 80, 2)]
-    pool = CandidatePool([star] + pairs)
+    star = [(t, 100, 1) for t in range(1, 41)]
+    pairs = [[(t, t + 1, 1)] for t in range(41, 80, 2)]
+    pool = CandidatePool(candidate_table([star] + pairs))
     assert pool.by_terminals(range(40, 0, -1)) == 0
-    for i, comp in enumerate(pairs, start=1):
-        assert pool.by_terminals(reversed(comp.terminals)) == i
+    for i, [(u, v, _)] in enumerate(pairs, start=1):
+        assert pool.by_terminals([v, u]) == i
     assert pool.by_terminals(range(1, 40)) is None
     assert pool.by_terminals([41, 43]) is None
     assert pool.by_terminals([1, 41]) is None

@@ -6,12 +6,11 @@ import numpy as np
 import pytest
 
 import oracles
-from conftest import make_batch, recording_work_dtypes, tie_instances
+from conftest import candidate_table, make_batch, recording_work_dtypes, tie_instances
 from steinertree import (
     CandidatePool,
     DisconnectedInputError,
     DisconnectedTerminalsError,
-    FullComponent,
     Instance,
     InvalidInstanceError,
     Tree,
@@ -437,25 +436,20 @@ def test_closure_rows_compute_each_missing_row_once(monkeypatch):
 
 def test_mst_star3_closure(star3):
     c = metric_closure(star3)
-    t = minimum_spanning_tree(sorted(star3.terminals), c.distance)
+    t = minimum_spanning_tree(star3.terminals, c.block(sorted(star3.terminals)))
     assert t.total_cost == 4
 
 
 def test_mst_two_terminals():
     inst = Instance.build(2, [(1, 2, 5)], [1, 2])
     c = metric_closure(inst)
-    t = minimum_spanning_tree([1, 2], c.distance)
+    t = minimum_spanning_tree([1, 2], c.block([1, 2]))
     assert t.total_cost == 5 and len(t.edges) == 1
 
 
 def test_mst_triangle():
     # a-b=1, b-c=1, a-c=3: the cheap path wins.
-    weights = {(1, 2): 1, (2, 3): 1, (1, 3): 3}
-
-    def w(u, v):
-        return weights[(min(u, v), max(u, v))]
-
-    t = minimum_spanning_tree([1, 2, 3], w)
+    t = minimum_spanning_tree([1, 2, 3], np.array([[0, 1, 3], [1, 0, 1], [3, 1, 0]]))
     assert t.total_cost == 2
     assert sorted((u, v) for u, v, _ in t.edges) == [(1, 2), (2, 3)]
 
@@ -465,18 +459,10 @@ def test_mst_matches_enumeration_oracle():
         reach = sorted(inst.terminal_component)
         edges = [e for e in inst.edges if e[0] in reach and e[1] in reach]
         want = oracles.mst_cost_enumerate(reach, edges)
-
-        def w(u, v, _inst=inst):
-            best = None
-            for a, b, wt in _inst.edges:
-                if {a, b} == {u, v} and (best is None or wt < best):
-                    best = wt
-            return best
-
         # Compare through the closure MST over all reachable vertices, which
         # for the full vertex set equals the graph MST.
         c = metric_closure(inst)
-        t = minimum_spanning_tree(reach, c.distance)
+        t = minimum_spanning_tree(reach, c.block(reach))
         assert t.total_cost <= (want if want is not None else t.total_cost)
         if want is not None:
             # Closure never beats the true MST on the same vertex set when
@@ -486,9 +472,8 @@ def test_mst_matches_enumeration_oracle():
 
 
 def test_mst_from_block_matches_oracle_and_kruskal():
-    # A weight matrix and a weight oracle go through the same lexsort
-    # Kruskal; both give the tree a Kruskal under edge_key gives, with the
-    # edges in (smaller, larger) pair order.
+    # The block gives the tree a Kruskal under edge_key gives, with the
+    # edges in (smaller, larger) pair order, and the oracle's MST cost.
     for inst in make_batch(40, seed0=320, max_vertices=12):
         c = metric_closure(inst)
         terms = sorted(inst.terminals)
@@ -496,7 +481,6 @@ def test_mst_from_block_matches_oracle_and_kruskal():
         want = [pairs[i] for i in kruskal_indices(terms, pairs)]
         from_block = minimum_spanning_tree(terms, c.block(terms))
         assert list(from_block.edges) == want, inst.name
-        assert from_block == minimum_spanning_tree(terms, c.distance)
         assert from_block.total_cost == oracles.mst_cost_kruskal(terms, pairs)
 
 
@@ -509,22 +493,21 @@ def test_mst_ties_follow_edge_key():
     matrix = np.zeros((5, 5), dtype=np.int64)
     for (u, v), w in weights.items():
         matrix[u - 1, v - 1] = matrix[v - 1, u - 1] = w
-    for given in (matrix, lambda u, v: weights[(min(u, v), max(u, v))]):
-        t = minimum_spanning_tree(range(1, 6), given)
-        assert t.edges == ((1, 2, 1), (1, 4, 0), (2, 5, 1), (3, 5, 0))
+    t = minimum_spanning_tree(range(1, 6), matrix)
+    assert t.edges == ((1, 2, 1), (1, 4, 0), (2, 5, 1), (3, 5, 0))
 
 
 def test_mst_deterministic_under_input_shuffle():
     inst = make_batch(1, seed0=400, max_vertices=10)[0]
     c = metric_closure(inst)
     terms = sorted(inst.terminals)
-    base = minimum_spanning_tree(terms, c.distance)
+    base = minimum_spanning_tree(terms, c.block(terms))
     for s in range(5):
         shuffled = list(inst.edges)
         random.Random(s).shuffle(shuffled)
         inst2 = Instance.build(inst.vertex_count, shuffled, inst.terminals)
         c2 = metric_closure(inst2)
-        t2 = minimum_spanning_tree(terms, c2.distance)
+        t2 = minimum_spanning_tree(terms, c2.block(terms))
         assert t2.edges == base.edges
 
 
@@ -595,7 +578,7 @@ def test_bottleneck_edge_matches_bruteforce():
     for inst in make_batch(15, seed0=500, max_vertices=10):
         c = metric_closure(inst)
         terms = sorted(inst.terminals)
-        t = minimum_spanning_tree(terms, c.distance)
+        t = minimum_spanning_tree(terms, c.block(terms))
         for u in terms:
             for v in terms:
                 if u >= v:
@@ -618,15 +601,15 @@ def test_prune_leaves_drops_interior_chains():
 
 def _closure_mst(inst):
     c = metric_closure(inst)
-    return minimum_spanning_tree(sorted(inst.terminals), c.distance)
+    return minimum_spanning_tree(inst.terminals, c.block(sorted(inst.terminals)))
 
 
 def _savings(view, groups):
     """pool.savings_for over a pool with one row per group: a star of its
     terminals around an interior node no tree uses."""
     hub = max(x for g in groups for x in g) + 1
-    comps = [FullComponent(g, [(t, hub, 1) for t in g], {hub: hub}) for g in groups]
-    return CandidatePool(comps).savings_for(view).tolist()
+    table = candidate_table([(t, hub, 1) for t in g] for g in groups)
+    return CandidatePool(table).savings_for(view).tolist()
 
 
 def _groups(rng, terms, extra):
@@ -724,7 +707,7 @@ def test_pool_savings_at_weight_headroom_k4():
     for inst in cases:
         assert WEIGHT_LIMIT - 20 * 12**2 < sum(w for _, _, w in inst.edges) < WEIGHT_LIMIT
         closure = metric_closure(inst)
-        t = minimum_spanning_tree(sorted(inst.terminals), closure.distance)
+        t = minimum_spanning_tree(inst.terminals, closure.block(sorted(inst.terminals)))
         pool = CandidatePool(enumerate_full_components(inst, closure, 4))
         rows = [row.terminals for row in pool.candidates]
         assert any(len(r) == 4 for r in rows)
@@ -735,7 +718,7 @@ def test_pool_savings_at_weight_headroom_k4():
         assert pool.savings_for(after).tolist() == [
             after.cost - oracles.mst_with_zero_set(after, r) for r in rows]
     star = ContractedTree.from_tree(
-        minimum_spanning_tree(range(2, 7), metric_closure(cases[0]).distance))
+        minimum_spanning_tree(range(2, 7), metric_closure(cases[0]).block([2, 3, 4, 5, 6])))
     assert star.cost == 8 * spoke > 2**59
 
 
@@ -765,14 +748,13 @@ def test_pool_savings_at_the_int32_bound(k, side):
     # their terminal MSTs.
     leaves = range(1, k + 3)
     groups = [g for m in range(2, k + 1) for g in itertools.combinations(leaves, m)]
-    cases = [(CandidatePool([FullComponent(g, [(t, 50, 1) for t in g], {50: 50})
-                             for g in groups]),
+    cases = [(CandidatePool(candidate_table([(t, 50, 1) for t in g] for g in groups)),
               Tree.from_edges([(t, 100, top) for t in leaves], leaves))]
     for seed in (52, 53):
         inst = _pendant_bottleneck_instance(seed, top)
         closure = metric_closure(inst)
         cases.append((CandidatePool(enumerate_full_components(inst, closure, k)),
-                      minimum_spanning_tree(sorted(inst.terminals), closure.distance)))
+                      minimum_spanning_tree(inst.terminals, closure.block(sorted(inst.terminals)))))
     for pool, t in cases:
         assert pool.table.pos.shape[1] == k
         rows = [row.terminals for row in pool.candidates]

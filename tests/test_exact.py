@@ -165,7 +165,7 @@ def test_optk_2_is_terminal_mst():
     for inst in make_batch(15, seed0=2300, max_vertices=10, max_terminals=6):
         closure = metric_closure(inst)
         terms = sorted(inst.terminals)
-        mst = minimum_spanning_tree(terms, closure.distance)
+        mst = minimum_spanning_tree(terms, closure.block(terms))
         assert _optk(inst, 2).cost == mst.total_cost
 
 
@@ -243,6 +243,3 @@ def test_optk_builds_only_the_picked_rows():
     assert sum(c.cost for c in picked.values()) == res.cost
     used = {e for c in picked.values() for e in c.edges}
     assert set(res.tree.edges) <= used
-    # The same candidates as a list give the same optimum and tree.
-    again = optimal_k_restricted(terms, list(enumerate_full_components(inst, closure, 3)), 3)
-    assert (again.cost, again.tree) == (res.cost, res.tree)

@@ -2,10 +2,9 @@ import random
 
 import numpy as np
 
-from conftest import make_batch
+from conftest import candidate_table, make_batch
 from steinertree import (
     CandidatePool,
-    FullComponent,
     Instance,
     Tree,
     enumerate_full_components,
@@ -23,7 +22,7 @@ from steinertree.phase1 import run_phase1
 
 
 def _mst(inst, closure):
-    return minimum_spanning_tree(sorted(inst.terminals), closure.distance)
+    return minimum_spanning_tree(inst.terminals, closure.block(sorted(inst.terminals)))
 
 
 def _run(inst, k):
@@ -230,8 +229,7 @@ def test_adding_edges_only_lowers_bottlenecks_and_savings():
         assert (lower.bottleneck_matrix <= upper.bottleneck_matrix).all()
         hub = max(nodes) + 1
         groups = [rng.sample(nodes, rng.randint(2, min(4, len(nodes)))) for _ in range(12)]
-        pool = CandidatePool([FullComponent(g, [(t, hub, 1) for t in g], {hub: hub})
-                              for g in groups])
+        pool = CandidatePool(candidate_table([(t, hub, 1) for t in g] for g in groups))
         assert (pool.savings_for(lower) <= pool.savings_for(upper)).all()
         rows = np.array(sorted(rng.sample(range(len(groups)), 5)))
         assert pool.savings_for(lower, rows).tolist() == pool.savings_for(lower)[rows].tolist()

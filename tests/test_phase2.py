@@ -2,10 +2,9 @@ import numpy as np
 import pytest
 
 import oracles
-from conftest import family, make_batch, recording_scans, tie_instances
+from conftest import candidate_table, family, make_batch, recording_scans, tie_instances
 from steinertree import (
     CandidatePool,
-    FullComponent,
     Instance,
     RunConfig,
     Tree,
@@ -32,8 +31,9 @@ def _twin_paths(origin_weights, base_weights):
     return ContractedTree.from_tree(origin), ContractedTree.from_tree(base)
 
 
-def _pair(u, v, cost):
-    return FullComponent([u, v], [(u, v, cost)])
+def _pairs(*pairs):
+    """A pool of the given (u, v, cost) pairs, in their order."""
+    return CandidatePool(candidate_table([p] for p in pairs))
 
 
 def _select(t_origin, t_base, pool):
@@ -48,20 +48,20 @@ def _select(t_origin, t_base, pool):
 def test_select_smaller_ratio_wins_regardless_of_order():
     t_origin, t_base = _twin_paths([9, 9, 9], [1, 2, 3])
     # {1,2}: load 7-1=6, diff 9-1=8. {2,3}: load 4-2=2, diff 9-2=7.
-    pool = CandidatePool([_pair(1, 2, 7), _pair(2, 3, 4)])
+    pool = _pairs((1, 2, 7), (2, 3, 4))
     assert _select(t_origin, t_base, pool) == (1, 2, 7)
 
 
 def test_select_tie_goes_to_earlier_candidate():
     t_origin, t_base = _twin_paths([9, 9, 9], [1, 2, 3])
-    pool = CandidatePool([_pair(1, 2, 5), _pair(1, 2, 5)])
+    pool = _pairs((1, 2, 5), (1, 2, 5))
     assert _select(t_origin, t_base, pool) == (0, 4, 8)
 
 
 def test_select_nonpositive_load_beats_positive():
     t_origin, t_base = _twin_paths([9, 9, 9], [1, 2, 3])
     # {3,4}: load 2-3=-1, diff 6; {1,2}: load 4, diff 8.
-    pool = CandidatePool([_pair(1, 2, 5), _pair(3, 4, 2)])
+    pool = _pairs((1, 2, 5), (3, 4, 2))
     assert _select(t_origin, t_base, pool) == (1, -1, 6)
 
 
@@ -70,13 +70,13 @@ def test_select_decides_float_ties_exactly():
     # ratios tie; the exact comparison still prefers the smaller load.
     w = 2**58
     t_origin, t_base = _twin_paths([w, w, w], [1, 1, 1])
-    pool = CandidatePool([_pair(1, 2, 2**57 + 3), _pair(3, 4, 2**57 + 1)])
+    pool = _pairs((1, 2, 2**57 + 3), (3, 4, 2**57 + 1))
     assert _select(t_origin, t_base, pool) == (1, 2**57, w - 1)
 
 
 def test_select_none_without_positive_difference():
     t_origin, t_base = _twin_paths([1, 1, 1], [9, 9, 9])
-    pool = CandidatePool([_pair(1, 2, 5), _pair(2, 4, 5)])
+    pool = _pairs((1, 2, 5), (2, 4, 5))
     assert _select(t_origin, t_base, pool) is None
 
 
@@ -87,7 +87,7 @@ def test_select_none_without_positive_difference():
 def _run_both(inst, k):
     closure = metric_closure(inst)
     pool = CandidatePool(enumerate_full_components(inst, closure, k))
-    t0 = minimum_spanning_tree(sorted(inst.terminals), closure.distance)
+    t0 = minimum_spanning_tree(inst.terminals, closure.block(sorted(inst.terminals)))
     p1 = run_phase1(inst, closure, pool, t0)
     p2 = run_phase2(inst, pool, t0, p1.start, p1.base)
     return p1, p2
@@ -150,8 +150,8 @@ def test_forced_stall_is_reported_in_band(star3):
     # A pool holding a single pair cannot close the star3 gap: after one
     # pick nothing has a positive difference and the gap is still open.
     closure = metric_closure(star3)
-    t0 = minimum_spanning_tree([1, 2, 3], closure.distance)
-    pool = CandidatePool([_pair(1, 2, 2)])
+    t0 = minimum_spanning_tree([1, 2, 3], closure.block([1, 2, 3]))
+    pool = _pairs((1, 2, 2))
     base = Tree.from_edges([(1, 2, 1), (1, 3, 1)], [1, 2, 3])
     origin, base = (ContractedTree.from_tree(t) for t in (t0, base))
     p2 = run_phase2(star3, pool, t0, ScoredTree(origin, pool.savings_for(origin)),
@@ -320,7 +320,7 @@ def test_phase2_picks_equal_the_full_scan_at_every_iteration():
     for inst, k in _phase2_cases():
         closure = metric_closure(inst)
         pool = CandidatePool(enumerate_full_components(inst, closure, k))
-        t0 = minimum_spanning_tree(sorted(inst.terminals), closure.distance)
+        t0 = minimum_spanning_tree(inst.terminals, closure.block(sorted(inst.terminals)))
         p1 = run_phase1(inst, closure, pool, t0)
         want, stalled = oracles.reference_phase2(inst, pool, p1.start, p1.base)
         p2 = run_phase2(inst, pool, t0, p1.start, p1.base)

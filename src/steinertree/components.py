@@ -6,19 +6,23 @@ vertex it came from). The loss of a component is the cheapest forest inside
 it that hooks every interior node to some terminal; contracting the loss
 yields the component's cheaper stand-in used while building the base tree.
 
-Enumeration produces, for every terminal subset of size 2..k, an optimal
-tree over the metric closure, keeping only subsets whose own terminals end
-up as leaves. It returns numpy columns (CandidateTable) that the greedy
-phases score in batch; a candidate becomes a FullComponent only when a
-phase picks it, a displacement looks it up, or the restricted oracle picks
-it, and then once, with the interior ids it keeps.
+Enumeration finds, for every terminal subset of size 2..k, the root of an
+optimal tree over the metric closure, keeping only subsets whose own
+terminals end up as leaves. It returns numpy columns (CandidateTable) of
+terminals, costs and roots that the greedy phases score in batch. A row's
+tree is rebuilt from its root only when a caller reads it: phase 1 reads
+its active rows' losses, and a candidate becomes a FullComponent only when
+a phase picks it, a displacement looks it up, or the restricted oracle
+picks it, and then once, with the interior ids it keeps.
 """
 from __future__ import annotations
 
 import itertools
 import math
 import operator
+import weakref
 from collections.abc import Iterable, Iterator, Sequence
+from functools import cached_property
 from typing import NamedTuple
 
 import numpy as np
@@ -32,6 +36,7 @@ from .core import (
     kruskal_indices,
     prune_leaves,
 )
+from .dreyfus_wagner import _SharedTables, check_dense_budget
 from .errors import InternalInvariantError, KRestrictionError, LimitExceededError
 
 Edge = tuple[int, int, int]
@@ -182,70 +187,42 @@ class CandidateRow(NamedTuple):
 
 class CandidateTable(Sequence):
     """Candidates as numpy columns, one row per terminal subset, ordered by
-    sorted terminal tuple.
+    sorted terminal tuple. A row is its terminals, its cost and its root;
+    its tree is rebuilt only when a caller reads it (`build`).
 
     `pos` holds each row's terminals as positions into `terminal_ids`,
     padded with -1, and `size` their number, both int16: every pair is a
     subset, so CANDIDATE_BUDGET keeps enumeration at 2,000 terminals.
-    `edges` holds each row's tree as (endpoint, endpoint, weight) closure
-    edges, the row's edges first and zeros after them: a pair has 1 edge,
-    a star 3 or 4, a two-hub 4-row 5, and an m-row at most 2m - 3. Each
-    edge after the first joins one new node to the earlier ones, as
-    enumeration's depth-first order does. An endpoint is a terminal id or
-    the graph vertex an interior node copies, so the table needs no
-    closure to build a row. `edges` is in Fortran order, so
-    `edges.T`, [end or weight, edge, row], reads contiguous rows. Its
-    dtype is int32 when every endpoint and weight is below 2**31
-    (`_work_dtype`), else int64; `costs`, `losses` and `first_id` are
-    int64, and sums over the edges accumulate in int64. `losses` come
-    from the edges (`tree_losses`). `component(i, first)` builds row
-    i; `table[i]` numbers its interior nodes from `first_id[i]`, so that
-    every row has ids of its own: the table's interior nodes, row by row
-    from `base` (vertex_count + 1 for enumeration), end at `max_steiner_id`.
+    `hub` holds each row's root as a closure column: the vertex a pair's
+    one edge reaches (in enumeration, its last terminal) and the hub of a
+    star's spokes. A table made with shared Dreyfus-Wagner tables
+    (`tables`, kept alive with the table) roots its rows of four or more
+    terminals at (`hub`, `split`): the hub its tree joins the last terminal
+    at, and the local sub-mask chosen there. Weights and vertices are read
+    from `closure`: its rows from the terminals (`closure.rows`) and the
+    tables' distance matrix (`closure.dist`), and `closure.vertices` names
+    the vertex each column stands for. `costs` and `first_id` are int64.
+    `table[i]` numbers row i's interior nodes from `first_id[i]`, so that
+    every row has ids of its own: the table's interior nodes, `interior`
+    per row, row by row from `base` (vertex_count + 1 for enumeration), end
+    at `max_steiner_id`. `rows_built` counts the rows `build` has read.
     """
 
     def __init__(self, terminal_ids: np.ndarray, pos: np.ndarray, costs: np.ndarray,
-                 edges: np.ndarray, base: int):
+                 hub: np.ndarray, interior: np.ndarray, base: int, closure: MetricClosure,
+                 tables: _SharedTables | None = None,
+                 split: np.ndarray | None = None):
         self.terminal_ids = terminal_ids
         self.pos = pos
         self.size = (pos >= 0).sum(axis=1, dtype=np.int16)
         self.costs = costs
-        self.edges = edges
-        self.losses = tree_losses(edges, self._check(), self.size)
-        # A tree over its terminals and interior nodes has one node more than edges.
-        interior = (edges.T[0] != 0).sum(axis=0) + 1 - self.size
-        self.first_id = base + np.cumsum(interior) - interior
-        self.max_steiner_id = base - 1 + int(interior.sum())
-
-    def _check(self) -> np.ndarray:
-        """Component validation, vectorized: terminal positions increase;
-        each terminal appears once among its row's endpoints (so it is a
-        leaf and no interior node); edges have positive endpoints and come
-        before the zero padding; the first edge has two ends and each later
-        one exactly one end among the earlier ones, so the edges grow a tree;
-        weights are nonnegative and costs their sums. Returns which ends are
-        the row's terminals, as an [end, edge, row] mask like `edges.T`."""
-        pos, ends, weights = self.pos, self.edges.T[:2], self.edges.T[2]
-        real = ends[0] != 0
-        # Terminal ids in the endpoints' dtype; padded positions read -1.
-        ids = np.append(self.terminal_ids, -1)
-        terms = ids.astype(ends.dtype)
-        leaves, at_term = _leaves(ends, terms[pos].T)
-        grows = (ends[0, 0] != ends[1, 0]).all()
-        for j in range(1, len(real)):
-            old = [(ends[:, :j] == end).any(axis=0).any(axis=0) for end in ends[:, j]]
-            grows &= ((old[0] != old[1]) | ~real[j]).all()
-        ok = (leaves.all() and grows and (pos[:, :2] >= 0).all()
-              and (terms == ids).all()
-              and ((pos[:, 1:] > pos[:, :-1]) | (pos[:, 1:] < 0)).all()
-              and (real[:-1] | ~real[1:]).all()
-              and ((ends[0] > 0) & (ends[1] > 0) | ~real).all()
-              and (real | (ends[1] == 0) & (weights == 0)).all()
-              and (weights >= 0).all()
-              and (self.costs == weights.sum(axis=0, dtype=np.int64)).all())
-        if not ok:
-            raise InternalInvariantError("candidate columns fail component validation")
-        return at_term
+        self.hub = hub
+        self.split = split
+        self.closure = closure
+        self.tables = tables
+        self.first_id = base + np.cumsum(interior, dtype=np.int64) - interior
+        self.max_steiner_id = base - 1 + int(interior.sum(dtype=np.int64))
+        self.rows_built = 0
 
     def __len__(self) -> int:
         return len(self.costs)
@@ -253,15 +230,96 @@ class CandidateTable(Sequence):
     def __getitem__(self, i: int) -> FullComponent:
         return self.component(i, int(self.first_id[i]))[0]
 
+    @cached_property
+    def vertices(self) -> np.ndarray:
+        """The vertex each closure column stands for."""
+        return np.asarray(self.closure.vertices, dtype=np.int64)
+
+    def terminals(self, i: int) -> tuple[int, ...]:
+        """Row i's terminal ids, in increasing order."""
+        return tuple(self.terminal_ids[self.pos[i, :self.size[i]]].tolist())
+
     def component(self, i: int, first: int) -> tuple[FullComponent, int]:
         """Row i as a FullComponent, its interior nodes numbered from
-        `first` in order of first appearance, and the next free id. The
-        component's cost and loss are checked against the columns."""
+        `first` in order of first appearance, and the next free id."""
         i = operator.index(i)
         if not 0 <= i < len(self):
             raise IndexError("candidate index out of range")
-        terms = self.terminal_ids[self.pos[i, :self.size[i]]].tolist()
-        edges = [e for e in self.edges[i].tolist() if e[0]]
+        return self.build([i]).component(0, first)
+
+    def build(self, rows: Sequence[int] | np.ndarray) -> BuiltRows:
+        """The trees of `rows` (row indices), the one reader of the roots: a
+        pair's one edge, a star's spokes in position order, and a shared
+        table's rows of four or more terminals through
+        `_SharedTables.trees`, depth first. Ends are terminal ids or the
+        vertices interior nodes copy, weights closure distances. Checks
+        each row's cost against the weights read."""
+        rows = np.asarray(rows, dtype=np.int64).reshape(-1)
+        self.rows_built += len(rows)
+        size = self.size[rows]
+        width = max(1, 2 * self.pos.shape[1] - 3)
+        edges = np.zeros((3, width, len(rows)), dtype=np.int64)  # [end or weight, edge, row]
+        at_term = np.zeros((2, width, len(rows)), dtype=bool)
+        ends, weights = edges[:2], edges[2]
+        by_size: dict[int, list[int]] = {}
+        for j, m in enumerate(size.tolist()):
+            by_size.setdefault(m, []).append(j)
+        vertices = self.vertices
+        # Pairs and spokes read the closure rows of the terminals they leave
+        # from: position p's row is rows_of[index[p]]. (np.unique would
+        # import numpy.ma, 1.6 MB of resident memory.)
+        leaving = self.pos[rows[size < 4 if self.tables is not None else slice(None)]]
+        index = np.zeros(len(self.terminal_ids), dtype=np.int64)
+        index[leaving[leaving >= 0]] = 1
+        read = np.flatnonzero(index)
+        index[read] = np.arange(len(read))
+        rows_of = self.closure.rows(self.terminal_ids[read].tolist()) if len(read) else None
+        for m, j in by_size.items():
+            at = rows[j]
+            pos, hub = self.pos[at, :m].T.astype(np.int64), self.hub[at]
+            if m >= 4 and self.tables is not None:
+                tree = self.tables.trees(pos.T, hub.astype(np.int64), self.split[at])
+                real, edge = tree[0] >= 0, slice(0, 2 * m - 3)
+                ends[:, edge, j] = np.where(real, vertices[tree], 0)
+                weights[edge, j] = np.where(real, self.tables.D[tree[0], tree[1]], 0)
+                at_term[:, edge, j] = (tree[..., None] == self.tables.tidx[pos.T]).any(axis=-1)
+            elif m == 2:  # one edge, to the vertex at the root
+                ends[:, 0, j] = self.terminal_ids[pos]
+                weights[0, j] = rows_of[index[pos[0]], hub]
+                at_term[:, 0, j] = True
+            else:  # spokes
+                ends[0][:m, j] = self.terminal_ids[pos]
+                ends[1][:m, j] = vertices[hub]
+                weights[:m, j] = rows_of[index[pos], hub]
+                at_term[0][:m, j] = True
+        wrong = np.flatnonzero(weights.sum(axis=0) != self.costs[rows])
+        if len(wrong):
+            i = int(rows[wrong[0]])
+            raise InternalInvariantError(
+                f"candidate {i}: its tree weighs {int(weights[:, wrong[0]].sum())}, its cost"
+                f" is {int(self.costs[i])}")
+        return BuiltRows(self, rows, edges, tree_losses(edges, at_term, size))
+
+
+class BuiltRows:
+    """Trees of some rows of a table, as CandidateTable.build read them:
+    `edges` as [end or weight, edge, row], zero-padded, and `losses`, one
+    per row."""
+
+    __slots__ = ("table", "rows", "edges", "losses")
+
+    def __init__(self, table: CandidateTable, rows: np.ndarray, edges: np.ndarray,
+                 losses: np.ndarray):
+        self.table, self.rows, self.edges, self.losses = table, rows, edges, losses
+
+    def component(self, j: int, first: int) -> tuple[FullComponent, int]:
+        """The j-th row read as a FullComponent, its interior nodes numbered
+        from `first` in order of first appearance, and the next free id.
+        The component's cost and loss are checked against the table's cost
+        and the loss read."""
+        t, i = self.table, int(self.rows[j])
+        terms = t.terminals(i)
+        edges = [e for e in self.edges[:, :, j].T.tolist() if e[0]]
         ids = {t: t for t in terms}
         origin: dict[int, int] = {}
         for x in (x for u, v, _ in edges for x in (u, v)):
@@ -269,27 +327,26 @@ class CandidateTable(Sequence):
                 ids[x] = first + len(origin)
                 origin[ids[x]] = x
         comp = FullComponent(terms, [(ids[u], ids[v], w) for u, v, w in edges], origin)
-        if (comp.cost, comp.loss) != (self.costs[i], self.losses[i]):
+        if (comp.cost, comp.loss) != (t.costs[i], self.losses[j]):
             raise InternalInvariantError(f"candidate {i} disagrees with its columns")
         return comp, first + len(origin)
 
 
 def tree_losses(edges: np.ndarray, at_term: np.ndarray, size: np.ndarray) -> np.ndarray:
-    """Loss of each row's tree: the MST of its edges with its terminals
-    (`at_term`) merged into one node, grown by Prim from that node on every
-    row at once, one interior node per step, so no row's edges need
-    sorting. The padding counts as grown. Work arrays keep the edges'
-    dtype; the losses are int64."""
-    ends, weights = edges.T[:2], edges.T[2]
+    """Loss of each row's tree, given as [end or weight, edge, row] with the
+    ends that are its terminals (`at_term`, [end, edge, row]): the MST of
+    its edges with its terminals merged into one node, grown by Prim from
+    that node on every row at once, one interior node per step, so no
+    row's edges need sorting. The padding counts as grown."""
+    ends, weights = edges[:2], edges[2]
     grown = at_term | (ends == 0)
-    losses = np.zeros(len(edges), dtype=np.int64)
+    losses = np.zeros(weights.shape[1], dtype=np.int64)
     interior = (ends[0] != 0).sum(axis=0, dtype=np.int16) + 1 - size  # nodes - edges = 1
-    # Read as unsigned, the sentinel -1 exceeds every nonnegative weight of
-    # the dtype, int32's largest included, so a minimum is a crossing edge.
-    unsigned = np.dtype(f"u{weights.itemsize}")
+    # Read as unsigned, the sentinel -1 exceeds every nonnegative weight,
+    # so a minimum is a crossing edge.
     for left in range(int(interior.max(initial=0)), 0, -1):
-        cand = np.where(grown[0] != grown[1], weights, weights.dtype.type(-1)).view(unsigned)
-        step = cand.min(axis=0).view(weights.dtype)
+        cand = np.where(grown[0] != grown[1], weights, -1).view(np.uint64)
+        step = cand.min(axis=0).view(np.int64)
         reached = step >= 0  # the rows with an interior node left
         np.add(losses, step, out=losses, where=reached)
         if left > 1:
@@ -298,235 +355,6 @@ def tree_losses(edges: np.ndarray, at_term: np.ndarray, size: np.ndarray) -> np.
             new = np.where(np.take_along_axis(grown[0], j, axis=0)[0], v, u)
             grown |= (ends == new) & reached
     return losses
-
-
-def _leaves(ends: np.ndarray, terms: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Per row, whether its `terms` ([terminal, row], -1 padded) each appear
-    once among its `ends` ([end, edge, row]), and the ends that are terms."""
-    at_term = np.zeros(ends.shape, dtype=bool)
-    present = np.ones(ends.shape[-1], dtype=bool)
-    for t in terms:
-        hit = ends == t
-        present &= hit.any(axis=0).any(axis=0) | (t < 0)
-        at_term |= hit
-    # 16-bit sums run several times faster than int64 ones.
-    count = at_term.sum(axis=0, dtype=np.int16).sum(axis=0, dtype=np.int16)
-    return present & (count == (terms >= 0).sum(axis=0, dtype=np.int16)), at_term
-
-
-# Most int64 elements in one temporary array of the shared Dreyfus-Wagner
-# tables: 2**16 elements are 512 KiB. Tables are built in chunks of subsets,
-# and last masks evaluated in chunks of bases, sized so that the gathered
-# splits (a closure row per split and subset or base) and the V x V min-plus
-# step stay within it, so transient memory does not grow with the number of
-# subsets. One subset or base is never split, so above 256 vertices a table
-# chunk is V*V, the size of `dist`.
-DW_CHUNK = 2**16
-
-# Most bytes of the dense arrays over the V closure vertices that k >= 4
-# enumeration and the exact optimum allocate: the distance matrix, 8 V^2
-# bytes, and the shared tables, 16 bytes per table row and vertex (W in
-# int64, relax and split in int32). 1 GiB keeps a solve well inside a
-# machine of a few GiB: the matrix alone fits 11,585 vertices, and the
-# exact optimum at its cap of 16 terminals (2**15 - 2 rows) 1,987.
-DENSE_BUDGET = 2**30
-
-
-def check_dense_budget(vertices: int, terminals: int, top: int, remedy: str) -> None:
-    """Raise LimitExceededError when the distance matrix and the tables for
-    up to `top` of all terminals but the last exceed DENSE_BUDGET."""
-    rows = sum(math.comb(terminals - 1, s) for s in range(1, top + 1))
-    need = 8 * vertices * vertices + 16 * vertices * rows
-    if need > DENSE_BUDGET:
-        raise LimitExceededError(
-            f"the distance matrix and Dreyfus-Wagner tables over {vertices} vertices "
-            f"need {need} bytes, above the budget of {DENSE_BUDGET}; {remedy}")
-
-
-def _colex_levels(n: int, top: int) -> list[np.ndarray]:
-    """For s = 0 .. top, the s-subsets of range(n) as increasing rows in
-    colex order: row i has colex rank i, and the subsets of range(p) are
-    the first C(p, s). Level s appends each largest element p to the first
-    C(p, s - 1) rows of level s - 1."""
-    levels = [np.zeros((1, 0), dtype=np.int64)]
-    for s in range(1, top + 1):
-        rows = np.empty((math.comb(n, s), s), dtype=np.int64)
-        at = 0
-        for p in range(s - 1, n):
-            count = math.comb(p, s - 1)
-            rows[at:at + count, :-1] = levels[-1][:count]
-            rows[at:at + count, -1] = p
-            at += count
-        levels.append(rows)
-    return levels
-
-
-class _SharedTables:
-    """Dreyfus-Wagner over the metric closure for every terminal subset at
-    once, in the Erickson-Monma-Veinott form; the exact optimum
-    (exact.dw_closure_tree) is the case of a single subset.
-
-    A table W[S] depends only on the terminal set S, and a subset's base
-    (every terminal but its last) never holds the last terminal. Local bit
-    order preserves global rank, so the sub-mask order and the first-index
-    argmins are those of every subset containing S: the tables for |S| up
-    to `top` are built once, over the positions 0 .. r-2, and each subset
-    adds only its last mask, evaluated at its last terminal.
-
-    The tables are rows of three arrays of closure columns: W (the cheapest
-    tree over S and one more vertex v), relax (the hub u it uses at v) and
-    split (the local sub-mask chosen at u). The s-subsets take the rows from
-    offset[s] on, in colex order; the single terminals (s = 1) come first,
-    as their closure rows, each its own relax.
-    """
-
-    def __init__(self, D: np.ndarray, tidx: np.ndarray, top: int):
-        self.D = D
-        self.tidx = tidx
-        r, nv = len(tidx), D.shape[0]
-        # C(p, j) for each position p and width j, and the bit count of
-        # each sub-mask of up to top + 1 positions.
-        self._binom = np.array([[math.comb(p, j) for j in range(top + 2)] for p in range(r)],
-                               dtype=np.int64)
-        self._size = np.zeros(1, dtype=np.int64)
-        for _ in range(top + 1):
-            self._size = np.concatenate([self._size, self._size + 1])
-        self._subsets = _colex_levels(r - 1, top + 1)
-        self.offset = np.cumsum([0, 0] + [len(self._subsets[s]) for s in range(1, top + 1)])
-        self.W = np.empty((self.offset[-1], nv), dtype=np.int64)
-        self.relax = np.zeros((self.offset[-1], nv), dtype=np.int32)
-        self.split = np.zeros((self.offset[-1], nv), dtype=np.int32)
-        self.W[:r - 1] = D[tidx[:r - 1]]
-        self.relax[:r - 1] = tidx[:r - 1, None]
-        for s in range(2, top + 1):
-            subsets = self._subsets[s]
-            step = max(1, DW_CHUNK // (nv * max(nv, (1 << (s - 1)) - 1)))
-            for at in range(0, len(subsets), step):
-                chunk = subsets[at:at + step]
-                rows = slice(self.offset[s] + at, self.offset[s] + at + len(chunk))
-                subs, _, cand = self.splits(chunk)
-                merged = cand.min(axis=0)
-                self.split[rows] = subs[cand.argmin(axis=0)]
-                del cand  # the gathered splits and the min-plus step are never held together
-                # [i, v, u] is merged[i, u] + D[u, v]; closure distances
-                # are symmetric, and the argmin over u takes the first u.
-                total = merged[:, None, :] + D
-                relax = total.argmin(axis=2)
-                self.relax[rows] = relax
-                self.W[rows] = total.reshape(-1, nv)[np.arange(relax.size),
-                                                     relax.ravel()].reshape(relax.shape)
-
-    def _part_rows(self, base: np.ndarray) -> np.ndarray:
-        """The table row of every part of each row of increasing positions,
-        as [part bits, row]: the binomial sum of its positions, filled in by
-        the highest bit, plus the offset of its size (for one, its position)."""
-        size = self._size[:1 << base.shape[1]]
-        rows = np.zeros((len(size), len(base)), dtype=np.int64)
-        for j in range(base.shape[1]):
-            high = slice(1 << j, 2 << j)
-            rows[high] = rows[:1 << j] + self._binom.T[size[high]][:, base[:, j]]
-        return rows + self.offset[size][:, None]
-
-    def splits(self, base: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """For rows of increasing positions: the local sub-masks of the parts
-        holding the row's first position, in decreasing order; the table
-        rows of each part and its rest, as [half, split, row]; and
-        W[part] + W[rest] for each, as [split, row, vertex]. The first
-        minimum over the splits is the largest sub-mask attaining it, the
-        choice that keeps the earlier split on a tie."""
-        full = (1 << base.shape[1]) - 1
-        subs = np.arange(full - 2, 0, -2)  # the odd proper sub-masks
-        rows = self._part_rows(base)
-        halves = np.stack([rows[subs], rows[full ^ subs]])
-        cand = self.W[halves[0]]
-        cand += self.W[halves[1]]
-        return subs, halves, cand
-
-    def last_masks(self, m: int) -> Iterator[tuple[np.ndarray, np.ndarray, np.ndarray,
-                                                   np.ndarray]]:
-        """Every m-subset's optimal tree root: (the subsets as increasing
-        positions, the hub u minimizing merged[u] + D[u, q] for the last
-        position q, that tree's cost, the split chosen at u), in batches of
-        about DW_CHUNK tree ends. The bases (every position but the last)
-        are merged once, a chunk at a time, and each chunk is read at every
-        q above it: in colex order the bases over positions below q are the
-        first C(q, m - 1). The split is chosen only at the hub."""
-        bases = self._subsets[m - 1]
-        step = max(1, DW_CHUNK // (self.D.shape[0] * ((1 << (m - 2)) - 1)))
-        batch: list[tuple[np.ndarray, ...]] = []
-        held = 0  # the rows in batch
-        for at in range(0, len(bases), step):
-            chunk = bases[at:at + step]
-            subs, halves, cand = self.splits(chunk)
-            merged = cand.min(axis=0)
-            del cand  # the splits are read again at the hubs alone, from W
-            for q in range(m - 1, len(self.tidx)):
-                n = min(len(chunk), math.comb(q, m - 1) - at)
-                if n <= 0:
-                    continue
-                total = merged[:n] + self.D[self.tidx[q]]
-                hub = total.argmin(axis=1)
-                at_hub = self.W[halves[0, :, :n], hub] + self.W[halves[1, :, :n], hub]
-                batch.append((np.column_stack([chunk[:n], np.full(n, q)]), hub,
-                              total[np.arange(n), hub], subs[at_hub.argmin(axis=0)]))
-                held += n
-                if held * 2 * (2 * m - 3) >= DW_CHUNK:
-                    yield tuple(np.concatenate(col) for col in zip(*batch))
-                    batch, held = [], 0
-        if batch:
-            yield tuple(np.concatenate(col) for col in zip(*batch))
-
-    def trees(self, subsets: np.ndarray, hub: np.ndarray, split: np.ndarray) -> np.ndarray:
-        """Closure edges of each subset's tree, as (child, parent) indices in
-        a (2, 2m - 3, rows) array: `hub` joined to the last terminal q, and
-        the parts of the other terminals split by `split` hanging from it,
-        each rebuilt from its table, one split level at a time for all rows.
-        Edges go depth first, part before rest: a part of p terminals takes
-        2p - 1 slots, its own edge first. Edges whose ends coincide are
-        left out; each row's edges come first, padded with -1."""
-        base = subsets[:, :-1]
-        n, mu = base.shape
-        row_of, size, bits = self._part_rows(base), self._size, 1 << np.arange(mu)
-        ends = np.full((2, (2 * mu - 1) * n), -1, dtype=np.int64)  # [end, slot * n + row]
-        ends[:, :n] = hub, self.tidx[subsets[:, -1]]
-        # The parts that split at their hub: row, base columns as bits, the
-        # hub, the local sub-mask chosen there, the slot of the edge to it.
-        row, mask, at, sub, slot = np.arange(n), np.full(n, bits.sum()), hub, split, 0 * hub
-        while len(row):
-            on = mask[:, None] & bits != 0  # the part takes the columns whose rank is in sub
-            part = ((sub[:, None] >> (on.cumsum(axis=1) - on) & on) * bits).sum(axis=1)
-            halves = np.concatenate([part, mask ^ part])
-            slot = np.concatenate([slot + 1, slot + 2 * size[part]])
-            row, above = np.concatenate([row, row]), np.concatenate([at, at])
-            table = row_of[halves, row]
-            at = self.relax[table, above]  # a single terminal's own vertex
-            ends[:, slot * n + row] = at, above
-            more = size[halves] > 1
-            row, mask, at, slot = row[more], halves[more], at[more], slot[more]
-            sub = self.split[table[more], at]
-        ends = ends.reshape(2, 2 * mu - 1, n)
-        ends[:, ends[0] == ends[1]] = -1
-        return np.take_along_axis(ends, (ends[:1] < 0).argsort(axis=1, kind="stable"), axis=1)
-
-
-def _dw_rows(tables: _SharedTables, vertices: np.ndarray, subset: np.ndarray, hub: np.ndarray,
-             cost: np.ndarray, split: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Positions and transposed edge columns of the subsets in one batch of
-    last masks whose trees have their terminals as leaves. A terminal at
-    the root hub never is one, so those trees are not rebuilt."""
-    keep = (tables.tidx[subset] != hub[:, None]).all(axis=1)
-    subset, hub, cost, split = subset[keep], hub[keep], cost[keep], split[keep]
-    ends = tables.trees(subset, hub, split)
-    keep = _leaves(ends, tables.tidx[subset].T)[0]
-    ends, subset, cost = ends[..., keep], subset[keep], cost[keep]
-    real = ends[0] >= 0
-    weights = np.where(real, tables.D[ends[0], ends[1]], 0)
-    wrong = np.flatnonzero(weights.sum(axis=0) != cost)
-    if len(wrong):
-        raise InternalInvariantError(
-            f"tree for terminal positions {subset[wrong[0]].tolist()} disagrees with its "
-            "table cost")
-    return subset, np.concatenate([np.where(real, vertices[ends], 0), weights[None]])
 
 
 def _middle_triples(r: int) -> np.ndarray:
@@ -570,12 +398,14 @@ def _three_stars(rows_of: np.ndarray, tidx: np.ndarray) -> tuple[np.ndarray, np.
 
 def enumerate_full_components(instance: Instance, closure: MetricClosure,
                               k: int) -> CandidateTable:
-    """Candidates for every terminal subset of size 2..k: an optimal closure
-    tree per subset, kept only when the subset's own terminals are leaves.
-    Ordered lexicographically by terminal tuple; interior ids are unique
-    across the whole table and numbered in that order from
-    vertex_count + 1. Subsets of 4 or more terminals share Dreyfus-Wagner
-    tables (_SharedTables). Raises LimitExceededError when there are more
+    """Candidates for every terminal subset of size 2..k: the root of an
+    optimal closure tree per subset, kept only when the subset's own
+    terminals are leaves, which is decided without the tree
+    (_SharedTables.leaves at four or more terminals). Ordered
+    lexicographically by terminal tuple; interior ids are unique across the
+    whole table and numbered in that order from vertex_count + 1. Subsets
+    of 4 or more terminals share Dreyfus-Wagner tables (_SharedTables),
+    which the table keeps for reading its rows. Raises LimitExceededError when there are more
     than CANDIDATE_BUDGET subsets, or when the tables would exceed
     DENSE_BUDGET.
     """
@@ -593,52 +423,51 @@ def enumerate_full_components(instance: Instance, closure: MetricClosure,
     tidx = np.array([closure.index[t] for t in terms], dtype=np.int64)
     rows_of = closure.rows(terms)  # closure distances from each terminal
     vertices = np.asarray(closure.vertices, dtype=np.int64)
-    leaf, nv = vertices[tidx], len(vertices)
+    nv = len(vertices)
 
-    # Blocks of positions and transposed edge columns. Pairs: one closure edge each.
+    # Blocks of (positions, hub columns, splits, interior counts, costs).
+    # Pairs: one closure edge each, to the last terminal.
     pairs = np.column_stack(np.triu_indices(r, 1))
-    weights = rows_of[pairs[:, 0], tidx[pairs[:, 1]]]
-    blocks = [(pairs, np.vstack([leaf[pairs.T], weights])[:, None])]
+    ends = tidx[pairs[:, 1]]
+    blocks = [(pairs, ends, 0, 0, rows_of[pairs[:, 0], ends])]
     if k >= 3:
-        # The 3-stars come as positions and hubs; their edges, three spokes
-        # to the hub, go straight into the table's columns below.
-        blocks.append(_three_stars(rows_of, tidx))
+        triples, hubs = _three_stars(rows_of, tidx)
+        costs = sum(rows_of.take(triples[:, j].astype(np.int64) * nv + hubs) for j in range(3))
+        blocks.append((triples, hubs, 0, 1, costs))
+    tables = None
     if k >= 4:
-        check_dense_budget(len(vertices), r, k - 2, "use a smaller k")
+        check_dense_budget(nv, r, k - 2, "use a smaller k")
         tables = _SharedTables(closure.dist, tidx, k - 2)
         for m in range(4, k + 1):
-            blocks.extend(_dw_rows(tables, vertices, *last) for last in tables.last_masks(m))
+            for subset, hub, cost, split, parts in tables.last_masks(m):
+                full, interior = tables.leaves(subset, hub, split, parts)
+                # Kept in the table's dtypes: DENSE_BUDGET keeps hubs in int32.
+                blocks.append((subset[full].astype(np.int16), hub[full].astype(np.int32),
+                               split[full], interior[full], cost[full]))
 
-    n = sum(len(p) for p, _ in blocks)
-    # Rows store closure vertices and distances: at k = 3 those from the
-    # terminals, at k >= 4 any of the matrix, which the tables have read.
-    top = (closure.dist if k >= 4 else rows_of).max()
-    edge_dtype = _work_dtype(np.array([vertices.max(), top]), 1)
-    # Fortran order, and edges built transposed: row-wise checks and sums
-    # read one contiguous column at a time.
+    n = sum(len(block[0]) for block in blocks)
+    # Fortran order: the sort permutes one contiguous position column at a time.
     pos = np.full((n, k), -1, dtype=np.int16, order="F")
-    edges = np.zeros((3, max(1, 2 * k - 3), n), dtype=edge_dtype)
+    hub = np.empty(n, dtype=_work_dtype(np.array([nv]), 1))
+    split = np.zeros(n, dtype=np.int32) if tables is not None else None
+    interior = np.empty(n, dtype=np.int16)
+    costs = np.empty(n, dtype=np.int64)
     at = 0
-    for p, e in blocks:
+    for p, *cols in blocks:
         rows = slice(at, at + len(p))
         pos[rows, :p.shape[1]] = p
-        if e.ndim == 1:  # 3-star hubs: the hub ends all three spokes
-            edges[1, :3, rows] = vertices[e]
-            for j in range(3):
-                edges[0, j, rows] = leaf[p[:, j]]
-                edges[2, j, rows] = rows_of.take(p[:, j].astype(np.int64) * nv + e)
-        else:
-            edges[:, :e.shape[1], rows] = e
+        hub[rows], splits, interior[rows], costs[rows] = cols
+        if split is not None:
+            split[rows] = splits
         at += len(p)
-    del blocks, p, e  # the block columns, before the sort and the checks
+    del blocks, p, cols  # the block columns, before the sort
 
     # numpy radix-sorts the int16 keys.
     order = np.lexsort(pos.T[::-1])
-    for plane in (*pos.T, *edges.reshape(-1, n)):  # in place, one plane at a time
-        plane[:] = plane[order]
-    return CandidateTable(np.array(terms, dtype=np.int64), pos,
-                          edges[2].sum(axis=0, dtype=np.int64), edges.T,
-                          instance.vertex_count + 1)
+    for plane in (*pos.T, hub, interior, costs, *([] if split is None else [split])):
+        plane[:] = plane[order]  # in place, one plane at a time
+    return CandidateTable(np.array(terms, dtype=np.int64), pos, costs, hub, interior,
+                          instance.vertex_count + 1, closure, tables, split)
 
 
 def _normalized_edges(edges: list[Edge], keep: set[int], origin: dict[int, int],
@@ -773,7 +602,6 @@ class CandidatePool:
     def __init__(self, table: CandidateTable):
         self.table = table
         self.costs = table.costs
-        self.losses = table.losses
         self.max_steiner_id = table.max_steiner_id
         self.component = table.component
         # For each terminal column i >= 1, the flat indices into an (r+1) x (r+1)
@@ -787,6 +615,8 @@ class CandidatePool:
             at[at < 0] = r
             return at
 
+        # Each scored tree's padded path-maximum block, kept while the tree lives.
+        self._between: weakref.WeakKeyDictionary = weakref.WeakKeyDictionary()
         self._earlier = []
         for i in range(1, table.pos.shape[1]):
             later = column(i)
@@ -837,16 +667,18 @@ class CandidatePool:
         min over j < i of b(ti, tj): each Kruskal merge among them is
         counted once, by the earliest terminal of the later side. A padded
         column's pairs read 0, so rows of every size share one gather."""
-        reps = tree.rep_rows(self.table.terminal_ids.tolist())
-        block = tree.bottleneck_matrix.take(reps, axis=0).take(reps, axis=1)
-        # Path maxima between the pool's terminals, zero-padded, flattened.
-        # A saving sums one entry per column after the first. The bound is
-        # the gathered block's, not the pool's: any tree may be scored, and
-        # assigning a larger value into int32 would wrap.
-        between = np.zeros((len(reps) + 1, len(reps) + 1),
-                           dtype=_work_dtype(block, len(self._earlier)))
-        between[:-1, :-1] = block
-        between = between.ravel()
+        between = self._between.get(tree)
+        if between is None:
+            reps = tree.rep_rows(self.table.terminal_ids.tolist())
+            block = tree.bottleneck_matrix.take(reps, axis=0).take(reps, axis=1)
+            # Path maxima between the pool's terminals, zero-padded, flattened.
+            # A saving sums one entry per column after the first. The bound
+            # is the gathered block's, not the pool's: any tree may be
+            # scored, and assigning a larger value into int32 would wrap.
+            between = np.zeros((len(reps) + 1, len(reps) + 1),
+                               dtype=_work_dtype(block, len(self._earlier)))
+            between[:-1, :-1] = block
+            between = self._between[tree] = between.ravel()
         # take(axis=1) gathers the columns about six times faster than flat[:, rows].
         earlier = (self._earlier if rows is None
                    else [flat.take(rows, axis=1) for flat in self._earlier])

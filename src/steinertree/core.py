@@ -37,7 +37,7 @@ Edge = tuple[int, int, int]
 # expressions stay below 2**63: each partial sum in
 # CandidatePool.savings_for is at most the saving, which is at most the
 # tree's cost (< 2**60), and the widest sum in the shared Dreyfus-Wagner
-# tables, W[part] + W[rest] + D (components._SharedTables), is below
+# tables, W[part] + W[rest] + D (dreyfus_wagner._SharedTables), is below
 # 3 * 2**59.
 WEIGHT_LIMIT = 2**59
 

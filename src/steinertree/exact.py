@@ -4,7 +4,7 @@ Two oracles:
 
 * optimal_steiner_tree: Dreyfus-Wagner over terminal subsets and
   attachment vertices, run on the metric closure. It evaluates the tables
-  the k >= 4 enumeration shares (components._SharedTables) for one subset,
+  the k >= 4 enumeration shares (dreyfus_wagner._SharedTables) for one subset,
   all the terminals. Exponential in the number of terminals, so gated by a
   limit.
 * optimal_k_restricted: cheapest way to connect all terminals using only
@@ -19,7 +19,8 @@ from typing import Sequence
 
 import numpy as np
 
-from .components import CandidateTable, _SharedTables, check_dense_budget
+from .components import CandidateTable
+from .dreyfus_wagner import _SharedTables, check_dense_budget
 from .core import MetricClosure, Tree, kruskal_indices
 from .errors import InternalInvariantError, LimitExceededError, UnknownNodeError
 
@@ -59,7 +60,7 @@ def dw_closure_tree(D: np.ndarray, term_idx: Sequence[int]) -> tuple[int, list[t
         a, b = term_idx
         return int(D[a, b]), [(a, b)]
     tables = _SharedTables(D, np.asarray(term_idx, dtype=np.int64), m - 2)
-    (subset, hub, cost, split), = tables.last_masks(m)
+    (subset, hub, cost, split, _), = tables.last_masks(m)
     children, parents = tables.trees(subset, hub, split)[..., 0].tolist()
     return int(cost[0]), [(a, b) for a, b in zip(children, parents) if a >= 0]
 
@@ -100,8 +101,9 @@ def optimal_k_restricted(terminals: Sequence[int], table: CandidateTable,
     """Cheapest union of the table's candidates (each spanning at most k
     terminals) whose terminal sets chain together to cover all terminals.
     The DP reads the table's terminal and cost columns, and only the picked
-    rows are built as components. Raises LimitExceededError above `limit`
-    terminals or when `limit` exceeds OPTK_LIMIT_CAP.
+    rows' trees are read, in one batch, and built as components. Raises
+    LimitExceededError above `limit` terminals or when `limit` exceeds
+    OPTK_LIMIT_CAP.
 
     Equivalent to exhaustive search over candidate subsets: any connected
     union can be ordered so every prefix stays connected, which is exactly
@@ -152,8 +154,9 @@ def optimal_k_restricted(terminals: Sequence[int], table: CandidateTable,
     picked.reverse()
     edges: list[tuple[int, int, int]] = []
     nodes = set(terms)
-    for i in picked:
-        comp = table[i]
+    built = table.build(picked)
+    for j, i in enumerate(picked):
+        comp, _ = built.component(j, int(table.first_id[i]))
         edges.extend(comp.edges)
         nodes.update(comp.steiner_ids)
         nodes.update(comp.terminals)

@@ -14,7 +14,8 @@ far with the starting MST (the phase-1 solution).
 After the first scan only rows with positive gain on the starting MST are
 rescored: the working tree is an MST over a superset of its edges, and path
 maxima in an MST are minimax path values (Hu 1961), so every bottleneck, and
-with it every saving, is at most its value there.
+with it every saving, is at most its value there. Those active rows are also
+the only rows whose trees phase 1 reads, once, for their losses and picks.
 """
 from __future__ import annotations
 
@@ -109,7 +110,10 @@ def run_phase1(instance: Instance, closure: MetricClosure,
     view = ContractedTree.from_tree(t0)
     start = ScoredTree(view, pool.savings_for(view))
     active = np.flatnonzero(start.savings > pool.costs)
-    costs, losses = pool.costs[active], pool.losses[active]
+    # The only rows phase 1 reads a loss of, or picks: their trees are
+    # built once, here, and its picks are made from them.
+    built = pool.table.build(active)
+    costs, losses = pool.costs[active], built.losses
     gains = start.savings[active] - costs
 
     while True:
@@ -122,11 +126,11 @@ def run_phase1(instance: Instance, closure: MetricClosure,
         idx = int(active[pick])
         if len(rows) + 1 > max(len(pool), 1):
             raise InternalInvariantError("phase 1 ran past the candidate count")
-        comp, alloc = pool.component(idx, alloc)
+        comp, alloc = built.component(pick, alloc)
         uid_counter += 1
         entry = ChosenEntry(uid_counter, comp)
         gain_value = int(gains[pick])
-        loss_value = int(pool.losses[idx])
+        loss_value = int(losses[pick])
         log.debug("phase1 pick %s gain=%d loss=%d", comp.terminals, gain_value, loss_value)
 
         # Edges the merge displaces from the current tree, by owner.

@@ -164,16 +164,13 @@ def run_phase2(instance: Instance, pool: CandidatePool, t0: Tree,
     initial_gap = t_origin.cost - t_base.cost
     if initial_gap < 0:
         raise InternalInvariantError("base tree costs more than the MST")
-    chosen: list[ChosenEntry] = []
-    uid = 0
-    alloc = max(instance.vertex_count, pool.max_steiner_id) + 1
     rows: list[dict] = []
     stalled = False
     prefix = None
 
     def score(at):
         # The first pick reads phase 1's savings; later ones score the trees.
-        if not chosen:
+        if not rows:
             return origin.savings[at], base.savings[at]
         return pool.savings_for(t_origin, at), pool.savings_for(t_base, at)
 
@@ -190,29 +187,27 @@ def run_phase2(instance: Instance, pool: CandidatePool, t0: Tree,
             log.debug("phase2 stalled with gap %d", t_origin.cost - t_base.cost)
             break
         i, load_value, diff_value = pick
-        comp, alloc = pool.component(i, alloc)
-        uid += 1
-        chosen.append(ChosenEntry(uid, comp))
+        terminals, cost = pool.table.terminals(i), int(pool.costs[i])
         # Each contraction must drop its tree's cost by exactly the saving
         # the batched scoring gave: cost - load in the base tree, that plus
         # the difference in the origin tree.
-        saving_base = comp.cost - load_value
+        saving_base = cost - load_value
         expected = (t_origin.cost - saving_base - diff_value, t_base.cost - saving_base)
-        t_origin = t_origin.contract_zero_set(comp.terminals)
-        t_base = t_base.contract_zero_set(comp.terminals)
+        t_origin = t_origin.contract_zero_set(terminals)
+        t_base = t_base.contract_zero_set(terminals)
         if (t_origin.cost, t_base.cost) != expected:
             raise InternalInvariantError(
-                f"contracting {comp.terminals} left costs {t_origin.cost}, {t_base.cost};"
+                f"contracting {terminals} left costs {t_origin.cost}, {t_base.cost};"
                 f" the savings give {expected[0]}, {expected[1]}"
             )
         f = Fraction(load_value, diff_value)
-        log.debug("phase2 pick %s load=%d diff=%d", comp.terminals, load_value, diff_value)
+        log.debug("phase2 pick %s load=%d diff=%d", terminals, load_value, diff_value)
         rows.append({
             "iteration": len(rows) + 1,
             "candidate_index": i,
-            "uid": uid,
-            "terminals": list(comp.terminals),
-            "candidate_cost": comp.cost,
+            "uid": len(rows) + 1,
+            "terminals": list(terminals),
+            "candidate_cost": cost,
             "load": load_value,
             "saving_diff": diff_value,
             "f": [f.numerator, f.denominator],
@@ -227,6 +222,14 @@ def run_phase2(instance: Instance, pool: CandidatePool, t0: Tree,
                 f"differences sum to {diff_total}, gap was {initial_gap}"
             )
 
+    # The picks' trees are read only now, all at once, numbered in pick order.
+    picked = [row["candidate_index"] for row in rows]
+    built = pool.table.build(picked)
+    alloc = max(instance.vertex_count, pool.max_steiner_id) + 1
+    chosen: list[ChosenEntry] = []
+    for j in range(len(picked)):
+        comp, alloc = built.component(j, alloc)
+        chosen.append(ChosenEntry(j + 1, comp))
     unpruned, solution, origin = merge(t0, chosen)
     trace = {
         "initial_gap": initial_gap,

@@ -10,14 +10,17 @@ from __future__ import annotations
 
 import json
 import logging
+import math
 import time
 from collections.abc import Iterator
 from contextlib import contextmanager
 from dataclasses import dataclass, field, replace
 from itertools import combinations
 
+import numpy as np
+
 from .bounds import BoundReport, check_run
-from .components import CandidatePool, enumerate_full_components
+from .components import CandidatePool, CandidateTable, enumerate_full_components
 from .core import Instance, MetricClosure, Tree, metric_closure, minimum_spanning_tree
 from .errors import InputError, InternalInvariantError
 from .exact import (OPT_LIMIT_CAP, OPTK_LIMIT_CAP, check_limit, optimal_k_restricted,
@@ -159,6 +162,17 @@ def _validate_solution(instance: Instance, tree: Tree) -> None:
             )
 
 
+def _log_candidates(instance: Instance, table: CandidateTable) -> None:
+    """One INFO line on enumeration: the rows kept per size, the subsets
+    rejected as not full, and the rows whose trees the solve read."""
+    sizes = range(2, table.pos.shape[1] + 1)
+    kept = np.bincount(table.size, minlength=sizes[-1] + 1)
+    rejected = sum(math.comb(len(table.terminal_ids), m) for m in sizes) - len(table)
+    log.info("%s: candidates %s, %d subsets not full, %d rows read on demand",
+             instance.name or "instance", " ".join(f"m{m}={kept[m]}" for m in sizes),
+             rejected, table.rows_built)
+
+
 @contextmanager
 def _stage(instance: Instance, stage: str) -> Iterator[None]:
     """Prefix an InternalInvariantError raised inside with the instance and
@@ -210,6 +224,9 @@ def solve(instance: Instance, config: RunConfig | None = None) -> RunResult:
             restricted_opt_cost = optimal_k_restricted(
                 terms, pool.table, config.k, config.exact_optk_limit
             ).cost
+    # After the oracles, which read the last rows a solve reads.
+    if pool is not None and log.isEnabledFor(logging.INFO):
+        _log_candidates(instance, pool.table)
 
     origin: dict[int, int] = {}
     if config.mode == "mst":

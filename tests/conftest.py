@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from steinertree import Instance, grid_instance, random_instance
-from steinertree.components import CandidateTable, _work_dtype
+from steinertree.components import CandidateTable
 
 ACCEPTANCE_LINES = []
 
@@ -77,43 +77,86 @@ def tie_instances():
     return [grid, Instance.build(24, edges, sorted(base.terminals))]
 
 
+class RootColumns:
+    """The distances a hand-made table reads, in place of a metric closure:
+    `vertices` names each column, and `rows(ids)` gives the distances from
+    those terminal ids to every column."""
+
+    def __init__(self, vertices, ids, rows_of):
+        self.vertices = tuple(vertices)
+        self._index = {t: i for i, t in enumerate(ids)}
+        self._rows_of = rows_of
+
+    def rows(self, nodes):
+        return self._rows_of[[self._index[t] for t in nodes]]
+
+
 def candidate_table(rows):
     """A CandidateTable over hand-made pairs and single-hub stars, in the
     given order. Each row is its edge list: one edge (u, v, w) for a pair,
     or spokes (terminal, hub, w) for a star, the hub named by the vertex it
-    copies, its own id. Interior ids start at the smallest hub, or above
-    the largest terminal when that is larger."""
+    copies, its own id. Rows are written in the table's form: positions,
+    cost and a root column of their own, which stands for the vertex the
+    row's edges reach (a pair's larger terminal, a star's hub) and holds the
+    weights they read, so rows may disagree on a distance. A row of two
+    terminals is a pair, as in enumeration: two spokes become one edge of
+    their summed weight. Interior ids start at the smallest hub of a star
+    of three or more terminals, or above the largest terminal when that is
+    larger."""
     rows = [sorted(row) for row in rows]  # a star's spokes in terminal order
     terms = [sorted(row[0][:2]) if len(row) == 1 else [t for t, _, _ in row] for row in rows]
+    costs = [sum(w for *_, w in row) for row in rows]
     ids = sorted({t for ts in terms for t in ts})
     index = {t: i for i, t in enumerate(ids)}
+    r = len(ids)
+    stars = [len(ts) > 2 for ts in terms]
     pos = np.full((len(rows), max(map(len, terms), default=2)), -1, dtype=np.int16)
-    edges = np.zeros((3, max(map(len, rows), default=1), len(rows)), dtype=np.int64)
-    for i, (ts, row) in enumerate(zip(terms, rows)):
+    # One column per terminal, then the rows' root columns.
+    vertices = ids + [row[0][1] if star else ts[1] for ts, row, star in zip(terms, rows, stars)]
+    rows_of = np.zeros((r, len(vertices)), dtype=np.int64)
+    for i, (ts, row, star) in enumerate(zip(terms, rows, stars)):
         pos[i, :len(ts)] = [index[t] for t in ts]
-        edges[:, :len(row), i] = np.array(row, dtype=np.int64).T
-    base = max(min((row[0][1] for row in rows if len(row) > 1), default=0),
+        for t, w in [(t, w) for t, _, w in row] if star else [(ts[0], costs[i])]:
+            rows_of[index[t], r + i] = w
+    base = max(min((row[0][1] for row, star in zip(rows, stars) if star), default=0),
                ids[-1] + 1 if ids else 1)
-    return CandidateTable(np.array(ids, dtype=np.int64), pos, edges[2].sum(axis=0),
-                          edges.astype(_work_dtype(edges, 1)).T, base)
+    return CandidateTable(np.array(ids, dtype=np.int64), pos, np.array(costs, dtype=np.int64),
+                          r + np.arange(len(rows), dtype=np.int32),
+                          np.array(stars, dtype=np.int16), base,
+                          RootColumns(vertices, ids, rows_of))
 
 
 @contextlib.contextmanager
 def counting_components():
-    """Every call of CandidateTable.component made inside, as (row, the
-    component built), in call order. Pools take the method when they are
-    made, so make them inside too."""
-    from steinertree.components import CandidateTable
+    """Every row built into a FullComponent inside, as (row, the component
+    built), in build order."""
+    from steinertree.components import BuiltRows
 
     calls = []
-    build = CandidateTable.component
+    build = BuiltRows.component
 
-    def counting(table, i, first):
-        out = build(table, i, first)
-        calls.append((i, out[0]))
+    def counting(built, j, first):
+        out = build(built, j, first)
+        calls.append((int(built.rows[j]), out[0]))
         return out
     with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(CandidateTable, "component", counting)
+        mp.setattr(BuiltRows, "component", counting)
+        yield calls
+
+
+@contextlib.contextmanager
+def reading_trees():
+    """Every CandidateTable.build call made inside, as the list of rows
+    whose trees it read, in call order."""
+    calls = []
+    build = CandidateTable.build
+
+    def reading(table, rows):
+        out = build(table, rows)
+        calls.append(out.rows.tolist())
+        return out
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(CandidateTable, "build", reading)
         yield calls
 
 
@@ -153,23 +196,23 @@ def recording_scans():
 
 
 FORCED = {
-    "enumerate": "stage enumerate: candidate columns fail component validation",
+    "enumerate": "stage enumerate: the fullness test failed",
     "phase 1": "stage phase 1: working tree cost did not fall: \\d+ to \\d+",
 }
 
 
 def force_invariant_failure(monkeypatch, stage):
-    """Make the next solve fail a self-check inside `stage`: enumeration's
-    column checks, or phase 1's check that every pick lowers the working
-    tree's cost, by handing it the first pick again, whose terminals are
-    already joined. FORCED[stage] matches the error."""
-    from steinertree import components, phase1
+    """Make the next solve fail inside `stage`: enumeration's fullness test
+    at k >= 4, made to raise, or phase 1's check that every pick lowers the
+    working tree's cost, by handing it the first pick again, whose
+    terminals are already joined. FORCED[stage] matches the error."""
+    from steinertree import dreyfus_wagner, phase1
     from steinertree.errors import InternalInvariantError
 
     if stage == "enumerate":
-        def reject(table):
-            raise InternalInvariantError("candidate columns fail component validation")
-        monkeypatch.setattr(components.CandidateTable, "_check", reject)
+        def reject(tables, *last):
+            raise InternalInvariantError("the fullness test failed")
+        monkeypatch.setattr(dreyfus_wagner._SharedTables, "leaves", reject)
     else:
         first = []
         pick = phase1.argmin_ratio

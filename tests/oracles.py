@@ -17,7 +17,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from steinertree.components import FullComponent, _normalized_edges
+from steinertree.components import FullComponent, _normalized_edges, tree_losses
 from steinertree.core import WEIGHT_LIMIT, edge_key
 from steinertree.errors import DisconnectedInputError, InternalInvariantError, UnknownNodeError
 from steinertree.phase2 import select_candidate
@@ -449,6 +449,77 @@ def renumbered(comp, first):
     edges = [(new.get(u, u), new.get(v, v), w) for u, v, w in comp.edges]
     origin = {new[s]: o for s, o in comp.steiner_origin.items()}
     return FullComponent(comp.terminals, edges, origin), first + len(new)
+
+
+
+# ---------------------------------------------------------------------------
+# The earlier all-row forms: every enumerated row rebuilt, leaf-tested and
+# checked in the edge form, with its loss grown by the all-row Prim. The
+# package now reads only the rows a solve uses; these are the reference for
+# its fullness test, interior counts and losses.
+
+
+def leaves(ends, terms):
+    """Per row, whether its `terms` ([terminal, row], -1 padded) each appear
+    once among its `ends` ([end, edge, row]), and the ends that are terms."""
+    at_term = np.zeros(ends.shape, dtype=bool)
+    present = np.ones(ends.shape[-1], dtype=bool)
+    for t in terms:
+        hit = ends == t
+        present &= hit.any(axis=0).any(axis=0) | (t < 0)
+        at_term |= hit
+    count = at_term.sum(axis=0).sum(axis=0)
+    return present & (count == (terms >= 0).sum(axis=0)), at_term
+
+
+def check_edge_columns(terminal_ids, pos, costs, edges):
+    """The earlier all-row component validation on edge columns
+    ([end or weight, edge, row], zero-padded): terminal positions increase;
+    each terminal appears once among its row's endpoints (so it is a leaf
+    and no interior node); edges have positive endpoints and come before
+    the zero padding; the first edge has two ends and each later one
+    exactly one end among the earlier ones, so the edges grow a tree;
+    weights are nonnegative and costs their sums. Raises
+    InternalInvariantError, else returns which ends are the row's
+    terminals, as an [end, edge, row] mask."""
+    ends, weights = edges[:2], edges[2]
+    real = ends[0] != 0
+    ids = np.append(terminal_ids, -1)  # padded positions read -1
+    ok, at_term = leaves(ends, ids[pos].T)
+    ok = ok.all() and (ends[0, 0] != ends[1, 0]).all()
+    for j in range(1, len(real)):
+        old = [(ends[:, :j] == end).any(axis=0).any(axis=0) for end in ends[:, j]]
+        ok &= ((old[0] != old[1]) | ~real[j]).all()
+    ok = (ok and (pos[:, :2] >= 0).all()
+          and ((pos[:, 1:] > pos[:, :-1]) | (pos[:, 1:] < 0)).all()
+          and (real[:-1] | ~real[1:]).all()
+          and ((ends[0] > 0) & (ends[1] > 0) | ~real).all()
+          and (real | (ends[1] == 0) & (weights == 0)).all()
+          and (weights >= 0).all()
+          and (costs == weights.sum(axis=0)).all())
+    if not ok:
+        raise InternalInvariantError("candidate columns fail component validation")
+    return at_term
+
+
+def all_row_losses(table):
+    """Every row of a table read, checked in the edge form, and its loss
+    grown by the all-row Prim (components.tree_losses): (edges, losses)."""
+    edges = table.build(np.arange(len(table))).edges
+    at_term = check_edge_columns(table.terminal_ids, table.pos, table.costs, edges)
+    return edges, tree_losses(edges, at_term, table.size)
+
+
+def rebuilt_leaves(tables, subsets, hub, split):
+    """The earlier fullness test on a batch of last masks, by rebuilding
+    every tree (_SharedTables.trees): a subset is kept when no terminal sits
+    at its hub and each terminal appears once among its tree's ends. Returns
+    (kept, interior node count of each tree, its edges as closure columns)."""
+    ends = tables.trees(subsets, hub, split)
+    terms = tables.tidx[subsets]
+    kept = (terms != hub[:, None]).all(axis=1) & leaves(ends, terms.T)[0]
+    interior = (ends[0] >= 0).sum(axis=0) + 1 - subsets.shape[1]
+    return kept, interior, ends
 
 
 # ---------------------------------------------------------------------------

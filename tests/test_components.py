@@ -1,7 +1,9 @@
+import gc
 import itertools
 import math
 import random
 import tracemalloc
+import weakref
 
 import numpy as np
 import pytest
@@ -10,7 +12,9 @@ import oracles
 from conftest import (
     candidate_table,
     counting_components,
+    family,
     make_batch,
+    reading_trees,
     recording_work_dtypes,
     tie_instances,
 )
@@ -18,6 +22,7 @@ from steinertree import (
     CandidatePool,
     FullComponent,
     Instance,
+    RunConfig,
     Tree,
     enumerate_full_components,
     grid_instance,
@@ -26,8 +31,9 @@ from steinertree import (
     minimum_spanning_tree,
     random_instance,
     reduce_to_basic,
+    solve,
 )
-from steinertree import components
+from steinertree import components, dreyfus_wagner
 from steinertree.components import CandidateTable
 from steinertree.core import ContractedTree
 from steinertree.errors import (
@@ -432,8 +438,9 @@ def test_positions_are_widened_before_index_arithmetic():
     stars = np.flatnonzero(table.size == 3)
     assert len(stars) > 0
     rows_of = closure.rows(terms)
-    for i in stars.tolist():
-        for t, hub, w in table.edges[i, :3].tolist():
+    built = table.build(stars)
+    for j in range(len(stars)):
+        for t, hub, w in built.edges[:, :3, j].T.tolist():
             assert w == rows_of[terms.index(t), closure.index[hub]]
     path = Tree.from_edges([(t, t + 1, t % 7) for t in range(1, 200)], range(1, 201))
     groups = [[t, t + 1] for t in range(1, 200, 2)] + [[1, 200], [2, 150, 199],
@@ -443,6 +450,29 @@ def test_positions_are_widened_before_index_arithmetic():
     assert (r - 1) * (r + 1) > np.iinfo(np.int16).max
     assert pool.savings_for(ContractedTree.from_tree(path)).tolist() == [
         oracles.saving_of_group(path.edges, g) for g in groups]
+
+
+def test_savings_for_keeps_the_padded_block_with_the_tree():
+    # A rescan of the same tree reuses its padded path-maximum block; a new
+    # tree gets its own, and the pool keeps no tree alive.
+    inst = family(30, 1)
+    closure, view = _closure_view(inst)
+    pool = CandidatePool(enumerate_full_components(inst, closure, 3))
+    rows = np.arange(0, len(pool), 7)
+    with recording_work_dtypes() as chosen:
+        whole = pool.savings_for(view)
+        assert pool.savings_for(view, rows).tolist() == whole[rows].tolist()
+        assert pool.savings_for(view, rows[::2]).tolist() == whole[rows[::2]].tolist()
+        assert len(chosen) == 1
+        after = view.contract_zero_set(sorted(inst.terminals)[:2])
+        assert pool.savings_for(after, rows).tolist() == [
+            after.cost - oracles.mst_with_zero_set(after, t) for t in
+            (pool.table.terminals(i) for i in rows)]
+        assert len(chosen) == 2
+    gone = weakref.ref(after)
+    del after
+    gc.collect()
+    assert gone() is None and len(pool._between) == 1
 
 
 def test_savings_for_unknown_terminal_raises():
@@ -461,16 +491,19 @@ def test_savings_for_unknown_terminal_raises():
 
 def _assert_table_matches_reference(inst, k):
     closure = metric_closure(inst)
-    with counting_components() as built:
+    with counting_components() as built, reading_trees() as read:
         table = enumerate_full_components(inst, closure, k)
-    assert not built  # enumeration builds no component
+    assert not built and not read  # enumeration reads no tree
     ref = oracles.reference_full_components(inst, closure, k)
     assert len(table) == len(ref)
     pool = CandidatePool(table)
     assert pool.max_steiner_id == max(
         (s for c in ref for s in c.steiner_ids), default=inst.vertex_count)
     assert list(pool.candidates) == [(c.terminals, c.cost) for c in ref]
-    assert pool.losses.tolist() == [c.loss for c in ref]
+    # Every row read, checked in the edge form, with the all-row Prim's loss.
+    _, losses = oracles.all_row_losses(table)
+    assert losses.tolist() == [c.loss for c in ref]
+    assert table.build(np.arange(len(table))).losses.tolist() == losses.tolist()
     for i, want in enumerate(ref):
         got = table[i]
         assert got.terminals == want.terminals
@@ -503,32 +536,22 @@ def _relabelled_instance(seed, top):
                           [t + shift for t in small.terminals | {12}])
 
 
-@pytest.mark.parametrize("top, dtype", [(2**31 - 1, np.int32), (2**31, np.int64)])
+@pytest.mark.parametrize("top", [2**31 - 1, 2**31])
 @pytest.mark.parametrize("k", [3, 4])
-def test_edge_columns_at_the_int32_bound(top, dtype, k):
-    # One step each side of the bound, first on the largest stored closure
-    # distance, then on the largest vertex id.
+def test_rows_at_the_int32_bound(top, k):
+    # One step each side of the int32 bound, first on the largest closure
+    # distance, then on the largest vertex id: rows read both exactly.
     for seed in (41, 43):
         inst = _distance_bound_instance(seed, top)
         closure = metric_closure(inst)
         terms = sorted(inst.terminals)
         assert closure.rows(terms).max() == closure.dist.max() == top
         table = _assert_table_matches_reference(inst, k)
-        assert table.edges.dtype == dtype
-        assert table.edges[:, :, 2].max() == top
+        assert table.build(np.arange(len(table))).edges[2].max() == top
         inst = _relabelled_instance(seed, top)
         table = _assert_table_matches_reference(inst, k)
-        assert table.edges.dtype == dtype
-        assert table.terminal_ids.max() == table.edges[:, :, :2].max() == top
-
-
-def test_terminal_ids_the_edge_dtype_cannot_hold_are_rejected():
-    # 2**32 + 2 would read as 2 in int32, the row's second endpoint.
-    cols = dict(pos=np.array([[0, 1]]), costs=np.array([5]),
-                edges=np.array([[(1, 2, 5)]], dtype=np.int32), base=10)
-    assert len(CandidateTable(np.array([1, 2]), **cols)) == 1
-    with pytest.raises(InternalInvariantError):
-        CandidateTable(np.array([1, 2**32 + 2]), **cols)
+        ends = table.build(np.arange(len(table))).edges[:2]
+        assert table.terminal_ids.max() == ends.max() == top
 
 
 def test_table_rows_match_reference_enumeration():
@@ -550,7 +573,7 @@ def test_six_row_numbers_interior_nodes_depth_first():
     # breadth-first order would number 9 before 10.
     table = _assert_table_matches_reference(_binary_tree_instance(), 6)
     (row,) = np.flatnonzero(table.size == 6)
-    edges = [e for e in table.edges[row].tolist() if e[0]]
+    edges = [e for e in table.build([row]).edges[:, :, 0].T.tolist() if e[0]]
     assert len(edges) + 1 - 6 == 4
     assert [e[0] for e in edges if e[0] > 6] == [7, 8, 10, 9]
     first = int(table.first_id[row])
@@ -580,10 +603,10 @@ def test_shared_tables_match_per_subset_dreyfus_wagner(case):
     closure = metric_closure(inst)
     D = closure.dist
     tidx = np.array([closure.index[t] for t in sorted(inst.terminals)])
-    tables = components._SharedTables(D, tidx, k - 2)
+    tables = dreyfus_wagner._SharedTables(D, tidx, k - 2)
     seen = 0
     for m in range(4, k + 1):
-        for subsets, hub, cost, split in tables.last_masks(m):
+        for subsets, hub, cost, split, _ in tables.last_masks(m):
             trees = tables.trees(subsets, hub, split).T.tolist()
             for i, row in enumerate(subsets.tolist()):
                 want_cost, want_edges = oracles.reference_dw_closure_tree(D, tidx[row].tolist())
@@ -604,15 +627,19 @@ def test_last_masks_match_per_q_reference_across_chunk_sizes(case, monkeypatch):
     k = 6
     closure = metric_closure(inst)
     tidx = np.array([closure.index[t] for t in sorted(inst.terminals)])
-    tables = components._SharedTables(closure.dist, tidx, k - 2)
-    nv, default = len(closure.vertices), components.DW_CHUNK
+    tables = dreyfus_wagner._SharedTables(closure.dist, tidx, k - 2)
+    nv, default = len(closure.vertices), dreyfus_wagner.DW_CHUNK
     for m in range(4, k + 1):
         want = oracles.reference_last_masks(tables, m)
         assert len(want) == math.comb(len(tidx), m)
         for chunk in (1, 5 * nv * ((1 << (m - 2)) - 1), default):
-            monkeypatch.setattr(components, "DW_CHUNK", chunk)
+            monkeypatch.setattr(dreyfus_wagner, "DW_CHUNK", chunk)
             got = {}
-            for subsets, hub, cost, split in tables.last_masks(m):
+            for subsets, hub, cost, split, parts in tables.last_masks(m):
+                # The table rows of the part and rest chosen at the hub.
+                halves = np.stack([split, (1 << (m - 1)) - 1 - split])
+                want_parts = tables._part_rows(subsets[:, :-1])[halves, np.arange(len(split))]
+                assert parts.tolist() == want_parts.T.tolist()
                 for row in zip(subsets.tolist(), hub.tolist(), cost.tolist(), split.tolist()):
                     assert tuple(row[0]) not in got
                     got[tuple(row[0])] = tuple(row[1:])
@@ -626,7 +653,7 @@ def test_last_masks_merge_each_base_once(monkeypatch):
     inst = random_instance(95008, 60, 20, extra_edges=120)
     closure = metric_closure(inst)
     tidx = np.array([closure.index[t] for t in sorted(inst.terminals)])
-    tables = components._SharedTables(closure.dist, tidx, 4)
+    tables = dreyfus_wagner._SharedTables(closure.dist, tidx, 4)
     gathered = []
     splits = tables.splits
     monkeypatch.setattr(tables, "splits", lambda base: gathered.append(len(base)) or splits(base))
@@ -634,6 +661,39 @@ def test_last_masks_merge_each_base_once(monkeypatch):
         gathered.clear()
         assert sum(len(s) for s, *_ in tables.last_masks(m)) == math.comb(20, m)
         assert sum(gathered) == math.comb(19, m - 1)
+
+
+def _fullness_cases():
+    """(instance, k) pairs for the fullness rule: sparse families at k = 4,
+    5 and 6, a 12 x 12 grid with weights 1-2, random 30-vertex graphs with
+    weights 1-3, and an instance with zero-weight edges."""
+    return [(family(40, 1), 4), (family(40, 2), 5), (family(24, 3), 6),
+            (grid_instance(12, 12, max_weight=2, seed=1, terminal_stride=7), 5),
+            *((random_instance(seed, 30, 12, extra_edges=45, max_weight=3), k)
+              for seed, k in ((61, 4), (62, 5))),
+            (_zero_weight_instances()[1], 6)]
+
+
+@pytest.mark.parametrize("case", range(7))
+def test_fullness_and_interior_counts_match_rebuilt_trees(case):
+    # Every last-mask row: the tree-free test keeps exactly the rows whose
+    # rebuilt trees have their terminals as leaves, with the rebuilt
+    # trees' interior node counts.
+    inst, k = _fullness_cases()[case]
+    closure = metric_closure(inst)
+    tidx = np.array([closure.index[t] for t in sorted(inst.terminals)])
+    tables = dreyfus_wagner._SharedTables(closure.dist, tidx, k - 2)
+    seen = kept = 0
+    for m in range(4, k + 1):
+        for subsets, hub, _, split, parts in tables.last_masks(m):
+            full, interior = tables.leaves(subsets, hub, split, parts)
+            want_full, want_interior, _ = oracles.rebuilt_leaves(tables, subsets, hub, split)
+            assert full.tolist() == want_full.tolist()
+            assert interior[full].tolist() == want_interior[full].tolist()
+            seen += len(subsets)
+            kept += int(full.sum())
+    assert seen == sum(math.comb(len(tidx), m) for m in range(4, k + 1))
+    assert 0 < kept < seen
 
 
 def test_terminal_set_lookup_matches_reference_dict():
@@ -652,143 +712,110 @@ def test_terminal_set_lookup_matches_reference_dict():
             assert not built  # lookups build no component
 
 
+def _interior(table):
+    """Each row's interior node count, from its first interior id."""
+    return np.diff(np.append(table.first_id, table.max_steiner_id + 1))
+
+
+def _rows_of(table, rows, base, **changes):
+    """A table of some rows of `table`, in the given order, its interior ids
+    from `base`; `changes` set one row's columns, as {column: (row, value)}."""
+    cols = {name: getattr(table, name)[rows].copy() for name in ("pos", "costs", "hub")}
+    cols["split"] = None if table.split is None else table.split[rows].copy()
+    for name, (row, value) in changes.items():
+        cols[name][row] = value
+    return CandidateTable(table.terminal_ids, cols["pos"], cols["costs"], cols["hub"],
+                          _interior(table)[rows], base, table.closure, table.tables,
+                          cols["split"])
+
+
 def test_table_checks_its_columns(star3):
     table = enumerate_full_components(star3, metric_closure(star3), 3)
     assert [c.terminals for c in CandidatePool(table).candidates] == [
         (1, 2), (1, 2, 3), (1, 3), (2, 3)]
-    assert table.edges[1].tolist() == [[1, 4, 1], [2, 4, 1], [3, 4, 1]]
+    assert table.build([1]).edges[:, :, 0].T.tolist() == [[1, 4, 1], [2, 4, 1], [3, 4, 1]]
+    rows = np.arange(len(table))
 
     def rebuild(row, **changes):
-        cols = {name: getattr(table, name).copy() for name in
-                ("terminal_ids", "pos", "costs", "edges")}
-        for name, value in changes.items():
-            cols[name][row] = value
-        return CandidateTable(**cols, base=star3.vertex_count + 1)
+        return _rows_of(table, rows, star3.vertex_count + 1,
+                        **{name: (row, value) for name, value in changes.items()})
 
-    assert len(rebuild(1)) == 4  # unchanged columns pass
-    bad = [dict(costs=4), dict(edges=[[1, 2, 1], [2, 4, 1], [3, 4, 1]]),  # 2 is no leaf
-           dict(edges=[[1, 4, 2], [2, 4, 1], [3, 4, 1]]),  # not the stated cost
-           dict(pos=[1, 0, 2]), dict(edges=[[1, 4, 1], [2, 4, 1], [3, 0, 1]])]  # no vertex 0
+    assert [c.edges for c in rebuild(1)] == [c.edges for c in table]  # unchanged rows build
+    column = metric_closure(star3).index
+    bad = [dict(costs=4), dict(hub=column[2]),  # 2 is no leaf
+           dict(hub=column[1], costs=2),        # 1 is no leaf, at the spokes' weight
+           dict(pos=[0, 1, -1])]                # a pair's edge to the star's hub
     for change in bad:
         with pytest.raises(InternalInvariantError):
-            rebuild(1, **change)
+            rebuild(1, **change)[1]
     with pytest.raises(InternalInvariantError):
-        rebuild(0, costs=3)
+        rebuild(0, costs=3)[0]
 
 
 def _edge_table(row=None, change=None):
-    """Hand-made edge rows over terminals 1..5, edges as (child, parent,
-    weight) like enumeration's: the pair 1-2; a 3-star at vertex 9; a
-    4-star at 9; two hubs 9 and 8 with terminals 1 and 2 at the second
-    (the spokes win the loss); and two hubs 7 and 6 with terminals 2 and
-    4 at the second (the link wins). `change` sets one row's column, or
-    the part `at` of it; each cost is its row's weight sum unless `costs`
-    is given."""
-    cols = dict(
-        terminal_ids=np.array([1, 2, 3, 4, 5]),
-        pos=np.array([[0, 1, -1, -1], [0, 2, 4, -1], [0, 1, 2, 3], [0, 1, 2, 4], [1, 2, 3, 4]]),
-        edges=np.array([
-            [(1, 2, 7), (0, 0, 0), (0, 0, 0), (0, 0, 0), (0, 0, 0)],
-            [(1, 9, 2), (3, 9, 5), (5, 9, 3), (0, 0, 0), (0, 0, 0)],
-            [(1, 9, 4), (2, 9, 1), (3, 9, 3), (4, 9, 2), (0, 0, 0)],
-            [(9, 5, 4), (8, 9, 5), (1, 8, 2), (2, 8, 3), (3, 9, 6)],
-            [(7, 5, 6), (6, 7, 1), (2, 6, 5), (4, 6, 4), (3, 7, 3)],
-        ]),
-    )
-    change = dict(change or {})
-    at = change.pop("at", None)
-    costs = change.pop("costs", None)
-    for name, value in change.items():
-        if at is None:
-            cols[name][row] = value
-        else:
-            cols[name][row][at] = value
-    cols["costs"] = cols["edges"][..., 2].sum(axis=1)
-    if costs is not None:
-        cols["costs"][row] = costs
-    return CandidateTable(base=20, **cols)
+    """Five rows of an enumerated k = 4 table over terminals 3, 6, 9, 10,
+    11 and 12, at positions 0..5: the pair 3-6; the 3-star 3-6-9 at vertex
+    1; a 4-star at vertex 2; two hubs 2 and 1 with terminals 6 and 11 at
+    the first (the spokes win the loss); and two hubs 3 and 1 with
+    terminals 10 and 12 at the first (the link wins). `change` sets one
+    column of row `row`."""
+    inst = random_instance(13, 12, 6, extra_edges=8, max_weight=9)
+    table = enumerate_full_components(inst, metric_closure(inst), 4)
+    changes = {name: (row, value) for name, value in (change or {}).items()}
+    return _rows_of(table, [0, 1, 14, 2, 12], inst.vertex_count + 1, **changes)
 
 
 def test_four_row_columns_build_and_check():
     table = _edge_table()
-    # The lightest spoke for a star; then la + lc = 4 + 2 and la + w = 3 + 1.
-    assert table.losses.tolist() == [0, 2, 1, 6, 4]
+    # A star's lightest spoke; then la + lc = 2 + 4 and la + w = 1 + 4.
+    assert table.build(np.arange(5)).losses.tolist() == [0, 4, 2, 6, 5]
     pair, star3, star4, pairs, linked = table
-    assert pair.edges == ((1, 2, 7),) and pair.steiner_origin == {}
-    assert star3.edges == ((1, 20, 2), (5, 20, 3), (3, 20, 5))
-    assert sorted(star4.edges) == [(1, 21, 4), (2, 21, 1), (3, 21, 3), (4, 21, 2)]
-    assert star4.steiner_origin == {21: 9}
-    # Interior ids follow first appearance: hub 9, next to the last
-    # terminal, before hub 8.
-    assert sorted(pairs.edges) == [(1, 23, 2), (2, 23, 3), (3, 22, 6), (5, 22, 4), (22, 23, 5)]
-    assert pairs.steiner_origin == {22: 9, 23: 8}
-    assert linked.steiner_origin == {24: 7, 25: 6}
-    assert [c.loss for c in table] == [0, 2, 1, 6, 4]
-
-
-_PAD = [(0, 0, 0)]
+    assert pair.edges == ((3, 6, 9),) and pair.steiner_origin == {}
+    assert star3.edges == ((3, 13, 4), (6, 13, 7), (9, 13, 7))
+    assert star4.edges == ((6, 14, 2), (12, 14, 5), (11, 14, 6), (9, 14, 12))
+    assert star4.steiner_origin == {14: 2}
+    # Interior ids follow first appearance: the hub next to the last
+    # terminal before the hub of its part.
+    assert pairs.edges == ((6, 15, 2), (3, 16, 4), (15, 16, 5), (11, 15, 6), (9, 16, 7))
+    assert pairs.steiner_origin == {15: 2, 16: 1}
+    assert linked.steiner_origin == {17: 3, 18: 1}
+    assert [c.loss for c in table] == [0, 4, 2, 6, 5]
+    # The loss forests: the two spokes, and one spoke with the link.
+    assert [pairs.edges[i] for i in pairs.loss_forest_indices] == [(6, 15, 2), (3, 16, 4)]
+    assert (17, 18, 4) in [linked.edges[i] for i in linked.loss_forest_indices]
 
 
 @pytest.mark.parametrize("row, change", [
-    (0, dict(pos=[1, 0, -1, -1])),                          # positions do not increase
-    (1, dict(edges=[(1, 3, 2), (5, 3, 3)] + _PAD * 3)),     # terminal 3 is no leaf
-    (1, dict(edges=_PAD + [(5, 9, 3)], at=slice(2, 4))),    # an edge after the padding
-    (1, dict(edges=1, at=(4, 2))),                          # padding that is not zero
-    (0, dict(pos=[0, -1, -1, -1])),                         # one terminal
-    (2, dict(edges=6, at=(3, 0))),                          # terminal 4 is missing
-    (1, dict(edges=[(9, 9, 0), (1, 9, 2), (3, 9, 5), (5, 9, 3)], at=slice(4))),  # a loop first
-    (2, dict(edges=-9, at=(slice(4), 1))),                  # an endpoint that is no vertex
-    (1, dict(edges=[(1, 9, 2), (9, 8, 1), (3, 8, 5), (8, 9, 1), (5, 9, 3)])),  # a cycle
-    (3, dict(edges=[(1, 2, 1), (3, 9, 1), (5, 9, 1)] + _PAD * 2)),  # two trees
-    (2, dict(edges=-1, at=(0, 2))),                         # a negative weight
-    (4, dict(costs=20)),                                    # cost is not the weight sum
+    (0, dict(pos=[1, 0, -1, -1])),      # positions do not increase
+    (1, dict(hub=8)),                   # terminal 9 at the hub
+    (1, dict(costs=19)),                # cost is not the weight sum
+    (1, dict(pos=[0, 1, 3, -1])),       # terminal 10's spoke for 9's
+    (0, dict(pos=[0, -1, -1, -1])),     # one terminal
+    (2, dict(hub=0)),                   # another hub
+    (1, dict(hub=3)),                   # another hub
+    (2, dict(costs=26)),                # cost is not the weight sum
+    (1, dict(pos=[0, -1, 2, -1])),      # padding inside the positions
+    (3, dict(split=3)),                 # another split at the hub
+    (2, dict(hub=5)),                   # terminal 6 at the hub
+    (4, dict(costs=20)),                # cost is not the weight sum
 ])
 def test_four_row_column_checks_reject(row, change):
     with pytest.raises(InternalInvariantError):
-        _edge_table(row, change)
-
-
-def _narrowed(table, dtype):
-    return CandidateTable(table.terminal_ids, table.pos, table.costs,
-                          table.edges.astype(dtype), table.first_id[0] if len(table) else 1)
-
-
-def test_losses_on_int32_columns_equal_int64():
-    # An int64 sentinel taken into int32 arithmetic once read -1 and gave
-    # every pair row a loss of -1. Here: pair rows, which have no interior
-    # node; hand-made rows whose only interior edge, the link between two
-    # hubs, is the heaviest, at the largest int32 value; and a star whose
-    # spokes all weigh that much.
-    top = np.iinfo(np.int32).max
-    heavy = _edge_table(3, dict(edges=top, at=(1, 2)))
-    linked = _edge_table(4, dict(edges=top, at=(1, 2)))
-    spokes = _edge_table(1, dict(edges=top, at=(slice(3), 2)))
-    assert heavy.losses[3] == 6 and linked.losses[4] == 7 and spokes.losses[1] == top
-    tables = [heavy, linked, spokes]
-    for inst in make_batch(6, seed0=1950, max_vertices=11, max_terminals=7) + tie_instances():
-        closure = metric_closure(inst)
-        for k in (2, 3, 4, 5):
-            table = enumerate_full_components(inst, closure, k)
-            assert table.edges.dtype == np.int32
-            tables.append(table)
-    for table in tables:
-        wide, narrow = _narrowed(table, np.int64), _narrowed(table, np.int32)
-        assert (narrow.losses >= 0).all()
-        assert narrow.losses.dtype == wide.losses.dtype == np.int64
-        assert narrow.losses.tolist() == wide.losses.tolist() == table.losses.tolist()
-        got = components.tree_losses(narrow.edges, narrow._check(), narrow.size)
-        assert got.tolist() == components.tree_losses(wide.edges, wide._check(),
-                                                      wide.size).tolist()
-        assert all(_same(a, b) for a, b in zip(narrow, wide))
+        _edge_table(row, change)[row]
 
 
 @pytest.mark.parametrize("column", ["costs", "losses"])
 def test_building_a_row_checks_its_cost_and_loss(column):
     table = _edge_table()
-    getattr(table, column)[3] += 1
-    assert table[2].loss == 1
+    built = table.build([2, 3])
+    if column == "costs":
+        table.costs[3] += 1
+        built = table.build([2])
+    else:  # the loss read, against the component's Kruskal loss forest
+        built.losses[1] += 1
+    assert built.component(0, 100)[0].loss == 2
     with pytest.raises(InternalInvariantError):
-        table[3]
+        table[3] if column == "costs" else built.component(1, 100)
 
 
 def _same(a, b):
@@ -820,7 +847,7 @@ def test_component_numbers_the_row_as_a_renumbering_of_its_item():
     rng = random.Random(4)
     hub = 30  # shared by every star
     table = candidate_table([(t, hub, rng.randint(0, 9)) for t in g]
-                            for g in (rng.sample(range(1, 20), rng.randint(2, 6))
+                            for g in (rng.sample(range(1, 20), rng.randint(3, 6))
                                       for _ in range(10)))
     assert table.first_id.tolist() == list(range(30, 40)) and table.max_steiner_id == 39
     assert table[9].steiner_origin == {39: 30}
@@ -859,8 +886,31 @@ def test_only_picked_and_looked_up_four_rows_are_built():
     assert len(pool) > 2500
     # Picks include 4-stars and two-hub rows: one interior node or two.
     table = pool.table
-    interior = (table.edges[:, :, 0] != 0).sum(axis=1) + 1 - table.size
+    interior = _interior(table)
     assert {int(interior[i]) for i in picked if table.size[i] == 4} == {1, 2}
+
+
+@pytest.mark.parametrize("case", ["k4-dp", "many-terminals-k3"])
+def test_a_solve_reads_only_the_trees_it_uses(case):
+    # The benchmark's k4-dp and many-terminals-k3 shapes: a solve reads the
+    # trees of phase 1's active rows once, then only of the rows a
+    # displacement looks up and of phase 2's picks, never every row.
+    inst, k = {"k4-dp": (random_instance(1000, 60, 20, extra_edges=120), 4),
+               "many-terminals-k3": (family(80, 1), 3)}[case]
+    with reading_trees() as read:
+        res = solve(inst, RunConfig(k=k))
+    closure = metric_closure(inst)
+    pool = CandidatePool(enumerate_full_components(inst, closure, k))
+    t0 = minimum_spanning_tree(inst.terminals, closure.block(sorted(inst.terminals)))
+    active = np.flatnonzero(pool.savings_for(ContractedTree.from_tree(t0)) > pool.costs)
+    looked_up = [pool.by_terminals(part["terminals"])
+                 for row in res.phase1_trace["iterations"] for event in row["replacements"]
+                 for part in event["parts"] if part.get("source") == "pool"]
+    picked = [row["candidate_index"] for row in res.phase2_trace["iterations"]]
+    assert read[0] == active.tolist()
+    assert sorted(i for rows in read[1:] for i in rows) == sorted(looked_up + picked)
+    assert {row["candidate_index"] for row in res.phase1_trace["iterations"]} <= set(read[0])
+    assert sum(map(len, read)) * 100 < len(pool)
 
 
 def test_four_row_enumeration_memory_is_bounded():

@@ -16,7 +16,7 @@ from steinertree import (
     random_instance,
     restricted_ratio_bound,
 )
-from steinertree import components
+from steinertree import dreyfus_wagner
 from steinertree.exact import OPT_LIMIT_CAP, OPTK_LIMIT_CAP, dw_closure_tree
 
 
@@ -30,14 +30,14 @@ def test_dense_budget_boundary_for_the_exact_optimum(monkeypatch):
     terms, closure = sorted(inst.terminals), metric_closure(inst)
     nv = len(closure.vertices)
     need = 8 * nv * nv + 16 * nv * (2 ** (len(terms) - 1) - 2)
-    monkeypatch.setattr(components, "DENSE_BUDGET", need - 1)
+    monkeypatch.setattr(dreyfus_wagner, "DENSE_BUDGET", need - 1)
     with pytest.raises(LimitExceededError, match="--exact-opt-limit"):
         optimal_steiner_tree(closure, terms)
     assert "dist" not in vars(closure)  # nothing was allocated
-    monkeypatch.setattr(components, "DENSE_BUDGET", need)
+    monkeypatch.setattr(dreyfus_wagner, "DENSE_BUDGET", need)
     assert optimal_steiner_tree(closure, terms).cost == oracles.steiner_cost_bruteforce(
         inst.vertex_count, inst.edges, terms)
-    tables = components._SharedTables(closure.dist, np.array([closure.index[t] for t in terms]),
+    tables = dreyfus_wagner._SharedTables(closure.dist, np.array([closure.index[t] for t in terms]),
                                       len(terms) - 2)
     assert _dense_bytes(closure, tables) == need
 
@@ -47,14 +47,14 @@ def test_dense_budget_boundary_for_enumeration(monkeypatch):
     r, closure = len(inst.terminals), metric_closure(inst)
     nv = len(closure.vertices)
     need = 8 * nv * nv + 16 * nv * ((r - 1) + math.comb(r - 1, 2))
-    monkeypatch.setattr(components, "DENSE_BUDGET", need - 1)
+    monkeypatch.setattr(dreyfus_wagner, "DENSE_BUDGET", need - 1)
     with pytest.raises(LimitExceededError, match="smaller k"):
         enumerate_full_components(inst, closure, 4)
     assert "dist" not in vars(closure)  # nothing was allocated
-    monkeypatch.setattr(components, "DENSE_BUDGET", need)
+    monkeypatch.setattr(dreyfus_wagner, "DENSE_BUDGET", need)
     assert (enumerate_full_components(inst, closure, 4).size == 4).any()
     tidx = np.array([closure.index[t] for t in sorted(inst.terminals)])
-    assert _dense_bytes(closure, components._SharedTables(closure.dist, tidx, 2)) == need
+    assert _dense_bytes(closure, dreyfus_wagner._SharedTables(closure.dist, tidx, 2)) == need
 
 
 def _opt(inst, limit=10):

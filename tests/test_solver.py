@@ -302,3 +302,22 @@ def test_trace_is_json_serializable():
     for inst in make_batch(5, seed0=6400):
         res = solve(inst, RunConfig(k=3))
         json.dumps(res.to_dict())  # must not raise
+
+
+def test_info_line_counts_candidates_and_rows_read(caplog, monkeypatch):
+    # One INFO line: rows kept per size, subsets rejected as not full, and
+    # the rows whose trees the solve read; computed only when INFO is on.
+    inst = random_instance(1000, 60, 20, extra_edges=120, name="k4-shape")
+    with caplog.at_level("INFO", logger="steinertree.solver"):
+        res = solve(inst, RunConfig(k=4))
+    (line,) = [r.getMessage() for r in caplog.records if "candidates" in r.getMessage()]
+    assert line == ("k4-shape: candidates m2=190 m3=667 m4=1698, 3620 subsets not full, "
+                    "21 rows read on demand")
+    assert "rows read" not in res.to_json(timing=False)
+    caplog.clear()
+
+    def computed(*args):
+        raise AssertionError("the line was computed with INFO off")
+    monkeypatch.setattr(solver, "_log_candidates", computed)
+    with caplog.at_level("WARNING", logger="steinertree.solver"):
+        assert solve(inst, RunConfig(k=4)).to_json(timing=False) == res.to_json(timing=False)

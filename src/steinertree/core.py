@@ -10,6 +10,7 @@ construction order for exact duplicates.
 from __future__ import annotations
 
 import heapq
+import itertools
 import math
 import operator
 from dataclasses import dataclass
@@ -608,27 +609,80 @@ def kruskal_indices(
     order; self-loops are skipped. `merged_groups` are node sets treated as
     already connected (zero-cost cliques). Raises if the result does not
     connect all nodes.
+
+    The union-find is a list over the nodes numbered 0..n-1, with path
+    halving, inlined in the loop; the groups join first, as edges of index
+    -1, which are never kept.
     """
-    uf = UnionFind(nodes)
-    for group in merged_groups:
-        members = list(group)
-        for other in members[1:]:
-            uf.union(members[0], other)
+    index = {x: i for i, x in enumerate(set(nodes))}
+    parent = list(range(len(index)))
+    groups = len(parent)
+    if groups == 1:
+        return []  # every edge is a self-loop: a contraction's merged paths often are
     if not isinstance(edges, np.ndarray):
         edges = np.array([e[:3] for e in edges], dtype=np.int64)
     u, v, w = edges.reshape(-1, 3).T
     lo, hi = np.minimum(u, v), np.maximum(u, v)
     order = np.lexsort((hi, lo, w))
+    joins = [(-1, g[0], x) for g in map(list, merged_groups) for x in g[1:]]
     kept = []
-    for i, a, b in zip(order.tolist(), lo[order].tolist(), hi[order].tolist()):
-        if uf.groups == 1:
+    for i, a, b in itertools.chain(joins, zip(order.tolist(), lo[order].tolist(),
+                                              hi[order].tolist())):
+        if groups == 1:
             break
-        if a != b and uf.union(a, b):
-            kept.append(i)
-    if uf.groups != 1:
+        ra, rb = index[a], index[b]
+        while ra != parent[ra]:
+            parent[ra] = ra = parent[parent[ra]]
+        while rb != parent[rb]:
+            parent[rb] = rb = parent[parent[rb]]
+        if ra != rb:  # a self-loop has ra == rb
+            parent[ra] = rb
+            groups -= 1
+            if i >= 0:
+                kept.append(i)
+    if groups != 1:
         raise DisconnectedInputError("edge set does not connect the node set")
     kept.sort()
     return kept
+
+
+def tree_paths(edges: Sequence[Sequence[int]], members: Iterable[int]) -> list[int]:
+    """Indices, increasing, of the tree `edges` ((u, v, ...) rows) that lie
+    on a path between two of `members`: a breadth-first search from the
+    smallest member, stopped once every member is reached, then a walk back
+    from each member. Once the members are merged into one node, every
+    other edge is a bridge, which Kruskal keeps and which never joins the
+    ends of another edge, so a Kruskal over the tree plus the merge needs
+    only these edges."""
+    targets = set(members)
+    adj: dict[int, list[tuple[int, int]]] = {}
+    for i, e in enumerate(edges):
+        u, v = e[0], e[1]
+        adj.setdefault(u, []).append((v, i))
+        adj.setdefault(v, []).append((u, i))
+    start = min(targets)
+    up = {start: (start, -1)}  # node -> (its parent, the edge to it)
+    left = len(targets) - 1
+    queue = [start]
+    for x in queue:
+        if not left:
+            break
+        for y, i in adj.get(x, ()):
+            if y not in up:
+                up[y] = (x, i)
+                queue.append(y)
+                left -= y in targets
+    if left:
+        raise InternalInvariantError(f"members {sorted(targets - up.keys())} are not"
+                                     f" reached from {start} in the tree")
+    on_paths, walked = [], {start}
+    for y in targets:
+        while y not in walked:
+            walked.add(y)
+            y, i = up[y]
+            on_paths.append(i)
+    on_paths.sort()
+    return on_paths
 
 
 def minimum_spanning_tree(nodes: Iterable[int], weights: np.ndarray) -> Tree:
@@ -683,14 +737,17 @@ class ContractedTree:
     Instances are treated as immutable; contraction returns a new object.
     """
 
-    def __init__(self, rep_of: Mapping[int, int], edges: Sequence[Edge]):
+    def __init__(self, rep_of: Mapping[int, int], edges: Sequence[Edge],
+                 bottleneck: np.ndarray | None = None):
+        """`bottleneck`, when given, is the tree's bottleneck matrix, known
+        to its caller; it is otherwise filled on first read."""
         self.rep_of = dict(rep_of)
         self.edges = tuple(edges)
         self.cost = sum(w for _, _, w in self.edges)
         reps = sorted(set(self.rep_of.values()))
         self.reps = tuple(reps)
         self.rep_index = {r: i for i, r in enumerate(reps)}
-        self._bottleneck: np.ndarray | None = None
+        self._bottleneck = bottleneck
 
     @classmethod
     def from_tree(cls, tree: Tree) -> "ContractedTree":
@@ -698,13 +755,17 @@ class ContractedTree:
 
     @property
     def bottleneck_matrix(self) -> np.ndarray:
-        """Dense path-maximum weights between representatives (int64).
-        Filled in one breadth-first pass: every node seen before x is
-        reached through x's parent p, so x's row over them is p's row raised
-        to the weight of edge (p, x), one slice per node, mirrored into the
-        column."""
-        if self._bottleneck is not None:
-            return self._bottleneck
+        """Dense path-maximum weights between representatives (int64), in
+        `reps` order: carried in or filled on first read (`_fill`)."""
+        if self._bottleneck is None:
+            self._bottleneck = self._fill()
+        return self._bottleneck
+
+    def _fill(self) -> np.ndarray:
+        """The bottleneck matrix in one breadth-first pass: every node seen
+        before x is reached through x's parent p, so x's row over them is
+        p's row raised to the weight of edge (p, x), one slice per node,
+        mirrored into the column."""
         n = len(self.reps)
         adj: list[list[tuple[int, int]]] = [[] for _ in range(n)]
         for u, v, w in self.edges:
@@ -726,8 +787,7 @@ class ContractedTree:
         for k in range(1, n):
             p, w = up[k]
             mat[k, :k] = mat[:k, k] = np.maximum(mat[p, :k], w)
-        self._bottleneck = mat[np.ix_(seen_at, seen_at)]
-        return self._bottleneck
+        return mat[np.ix_(seen_at, seen_at)]
 
     def rep_rows(self, nodes: Iterable[int]) -> np.ndarray:
         """Representative row index of each node id."""
@@ -749,22 +809,30 @@ class ContractedTree:
     def contract_zero_set(self, group: Iterable[int]) -> "ContractedTree":
         """Merge the groups touched by `group` and re-run the MST over the
         surviving edges. The merged representative is the smallest member.
+        Edges keep their order, ids remapped to the merged representative.
+        Only the edges on the tree paths between the merged
+        representatives can close a cycle (`tree_paths`); Kruskal, under
+        the remapped ids, runs over those alone and keeps every other edge.
         A built bottleneck matrix is carried over exactly: through the zero-cost
         group, b' = min(b, max(near_x, near_z)), near being the bottleneck to it."""
         group_reps = self._group_reps(group)
         if len(group_reps) <= 1:
             return self
-        merged_members = [n for n, r in self.rep_of.items() if r in group_reps]
-        new_rep = min(merged_members)
-        remap = {r: (new_rep if r in group_reps else r) for r in self.reps}
-        new_rep_of = {n: remap[r] for n, r in self.rep_of.items()}
-        mapped = [(remap[u], remap[v], w) for u, v, w in self.edges]
-        kept = kruskal_indices(sorted(set(remap.values())), mapped)
-        tree = ContractedTree(new_rep_of, [mapped[i] for i in kept])
+        new_rep = min(n for n, r in self.rep_of.items() if r in group_reps)
+        new_rep_of = {n: (new_rep if r in group_reps else r) for n, r in self.rep_of.items()}
+        mapped = [(new_rep if u in group_reps else u, new_rep if v in group_reps else v, w)
+                  for u, v, w in self.edges]
+        paths = tree_paths(self.edges, group_reps)
+        cycles = [mapped[i] for i in paths]
+        kept = kruskal_indices({x for e in cycles for x in e[:2]}, cycles)
+        dropped = set(paths).difference([paths[i] for i in kept])
+        tree = ContractedTree(new_rep_of, [e for i, e in enumerate(mapped) if i not in dropped])
         if self._bottleneck is not None:
+            b = self._bottleneck
             rows = [self.rep_index[r] for r in group_reps]
             keep = [rows[0] if r == new_rep else self.rep_index[r] for r in tree.reps]
-            near = self._bottleneck[rows].min(axis=0)[keep]
-            tree._bottleneck = np.minimum(self._bottleneck[np.ix_(keep, keep)],
-                                          np.maximum(near[:, None], near))
+            # take() gathers some twice as fast as fancy indexing here.
+            near = b.take(rows, axis=0).min(axis=0).take(keep)
+            carried = b.take(keep, axis=0).take(keep, axis=1)
+            tree._bottleneck = np.minimum(carried, np.maximum.outer(near, near), out=carried)
         return tree

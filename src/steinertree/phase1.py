@@ -22,7 +22,7 @@ from __future__ import annotations
 import logging
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import NamedTuple
+from typing import NamedTuple, Sequence
 
 import numpy as np
 
@@ -35,12 +35,14 @@ from .components import (
 )
 from .core import (
     ContractedTree,
+    Edge,
     Instance,
     MetricClosure,
     Tree,
     UnionFind,
     kruskal_indices,
-    pruned_mst,
+    prune_leaves,
+    tree_paths,
 )
 from .errors import InternalInvariantError
 
@@ -82,17 +84,77 @@ def _ratio_json(gain_value: int, loss_value: int) -> list | str:
     return [f.numerator, f.denominator]
 
 
-def merge(t0: Tree, chosen: list[ChosenEntry]) -> tuple[int, Tree, dict[int, int]]:
-    """The starting tree plus every chosen component's full edge set,
-    reduced by pruned_mst: (cost before pruning, pruned tree, interior id ->
-    graph vertex)."""
+def _merge_mst(t0: Tree, chosen: list[ChosenEntry]) -> list[Edge]:
+    """The MST of the starting tree plus every chosen component's full
+    edge set, before pruning."""
     edges = list(t0.edges)
-    origin: dict[int, int] = {}
     for entry in chosen:
         edges.extend(entry.comp.edges)
+    nodes = {x for e in edges for x in e[:2]}  # t0's edges reach every terminal
+    return [edges[i] for i in kruskal_indices(nodes, edges)]
+
+
+def _pruned_merge(t0: Tree, chosen: list[ChosenEntry],
+                  mst: list[Edge]) -> tuple[int, Tree, dict[int, int]]:
+    """The merge's MST `mst` (`_merge_mst`) with its interior leaves
+    pruned: (cost before pruning, pruned tree, interior id -> graph
+    vertex)."""
+    origin: dict[int, int] = {}
+    for entry in chosen:
         origin.update(entry.comp.steiner_origin)
-    unpruned, tree = pruned_mst(edges, sorted(t0.nodes))
-    return unpruned, tree, origin
+    terms = sorted(t0.nodes)
+    return sum(w for _, _, w in mst), Tree.from_edges(prune_leaves(mst, terms), terms), origin
+
+
+def merge(t0: Tree, chosen: list[ChosenEntry]) -> tuple[int, Tree, dict[int, int]]:
+    """The starting tree plus every chosen component's full edge set,
+    reduced to its MST with interior leaves pruned (`_pruned_merge`)."""
+    return _pruned_merge(t0, chosen, _merge_mst(t0, chosen))
+
+
+def _kruskal_over_paths(current: list, paths: list[int], added: Sequence = (),
+                        merged: Sequence[int] = ()) -> tuple[list, list]:
+    """The working tree `current` ((u, v, w, tag) rows) with the edges
+    `added` joined to its graph, or the nodes `merged` joined at zero
+    cost, both among the ends of its tree paths `paths`
+    (`core.tree_paths`): (the MST's rows, the tags of the rows it drops).
+    Kruskal, under the original ids, runs over the rows on those paths and
+    `added` alone. Every other row is a bridge and keeps its place; kept
+    added rows follow, in order, as in one Kruskal over `current` then
+    `added`."""
+    cycles = [current[i] for i in paths] + list(added)
+    kept = set(kruskal_indices({x for e in cycles for x in e[:2]}, cycles,
+                               [merged] if merged else ()))
+    dropped = {paths[i] for i in range(len(paths)) if i not in kept}
+    tree = [e for i, e in enumerate(current) if i not in dropped]
+    tree += [e for i, e in enumerate(added, len(paths)) if i in kept]
+    return tree, [current[i][3] for i in sorted(dropped)]
+
+
+def _carried(view: ContractedTree, added: Sequence[Edge]) -> np.ndarray:
+    """`view`'s bottleneck matrix, a matrix of minimax path values (Hu
+    1961), with the edges `added` (a, c, w) between its representatives
+    folded into its graph one at a time: a path may now cross the edge,
+    either way, so b' = min(b, max(b[:, a], w, b[c, :]), max(b[:, c], w,
+    b[a, :]))."""
+    b = view.bottleneck_matrix
+    for a, c, w in added:
+        a, c = view.rep_index[a], view.rep_index[c]
+        via = np.maximum(np.maximum(b[:, a], w)[:, None], b[c])  # x .. a - c .. y
+        b = np.minimum(b, via)
+        np.minimum(b, via.T, out=b)
+    return b
+
+
+def _check_carried(view: ContractedTree) -> None:
+    """A tree edge is the only path between its ends, so its own weight
+    must be their carried path maximum."""
+    b, at = view.bottleneck_matrix, view.rep_index
+    for u, v, w in view.edges:
+        if b[at[u], at[v]] != w:
+            raise InternalInvariantError(
+                f"carried path maximum {int(b[at[u], at[v]])} between {u} and {v}"
+                f" differs from the working-tree edge's weight {w}")
 
 
 def run_phase1(instance: Instance, closure: MetricClosure,
@@ -106,7 +168,9 @@ def run_phase1(instance: Instance, closure: MetricClosure,
     current = [(u, v, w, (BASE, i)) for i, (u, v, w) in enumerate(t0.edges)]
     current_cost = t0.total_cost
     rows: list[dict] = []
-    merged = None  # merge of the latest iteration
+    carried = 0  # views whose matrix was carried, not filled
+    reduced = False  # whether the last pick left a remnant
+    merged_mst = list(t0.edges)  # the merge's MST with nothing chosen: t0
     view = ContractedTree.from_tree(t0)
     start = ScoredTree(view, pool.savings_for(view))
     active = np.flatnonzero(start.savings > pool.costs)
@@ -134,9 +198,10 @@ def run_phase1(instance: Instance, closure: MetricClosure,
         log.debug("phase1 pick %s gain=%d loss=%d", comp.terminals, gain_value, loss_value)
 
         # Edges the merge displaces from the current tree, by owner.
-        kept_now = set(kruskal_indices(terms, current,
-                                       merged_groups=[set(comp.terminals)]))
-        displaced = [current[i][3] for i in range(len(current)) if i not in kept_now]
+        # Only the tree paths between the pick's terminals can close a cycle
+        # when they merge, or when its contraction edges join.
+        paths = tree_paths(current, comp.terminals)
+        _, displaced = _kruskal_over_paths(current, paths, merged=comp.terminals)
         by_owner: dict[int, list[int]] = {}
         for owner, j in displaced:
             if owner != BASE:
@@ -185,13 +250,21 @@ def run_phase1(instance: Instance, closure: MetricClosure,
         chosen = new_chosen
         chosen.append(entry)
 
-        # Recompute the working tree from the full pool of contracted edges.
-        tagged = [(u, v, w, (BASE, i)) for i, (u, v, w) in enumerate(t0.edges)]
-        for e in chosen:
-            for j, ce in enumerate(e.comp.contraction.edges):
-                tagged.append((ce.u, ce.v, ce.w, (e.uid, j)))
-        kept_idx = kruskal_indices(terms, tagged)
-        current = [tagged[i] for i in kept_idx]
+        # The working tree is the MST of the terminal MST's edges plus the
+        # chosen contraction edges. With no replacement, that graph only
+        # gained the pick's contraction edges; otherwise it is rebuilt. So
+        # is it after a remnant: its contraction edge is never lighter than
+        # the tree path it closes, but may precede that path's heaviest
+        # edge in Kruskal's order.
+        if replacements or reduced:
+            tagged = [(u, v, w, (BASE, i)) for i, (u, v, w) in enumerate(t0.edges)]
+            for e in chosen:
+                for j, ce in enumerate(e.comp.contraction.edges):
+                    tagged.append((ce.u, ce.v, ce.w, (e.uid, j)))
+            current = [tagged[i] for i in kruskal_indices(terms, tagged)]
+        else:
+            current, _ = _kruskal_over_paths(current, paths, [
+                (ce.u, ce.v, ce.w, (entry.uid, j)) for j, ce in enumerate(comp.contraction.edges)])
         # The cost is a nonnegative integer that falls with every pick, so
         # the phase ends.
         new_cost = sum(e[2] for e in current)
@@ -227,9 +300,11 @@ def run_phase1(instance: Instance, closure: MetricClosure,
                 "cost": remnant.cost,
             })
         chosen = final_chosen
+        reduced = any(b["action"] == "reduced" for b in basic_events)
 
-        merged = merge(t0, chosen)
-        merged_cost = merged[0]
+        # The merge's MST; its tree is pruned once, after the loop.
+        merged_mst = _merge_mst(t0, chosen)
+        merged_cost = sum(w for _, _, w in merged_mst)
         loss_total = sum(e.comp.loss for e in chosen)
         if merged_cost != current_cost + loss_total:
             raise InternalInvariantError(
@@ -251,12 +326,31 @@ def run_phase1(instance: Instance, closure: MetricClosure,
             "merge_cost_unpruned": merged_cost,
             "loss_total": loss_total,
         })
-        view = ContractedTree({t: t for t in terms}, [(u, v, w) for u, v, w, _ in current])
+        # When this pick only appended its entry, the working tree's graph
+        # only gained the entry's contraction edges, which fold into the
+        # last view's matrix exactly (a remnant left before changes no path
+        # maximum); otherwise the view fills.
+        edges = [(u, v, w) for u, v, w, _ in current]
+        if replacements or basic_events:
+            view = ContractedTree(view.rep_of, edges)
+        else:
+            view = ContractedTree(view.rep_of, edges, _carried(
+                view, [(ce.u, ce.v, ce.w) for ce in comp.contraction.edges]))
+            _check_carried(view)
+            carried += 1
         gains = pool.savings_for(view, active) - costs
 
     base_tree = Tree.from_edges([(u, v, w) for u, v, w, _ in current], terms)
     base = start if view is start.view else ScoredTree(view, pool.savings_for(view))
-    merged_cost, solution, origin = merged or merge(t0, chosen)
+    merged_cost, solution, origin = _pruned_merge(t0, chosen, merged_mst)
+    if log.isEnabledFor(logging.INFO):
+        log.info("%s: phase 1 %d iterations, views %d carried %d filled, %d edges displaced,"
+                 " %d components re-sourced, %d remnants, %d dropped",
+                 instance.name or "instance", len(rows), carried,
+                 len(rows) + 1 - carried, sum(len(r["displaced"]) for r in rows),
+                 sum(len(r["replacements"]) for r in rows),
+                 *(sum(b["action"] == act for r in rows for b in r["basic_events"])
+                   for act in ("reduced", "dropped")))
     trace = {
         "mst_cost": t0.total_cost,
         "iterations": rows,

@@ -92,7 +92,7 @@ class FloorPrefix:
     no positive difference doubles by rank, up to every live row, where no
     positive difference is a stall. The first tau is the floor at rank
     PREFIX; tau only rises, so the prefix only grows. `scored` counts the
-    rows scored so far.
+    rows scored so far, and `scans` the scans, a pick's rescans included.
     """
 
     def __init__(self, costs: np.ndarray, origin0: np.ndarray, base0: np.ndarray,
@@ -100,7 +100,7 @@ class FloorPrefix:
         self._costs, self._origin0, self._base0, self._gap0 = costs, origin0, base0, gap0
         self.floor = _floor(costs - base0, np.minimum(origin0, gap0))
         self.live = int(np.count_nonzero(self.floor < np.inf))
-        self.iteration = self.scored = 0
+        self.iteration = self.scored = self.scans = 0
         self._to_rank(PREFIX)
 
     def _to_rank(self, n: int) -> None:
@@ -127,6 +127,7 @@ class FloorPrefix:
             rows = self.rows
             origin, base = score(rows)
             self.scored += len(rows)
+            self.scans += 1
             self._check(rows, origin, base, gap)
             best = select_candidate(self._costs[rows], origin, base)
             if best is None:
@@ -167,6 +168,7 @@ def run_phase2(instance: Instance, pool: CandidatePool, t0: Tree,
     rows: list[dict] = []
     stalled = False
     prefix = None
+    contractions = 0  # of the two trees, those that merged something
 
     def score(at):
         # The first pick reads phase 1's savings; later ones score the trees.
@@ -193,8 +195,9 @@ def run_phase2(instance: Instance, pool: CandidatePool, t0: Tree,
         # the difference in the origin tree.
         saving_base = cost - load_value
         expected = (t_origin.cost - saving_base - diff_value, t_base.cost - saving_base)
-        t_origin = t_origin.contract_zero_set(terminals)
-        t_base = t_base.contract_zero_set(terminals)
+        merged = t_origin.contract_zero_set(terminals), t_base.contract_zero_set(terminals)
+        contractions += (merged[0] is not t_origin) + (merged[1] is not t_base)
+        t_origin, t_base = merged
         if (t_origin.cost, t_base.cost) != expected:
             raise InternalInvariantError(
                 f"contracting {terminals} left costs {t_origin.cost}, {t_base.cost};"
@@ -231,6 +234,11 @@ def run_phase2(instance: Instance, pool: CandidatePool, t0: Tree,
         comp, alloc = built.component(j, alloc)
         chosen.append(ChosenEntry(j + 1, comp))
     unpruned, solution, origin = merge(t0, chosen)
+    if log.isEnabledFor(logging.INFO):
+        scored, rescans = (prefix.scored, prefix.scans - prefix.iteration) if prefix else (0, 0)
+        log.info("%s: phase 2 %d picks%s, %d contractions, %d rows scored of %d, %d rescans",
+                 instance.name or "instance", len(rows), " (stalled)" if stalled else "",
+                 contractions, scored, len(pool), rescans)
     trace = {
         "initial_gap": initial_gap,
         "iterations": rows,

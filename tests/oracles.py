@@ -5,7 +5,8 @@ enumeration wherever the instance is small enough, plain dicts and loops
 everywhere else. The tests compare these against the real implementations.
 `reference_full_components` (the earlier object-per-subset enumeration)
 and `renumbered` build package components, `reference_kruskal_indices` is the earlier
-Python-sorted Kruskal, `reference_phase2` is the earlier phase-2 loop that
+Python-sorted Kruskal, `contraction_by_full_kruskal` the contraction that
+ran it over every edge, `reference_phase2` is the earlier phase-2 loop that
 scores every row at every pick, and `mst_with_zero_set` and the reference
 definitions of the greedy quantities at the end take package trees and
 components; everything else stands on its own.
@@ -18,7 +19,7 @@ from fractions import Fraction
 import numpy as np
 
 from steinertree.components import FullComponent, _normalized_edges, tree_losses
-from steinertree.core import WEIGHT_LIMIT, edge_key
+from steinertree.core import WEIGHT_LIMIT, edge_key, kruskal_indices
 from steinertree.errors import DisconnectedInputError, InternalInvariantError, UnknownNodeError
 from steinertree.phase2 import select_candidate
 
@@ -123,6 +124,21 @@ def reference_kruskal_indices(nodes, edges, merged_groups=()):
     if len({uf.find(x) for x in nodes}) != 1:
         raise DisconnectedInputError("edge set does not connect the node set")
     return sorted(kept)
+
+
+def contraction_by_full_kruskal(tree, group):
+    """(rep_of, edges) of `ContractedTree.contract_zero_set(group)` as it was
+    before it restricted Kruskal to the group's tree paths: every edge
+    remapped to the merged representative, then one `core.kruskal_indices`
+    over all of them, kept edges in input order."""
+    group_reps = {tree.rep_of[x] for x in group}
+    if len(group_reps) <= 1:  # nothing to merge: the tree as it is
+        return dict(tree.rep_of), list(tree.edges)
+    new_rep = min(n for n, r in tree.rep_of.items() if r in group_reps)
+    remap = {r: (new_rep if r in group_reps else r) for r in tree.reps}
+    mapped = [(remap[u], remap[v], w) for u, v, w in tree.edges]
+    kept = kruskal_indices(sorted(set(remap.values())), mapped)
+    return {n: remap[r] for n, r in tree.rep_of.items()}, [mapped[i] for i in kept]
 
 
 def mst_with_zero_set(tree, group):

@@ -28,6 +28,7 @@ from steinertree.core import (
     format_cost,
     kruskal_indices,
     prune_leaves,
+    tree_paths,
 )
 from steinertree.errors import InternalInvariantError
 
@@ -554,6 +555,20 @@ def test_kruskal_matches_reference_on_tied_multigraphs():
     assert outcomes == {"tree", "disconnected", "empty"}
 
 
+def test_kruskal_numbers_any_node_ids():
+    # The union-find numbers the nodes 0..n-1 whatever their ids: ids near
+    # 2**62 and negative ones, an empty merged group and a one-node group.
+    # A single node keeps no edge.
+    big = 2**62
+    nodes = [big + 3, -5, 7, big]
+    edges = [(big + 3, -5, 2), (-5, 7, 1), (7, big, 1), (big, big + 3, 1), (7, 7, 0)]
+    assert kruskal_indices(nodes, edges) == [1, 2, 3]
+    assert kruskal_indices(nodes, edges, [[], [7], [-5, big + 3]]) == [1, 2]
+    assert kruskal_indices([7, 7], [(7, 7, 0), (7, 7, 3)]) == []
+    with pytest.raises(DisconnectedInputError):
+        kruskal_indices([], [])
+
+
 # ------------------------------
 # Tree helpers
 # ------------------------------
@@ -840,6 +855,45 @@ def test_carried_bottleneck_matrix_matches_rebuild_and_bruteforce():
                 assert mat[ia, ib] == mat[ib, ia] == want
             view = after
     assert carried > 300
+
+
+def test_tree_paths_examples():
+    # A path 1-2-3-4 with a branch 2-5: the edges between the members, in
+    # input order, and none for a single member.
+    edges = [(2, 3, 1), (1, 2, 1), (3, 4, 1, "tag"), (2, 5, 1)]
+    assert tree_paths(edges, [1, 3]) == [0, 1]
+    assert tree_paths(edges, [5, 4]) == [0, 2, 3]
+    assert tree_paths(edges, [1, 2, 3, 4, 5]) == [0, 1, 2, 3]
+    assert tree_paths(edges, [3]) == []
+    with pytest.raises(InternalInvariantError, match="not reached"):
+        tree_paths([(1, 2, 1), (3, 4, 1)], [1, 4])
+
+
+def test_contraction_over_the_paths_matches_a_full_kruskal():
+    # Kruskal runs over the group's tree paths only. On random trees with
+    # tied weights, zero-weight edges and representatives standing for
+    # zero-distance filler nodes, groups of 2-5 nodes give the edges, their
+    # order and rep_of of one Kruskal over every remapped edge, and the
+    # carried matrix of a fresh fill.
+    rng = random.Random(29)
+    restricted = 0
+    for trial in range(400):
+        nodes = rng.sample(range(1, 50), rng.randint(2, 14))
+        reps = sorted(rng.sample(nodes, rng.randint(2, len(nodes))))
+        rep_of = {x: (x if x in reps else rng.choice(reps)) for x in nodes}
+        view = ContractedTree(rep_of, _random_tree(rng, reps, [0, 1, 1, 2, 3]).edges)
+        for _ in range(rng.randint(1, 3)):
+            view.bottleneck_matrix
+            group = rng.sample(nodes, min(len(nodes), rng.randint(2, 5)))
+            after = view.contract_zero_set(group)
+            want_rep_of, want_edges = oracles.contraction_by_full_kruskal(view, group)
+            assert after.rep_of == want_rep_of, (view.rep_of, view.edges, group)
+            assert list(after.edges) == want_edges, (view.rep_of, view.edges, group)
+            assert after.bottleneck_matrix.tolist() == _matrix_from_scratch(after).tolist()
+            reps = {view.rep_of[x] for x in group}
+            restricted += len(reps) > 1 and len(tree_paths(view.edges, reps)) < len(view.edges)
+            view = after
+    assert restricted > 300
 
 
 def _assert_bottlenecks(view):

@@ -1,8 +1,9 @@
 import random
 
 import numpy as np
+import pytest
 
-from conftest import candidate_table, make_batch
+from conftest import candidate_table, family, make_batch, tie_instances
 from steinertree import (
     CandidatePool,
     Instance,
@@ -15,9 +16,10 @@ from steinertree import (
     random_instance,
     solve,
 )
-from steinertree import solver
+from steinertree import phase1, solver
 from steinertree.components import argmin_ratio
-from steinertree.core import ContractedTree, kruskal_indices
+from steinertree.core import ContractedTree, kruskal_indices, tree_paths
+from steinertree.errors import InternalInvariantError
 from steinertree.phase1 import run_phase1
 
 
@@ -277,3 +279,86 @@ def test_picks_gain_on_the_start_and_each_tree_is_scored_once(monkeypatch):
                 assert full_scans.count(base) == 1
                 assert _tree_key(p1.base.view) == base
     assert picks > 60
+
+
+# ------------------------------
+# Tree steps proportional to what changes
+# ------------------------------
+
+def test_displacement_and_appended_tree_over_the_paths_match_a_full_kruskal():
+    # The working tree's two Kruskals run over the pick's tree paths only:
+    # the displacement (its terminals merged, under the original ids) and
+    # the tree with its contraction edges appended. On random tagged trees
+    # with tied and zero weights, groups of 2-5 nodes and added edges that
+    # may duplicate a tree edge exactly, both give the rows, their order and
+    # the dropped tags of one Kruskal over every row.
+    rng = random.Random(31)
+    weights = [0, 1, 1, 2, 3]
+    for trial in range(400):
+        nodes = rng.sample(range(1, 50), rng.randint(2, 14))
+        order = rng.sample(nodes, len(nodes))
+        current = [(order[i], rng.choice(order[:i]), rng.choice(weights), ("t", i))
+                   for i in range(1, len(order))]
+        group = rng.sample(nodes, min(len(nodes), rng.randint(2, 5)))
+        paths = tree_paths(current, group)
+
+        kept = kruskal_indices(nodes, current, merged_groups=[group])
+        want = ([current[i] for i in kept],
+                [current[i][3] for i in range(len(current)) if i not in kept])
+        assert phase1._kruskal_over_paths(current, paths, merged=group) == want
+
+        # Contraction edges: a random tree over the group, some of them
+        # copies of tree edges between two of its members.
+        spread = rng.sample(group, len(group))
+        added = [(spread[i], rng.choice(spread[:i]), rng.choice(weights), ("a", i))
+                 for i in range(1, len(spread))]
+        added += [(u, v, w, ("copy", i)) for i, (u, v, w, _) in enumerate(current)
+                  if u in group and v in group and rng.random() < 0.5]
+        rows = current + added
+        kept = kruskal_indices(nodes, rows)
+        want = ([rows[i] for i in kept],
+                [current[i][3] for i in range(len(current)) if i not in kept])
+        assert phase1._kruskal_over_paths(current, paths, added) == want
+
+
+def test_every_carried_view_equals_a_fresh_fill(monkeypatch):
+    # A pick that only appends its entry folds its contraction edges into
+    # the last view's matrix; every such matrix equals a fresh fill.
+    views = []
+    check = phase1._check_carried
+
+    def recording(view):
+        check(view)
+        views.append(view)
+    monkeypatch.setattr(phase1, "_check_carried", recording)
+    carried = 0
+    for inst in make_batch(120) + tie_instances():
+        for k in (2, 3, 4, 5):
+            _run(inst, k)
+            for view in views:
+                fresh = ContractedTree(view.rep_of, view.edges).bottleneck_matrix
+                assert view.bottleneck_matrix.tolist() == fresh.tolist(), (inst.name, k)
+            carried += len(views)
+            views.clear()
+    assert carried > 60
+
+
+def test_carried_matrix_must_match_the_tree_edges(monkeypatch):
+    # A carried matrix that disagrees with a working-tree edge's weight is
+    # an invariant violation, named with the edge.
+    monkeypatch.setattr(phase1, "_carried", lambda view, added: view.bottleneck_matrix + 1)
+    with pytest.raises(InternalInvariantError, match="carried path maximum"):
+        _run(family(80, 1), 3)
+
+
+def test_views_fill_only_at_the_start_and_after_a_rebuild(monkeypatch):
+    # Work guard: a solve fills the terminal MST's matrix and one per
+    # phase-1 pick that replaced, reduced or dropped a chosen component;
+    # every other phase-1 view and every phase-2 tree carries its matrix.
+    fills = []
+    fill = ContractedTree._fill
+    monkeypatch.setattr(ContractedTree, "_fill", lambda view: fills.append(view) or fill(view))
+    res = solve(family(80, 1), RunConfig(k=3))
+    rows = res.phase1_trace["iterations"]
+    rebuilt = sum(bool(row["replacements"] or row["basic_events"]) for row in rows)
+    assert len(fills) <= 1 + rebuilt < 1 + len(rows)

@@ -6,7 +6,7 @@ import sys
 import pytest
 
 import oracles
-from conftest import FORCED, force_invariant_failure, make_batch
+from conftest import FORCED, family, force_invariant_failure, make_batch
 from steinertree import (
     CandidatePool,
     Instance,
@@ -321,3 +321,23 @@ def test_info_line_counts_candidates_and_rows_read(caplog, monkeypatch):
     monkeypatch.setattr(solver, "_log_candidates", computed)
     with caplog.at_level("WARNING", logger="steinertree.solver"):
         assert solve(inst, RunConfig(k=4)).to_json(timing=False) == res.to_json(timing=False)
+
+
+def test_info_line_after_each_phase(caplog):
+    # One INFO line after each greedy phase, outside the JSON: phase 1's
+    # iterations, views carried and filled, and its displacement events;
+    # phase 2's picks, contractions, rows scored and rescans.
+    inst = family(80, 1)
+    with caplog.at_level("INFO", logger="steinertree"):
+        res = solve(inst, RunConfig(k=3))
+    lines = [r.getMessage() for r in caplog.records if ": phase " in r.getMessage()]
+    assert lines == [
+        "family-80-1: phase 1 4 iterations, views 3 carried 2 filled, 8 edges displaced,"
+        " 1 components re-sourced, 0 remnants, 1 dropped",
+        "family-80-1: phase 2 4 picks, 8 contractions, 16159 rows scored of 56720, 3 rescans",
+    ]
+    assert len(res.phase1_trace["iterations"]) == len(res.phase2_trace["iterations"]) == 4
+    caplog.clear()
+    with caplog.at_level("WARNING", logger="steinertree"):
+        assert solve(inst, RunConfig(k=3)).to_json(timing=False) == res.to_json(timing=False)
+    assert not caplog.records

@@ -31,7 +31,7 @@ from .core import (
     ContractedTree,
     Instance,
     MetricClosure,
-    UnionFind,
+    connected_parts,
     edge_key,
     kruskal_indices,
     prune_leaves,
@@ -68,12 +68,8 @@ class FullComponent:
         if steiner != set(self.steiner_origin):
             raise InternalInvariantError("steiner ids and origin map disagree")
         self.steiner_ids = tuple(sorted(steiner))
-        if len(self.edges) != len(nodes) - 1:
+        if len(self.edges) != len(nodes) - 1 or len(connected_parts(nodes, self.edges)) != 1:
             raise InternalInvariantError("component edges do not form a tree")
-        uf = UnionFind(nodes)
-        for u, v, _ in self.edges:
-            if not uf.union(u, v):
-                raise InternalInvariantError("cycle inside component")
         degree: dict[int, int] = {}
         for u, v, _ in self.edges:
             degree[u] = degree.get(u, 0) + 1
@@ -133,33 +129,25 @@ class Contraction(NamedTuple):
 def loss_contract(comp: FullComponent) -> Contraction:
     nodes = {x for e in comp.edges for x in e[:2]}
     forest = set(comp.loss_forest_indices)
-    uf = UnionFind(nodes)
-    for i in forest:
-        u, v, _ = comp.edges[i]
-        uf.union(u, v)
-    members: dict[int, list[int]] = {}
-    for x in nodes:
-        members.setdefault(uf.find(x), []).append(x)
     term_set = set(comp.terminals)
     rep: dict[int, int] = {}
-    part_terms: dict[int, list[int]] = {}
-    for root, xs in members.items():
-        terms = sorted(x for x in xs if x in term_set)
+    part_terms: list[list[int]] = []
+    for part in connected_parts(nodes, [comp.edges[i] for i in forest]):
+        terms = sorted(part & term_set)
         if not terms:
             raise InternalInvariantError("loss part without a terminal")
-        rep[root] = terms[0]
-        part_terms[root] = terms
+        rep.update(dict.fromkeys(part, terms[0]))
+        part_terms.append(terms)
     out: list[ContractedEdge] = []
     for i, (u, v, w) in enumerate(comp.edges):
         if i in forest:
             continue
-        ru, rv = rep[uf.find(u)], rep[uf.find(v)]
+        ru, rv = rep[u], rep[v]
         if ru == rv:
             raise InternalInvariantError("non-loss edge inside a loss part")
         out.append(ContractedEdge(min(ru, rv), max(ru, rv), w, i))
-    for root, terms in sorted(part_terms.items(), key=lambda kv: rep[kv[0]]):
-        r = rep[root]
-        for t in terms[1:]:
+    for r, *rest in sorted(part_terms):  # parts are disjoint: by representative
+        for t in rest:
             out.append(ContractedEdge(min(r, t), max(r, t), 0, None))
     total = sum(e.w for e in out)
     if total != comp.cost - comp.loss:

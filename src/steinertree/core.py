@@ -61,36 +61,6 @@ def edge_key(u: int, v: int, w: int) -> tuple[int, int, int]:
     return (w, u, v) if u <= v else (w, v, u)
 
 
-class UnionFind:
-    __slots__ = ("parent", "rank", "groups")
-
-    def __init__(self, items: Iterable[int]):
-        self.parent = {x: x for x in items}
-        self.rank = {x: 0 for x in self.parent}
-        self.groups = len(self.parent)
-
-    def find(self, x: int) -> int:
-        parent = self.parent
-        root = x
-        while parent[root] != root:
-            root = parent[root]
-        while parent[x] != root:
-            parent[x], x = root, parent[x]
-        return root
-
-    def union(self, a: int, b: int) -> bool:
-        ra, rb = self.find(a), self.find(b)
-        if ra == rb:
-            return False
-        if self.rank[ra] < self.rank[rb]:
-            ra, rb = rb, ra
-        self.parent[rb] = ra
-        if self.rank[ra] == self.rank[rb]:
-            self.rank[ra] += 1
-        self.groups -= 1
-        return True
-
-
 # ---------------------------------------------------------------------------
 # Instances
 
@@ -118,8 +88,10 @@ class Instance:
     ) -> "Instance":
         """Validate and normalize. Weights may be int, Fraction, Decimal, or
         numeric strings; floats are rejected to keep arithmetic exact.
-        Endpoints and terminals must be integers of any integer type.
+        The vertex count, endpoints and terminals must be integers of any
+        integer type.
         """
+        vertex_count = _vertex_id(vertex_count, "vertex count")
         if vertex_count < 1:
             raise InvalidInstanceError("vertex count must be positive")
         if vertex_count > VERTEX_LIMIT:
@@ -586,14 +558,10 @@ class Tree:
             node_set.add(v)
         if not node_set:
             raise InvalidInstanceError("empty tree")
-        if len(edges) != len(node_set) - 1:
+        if len(edges) != len(node_set) - 1 or len(connected_parts(node_set, edges)) != 1:
             raise InvalidInstanceError(
-                f"{len(edges)} edges cannot form a tree on {len(node_set)} nodes"
+                f"{len(edges)} edges do not form a tree on {len(node_set)} nodes"
             )
-        uf = UnionFind(node_set)
-        for u, v, _ in edges:
-            if not uf.union(u, v):
-                raise InvalidInstanceError(f"cycle through edge ({u},{v})")
         return cls(frozenset(node_set), tuple(edges), sum(w for _, _, w in edges))
 
 
@@ -646,6 +614,37 @@ def kruskal_indices(
     return kept
 
 
+def connected_parts(nodes: Iterable[int], edges: Iterable[Sequence[int]]) -> list[set[int]]:
+    """Node sets of the connected parts of the graph on `nodes` with
+    `edges` ((u, v, ...) rows between them), in order of their first node
+    in `nodes`. A tree on n nodes is n - 1 edges in one part. The
+    union-find is `kruskal_indices`' list with path halving; a join hangs
+    the later root under the earlier, so every parent precedes its child,
+    a part's root is its first node, and one pass in node order leaves
+    each node's parent at its root."""
+    order = list(dict.fromkeys(nodes))
+    index = {x: i for i, x in enumerate(order)}
+    parent = list(range(len(order)))
+    for e in edges:
+        a, b = index[e[0]], index[e[1]]
+        while a != parent[a]:
+            parent[a] = a = parent[parent[a]]
+        while b != parent[b]:
+            parent[b] = b = parent[parent[b]]
+        if a < b:
+            parent[b] = a
+        else:
+            parent[a] = b
+    parts: dict[int, set[int]] = {}
+    for i, x in enumerate(order):
+        parent[i] = root = parent[parent[i]]
+        if root == i:
+            parts[i] = {x}
+        else:
+            parts[root].add(x)
+    return list(parts.values())
+
+
 def tree_paths(edges: Sequence[Sequence[int]], members: Iterable[int]) -> list[int]:
     """Indices, increasing, of the tree `edges` ((u, v, ...) rows) that lie
     on a path between two of `members`: a breadth-first search from the
@@ -683,6 +682,26 @@ def tree_paths(edges: Sequence[Sequence[int]], members: Iterable[int]) -> list[i
             on_paths.append(i)
     on_paths.sort()
     return on_paths
+
+
+def kruskal_over_paths(edges: Sequence[Sequence[int]], paths: Sequence[int],
+                       added: Sequence[Sequence[int]] = (),
+                       merged: Sequence[int] = ()) -> tuple[list, list[int]]:
+    """The MST of the tree `edges` ((u, v, w, ...) rows) with the edges
+    `added` joined to its graph, or the nodes `merged` joined at zero cost,
+    both among the ends of its tree paths `paths` (`tree_paths`): (the
+    MST's rows, the indices, increasing, of the tree rows it drops).
+    Kruskal runs over the rows on those paths and `added` alone. Every
+    other row is a bridge and keeps its place; kept added rows follow, in
+    order, as in one Kruskal over `edges` then `added`."""
+    cycles = [edges[i] for i in paths] + list(added)
+    kept = set(kruskal_indices({x for e in cycles for x in e[:2]}, cycles,
+                               [merged] if merged else ()))
+    dropped = [p for i, p in enumerate(paths) if i not in kept]
+    gone = set(dropped)
+    tree = [e for i, e in enumerate(edges) if i not in gone]
+    tree += [e for i, e in enumerate(added, len(paths)) if i in kept]
+    return tree, dropped
 
 
 def minimum_spanning_tree(nodes: Iterable[int], weights: np.ndarray) -> Tree:
@@ -812,7 +831,8 @@ class ContractedTree:
         Edges keep their order, ids remapped to the merged representative.
         Only the edges on the tree paths between the merged
         representatives can close a cycle (`tree_paths`); Kruskal, under
-        the remapped ids, runs over those alone and keeps every other edge.
+        the remapped ids, runs over those alone and keeps every other edge
+        (`kruskal_over_paths`).
         A built bottleneck matrix is carried over exactly: through the zero-cost
         group, b' = min(b, max(near_x, near_z)), near being the bottleneck to it."""
         group_reps = self._group_reps(group)
@@ -822,11 +842,8 @@ class ContractedTree:
         new_rep_of = {n: (new_rep if r in group_reps else r) for n, r in self.rep_of.items()}
         mapped = [(new_rep if u in group_reps else u, new_rep if v in group_reps else v, w)
                   for u, v, w in self.edges]
-        paths = tree_paths(self.edges, group_reps)
-        cycles = [mapped[i] for i in paths]
-        kept = kruskal_indices({x for e in cycles for x in e[:2]}, cycles)
-        dropped = set(paths).difference([paths[i] for i in kept])
-        tree = ContractedTree(new_rep_of, [e for i, e in enumerate(mapped) if i not in dropped])
+        tree = ContractedTree(new_rep_of,
+                              kruskal_over_paths(mapped, tree_paths(self.edges, group_reps))[0])
         if self._bottleneck is not None:
             b = self._bottleneck
             rows = [self.rep_index[r] for r in group_reps]

@@ -39,9 +39,10 @@ from .core import (
     Instance,
     MetricClosure,
     Tree,
-    UnionFind,
+    connected_parts,
     kruskal_indices,
-    prune_leaves,
+    kruskal_over_paths,
+    pruned_mst,
     tree_paths,
 )
 from .errors import InternalInvariantError
@@ -84,51 +85,15 @@ def _ratio_json(gain_value: int, loss_value: int) -> list | str:
     return [f.numerator, f.denominator]
 
 
-def _merge_mst(t0: Tree, chosen: list[ChosenEntry]) -> list[Edge]:
-    """The MST of the starting tree plus every chosen component's full
-    edge set, before pruning."""
-    edges = list(t0.edges)
+def merge_graph(t0: Tree, chosen: list[ChosenEntry]) -> tuple[list[Edge], dict[int, int]]:
+    """The starting tree's edges plus every chosen component's full edge
+    set, and the chosen interior ids' graph vertices: its MST, with
+    interior leaves pruned (`core.pruned_mst`), is a phase's solution."""
+    edges, origin = list(t0.edges), {}
     for entry in chosen:
         edges.extend(entry.comp.edges)
-    nodes = {x for e in edges for x in e[:2]}  # t0's edges reach every terminal
-    return [edges[i] for i in kruskal_indices(nodes, edges)]
-
-
-def _pruned_merge(t0: Tree, chosen: list[ChosenEntry],
-                  mst: list[Edge]) -> tuple[int, Tree, dict[int, int]]:
-    """The merge's MST `mst` (`_merge_mst`) with its interior leaves
-    pruned: (cost before pruning, pruned tree, interior id -> graph
-    vertex)."""
-    origin: dict[int, int] = {}
-    for entry in chosen:
         origin.update(entry.comp.steiner_origin)
-    terms = sorted(t0.nodes)
-    return sum(w for _, _, w in mst), Tree.from_edges(prune_leaves(mst, terms), terms), origin
-
-
-def merge(t0: Tree, chosen: list[ChosenEntry]) -> tuple[int, Tree, dict[int, int]]:
-    """The starting tree plus every chosen component's full edge set,
-    reduced to its MST with interior leaves pruned (`_pruned_merge`)."""
-    return _pruned_merge(t0, chosen, _merge_mst(t0, chosen))
-
-
-def _kruskal_over_paths(current: list, paths: list[int], added: Sequence = (),
-                        merged: Sequence[int] = ()) -> tuple[list, list]:
-    """The working tree `current` ((u, v, w, tag) rows) with the edges
-    `added` joined to its graph, or the nodes `merged` joined at zero
-    cost, both among the ends of its tree paths `paths`
-    (`core.tree_paths`): (the MST's rows, the tags of the rows it drops).
-    Kruskal, under the original ids, runs over the rows on those paths and
-    `added` alone. Every other row is a bridge and keeps its place; kept
-    added rows follow, in order, as in one Kruskal over `current` then
-    `added`."""
-    cycles = [current[i] for i in paths] + list(added)
-    kept = set(kruskal_indices({x for e in cycles for x in e[:2]}, cycles,
-                               [merged] if merged else ()))
-    dropped = {paths[i] for i in range(len(paths)) if i not in kept}
-    tree = [e for i, e in enumerate(current) if i not in dropped]
-    tree += [e for i, e in enumerate(added, len(paths)) if i in kept]
-    return tree, [current[i][3] for i in sorted(dropped)]
+    return edges, origin
 
 
 def _carried(view: ContractedTree, added: Sequence[Edge]) -> np.ndarray:
@@ -170,7 +135,6 @@ def run_phase1(instance: Instance, closure: MetricClosure,
     rows: list[dict] = []
     carried = 0  # views whose matrix was carried, not filled
     reduced = False  # whether the last pick left a remnant
-    merged_mst = list(t0.edges)  # the merge's MST with nothing chosen: t0
     view = ContractedTree.from_tree(t0)
     start = ScoredTree(view, pool.savings_for(view))
     active = np.flatnonzero(start.savings > pool.costs)
@@ -201,7 +165,8 @@ def run_phase1(instance: Instance, closure: MetricClosure,
         # Only the tree paths between the pick's terminals can close a cycle
         # when they merge, or when its contraction edges join.
         paths = tree_paths(current, comp.terminals)
-        _, displaced = _kruskal_over_paths(current, paths, merged=comp.terminals)
+        _, dropped = kruskal_over_paths(current, paths, merged=comp.terminals)
+        displaced = [current[i][3] for i in dropped]
         by_owner: dict[int, list[int]] = {}
         for owner, j in displaced:
             if owner != BASE:
@@ -223,8 +188,9 @@ def run_phase1(instance: Instance, closure: MetricClosure,
                      "removed_edges": [list(old.comp.edges[s]) for s in removed],
                      "parts": []}
             kept_edges = [e for i, e in enumerate(old.comp.edges) if i not in removed]
-            part_nodes = _connected_parts(old.comp, kept_edges)
-            for nodes in part_nodes:
+            # Parts with a terminal first, by their smallest one; then by smallest node.
+            for nodes in connected_parts([*old.comp.terminals, *old.comp.steiner_ids],
+                                         kept_edges):
                 part_terms = [t for t in old.comp.terminals if t in nodes]
                 if len(part_terms) < 2:
                     event["parts"].append({"terminals": part_terms, "kept": False})
@@ -263,7 +229,7 @@ def run_phase1(instance: Instance, closure: MetricClosure,
                     tagged.append((ce.u, ce.v, ce.w, (e.uid, j)))
             current = [tagged[i] for i in kruskal_indices(terms, tagged)]
         else:
-            current, _ = _kruskal_over_paths(current, paths, [
+            current, _ = kruskal_over_paths(current, paths, [
                 (ce.u, ce.v, ce.w, (entry.uid, j)) for j, ce in enumerate(comp.contraction.edges)])
         # The cost is a nonnegative integer that falls with every pick, so
         # the phase ends.
@@ -302,9 +268,10 @@ def run_phase1(instance: Instance, closure: MetricClosure,
         chosen = final_chosen
         reduced = any(b["action"] == "reduced" for b in basic_events)
 
-        # The merge's MST; its tree is pruned once, after the loop.
-        merged_mst = _merge_mst(t0, chosen)
-        merged_cost = sum(w for _, _, w in merged_mst)
+        # The merge's MST cost; its tree is built once, after the loop.
+        merged, _ = merge_graph(t0, chosen)
+        nodes = {x for e in merged for x in e[:2]}  # t0's edges reach every terminal
+        merged_cost = sum(merged[i][2] for i in kruskal_indices(nodes, merged))
         loss_total = sum(e.comp.loss for e in chosen)
         if merged_cost != current_cost + loss_total:
             raise InternalInvariantError(
@@ -342,7 +309,8 @@ def run_phase1(instance: Instance, closure: MetricClosure,
 
     base_tree = Tree.from_edges([(u, v, w) for u, v, w, _ in current], terms)
     base = start if view is start.view else ScoredTree(view, pool.savings_for(view))
-    merged_cost, solution, origin = _pruned_merge(t0, chosen, merged_mst)
+    merged, origin = merge_graph(t0, chosen)
+    merged_cost, solution = pruned_mst(merged, terms)
     if log.isEnabledFor(logging.INFO):
         log.info("%s: phase 1 %d iterations, views %d carried %d filled, %d edges displaced,"
                  " %d components re-sourced, %d remnants, %d dropped",
@@ -376,21 +344,3 @@ def run_phase1(instance: Instance, closure: MetricClosure,
         trace=trace,
     )
 
-
-def _connected_parts(comp: FullComponent, kept_edges: list) -> list[set[int]]:
-    """Connected node sets of the component after edge removal, ordered by
-    their smallest terminal (then smallest node) for determinism."""
-    nodes = {x for e in comp.edges for x in e[:2]}
-    uf = UnionFind(nodes)
-    for u, v, _ in kept_edges:
-        uf.union(u, v)
-    groups: dict[int, set[int]] = {}
-    for x in nodes:
-        groups.setdefault(uf.find(x), set()).add(x)
-    term_set = set(comp.terminals)
-
-    def order_key(part: set[int]) -> tuple:
-        terms = sorted(x for x in part if x in term_set)
-        return (0, terms[0], min(part)) if terms else (1, min(part), 0)
-
-    return sorted(groups.values(), key=order_key)

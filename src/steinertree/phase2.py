@@ -21,9 +21,9 @@ from fractions import Fraction
 import numpy as np
 
 from .components import CandidatePool, argmin_ratio, rows_at_most
-from .core import Instance, Tree
+from .core import Instance, Tree, pruned_mst
 from .errors import InternalInvariantError
-from .phase1 import ChosenEntry, ScoredTree, merge
+from .phase1 import ChosenEntry, ScoredTree, merge_graph
 
 log = logging.getLogger(__name__)
 
@@ -233,7 +233,8 @@ def run_phase2(instance: Instance, pool: CandidatePool, t0: Tree,
     for j in range(len(picked)):
         comp, alloc = built.component(j, alloc)
         chosen.append(ChosenEntry(j + 1, comp))
-    unpruned, solution, origin = merge(t0, chosen)
+    edges, origin = merge_graph(t0, chosen)
+    unpruned, solution = pruned_mst(edges, terms)
     if log.isEnabledFor(logging.INFO):
         scored, rescans = (prefix.scored, prefix.scans - prefix.iteration) if prefix else (0, 0)
         log.info("%s: phase 2 %d picks%s, %d contractions, %d rows scored of %d, %d rescans",

@@ -71,6 +71,14 @@ def test_component_rejects_non_tree():
         FullComponent([1, 2], [(1, 5, 1), (2, 5, 1), (1, 2, 1)], {5: 5})
 
 
+def test_component_rejects_an_interior_cycle_with_a_tree_edge_count():
+    # Six nodes, five edges, but 5-6-7 close a cycle and cut 2-8 off: only
+    # the connected-parts check sees it.
+    with pytest.raises(InternalInvariantError, match="do not form a tree"):
+        FullComponent([1, 2], [(1, 5, 1), (5, 6, 1), (6, 7, 1), (5, 7, 1), (2, 8, 1)],
+                      {5: 5, 6: 6, 7: 7, 8: 8})
+
+
 def test_component_rejects_missing_origin():
     with pytest.raises(InternalInvariantError):
         FullComponent([1, 2], [(1, 5, 1), (2, 5, 1)])  # node 5 has no origin

@@ -1,4 +1,5 @@
 import itertools
+import json
 import random
 from fractions import Fraction
 
@@ -13,6 +14,7 @@ from steinertree import (
     DisconnectedTerminalsError,
     Instance,
     InvalidInstanceError,
+    RunConfig,
     Tree,
     UnknownNodeError,
     enumerate_full_components,
@@ -20,11 +22,13 @@ from steinertree import (
     metric_closure,
     minimum_spanning_tree,
     random_instance,
+    solve,
 )
 from steinertree import components, core
 from steinertree.core import (
     WEIGHT_LIMIT,
     ContractedTree,
+    connected_parts,
     format_cost,
     kruskal_indices,
     prune_leaves,
@@ -65,6 +69,17 @@ def test_build_rejects_vertex_ids_that_are_not_integers():
     inst = Instance.build(3, [(np.int64(1), np.int32(2), 4), (2, 3, 1)], [np.int16(1), 3])
     assert inst.edges == ((1, 2, 4), (2, 3, 1)) and inst.terminals == {1, 3}
     assert all(type(x) is int for x in (*inst.edges[0], *inst.terminals))
+
+
+def test_build_normalizes_the_vertex_count():
+    # Like the ids: 3.5 would reach the JSON as is, and "3" fail in a comparison.
+    for count in (3.5, "3"):
+        with pytest.raises(InvalidInstanceError, match="vertex count"):
+            Instance.build(count, [(1, 2, 4), (2, 3, 1)], [1, 3])
+    inst = Instance.build(np.int64(3), [(1, 2, 4), (2, 3, 1)], [1, 3])
+    assert type(inst.vertex_count) is int and inst.vertex_count == 3
+    res = solve(inst, RunConfig(k=3))
+    assert json.loads(res.to_json(timing=False))["instance"]["vertices"] == 3
 
 
 def test_build_common_denominator_boundary():
@@ -576,8 +591,49 @@ def test_kruskal_numbers_any_node_ids():
 def test_tree_from_edges_validates():
     t = Tree.from_edges([(1, 2, 3), (2, 3, 4)], [1, 2, 3])
     assert t.total_cost == 7
-    with pytest.raises(Exception):
+    with pytest.raises(InvalidInstanceError):
         Tree.from_edges([(1, 2, 1), (2, 3, 1), (1, 3, 1)], [1, 2, 3])  # cycle
+    with pytest.raises(InvalidInstanceError):
+        # n - 1 edges, but a cycle among 1, 2, 3 leaves 4 unreached.
+        Tree.from_edges([(1, 2, 1), (2, 3, 1), (1, 3, 1)], [1, 2, 3, 4])
+    with pytest.raises(InvalidInstanceError):
+        Tree.from_edges([(1, 2, 1), (2, 2, 1)], [1, 2, 3])  # a self-loop
+    with pytest.raises(InvalidInstanceError):
+        Tree.from_edges([(5, 5, 0)], [5])
+    with pytest.raises(InvalidInstanceError):
+        Tree.from_edges([], [])
+    single = Tree.from_edges([], [5])
+    assert single.nodes == {5} and single.edges == () and single.total_cost == 0
+
+
+def test_connected_parts_examples():
+    # Parts come in order of their first node; isolated nodes are their own
+    # parts, and parallel edges and self-loops join nothing more.
+    assert connected_parts([], []) == []
+    assert connected_parts([4], [(4, 4, 0)]) == [{4}]
+    edges = [(7, 3, 1), (3, 7, 2), (9, 9, 0), (2, 9, 5), (3, 7, 1)]
+    assert connected_parts([9, 1, 3, 2, 7, 8], edges) == [{9, 2}, {1}, {3, 7}, {8}]
+    assert connected_parts([1, 2, 3, 4, 5], [(5, 4, 1), (4, 3, 1), (3, 2, 1), (2, 1, 1)]) == [
+        {1, 2, 3, 4, 5}]
+    rng = random.Random(5)
+    for _ in range(200):
+        nodes = rng.sample(range(30), rng.randint(1, 12))
+        edges = [(rng.choice(nodes), rng.choice(nodes)) for _ in range(rng.randint(0, 12))]
+        parts = connected_parts(nodes, edges)
+        assert sorted(x for p in parts for x in p) == sorted(nodes)
+        assert [min(p, key=nodes.index) for p in parts] == sorted(
+            (min(p, key=nodes.index) for p in parts), key=nodes.index)
+        where = {x: i for i, p in enumerate(parts) for x in p}
+        assert all(where[u] == where[v] for u, v in edges)
+        # A part splits into no two sides without an edge between them.
+        for p in parts:
+            reached, stack = set(), [next(iter(p))]
+            while stack:
+                x = stack.pop()
+                if x not in reached:
+                    reached.add(x)
+                    stack += [v for u, v in edges if u == x] + [u for u, v in edges if v == x]
+            assert reached == p
 
 
 def test_bottleneck_edge_examples():

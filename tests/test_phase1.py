@@ -18,7 +18,7 @@ from steinertree import (
 )
 from steinertree import phase1, solver
 from steinertree.components import argmin_ratio
-from steinertree.core import ContractedTree, kruskal_indices, tree_paths
+from steinertree.core import ContractedTree, kruskal_indices, kruskal_over_paths, tree_paths
 from steinertree.errors import InternalInvariantError
 from steinertree.phase1 import run_phase1
 
@@ -294,6 +294,12 @@ def test_displacement_and_appended_tree_over_the_paths_match_a_full_kruskal():
     # the dropped tags of one Kruskal over every row.
     rng = random.Random(31)
     weights = [0, 1, 1, 2, 3]
+
+    def tagged(result):  # dropped row indices as the rows' tags
+        tree, dropped = result
+        assert dropped == sorted(dropped)
+        return tree, [current[i][3] for i in dropped]
+
     for trial in range(400):
         nodes = rng.sample(range(1, 50), rng.randint(2, 14))
         order = rng.sample(nodes, len(nodes))
@@ -305,7 +311,7 @@ def test_displacement_and_appended_tree_over_the_paths_match_a_full_kruskal():
         kept = kruskal_indices(nodes, current, merged_groups=[group])
         want = ([current[i] for i in kept],
                 [current[i][3] for i in range(len(current)) if i not in kept])
-        assert phase1._kruskal_over_paths(current, paths, merged=group) == want
+        assert tagged(kruskal_over_paths(current, paths, merged=group)) == want
 
         # Contraction edges: a random tree over the group, some of them
         # copies of tree edges between two of its members.
@@ -318,7 +324,7 @@ def test_displacement_and_appended_tree_over_the_paths_match_a_full_kruskal():
         kept = kruskal_indices(nodes, rows)
         want = ([rows[i] for i in kept],
                 [current[i][3] for i in range(len(current)) if i not in kept])
-        assert phase1._kruskal_over_paths(current, paths, added) == want
+        assert tagged(kruskal_over_paths(current, paths, added)) == want
 
 
 def test_every_carried_view_equals_a_fresh_fill(monkeypatch):

@@ -199,12 +199,17 @@ def test_k3_solve_without_oracles_computes_terminal_rows_only(monkeypatch):
 def test_solving_imports_only_declared_dependencies():
     # pyproject declares numpy alone. A k=4 solve with both oracles on
     # reads every closure path: batched rows, Dijkstra rows, the tables.
+    # numpy.ma is no dependency but 1.6 MB of resident memory, which
+    # np.unique would load on first use; nor does an 80-terminal k=3 solve
+    # (the many-terminals shape) load it.
     code = (
         "import sys\n"
         "from steinertree import RunConfig, random_instance, solve\n"
         "res = solve(random_instance(1, 60, 8, extra_edges=120), RunConfig(k=4))\n"
         "assert res.report.ok and res.opt_cost and res.restricted_opt_cost\n"
-        "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))\n"
+        "assert solve(random_instance(2, 120, 80, extra_edges=240), RunConfig(k=3)).report.ok\n"
+        "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'"
+        " or m == 'numpy.ma' or m.startswith('numpy.ma.')))\n"
     )
     src = os.path.dirname(os.path.dirname(solver.__file__))
     env = {**os.environ, "PYTHONPATH": src}

@@ -395,7 +395,7 @@ def enumerate_full_components(instance: Instance, closure: MetricClosure,
     of 4 or more terminals share Dreyfus-Wagner tables (_SharedTables),
     which the table keeps for reading its rows. Raises LimitExceededError when there are more
     than CANDIDATE_BUDGET subsets, or when the tables would exceed
-    DENSE_BUDGET.
+    DENSE_BUDGET, before any closure row is computed.
     """
     if k < 2:
         raise KRestrictionError(f"k must be at least 2, got {k}")
@@ -409,9 +409,13 @@ def enumerate_full_components(instance: Instance, closure: MetricClosure,
             f"budget of {CANDIDATE_BUDGET}; use a smaller k"
         )
     tidx = np.array([closure.index[t] for t in terms], dtype=np.int64)
+    nv = len(closure.vertices)
+    if k >= 4:
+        # The budget before any closure row is computed, then the matrix:
+        # every row in one batch, the terminals' rows below among them.
+        check_dense_budget(nv, r, k - 2, "use a smaller k")
+        closure.dist
     rows_of = closure.rows(terms)  # closure distances from each terminal
-    vertices = np.asarray(closure.vertices, dtype=np.int64)
-    nv = len(vertices)
 
     # Blocks of (positions, hub columns, splits, interior counts, costs).
     # Pairs: one closure edge each, to the last terminal.
@@ -424,7 +428,6 @@ def enumerate_full_components(instance: Instance, closure: MetricClosure,
         blocks.append((triples, hubs, 0, 1, costs))
     tables = None
     if k >= 4:
-        check_dense_budget(nv, r, k - 2, "use a smaller k")
         tables = _SharedTables(closure.dist, tidx, k - 2)
         for m in range(4, k + 1):
             for subset, hub, cost, split, parts in tables.last_masks(m):

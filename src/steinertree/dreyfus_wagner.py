@@ -19,13 +19,16 @@ import numpy as np
 from .errors import LimitExceededError
 
 
-# Most int64 elements in one temporary array of the shared Dreyfus-Wagner
-# tables: 2**16 elements are 512 KiB. Tables are built in chunks of subsets,
-# and last masks evaluated in chunks of bases, sized so that the gathered
-# splits (a closure row per split and subset or base) and the V x V min-plus
-# step stay within it, so transient memory does not grow with the number of
-# subsets. One subset or base is never split, so above 256 vertices a table
-# chunk is V*V, the size of `dist`.
+# Most int64 elements in one block of the shared Dreyfus-Wagner tables:
+# 2**16 elements are 512 KiB. Every large temporary is a view of one work
+# buffer, allocated once per table build and per last-mask pass at the size
+# its chunk plan (`_plan`) needs: each half of a block of gathered splits,
+# the V x V min-plus step over a block of destination columns, and the last
+# masks' merged rows and per-q totals. Subsets (bases for the last masks)
+# are chunked, a subset's splits folded a block at a time, and the min-plus
+# step blocked over columns, so no block exceeds DW_CHUNK at any V (one
+# closure row, V <= DW_CHUNK under DENSE_BUDGET, is the smallest block), and
+# transient memory grows with neither the number of subsets nor of splits.
 DW_CHUNK = 2**16
 
 # Most bytes of the dense arrays over the V closure vertices that k >= 4
@@ -46,6 +49,19 @@ def check_dense_budget(vertices: int, terminals: int, top: int, remedy: str) -> 
         raise LimitExceededError(
             f"the distance matrix and Dreyfus-Wagner tables over {vertices} vertices "
             f"need {need} bytes, above the budget of {DENSE_BUDGET}; {remedy}")
+
+
+def _plan(rows: int, splits: int, nv: int, width: int) -> tuple[int, int, int]:
+    """The chunk plan for `rows` rows of `splits` splits each over nv
+    vertices, whose widest other block is `width` vertices per row and
+    vertex: (rows per chunk n, splits or columns per block b, work buffer
+    elements). A chunk's merged rows take n * nv elements, each gathered
+    half n * min(b, splits) * nv and the other block n * min(b, width) * nv;
+    all are within DW_CHUNK unless a single row and split (or column)
+    already exceeds it."""
+    n = min(rows, max(1, DW_CHUNK // (nv * max(width, splits))))
+    b = max(1, DW_CHUNK // (n * nv))
+    return n, b, n * nv * (1 + max(2 * min(b, splits), min(b, width)))
 
 
 def _colex_levels(n: int, top: int) -> list[np.ndarray]:
@@ -91,11 +107,9 @@ class _SharedTables:
         r, nv = len(tidx), D.shape[0]
         # C(p, j) for each position p and width j, and the bit count of
         # each sub-mask of up to top + 1 positions.
-        self._binom = np.array([[math.comb(p, j) for j in range(top + 2)] for p in range(r)],
-                               dtype=np.int64)
-        self._size = np.zeros(1, dtype=np.int64)
-        for _ in range(top + 1):
-            self._size = np.concatenate([self._size, self._size + 1])
+        self._binom = np.array([math.comb(p, j) for p in range(r) for j in range(top + 2)],
+                               dtype=np.int64).reshape(r, top + 2)
+        self._size = np.bitwise_count(np.arange(1 << (top + 1))).astype(np.int64)
         self._subsets = _colex_levels(r - 1, top + 1)
         self.offset = np.cumsum([0, 0] + [len(self._subsets[s]) for s in range(1, top + 1)])
         self.W = np.empty((self.offset[-1], nv), dtype=np.int64)
@@ -103,23 +117,30 @@ class _SharedTables:
         self.split = np.zeros((self.offset[-1], nv), dtype=np.int32)
         self.W[:r - 1] = D[tidx[:r - 1]]
         self.relax[:r - 1] = tidx[:r - 1, None]
-        for s in range(2, top + 1):
+        plans = [_plan(len(self._subsets[s]), (1 << (s - 1)) - 1, nv, nv)
+                 for s in range(2, top + 1)]
+        work = np.empty(max((size for *_, size in plans), default=0), dtype=np.int64)
+        for s, (step, block, _) in zip(range(2, top + 1), plans):
             subsets = self._subsets[s]
-            step = max(1, DW_CHUNK // (nv * max(nv, (1 << (s - 1)) - 1)))
             for at in range(0, len(subsets), step):
                 chunk = subsets[at:at + step]
                 rows = slice(self.offset[s] + at, self.offset[s] + at + len(chunk))
-                subs, _, cand = self.splits(chunk)
-                merged = cand.min(axis=0)
-                self.split[rows] = subs[cand.argmin(axis=0)]
-                del cand  # the gathered splits and the min-plus step are never held together
-                # [i, v, u] is merged[i, u] + D[u, v]; closure distances
-                # are symmetric, and the argmin over u takes the first u.
-                total = merged[:, None, :] + D
-                relax = total.argmin(axis=2)
-                self.relax[rows] = relax
-                self.W[rows] = total.reshape(-1, nv)[np.arange(relax.size),
-                                                     relax.ravel()].reshape(relax.shape)
+                n = len(chunk)
+                merged, rest = work[:n * nv].reshape(n, nv), work[n * nv:]
+                subs, halves = self.splits(chunk)
+                self.split[rows] = self._fold(subs, halves, block, merged, rest, choose=True)
+                # [i, v, u] is merged[i, u] + D[u, v] over a block of
+                # columns v, in the buffer the splits were gathered into;
+                # closure distances are symmetric, and the argmin over u
+                # takes the first u.
+                for c in range(0, nv, block):
+                    cols = min(block, nv - c)
+                    total = np.add(merged[:, None, :], D[c:c + cols],
+                                   out=rest[:n * cols * nv].reshape(n, cols, nv))
+                    relax = total.argmin(axis=2)
+                    self.relax[rows, c:c + cols] = relax
+                    self.W[rows, c:c + cols] = total.reshape(-1, nv)[
+                        np.arange(relax.size), relax.ravel()].reshape(relax.shape)
 
     def _part_rows(self, base: np.ndarray) -> np.ndarray:
         """The table row of every part of each row of increasing positions,
@@ -132,20 +153,41 @@ class _SharedTables:
             rows[high] = rows[:1 << j] + self._binom.T[size[high]][:, base[:, j]]
         return rows + self.offset[size][:, None]
 
-    def splits(self, base: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    def splits(self, base: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """For rows of increasing positions: the local sub-masks of the parts
-        holding the row's first position, in decreasing order; the table
-        rows of each part and its rest, as [half, split, row]; and
-        W[part] + W[rest] for each, as [split, row, vertex]. The first
-        minimum over the splits is the largest sub-mask attaining it, the
-        choice that keeps the earlier split on a tie."""
+        holding the row's first position, in decreasing order, and the table
+        rows of each part and its rest, as [half, split, row]."""
         full = (1 << base.shape[1]) - 1
         subs = np.arange(full - 2, 0, -2)  # the odd proper sub-masks
         rows = self._part_rows(base)
-        halves = np.stack([rows[subs], rows[full ^ subs]])
-        cand = self.W[halves[0]]
-        cand += self.W[halves[1]]
-        return subs, halves, cand
+        return subs, np.stack([rows[subs], rows[full ^ subs]])
+
+    def _fold(self, subs: np.ndarray, halves: np.ndarray, block: int, merged: np.ndarray,
+              work: np.ndarray, choose: bool) -> np.ndarray | None:
+        """Fill `merged` with W[part] + W[rest] minimized over the splits, as
+        [row, vertex], gathering `block` splits at a time into `work`; with
+        `choose`, also return the sub-mask of the first minimum at every
+        vertex, the largest sub-mask attaining it, which keeps the earlier
+        split on a tie. The splits come in decreasing sub-mask order, and a
+        later block replaces the running minimum only where it is strictly
+        lower, so the fold picks what one pass over all splits would."""
+        nv = merged.shape[1]
+        for at in range(0, len(subs), block):
+            part, rest = halves[0, at:at + block], halves[1, at:at + block]
+            shape, size = (*part.shape, nv), part.size * nv
+            # take's `out` is filled in place only outside mode "raise".
+            cand = self.W.take(part, axis=0, mode="clip", out=work[:size].reshape(shape))
+            cand += self.W.take(rest, axis=0, mode="clip", out=work[size:2 * size].reshape(shape))
+            if at == 0:
+                cand.min(axis=0, out=merged)
+                choice = subs[cand.argmin(axis=0)] if choose else None
+            else:
+                low = cand.min(axis=0)
+                lower = low < merged
+                np.copyto(merged, low, where=lower)
+                if choose:
+                    np.copyto(choice, subs[at + cand.argmin(axis=0)], where=lower)
+        return choice
 
     def last_masks(self, m: int) -> Iterator[tuple[np.ndarray, ...]]:
         """Every m-subset's optimal tree root: (the subsets as increasing
@@ -155,21 +197,25 @@ class _SharedTables:
         DW_CHUNK tree ends. The bases (every position but the last) are
         merged once, a chunk at a time, and each chunk is read at every q
         above it: in colex order the bases over positions below q are the
-        first C(q, m - 1). The split is chosen only at the hub."""
-        bases = self._subsets[m - 1]
-        step = max(1, DW_CHUNK // (self.D.shape[0] * ((1 << (m - 2)) - 1)))
+        first C(q, m - 1). The split is chosen only at the hub. Merged rows
+        and totals live in one work buffer for the whole pass."""
+        bases, nv = self._subsets[m - 1], self.D.shape[0]
+        step, block, size = _plan(len(bases), (1 << (m - 2)) - 1, nv, 1)
+        work = np.empty(size, dtype=np.int64)
         batch: list[tuple[np.ndarray, ...]] = []
         held = 0  # the rows in batch
         for at in range(0, len(bases), step):
             chunk = bases[at:at + step]
-            subs, halves, cand = self.splits(chunk)
-            merged = cand.min(axis=0)
-            del cand  # the splits are read again at the hubs alone, from W
+            merged, rest = work[:len(chunk) * nv].reshape(-1, nv), work[len(chunk) * nv:]
+            totals = rest[:len(chunk) * nv].reshape(-1, nv)
+            subs, halves = self.splits(chunk)
+            # The splits are read again at the hubs alone, from W.
+            self._fold(subs, halves, block, merged, rest, choose=False)
             for q in range(m - 1, len(self.tidx)):
                 n = min(len(chunk), math.comb(q, m - 1) - at)
                 if n <= 0:
                     continue
-                total = merged[:n] + self.D[self.tidx[q]]
+                total = np.add(merged[:n], self.D[self.tidx[q]], out=totals[:n])
                 hub = total.argmin(axis=1)
                 at_hub = self.W[halves[0, :, :n], hub] + self.W[halves[1, :, :n], hub]
                 best = at_hub.argmin(axis=0)

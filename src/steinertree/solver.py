@@ -191,6 +191,13 @@ def solve(instance: Instance, config: RunConfig | None = None) -> RunResult:
     terms = sorted(instance.terminals)
     with _stage(instance, "closure"):
         closure = metric_closure(instance)
+    table = None
+    if config.mode != "mst":
+        # Before the terminal MST reads a row: at k >= 4 enumeration checks
+        # the dense budget first, then computes every closure row in one batch.
+        with _stage(instance, "enumerate"):
+            table = enumerate_full_components(instance, closure, config.k)
+    with _stage(instance, "closure"):
         t0 = minimum_spanning_tree(terms, closure.block(terms))
     mst_cost = t0.total_cost
     log.info("%s: |V|=%d |R|=%d mst=%d", instance.name or "instance",
@@ -200,9 +207,7 @@ def solve(instance: Instance, config: RunConfig | None = None) -> RunResult:
     p1: Phase1Result | None = None
     p2: Phase2Result | None = None
     max_residual_gain = None
-    if config.mode != "mst":
-        with _stage(instance, "enumerate"):
-            table = enumerate_full_components(instance, closure, config.k)
+    if table is not None:
         with _stage(instance, "pool"):
             pool = CandidatePool(table)
         with _stage(instance, "phase 1"):

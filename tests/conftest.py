@@ -4,7 +4,7 @@ import random
 import numpy as np
 import pytest
 
-from steinertree import Instance, grid_instance, random_instance
+from steinertree import Instance, MetricClosure, grid_instance, random_instance
 from steinertree.components import CandidateTable
 
 ACCEPTANCE_LINES = []
@@ -16,6 +16,25 @@ def pytest_terminal_summary(terminalreporter):
         terminalreporter.section("acceptance criteria")
         for line in ACCEPTANCE_LINES:
             terminalreporter.write_line(line)
+
+
+def recording_closure_paths(monkeypatch):
+    """Record (sources, finished) for every Δ-stepping batch and count
+    Dijkstra runs."""
+    calls = {"batches": [], "dijkstra": 0}
+    batch, dijkstra = MetricClosure._delta_stepping, MetricClosure._dijkstra
+
+    def recording_batch(self, out, slots, sources):
+        calls["batches"].append((len(sources), batch(self, out, slots, sources)))
+        return calls["batches"][-1][1]
+
+    def counting_dijkstra(self, si):
+        calls["dijkstra"] += 1
+        return dijkstra(self, si)
+
+    monkeypatch.setattr(MetricClosure, "_delta_stepping", recording_batch)
+    monkeypatch.setattr(MetricClosure, "_dijkstra", counting_dijkstra)
+    return calls
 
 
 @pytest.fixture

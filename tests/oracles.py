@@ -282,24 +282,14 @@ def reference_closure(instance, sources=None):
     return vertices, dist, pred
 
 
-def reference_dw_closure_tree(D, term_idx):
-    """The earlier per-subset Dreyfus-Wagner program, the reference for
-    exact.dw_closure_tree and the shared tables: (cost, closure edges as
-    index pairs) of an optimal tree over closure indices. Tables are keyed
-    by subsets of all terminals but the last; masks are processed in
-    increasing numeric order and all argmins take the first index, which
-    pins the reconstruction."""
-    m = len(term_idx)
-    if m == 1:
-        return 0, []
-    if m == 2:
-        a, b = term_idx
-        return int(D[a, b]), [(a, b)]
-    q = term_idx[-1]
-    base = list(term_idx[:-1])
-    mu = len(base)
+def reference_dw_tables(D, base):
+    """The per-subset reference's tables over the closure indices `base`:
+    W, relax and split as dicts keyed by local mask (relax and split for
+    masks of two or more terminals). Masks go in increasing numeric order;
+    each mask's sub-masks holding its lowest bit go in decreasing order with
+    a strict `<`, and all argmins take the first index."""
     nv = D.shape[0]
-    full = (1 << mu) - 1
+    full = (1 << len(base)) - 1
     W, relax, split = {}, {}, {}
     for i, t in enumerate(base):
         W[1 << i] = D[t].astype(np.int64, copy=True)
@@ -321,6 +311,44 @@ def reference_dw_closure_tree(D, term_idx):
         W[mask] = total.min(axis=0)
         relax[mask] = total.argmin(axis=0)
         split[mask] = choice
+    return W, relax, split
+
+
+def reference_shared_tables(tables):
+    """W, relax and split of every row of a _SharedTables from the
+    per-subset reference, in the shared layout: the s-subsets of positions
+    take the rows from offset[s] on, in colex order, each split a local
+    sub-mask; a single terminal's row is its closure row, its own relax and
+    split 0."""
+    W = np.empty_like(tables.W)
+    relax, split = np.zeros_like(tables.relax), np.zeros_like(tables.split)
+    for s in range(1, len(tables.offset) - 1):
+        for i, row in enumerate(tables._subsets[s].tolist()):
+            base = tables.tidx[row].tolist()
+            w, rl, sp = reference_dw_tables(tables.D, base)
+            full, at = (1 << s) - 1, tables.offset[s] + i
+            W[at] = w[full]
+            relax[at] = rl[full] if s > 1 else base[0]
+            split[at] = sp[full] if s > 1 else 0
+    return W, relax, split
+
+
+def reference_dw_closure_tree(D, term_idx):
+    """The earlier per-subset Dreyfus-Wagner program, the reference for
+    exact.dw_closure_tree and the shared tables: (cost, closure edges as
+    index pairs) of an optimal tree over closure indices. Tables are keyed
+    by subsets of all terminals but the last (reference_dw_tables), and
+    the tree is rebuilt from them, part before rest."""
+    m = len(term_idx)
+    if m == 1:
+        return 0, []
+    if m == 2:
+        a, b = term_idx
+        return int(D[a, b]), [(a, b)]
+    q = term_idx[-1]
+    base = list(term_idx[:-1])
+    full = (1 << len(base)) - 1
+    W, relax, split = reference_dw_tables(D, base)
     cost = int(W[full][q])
 
     edges = []

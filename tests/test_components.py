@@ -671,6 +671,66 @@ def test_last_masks_merge_each_base_once(monkeypatch):
         assert sum(gathered) == math.comb(19, m - 1)
 
 
+def _small_chunk_cases():
+    """(instance, k) on tied grids and zero weights, for DW_CHUNK = 2**9:
+    a 13 x 15 unit grid (195 vertices: two splits or columns per block, so
+    every table level and last-mask pass of three or more splits folds, and
+    the last column block is one column), the 6 x 6 unit grid (column
+    blocks 14, 14, 8), and zero-weight instances whose chunks of subsets
+    and bases end shorter."""
+    return [(grid_instance(13, 15, max_weight=1, terminal_stride=24), 5),
+            (tie_instances()[0], 4), (tie_instances()[1], 5), (_zero_weight_instances()[0], 4),
+            (_zero_weight_instances()[0], 5)]
+
+
+@pytest.mark.parametrize("case", range(5))
+def test_small_chunks_reuse_the_work_buffer_without_stale_values(case, monkeypatch):
+    # Every block of the one work buffer is overwritten chunk after chunk;
+    # no value of an earlier chunk, split block or column block may reach
+    # the tables, the last masks or the candidate table.
+    monkeypatch.setattr(dreyfus_wagner, "DW_CHUNK", 2**9)
+    plan, plans = dreyfus_wagner._plan, []
+    monkeypatch.setattr(dreyfus_wagner, "_plan",
+                        lambda *args: plans.append((*args, *plan(*args))) or plan(*args))
+    inst, k = _small_chunk_cases()[case]
+    closure = metric_closure(inst)
+    tidx = np.array([closure.index[t] for t in sorted(inst.terminals)])
+    tables = dreyfus_wagner._SharedTables(closure.dist, tidx, k - 2)
+    for got, want in zip((tables.W, tables.relax, tables.split),
+                         oracles.reference_shared_tables(tables)):
+        assert got.tolist() == want.tolist()
+    for m in range(4, k + 1):
+        got = {}
+        for subsets, hub, cost, split, _ in tables.last_masks(m):
+            for row in zip(subsets.tolist(), hub.tolist(), cost.tolist(), split.tolist()):
+                got[tuple(row[0])] = tuple(row[1:])
+        assert got == oracles.reference_last_masks(tables, m)
+    # Every table level and last-mask pass took several chunks.
+    assert all(n < rows for rows, _, _, _, n, _, _ in plans)
+    if case == 0:
+        assert all(block < splits for _, splits, _, _, _, block, _ in plans if splits > 2)
+    _assert_table_matches_reference(inst, k)
+
+
+def test_table_build_transient_memory_stays_within_two_chunks():
+    # Above 256 vertices a subset's V x V min-plus step is blocked over
+    # columns, so building the tables on 400 vertices passes through at most
+    # the work buffer, two chunks, and a few closure rows beyond the arrays
+    # the tables keep; one unblocked step would be 400**2 int64 (1.28 MB).
+    inst = grid_instance(20, 20, seed=4, terminal_stride=45)
+    closure = metric_closure(inst)
+    tidx = np.array([closure.index[t] for t in sorted(inst.terminals)])
+    nv, D = len(closure.vertices), closure.dist
+    tracemalloc.start()
+    try:
+        tables = dreyfus_wagner._SharedTables(D, tidx, 3)
+        kept, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert nv == 400 and len(tables.W) == sum(math.comb(len(tidx) - 1, s) for s in (1, 2, 3))
+    assert peak - kept <= 2 * dreyfus_wagner.DW_CHUNK * 8 + 16 * nv * 8
+
+
 def _fullness_cases():
     """(instance, k) pairs for the fullness rule: sparse families at k = 4,
     5 and 6, a 12 x 12 grid with weights 1-2, random 30-vertex graphs with

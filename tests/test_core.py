@@ -7,7 +7,8 @@ import numpy as np
 import pytest
 
 import oracles
-from conftest import candidate_table, make_batch, recording_work_dtypes, tie_instances
+from conftest import (candidate_table, make_batch, recording_closure_paths, recording_work_dtypes,
+                      tie_instances)
 from steinertree import (
     CandidatePool,
     DisconnectedInputError,
@@ -243,24 +244,6 @@ def _batch_every_read(monkeypatch):
     monkeypatch.setattr(core, "ROUND_WORK", 1)
 
 
-def _record_closure_paths(monkeypatch):
-    """Record (sources, finished) for every batch and count Dijkstra runs."""
-    calls = {"batches": [], "dijkstra": 0}
-    batch, dijkstra = core.MetricClosure._delta_stepping, core.MetricClosure._dijkstra
-
-    def recording_batch(self, out, slots, sources):
-        calls["batches"].append((len(sources), batch(self, out, slots, sources)))
-        return calls["batches"][-1][1]
-
-    def counting_dijkstra(self, si):
-        calls["dijkstra"] += 1
-        return dijkstra(self, si)
-
-    monkeypatch.setattr(core.MetricClosure, "_delta_stepping", recording_batch)
-    monkeypatch.setattr(core.MetricClosure, "_dijkstra", counting_dijkstra)
-    return calls
-
-
 def _assert_closure_rows(c, vertices, want_dist, want_pred, sources):
     for i, v in enumerate(sources):
         assert (c.rows([v])[0] == want_dist[i]).all(), v
@@ -273,7 +256,7 @@ def test_closure_batch_matches_eager_reference(monkeypatch):
     # and predecessors come from the tight-neighbor rule. Unit weights tie
     # everywhere; the 30 x 30 grid is the benchmark's shape.
     _batch_every_read(monkeypatch)
-    calls = _record_closure_paths(monkeypatch)
+    calls = recording_closure_paths(monkeypatch)
     bench_grid = grid_instance(30, 30, seed=1, terminal_stride=30)
     cases = [(grid_instance(12, 12, max_weight=1, terminal_stride=5), None),
              (tie_instances()[0], None),
@@ -295,7 +278,7 @@ def test_closure_batch_matches_eager_reference(monkeypatch):
 
 def test_zero_weight_closures_take_the_dijkstra_path(monkeypatch):
     _batch_every_read(monkeypatch)
-    calls = _record_closure_paths(monkeypatch)
+    calls = recording_closure_paths(monkeypatch)
     for inst in (_odd_instance(), tie_instances()[1]):
         vertices, want_dist, want_pred = oracles.reference_closure(inst)
         c = metric_closure(inst)
@@ -331,7 +314,7 @@ def test_closure_batch_out_of_rounds_reruns_its_sources(monkeypatch):
     inst, reference = _weighted_path(3000, seed=4)
     sources = [1, 1700, 3000]
     want_dist, want_pred = reference(sources)
-    calls = _record_closure_paths(monkeypatch)
+    calls = recording_closure_paths(monkeypatch)
     work = len(sources) * (3000 + 2 * 2999)
     for round_work, finished in ((work // 10, False), (1, True)):
         monkeypatch.setattr(core, "ROUND_WORK", round_work)
@@ -348,7 +331,7 @@ def test_closure_batch_out_of_rounds_reruns_its_sources(monkeypatch):
 
 def test_closure_batches_from_the_stated_work(monkeypatch):
     # A batch of S rows is S * (V + 2E) units; it runs from BATCH_MIN_WORK.
-    calls = _record_closure_paths(monkeypatch)
+    calls = recording_closure_paths(monkeypatch)
     monkeypatch.setattr(core, "ROUND_WORK", 1)
     inst = grid_instance(6, 6, seed=3, terminal_stride=4)
     terms = sorted(inst.terminals)
@@ -432,7 +415,7 @@ def test_expand_keeps_the_predecessors_of_dijkstra_rows(monkeypatch):
 
 def test_closure_rows_compute_each_missing_row_once(monkeypatch):
     _batch_every_read(monkeypatch)
-    calls = _record_closure_paths(monkeypatch)
+    calls = recording_closure_paths(monkeypatch)
     inst = grid_instance(8, 8, seed=5, terminal_stride=3)
     vertices, want_dist, _ = oracles.reference_closure(inst)
     c = metric_closure(inst)

@@ -57,6 +57,18 @@ def test_dense_budget_boundary_for_enumeration(monkeypatch):
     assert _dense_bytes(closure, dreyfus_wagner._SharedTables(closure.dist, tidx, 2)) == need
 
 
+def test_exact_optimum_folds_the_splits_of_one_subset_in_blocks():
+    # At 13 terminals the top table level has 1,023 splits a subset and the
+    # last mask 2,047: on 70 vertices, 71,610 and 143,290 int64 a gathered
+    # half, above DW_CHUNK, so both are folded a block of splits at a time.
+    inst = random_instance(5, 70, 13, extra_edges=100)
+    closure = metric_closure(inst)
+    tidx = [closure.index[t] for t in sorted(inst.terminals)]
+    assert len(closure.vertices) == 70 and 1023 * 70 > dreyfus_wagner.DW_CHUNK
+    cost, edges = dw_closure_tree(closure.dist, tidx)
+    assert (cost, edges) == oracles.reference_dw_closure_tree(closure.dist, tidx)
+
+
 def _opt(inst, limit=10):
     closure = metric_closure(inst)
     return optimal_steiner_tree(closure, sorted(inst.terminals), limit)

@@ -14,10 +14,11 @@ from steinertree import (
     select_candidate,
     solve,
 )
+from steinertree.components import rows_at_most
 from steinertree.core import ContractedTree
 from steinertree.errors import InternalInvariantError
 from steinertree.phase1 import ScoredTree, run_phase1
-from steinertree.phase2 import PREFIX, FloorPrefix, run_phase2
+from steinertree.phase2 import PREFIX, FloorPrefix, _floor, run_phase2
 
 
 def _twin_paths(origin_weights, base_weights):
@@ -262,6 +263,17 @@ def test_floor_ratio_zero_picks_end():
         assert load == 0 and (i, load, diff) == select_candidate(costs, origin, base)
         assert prefix.tau[0] == 0
     assert prefix.scored == 3 * len(prefix.rows)
+
+
+def test_floor_rounded_above_its_exact_value_keeps_the_row():
+    # Above 2**53 both int64 operands round to float64 before numpy
+    # divides them, so the floor reads 0.7119303260748973 where Python's
+    # correctly rounded load / cap is 0.7119303260748971; the row's exact
+    # floor equals num/den, so RATIO_TOLERANCE's widening must keep it.
+    load, cap = 2633996730456453621, 3699795659750206175
+    floor = _floor(np.array([load]), np.array([cap]))
+    assert floor[0] == 0.7119303260748973 and load / cap == 0.7119303260748971
+    assert rows_at_most(floor, load, cap).tolist() == [0]
 
 
 def test_floor_keeps_a_negative_start_load_in_every_prefix():

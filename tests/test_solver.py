@@ -6,19 +6,21 @@ import sys
 import pytest
 
 import oracles
-from conftest import FORCED, family, force_invariant_failure, make_batch
+from conftest import FORCED, family, force_invariant_failure, make_batch, recording_closure_paths
 from steinertree import (
     CandidatePool,
     Instance,
     InvalidInstanceError,
-    MetricClosure,
     RunConfig,
+    dreyfus_wagner,
     grid_instance,
     metric_closure,
     random_instance,
+    save_stp,
     solve,
     solver,
 )
+from steinertree.cli import main
 from steinertree.core import WEIGHT_LIMIT
 from steinertree.errors import InputError, InternalInvariantError, LimitExceededError
 from steinertree.exact import OPT_LIMIT_CAP, OPTK_LIMIT_CAP
@@ -175,25 +177,47 @@ def _solve_counting_rows(monkeypatch, instance, config):
 
 def test_k3_solve_without_oracles_computes_terminal_rows_only(monkeypatch):
     # At k=3 every closure distance or path the solve reads starts at a
-    # terminal: a hub is only ever the far end of a spoke. The terminal
-    # MST reads them all first, in one batch.
+    # terminal: a hub is only ever the far end of a spoke. Enumeration (the
+    # terminal MST in mst mode) reads them all first, in one batch.
     inst = grid_instance(30, 30, seed=1, terminal_stride=30)
-    batches = []
-    batch = MetricClosure._delta_stepping
-
-    def recording_batch(self, out, slots, sources):
-        batches.append((len(sources), batch(self, out, slots, sources)))
-        return batches[-1][1]
-
-    monkeypatch.setattr(MetricClosure, "_delta_stepping", recording_batch)
+    calls = recording_closure_paths(monkeypatch)
     for mode in MODES:
-        batches.clear()
+        calls["batches"].clear()
         res, closure = _solve_counting_rows(
             monkeypatch, inst, RunConfig(k=3, mode=mode, exact_opt_limit=0, exact_optk_limit=0))
         assert res.report.ok
         assert len(closure.vertices) == 900
         assert closure.rows_computed == len(inst.terminals) == 31
-        assert batches == [(31, True)]
+        assert calls["batches"] == [(31, True)]
+
+
+def test_k4_solve_computes_every_closure_row_in_one_batch(monkeypatch):
+    # Enumeration runs before the terminal MST and reads the matrix before
+    # the terminals' rows, so all 60 rows come from one batch, not the 20
+    # terminal rows and then the other 40.
+    calls = recording_closure_paths(monkeypatch)
+    res, closure = _solve_counting_rows(
+        monkeypatch, random_instance(95008, 60, 20, extra_edges=120), RunConfig(k=4))
+    assert res.report.ok and len(closure.vertices) == 60
+    assert calls["batches"] == [(60, True)] and calls["dijkstra"] == 0
+    assert closure.rows_computed == 60
+
+
+def test_k4_dense_budget_is_checked_before_any_closure_row(monkeypatch, tmp_path, capsys):
+    # The README's "before allocating anything": not even the terminal MST's
+    # rows are computed when the tables would not fit.
+    inst = random_instance(95008, 60, 20, extra_edges=120)
+    monkeypatch.setattr(dreyfus_wagner, "DENSE_BUDGET", 8 * 60 * 60)
+    calls, built = recording_closure_paths(monkeypatch), []
+    monkeypatch.setattr(solver, "metric_closure",
+                        lambda inst: built.append(metric_closure(inst)) or built[-1])
+    with pytest.raises(LimitExceededError, match="smaller k"):
+        solve(inst, RunConfig(k=4))
+    assert built[0].rows_computed == 0 and calls == {"batches": [], "dijkstra": 0}
+    path = str(tmp_path / "k4.stp")
+    save_stp(inst, path)
+    assert main(["solve", path, "--k", "4"]) == 2
+    assert "smaller k" in capsys.readouterr().err
 
 
 def test_solving_imports_only_declared_dependencies():

@@ -411,11 +411,12 @@ def enumerate_full_components(instance: Instance, closure: MetricClosure,
     tidx = np.array([closure.index[t] for t in terms], dtype=np.int64)
     nv = len(closure.vertices)
     if k >= 4:
-        # The budget before any closure row is computed, then the matrix:
-        # every row in one batch, the terminals' rows below among them.
+        # The budget before any closure row is computed; the terminals' rows
+        # are then read from the matrix, so every row comes in one batch.
         check_dense_budget(nv, r, k - 2, "use a smaller k")
-        closure.dist
-    rows_of = closure.rows(terms)  # closure distances from each terminal
+        rows_of = closure.dist[tidx]
+    else:
+        rows_of = closure.rows(terms)  # closure distances from each terminal
 
     # Blocks of (positions, hub columns, splits, interior counts, costs).
     # Pairs: one closure edge each, to the last terminal.

@@ -11,6 +11,7 @@ optimum (exact.dw_closure_tree) run it.
 """
 from __future__ import annotations
 
+import functools
 import math
 from collections.abc import Iterator
 
@@ -64,6 +65,17 @@ def _plan(rows: int, splits: int, nv: int, width: int) -> tuple[int, int, int]:
     return n, b, n * nv * (1 + max(2 * min(b, splits), min(b, width)))
 
 
+@functools.cache
+def _bit_counts(width: int) -> np.ndarray:
+    """The bit count of each sub-mask of `width` positions, read-only: one
+    array per width for the process, so small tables do not rebuild it."""
+    size = np.zeros(1, dtype=np.int64)
+    for _ in range(width):
+        size = np.concatenate([size, size + 1])
+    size.flags.writeable = False
+    return size
+
+
 def _colex_levels(n: int, top: int) -> list[np.ndarray]:
     """For s = 0 .. top, the s-subsets of range(n) as increasing rows in
     colex order: row i has colex rank i, and the subsets of range(p) are
@@ -109,7 +121,7 @@ class _SharedTables:
         # each sub-mask of up to top + 1 positions.
         self._binom = np.array([math.comb(p, j) for p in range(r) for j in range(top + 2)],
                                dtype=np.int64).reshape(r, top + 2)
-        self._size = np.bitwise_count(np.arange(1 << (top + 1))).astype(np.int64)
+        self._size = _bit_counts(top + 1)
         self._subsets = _colex_levels(r - 1, top + 1)
         self.offset = np.cumsum([0, 0] + [len(self._subsets[s]) for s in range(1, top + 1)])
         self.W = np.empty((self.offset[-1], nv), dtype=np.int64)

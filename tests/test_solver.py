@@ -242,6 +242,35 @@ def test_solving_imports_only_declared_dependencies():
     assert out.strip() == "[]"
 
 
+# Functions numpy 2.0 to 2.2 added to its namespace; none exists in 1.24.
+NUMPY_2_NAMES = (
+    "acos", "acosh", "asin", "asinh", "atan", "atan2", "atanh", "astype", "bitwise_count",
+    "bitwise_invert", "bitwise_left_shift", "bitwise_right_shift", "concat",
+    "cumulative_prod", "cumulative_sum", "isdtype", "matrix_transpose", "matvec",
+    "permute_dims", "pow", "trapezoid", "unique_all", "unique_counts", "unique_inverse",
+    "unique_values", "unstack", "vecdot", "vecmat",
+)
+
+
+def test_solving_uses_no_function_newer_than_the_declared_numpy():
+    # pyproject declares numpy>=1.24, while the tests may run on numpy 2:
+    # with numpy 2's additions taken out of its namespace, a k=5 solve
+    # with both oracles on (the shared tables, the exact optimum) and a
+    # many-terminal k=3 solve still run.
+    code = (
+        "import numpy\n"
+        f"for name in {NUMPY_2_NAMES!r}:\n"
+        "    numpy.__dict__.pop(name, None)\n"
+        "from steinertree import RunConfig, random_instance, solve\n"
+        "res = solve(random_instance(1, 60, 8, extra_edges=120), RunConfig(k=5))\n"
+        "assert res.report.ok and res.opt_cost and res.restricted_opt_cost\n"
+        "assert solve(random_instance(2, 120, 80, extra_edges=240), RunConfig(k=3)).report.ok\n"
+    )
+    src = os.path.dirname(os.path.dirname(solver.__file__))
+    env = {**os.environ, "PYTHONPATH": src}
+    subprocess.run([sys.executable, "-c", code], env=env, check=True)
+
+
 def test_k4_and_oracle_solves_compute_every_row_once(monkeypatch):
     inst = grid_instance(6, 6, seed=2, terminal_stride=5)
     assert len(inst.terminals) == 8

@@ -26,8 +26,9 @@ def main():
 
     candidates = enumerate_full_components(inst, closure, k=3)
     print(f"\ncandidate components (k=3): {len(candidates)}")
-    for comp in candidates:
-        print(f"  terminals {comp.terminals}  cost {comp.cost}  loss {comp.loss}")
+    built = candidates.build(list(range(len(candidates))))
+    for i, loss in enumerate(built.losses.tolist()):
+        print(f"  terminals {candidates.terminals(i)}  cost {candidates.costs[i]}  loss {loss}")
 
     pool = CandidatePool(candidates)
     terms = sorted(inst.terminals)

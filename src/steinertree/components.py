@@ -13,15 +13,14 @@ terminals, costs and roots that the greedy phases score in batch. A row's
 tree is rebuilt from its root only when a caller reads it: phase 1 reads
 its active rows' losses, and a candidate becomes a FullComponent only when
 a phase picks it, a displacement looks it up, or the restricted oracle
-picks it, and then once, with the interior ids it keeps.
+picks it, and then once, numbered by that caller's own id counter.
 """
 from __future__ import annotations
 
 import itertools
 import math
-import operator
 import weakref
-from collections.abc import Iterable, Iterator, Sequence
+from collections.abc import Iterable, Iterator
 from functools import cached_property
 from typing import NamedTuple
 
@@ -49,7 +48,7 @@ class FullComponent:
     __slots__ = ("terminals", "steiner_ids", "steiner_origin", "edges", "cost",
                  "_loss_indices", "_contraction")
 
-    def __init__(self, terminals: Sequence[int], edges: Sequence[Edge],
+    def __init__(self, terminals: Iterable[int], edges: Iterable[Edge],
                  steiner_origin: dict[int, int] | None = None):
         self.terminals = tuple(sorted(terminals))
         self.steiner_origin = dict(steiner_origin or {})
@@ -173,7 +172,7 @@ class CandidateRow(NamedTuple):
     cost: int
 
 
-class CandidateTable(Sequence):
+class CandidateTable:
     """Candidates as numpy columns, one row per terminal subset, ordered by
     sorted terminal tuple. A row is its terminals, its cost and its root;
     its tree is rebuilt only when a caller reads it (`build`).
@@ -189,17 +188,15 @@ class CandidateTable(Sequence):
     at, and the local sub-mask chosen there. Weights and vertices are read
     from `closure`: its rows from the terminals (`closure.rows`) and the
     tables' distance matrix (`closure.dist`), and `closure.vertices` names
-    the vertex each column stands for. `costs` and `first_id` are int64.
-    `table[i]` numbers row i's interior nodes from `first_id[i]`, so that
-    every row has ids of its own: the table's interior nodes, `interior`
-    per row, row by row from `base` (vertex_count + 1 for enumeration), end
-    at `max_steiner_id`. `rows_built` counts the rows `build` has read.
+    the vertex each column stands for. `costs` is int64. Callers number the
+    interior nodes of the rows they build from above `max_steiner_id`
+    (vertex_count plus every row's interior node count, for enumeration).
+    `rows_built` counts the rows `build` has read.
     """
 
     def __init__(self, terminal_ids: np.ndarray, pos: np.ndarray, costs: np.ndarray,
-                 hub: np.ndarray, interior: np.ndarray, base: int, closure: MetricClosure,
-                 tables: _SharedTables | None = None,
-                 split: np.ndarray | None = None):
+                 hub: np.ndarray, max_steiner_id: int, closure: MetricClosure,
+                 tables: _SharedTables | None = None, split: np.ndarray | None = None):
         self.terminal_ids = terminal_ids
         self.pos = pos
         self.size = (pos >= 0).sum(axis=1, dtype=np.int16)
@@ -208,15 +205,11 @@ class CandidateTable(Sequence):
         self.split = split
         self.closure = closure
         self.tables = tables
-        self.first_id = base + np.cumsum(interior, dtype=np.int64) - interior
-        self.max_steiner_id = base - 1 + int(interior.sum(dtype=np.int64))
+        self.max_steiner_id = max_steiner_id
         self.rows_built = 0
 
     def __len__(self) -> int:
         return len(self.costs)
-
-    def __getitem__(self, i: int) -> FullComponent:
-        return self.component(i, int(self.first_id[i]))[0]
 
     @cached_property
     def vertices(self) -> np.ndarray:
@@ -227,15 +220,7 @@ class CandidateTable(Sequence):
         """Row i's terminal ids, in increasing order."""
         return tuple(self.terminal_ids[self.pos[i, :self.size[i]]].tolist())
 
-    def component(self, i: int, first: int) -> tuple[FullComponent, int]:
-        """Row i as a FullComponent, its interior nodes numbered from
-        `first` in order of first appearance, and the next free id."""
-        i = operator.index(i)
-        if not 0 <= i < len(self):
-            raise IndexError("candidate index out of range")
-        return self.build([i]).component(0, first)
-
-    def build(self, rows: Sequence[int] | np.ndarray) -> BuiltRows:
+    def build(self, rows: list[int] | np.ndarray) -> BuiltRows:
         """The trees of `rows` (row indices), the one reader of the roots: a
         pair's one edge, a star's spokes in position order, and a shared
         table's rows of four or more terminals through
@@ -390,12 +375,12 @@ def enumerate_full_components(instance: Instance, closure: MetricClosure,
     optimal closure tree per subset, kept only when the subset's own
     terminals are leaves, which is decided without the tree
     (_SharedTables.leaves at four or more terminals). Ordered
-    lexicographically by terminal tuple; interior ids are unique across the
-    whole table and numbered in that order from vertex_count + 1. Subsets
-    of 4 or more terminals share Dreyfus-Wagner tables (_SharedTables),
-    which the table keeps for reading its rows. Raises LimitExceededError when there are more
-    than CANDIDATE_BUDGET subsets, or when the tables would exceed
-    DENSE_BUDGET, before any closure row is computed.
+    lexicographically by terminal tuple; `max_steiner_id` is vertex_count
+    plus the kept rows' interior node count. Subsets of 4 or more terminals
+    share Dreyfus-Wagner tables (_SharedTables), which the table keeps for
+    reading its rows. Raises LimitExceededError when there are more than
+    CANDIDATE_BUDGET subsets, or when the tables would exceed DENSE_BUDGET,
+    before any closure row is computed.
     """
     if k < 2:
         raise KRestrictionError(f"k must be at least 2, got {k}")
@@ -418,37 +403,39 @@ def enumerate_full_components(instance: Instance, closure: MetricClosure,
     else:
         rows_of = closure.rows(terms)  # closure distances from each terminal
 
-    # Blocks of (positions, hub columns, splits, interior counts, costs).
-    # Pairs: one closure edge each, to the last terminal.
+    # Blocks of (positions, hub columns, splits, costs); `interior` counts
+    # their interior nodes. Pairs: one closure edge each, to the last terminal.
     pairs = np.column_stack(np.triu_indices(r, 1))
     ends = tidx[pairs[:, 1]]
-    blocks = [(pairs, ends, 0, 0, rows_of[pairs[:, 0], ends])]
+    blocks = [(pairs, ends, 0, rows_of[pairs[:, 0], ends])]
+    interior = 0
     if k >= 3:
         triples, hubs = _three_stars(rows_of, tidx)
         costs = sum(rows_of.take(triples[:, j].astype(np.int64) * nv + hubs) for j in range(3))
-        blocks.append((triples, hubs, 0, 1, costs))
+        blocks.append((triples, hubs, 0, costs))
+        interior += len(triples)
     tables = None
     if k >= 4:
         tables = _SharedTables(closure.dist, tidx, k - 2)
         for m in range(4, k + 1):
             for subset, hub, cost, split, parts in tables.last_masks(m):
-                full, interior = tables.leaves(subset, hub, split, parts)
+                full, inner = tables.leaves(subset, hub, split, parts)
                 # Kept in the table's dtypes: DENSE_BUDGET keeps hubs in int32.
                 blocks.append((subset[full].astype(np.int16), hub[full].astype(np.int32),
-                               split[full], interior[full], cost[full]))
+                               split[full], cost[full]))
+                interior += int(inner[full].sum(dtype=np.int64))
 
     n = sum(len(block[0]) for block in blocks)
     # Fortran order: the sort permutes one contiguous position column at a time.
     pos = np.full((n, k), -1, dtype=np.int16, order="F")
     hub = np.empty(n, dtype=_work_dtype(np.array([nv]), 1))
     split = np.zeros(n, dtype=np.int32) if tables is not None else None
-    interior = np.empty(n, dtype=np.int16)
     costs = np.empty(n, dtype=np.int64)
     at = 0
     for p, *cols in blocks:
         rows = slice(at, at + len(p))
         pos[rows, :p.shape[1]] = p
-        hub[rows], splits, interior[rows], costs[rows] = cols
+        hub[rows], splits, costs[rows] = cols
         if split is not None:
             split[rows] = splits
         at += len(p)
@@ -456,10 +443,10 @@ def enumerate_full_components(instance: Instance, closure: MetricClosure,
 
     # numpy radix-sorts the int16 keys.
     order = np.lexsort(pos.T[::-1])
-    for plane in (*pos.T, hub, interior, costs, *([] if split is None else [split])):
+    for plane in (*pos.T, hub, costs, *([] if split is None else [split])):
         plane[:] = plane[order]  # in place, one plane at a time
-    return CandidateTable(np.array(terms, dtype=np.int64), pos, costs, hub, interior,
-                          instance.vertex_count + 1, closure, tables, split)
+    return CandidateTable(np.array(terms, dtype=np.int64), pos, costs, hub,
+                          instance.vertex_count + interior, closure, tables, split)
 
 
 def _normalized_edges(edges: list[Edge], keep: set[int], origin: dict[int, int],
@@ -584,18 +571,14 @@ def rows_at_most(floor: np.ndarray, num: int, den: int) -> np.ndarray:
 
 
 class CandidatePool:
-    """Scoring index over a CandidateTable. `pool.component(i, first)`
-    builds candidate i as a FullComponent with interior ids from `first`.
-    Savings are evaluated as MSTs under the tree's path-bottleneck weights;
-    phase 2 checks them against each contraction's cost drop, and the tests
-    against a from-scratch zero-clique MST (tests/oracles.py:
-    mst_with_zero_set)."""
+    """Scoring index over a CandidateTable, `pool.table`. Savings are
+    evaluated as MSTs under the tree's path-bottleneck weights; phase 2
+    checks them against each contraction's cost drop, and the tests against
+    a from-scratch zero-clique MST (tests/oracles.py: mst_with_zero_set)."""
 
     def __init__(self, table: CandidateTable):
         self.table = table
         self.costs = table.costs
-        self.max_steiner_id = table.max_steiner_id
-        self.component = table.component
         # For each terminal column i >= 1, the flat indices into an (r+1) x (r+1)
         # matrix of its pairs with columns j < i; padding reads the zero row r.
         # Each array is allocated once and filled a column at a time, from
@@ -637,7 +620,7 @@ class CandidatePool:
             by_size[m] = map(tuple.__new__, itertools.repeat(CandidateRow), rows)
         # Each row comes from its size's stream, in row order, and is made
         # only when reached, so a pass over every row stays cheap.
-        return map(next, map(by_size.__getitem__, t.size.tolist()))
+        return map(next, map(by_size.get, t.size.tolist()))
 
     def by_terminals(self, terminals: Iterable[int]) -> int | None:
         """Index of the first candidate spanning exactly `terminals`."""

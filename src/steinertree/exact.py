@@ -39,6 +39,13 @@ def check_limit(limit: int, cap: int, solver: str) -> None:
         raise LimitExceededError(f"{solver} limit {limit} exceeds the cap of {cap} terminals")
 
 
+def check_opt_budget(vertices: int, terminals: int) -> None:
+    """Raise LimitExceededError when the exact optimum's matrix and tables
+    over two or more terminals exceed DENSE_BUDGET."""
+    check_dense_budget(vertices, terminals, terminals - 2,
+                       f"lower the exact-opt limit (--exact-opt-limit) below {terminals}")
+
+
 @dataclass(frozen=True)
 class ExactResult:
     tree: Tree
@@ -82,8 +89,7 @@ def optimal_steiner_tree(closure: MetricClosure, terminals: Sequence[int],
         )
     if len(terms) == 1:
         return ExactResult(Tree(frozenset(terms), (), 0), 0)
-    check_dense_budget(len(closure.vertices), len(terms), len(terms) - 2,
-                       f"lower the exact-opt limit (--exact-opt-limit) below {len(terms)}")
+    check_opt_budget(len(closure.vertices), len(terms))
     tidx = [closure.index[t] for t in terms]
     cost, closure_edges = dw_closure_tree(closure.dist, tidx)
     tree = closure.expand(
@@ -155,8 +161,9 @@ def optimal_k_restricted(terminals: Sequence[int], table: CandidateTable,
     edges: list[tuple[int, int, int]] = []
     nodes = set(terms)
     built = table.build(picked)
-    for j, i in enumerate(picked):
-        comp, _ = built.component(j, int(table.first_id[i]))
+    alloc = table.max_steiner_id + 1
+    for j in range(len(picked)):
+        comp, alloc = built.component(j, alloc)
         edges.extend(comp.edges)
         nodes.update(comp.steiner_ids)
         nodes.update(comp.terminals)

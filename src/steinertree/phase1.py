@@ -128,7 +128,7 @@ def run_phase1(instance: Instance, closure: MetricClosure,
     terms = sorted(instance.terminals)
     chosen: list[ChosenEntry] = []
     uid_counter = 0
-    alloc = max(instance.vertex_count, pool.max_steiner_id) + 1
+    alloc = max(instance.vertex_count, pool.table.max_steiner_id) + 1
     # Working tree: (u, v, w, (owner, j)) where owner is BASE or an entry uid.
     current = [(u, v, w, (BASE, i)) for i, (u, v, w) in enumerate(t0.edges)]
     current_cost = t0.total_cost
@@ -198,7 +198,7 @@ def run_phase1(instance: Instance, closure: MetricClosure,
                 converted = component_from_part(old.comp, nodes, closure)
                 pool_idx = pool.by_terminals(part_terms)
                 if pool_idx is not None and pool.costs[pool_idx] <= converted.cost:
-                    fresh, alloc = pool.component(pool_idx, alloc)
+                    fresh, alloc = pool.table.build([pool_idx]).component(0, alloc)
                     source = "pool"
                 else:
                     fresh = converted

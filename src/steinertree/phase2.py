@@ -228,7 +228,7 @@ def run_phase2(instance: Instance, pool: CandidatePool, t0: Tree,
     # The picks' trees are read only now, all at once, numbered in pick order.
     picked = [row["candidate_index"] for row in rows]
     built = pool.table.build(picked)
-    alloc = max(instance.vertex_count, pool.max_steiner_id) + 1
+    alloc = max(instance.vertex_count, pool.table.max_steiner_id) + 1
     chosen: list[ChosenEntry] = []
     for j in range(len(picked)):
         comp, alloc = built.component(j, alloc)

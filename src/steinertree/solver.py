@@ -11,6 +11,7 @@ from __future__ import annotations
 import json
 import logging
 import math
+import operator
 import time
 from collections.abc import Iterator
 from contextlib import contextmanager
@@ -23,8 +24,8 @@ from .bounds import BoundReport, check_run
 from .components import CandidatePool, CandidateTable, enumerate_full_components
 from .core import Instance, MetricClosure, Tree, metric_closure, minimum_spanning_tree
 from .errors import InputError, InternalInvariantError
-from .exact import (OPT_LIMIT_CAP, OPTK_LIMIT_CAP, check_limit, optimal_k_restricted,
-                    optimal_steiner_tree)
+from .exact import (OPT_LIMIT_CAP, OPTK_LIMIT_CAP, check_limit, check_opt_budget,
+                    optimal_k_restricted, optimal_steiner_tree)
 from .phase1 import Phase1Result, run_phase1
 from .phase2 import Phase2Result, run_phase2
 
@@ -41,12 +42,17 @@ class RunConfig:
     exact_optk_limit: int = 8
 
     def validate(self) -> None:
+        """Reject settings the solver cannot run; store k and the limits as ints."""
         if self.mode not in MODES:
             raise InputError(f"mode must be one of {MODES}, got {self.mode!r}")
-        if self.k < 2:
-            raise InputError(f"k must be at least 2, got {self.k}")
-        if self.exact_opt_limit < 0 or self.exact_optk_limit < 0:
-            raise InputError("oracle limits cannot be negative")
+        for name, least in (("k", 2), ("exact_opt_limit", 0), ("exact_optk_limit", 0)):
+            value = getattr(self, name)
+            try:
+                setattr(self, name, operator.index(value))
+            except TypeError:
+                raise InputError(f"{name} must be an integer, got {value!r}") from None
+            if value < least:
+                raise InputError(f"{name} must be at least {least}, got {value}")
         check_limit(self.exact_opt_limit, OPT_LIMIT_CAP, "exact-opt")
         check_limit(self.exact_optk_limit, OPTK_LIMIT_CAP, "exact-optk")
 
@@ -191,6 +197,9 @@ def solve(instance: Instance, config: RunConfig | None = None) -> RunResult:
     terms = sorted(instance.terminals)
     with _stage(instance, "closure"):
         closure = metric_closure(instance)
+    if 1 < len(terms) <= config.exact_opt_limit:
+        # Before any closure row: the exact optimum reads the whole matrix.
+        check_opt_budget(len(closure.vertices), len(terms))
     table = None
     if config.mode != "mst":
         # Before the terminal MST reads a row: at k >= 4 enumeration checks

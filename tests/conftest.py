@@ -1,5 +1,8 @@
 import contextlib
+import importlib.util
 import random
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -8,6 +11,7 @@ from steinertree import Instance, MetricClosure, grid_instance, random_instance
 from steinertree.components import CandidateTable
 
 ACCEPTANCE_LINES = []
+PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
 
 
 def pytest_terminal_summary(terminalreporter):
@@ -51,6 +55,19 @@ def long_path():
     n = 150_000
     return Instance.build(n, [(v, v + 1, 1) for v in range(1, n)],
                           [1, 40_000, 75_000, 110_000, n], name="long-path")
+
+
+def perfbench_module(name):
+    """`perfbench/<name>.py`, loaded from its file as it is, outside any
+    package."""
+    spec = importlib.util.spec_from_file_location(f"perfbench_{name}", PERFBENCH / f"{name}.py")
+    module = importlib.util.module_from_spec(spec)
+    sys.modules[spec.name] = module  # dataclasses look the module up as it runs
+    try:
+        spec.loader.exec_module(module)
+    finally:
+        del sys.modules[spec.name]
+    return module
 
 
 def make_batch(count, seed0=0, max_vertices=12, max_terminals=8, max_weight=20):
@@ -119,9 +136,9 @@ def candidate_table(rows):
     row's edges reach (a pair's larger terminal, a star's hub) and holds the
     weights they read, so rows may disagree on a distance. A row of two
     terminals is a pair, as in enumeration: two spokes become one edge of
-    their summed weight. Interior ids start at the smallest hub of a star
-    of three or more terminals, or above the largest terminal when that is
-    larger."""
+    their summed weight. `max_steiner_id` leaves one id per star of three
+    or more terminals, from the smallest such hub, or from above the largest
+    terminal when that is larger."""
     rows = [sorted(row) for row in rows]  # a star's spokes in terminal order
     terms = [sorted(row[0][:2]) if len(row) == 1 else [t for t, _, _ in row] for row in rows]
     costs = [sum(w for *_, w in row) for row in rows]
@@ -140,9 +157,28 @@ def candidate_table(rows):
     base = max(min((row[0][1] for row, star in zip(rows, stars) if star), default=0),
                ids[-1] + 1 if ids else 1)
     return CandidateTable(np.array(ids, dtype=np.int64), pos, np.array(costs, dtype=np.int64),
-                          r + np.arange(len(rows), dtype=np.int32),
-                          np.array(stars, dtype=np.int16), base,
+                          r + np.arange(len(rows), dtype=np.int32), base - 1 + sum(stars),
                           RootColumns(vertices, ids, rows_of))
+
+
+def interior_counts(built):
+    """Each built row's interior node count: its tree has one node more
+    than edges (padded edges have end 0), less its terminals."""
+    return (built.edges[0] != 0).sum(axis=0) + 1 - built.table.size[built.rows]
+
+
+def components_of(table):
+    """Every row of `table` as a FullComponent, in row order: all rows
+    built in one `build` call, their interior nodes numbered one row after
+    another by one counter that ends at `table.max_steiner_id`. For an
+    enumerated table the counter starts at vertex_count + 1."""
+    built = table.build(np.arange(len(table)))
+    first = table.max_steiner_id + 1 - int(interior_counts(built).sum())
+    out = []
+    for j in range(len(table)):
+        comp, first = built.component(j, first)
+        out.append(comp)
+    return out
 
 
 @contextlib.contextmanager

@@ -639,7 +639,7 @@ def reference_phase2(instance, pool, origin, base):
     whether the scan stalled."""
     t_origin, t_base = origin.view, base.view
     savings = origin.savings, base.savings
-    alloc = max(instance.vertex_count, pool.max_steiner_id) + 1
+    alloc = max(instance.vertex_count, pool.table.max_steiner_id) + 1
     rows = []
     while t_origin.cost != t_base.cost:
         if savings is None:
@@ -648,7 +648,7 @@ def reference_phase2(instance, pool, origin, base):
         if pick is None:
             return rows, True
         i, load, diff = pick
-        comp, alloc = pool.component(i, alloc)
+        comp, alloc = pool.table.build([i]).component(0, alloc)
         t_origin = t_origin.contract_zero_set(comp.terminals)
         t_base = t_base.contract_zero_set(comp.terminals)
         savings = None

@@ -14,7 +14,7 @@ import pytest
 
 import conftest
 import oracles
-from conftest import family, make_batch
+from conftest import components_of, family, make_batch
 from steinertree import (
     CandidatePool,
     Instance,
@@ -114,7 +114,7 @@ def test_criterion_3_lemma_suite(report):
     loss_checked = 0
     for inst in make_batch(40, seed0=30000, max_vertices=10, max_terminals=6):
         closure = metric_closure(inst)
-        for comp in enumerate_full_components(inst, closure, 4):
+        for comp in components_of(enumerate_full_components(inst, closure, 4)):
             if len(comp.terminals) + len(comp.steiner_ids) > 6:
                 continue
             loss_checked += 1
@@ -129,7 +129,7 @@ def test_criterion_3_lemma_suite(report):
         t0 = minimum_spanning_tree(inst.terminals, closure.block(sorted(inst.terminals)))
         p1 = run_phase1(inst, closure, CandidatePool(cands), t0)
         optk = oracles.restricted_opt_bruteforce(
-            sorted(inst.terminals), [(c.terminals, c.cost) for c in cands]
+            sorted(inst.terminals), [(c.terminals, c.cost) for c in components_of(cands)]
         )
         base_checked += 1
         if p1.base_tree.total_cost > optk:

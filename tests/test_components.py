@@ -11,8 +11,10 @@ import pytest
 import oracles
 from conftest import (
     candidate_table,
+    components_of,
     counting_components,
     family,
+    interior_counts,
     make_batch,
     reading_trees,
     recording_work_dtypes,
@@ -120,7 +122,7 @@ def test_loss_matches_bruteforce_on_enumerated_components():
     checked = 0
     for inst in make_batch(20, seed0=900, max_vertices=10, max_terminals=6):
         closure = metric_closure(inst)
-        for comp in enumerate_full_components(inst, closure, 4):
+        for comp in components_of(enumerate_full_components(inst, closure, 4)):
             nodes = set(comp.terminals) | set(comp.steiner_ids)
             if len(nodes) > 6:
                 continue
@@ -133,7 +135,7 @@ def test_loss_matches_bruteforce_on_enumerated_components():
 def test_loss_at_most_half_cost():
     for inst in make_batch(20, seed0=1000, max_vertices=11, max_terminals=7):
         closure = metric_closure(inst)
-        for comp in enumerate_full_components(inst, closure, 4):
+        for comp in components_of(enumerate_full_components(inst, closure, 4)):
             assert 2 * comp.loss <= comp.cost, comp
 
 
@@ -162,7 +164,7 @@ def test_contract_pair_is_identity():
 def test_contract_cost_identity_everywhere():
     for inst in make_batch(15, seed0=1100, max_vertices=11, max_terminals=7):
         closure = metric_closure(inst)
-        for comp in enumerate_full_components(inst, closure, 4):
+        for comp in components_of(enumerate_full_components(inst, closure, 4)):
             con = comp.contraction
             assert con.cost == comp.cost - comp.loss
             assert len(con.edges) == len(con.terminals) - 1
@@ -195,8 +197,8 @@ def test_load_negates_gain():
     rng = random.Random(3)
     for inst in make_batch(10, seed0=1200, max_vertices=10, max_terminals=6):
         closure, view = _closure_view(inst)
-        pool = enumerate_full_components(inst, closure, 3)
-        for comp in rng.sample(pool, min(5, len(pool))):
+        comps = components_of(enumerate_full_components(inst, closure, 3))
+        for comp in rng.sample(comps, min(5, len(comps))):
             assert oracles.gain(view, comp) + oracles.load(view, comp) == 0
 
 
@@ -220,7 +222,7 @@ def test_saving_difference_examples(star3):
 def test_enumerate_star3(star3):
     closure = metric_closure(star3)
     pool = enumerate_full_components(star3, closure, 3)
-    by_terms = {c.terminals: c for c in pool}
+    by_terms = {c.terminals: c for c in components_of(pool)}
     assert set(by_terms) == {(1, 2), (1, 3), (2, 3), (1, 2, 3)}
     assert by_terms[(1, 2)].cost == 2
     assert by_terms[(1, 2, 3)].cost == 3
@@ -232,7 +234,7 @@ def test_enumerate_star3(star3):
 
 def test_enumerate_k2_is_pairs_only(star3):
     closure = metric_closure(star3)
-    pool = enumerate_full_components(star3, closure, 2)
+    pool = components_of(enumerate_full_components(star3, closure, 2))
     assert sorted(c.terminals for c in pool) == [(1, 2), (1, 3), (2, 3)]
     assert all(not c.steiner_ids for c in pool)
 
@@ -248,22 +250,22 @@ def test_enumerate_unit_path_keeps_pairs_only():
     # so the all-leaves filter drops them.
     inst = Instance.build(4, [(1, 2, 1), (2, 3, 1), (3, 4, 1)], [1, 2, 3, 4])
     closure = metric_closure(inst)
-    pool = enumerate_full_components(inst, closure, 4)
+    pool = components_of(enumerate_full_components(inst, closure, 4))
     assert all(len(c.terminals) == 2 for c in pool)
     assert len(pool) == 6
 
 
 def test_enumerate_caps_k_at_terminal_count(star3):
     closure = metric_closure(star3)
-    a = enumerate_full_components(star3, closure, 3)
-    b = enumerate_full_components(star3, closure, 9)
+    a = components_of(enumerate_full_components(star3, closure, 3))
+    b = components_of(enumerate_full_components(star3, closure, 9))
     assert [(c.terminals, c.cost) for c in a] == [(c.terminals, c.cost) for c in b]
 
 
 def test_enumerated_interior_ids_do_not_collide():
     for inst in make_batch(10, seed0=1300, max_vertices=10, max_terminals=6):
         closure = metric_closure(inst)
-        for comp in enumerate_full_components(inst, closure, 4):
+        for comp in components_of(enumerate_full_components(inst, closure, 4)):
             for s in comp.steiner_ids:
                 assert s > inst.vertex_count
                 assert 1 <= comp.steiner_origin[s] <= inst.vertex_count
@@ -313,7 +315,7 @@ def test_pool_min_cost_index():
         pool = CandidatePool(cands)
         for key in {frozenset(c.terminals) for c in pool.candidates}:
             idx = pool.by_terminals(key)
-            same = [c.cost for c in cands if frozenset(c.terminals) == key]
+            same = [c.cost for c in components_of(cands) if frozenset(c.terminals) == key]
             assert pool.costs[idx] == min(same)
 
 
@@ -435,6 +437,20 @@ def test_candidate_budget_keeps_positions_in_int16():
         assert table.pos.dtype == table.size.dtype == np.int16
 
 
+@pytest.mark.parametrize("case, row_bytes", [("many-terminals-k3", 20), ("k4-dp", 26)])
+def test_table_keeps_its_row_bytes(case, row_bytes):
+    # The benchmark's shapes: per row, int16 positions and size, an int32
+    # hub and an int64 cost, and at k = 4 an int32 split. A column added to
+    # the table shows up here.
+    inst, k = {"many-terminals-k3": (family(80, 1), 3),
+               "k4-dp": (random_instance(1000, 60, 20, extra_edges=120), 4)}[case]
+    table = enumerate_full_components(inst, metric_closure(inst), k)
+    columns = {name: value for name, value in vars(table).items()
+               if isinstance(value, np.ndarray) and value.shape[:1] == (len(table),)}
+    assert sorted(columns) == sorted(["costs", "hub", "pos", "size"] + ["split"] * (k >= 4))
+    assert sum(c.nbytes for c in columns.values()) / len(table) == row_bytes
+
+
 def test_positions_are_widened_before_index_arithmetic():
     # Products of int16 positions wrap above 32767: position times V in the
     # spoke reads, position times r + 1 in the pool's pair indices.
@@ -505,15 +521,14 @@ def _assert_table_matches_reference(inst, k):
     ref = oracles.reference_full_components(inst, closure, k)
     assert len(table) == len(ref)
     pool = CandidatePool(table)
-    assert pool.max_steiner_id == max(
+    assert table.max_steiner_id == max(
         (s for c in ref for s in c.steiner_ids), default=inst.vertex_count)
     assert list(pool.candidates) == [(c.terminals, c.cost) for c in ref]
     # Every row read, checked in the edge form, with the all-row Prim's loss.
     _, losses = oracles.all_row_losses(table)
     assert losses.tolist() == [c.loss for c in ref]
     assert table.build(np.arange(len(table))).losses.tolist() == losses.tolist()
-    for i, want in enumerate(ref):
-        got = table[i]
+    for got, want in zip(components_of(table), ref):
         assert got.terminals == want.terminals
         assert got.edges == want.edges
         assert got.steiner_origin == want.steiner_origin
@@ -584,8 +599,8 @@ def test_six_row_numbers_interior_nodes_depth_first():
     edges = [e for e in table.build([row]).edges[:, :, 0].T.tolist() if e[0]]
     assert len(edges) + 1 - 6 == 4
     assert [e[0] for e in edges if e[0] > 6] == [7, 8, 10, 9]
-    first = int(table.first_id[row])
-    assert table[row].steiner_origin == {first: 7, first + 1: 8, first + 2: 10, first + 3: 9}
+    comp, after = table.build([row]).component(0, 100)
+    assert comp.steiner_origin == {100: 7, 101: 8, 102: 10, 103: 9} and after == 104
 
 
 @pytest.mark.parametrize("case", range(4))
@@ -780,21 +795,17 @@ def test_terminal_set_lookup_matches_reference_dict():
             assert not built  # lookups build no component
 
 
-def _interior(table):
-    """Each row's interior node count, from its first interior id."""
-    return np.diff(np.append(table.first_id, table.max_steiner_id + 1))
-
-
 def _rows_of(table, rows, base, **changes):
-    """A table of some rows of `table`, in the given order, its interior ids
-    from `base`; `changes` set one row's columns, as {column: (row, value)}."""
+    """A table of some rows of `table`, in the given order, its
+    `max_steiner_id` leaving their interior nodes ids from `base`; `changes`
+    set one row's columns, as {column: (row, value)}."""
     cols = {name: getattr(table, name)[rows].copy() for name in ("pos", "costs", "hub")}
     cols["split"] = None if table.split is None else table.split[rows].copy()
     for name, (row, value) in changes.items():
         cols[name][row] = value
     return CandidateTable(table.terminal_ids, cols["pos"], cols["costs"], cols["hub"],
-                          _interior(table)[rows], base, table.closure, table.tables,
-                          cols["split"])
+                          base - 1 + int(interior_counts(table.build(rows)).sum()), table.closure,
+                          table.tables, cols["split"])
 
 
 def test_table_checks_its_columns(star3):
@@ -808,16 +819,17 @@ def test_table_checks_its_columns(star3):
         return _rows_of(table, rows, star3.vertex_count + 1,
                         **{name: (row, value) for name, value in changes.items()})
 
-    assert [c.edges for c in rebuild(1)] == [c.edges for c in table]  # unchanged rows build
+    # Unchanged rows build.
+    assert [c.edges for c in components_of(rebuild(1))] == [c.edges for c in components_of(table)]
     column = metric_closure(star3).index
     bad = [dict(costs=4), dict(hub=column[2]),  # 2 is no leaf
            dict(hub=column[1], costs=2),        # 1 is no leaf, at the spokes' weight
            dict(pos=[0, 1, -1])]                # a pair's edge to the star's hub
     for change in bad:
         with pytest.raises(InternalInvariantError):
-            rebuild(1, **change)[1]
+            rebuild(1, **change).build([1]).component(0, 5)
     with pytest.raises(InternalInvariantError):
-        rebuild(0, costs=3)[0]
+        rebuild(0, costs=3).build([0]).component(0, 5)
 
 
 def _edge_table(row=None, change=None):
@@ -837,7 +849,7 @@ def test_four_row_columns_build_and_check():
     table = _edge_table()
     # A star's lightest spoke; then la + lc = 2 + 4 and la + w = 1 + 4.
     assert table.build(np.arange(5)).losses.tolist() == [0, 4, 2, 6, 5]
-    pair, star3, star4, pairs, linked = table
+    pair, star3, star4, pairs, linked = components_of(table)
     assert pair.edges == ((3, 6, 9),) and pair.steiner_origin == {}
     assert star3.edges == ((3, 13, 4), (6, 13, 7), (9, 13, 7))
     assert star4.edges == ((6, 14, 2), (12, 14, 5), (11, 14, 6), (9, 14, 12))
@@ -847,7 +859,7 @@ def test_four_row_columns_build_and_check():
     assert pairs.edges == ((6, 15, 2), (3, 16, 4), (15, 16, 5), (11, 15, 6), (9, 16, 7))
     assert pairs.steiner_origin == {15: 2, 16: 1}
     assert linked.steiner_origin == {17: 3, 18: 1}
-    assert [c.loss for c in table] == [0, 4, 2, 6, 5]
+    assert [c.loss for c in components_of(table)] == [0, 4, 2, 6, 5]
     # The loss forests: the two spokes, and one spoke with the link.
     assert [pairs.edges[i] for i in pairs.loss_forest_indices] == [(6, 15, 2), (3, 16, 4)]
     assert (17, 18, 4) in [linked.edges[i] for i in linked.loss_forest_indices]
@@ -869,7 +881,7 @@ def test_four_row_columns_build_and_check():
 ])
 def test_four_row_column_checks_reject(row, change):
     with pytest.raises(InternalInvariantError):
-        _edge_table(row, change)[row]
+        _edge_table(row, change).build([row]).component(0, 13)
 
 
 @pytest.mark.parametrize("column", ["costs", "losses"])
@@ -883,7 +895,7 @@ def test_building_a_row_checks_its_cost_and_loss(column):
         built.losses[1] += 1
     assert built.component(0, 100)[0].loss == 2
     with pytest.raises(InternalInvariantError):
-        table[3] if column == "costs" else built.component(1, 100)
+        table.build([3]) if column == "costs" else built.component(1, 100)
 
 
 def _same(a, b):
@@ -899,12 +911,13 @@ def _tables():
 
 
 def _assert_components_are_renumbered_rows(table):
-    # Ids handed out one row after another from the first free one, as
-    # the phases hand them out to their picks.
+    # Ids handed out one row after another from the first free one, one
+    # row per build, as phase 1 hands them out to the rows it looks up:
+    # each is the row of the whole-table build, renumbered.
     first = table.max_steiner_id + 1
-    for i in range(len(table)):
-        comp, after = table.component(i, first)
-        want, want_after = oracles.renumbered(table[i], first)
+    for i, item in enumerate(components_of(table)):
+        comp, after = table.build([i]).component(0, first)
+        want, want_after = oracles.renumbered(item, first)
         assert _same(comp, want) and after == want_after
         first = after
 
@@ -917,8 +930,10 @@ def test_component_numbers_the_row_as_a_renumbering_of_its_item():
     table = candidate_table([(t, hub, rng.randint(0, 9)) for t in g]
                             for g in (rng.sample(range(1, 20), rng.randint(3, 6))
                                       for _ in range(10)))
-    assert table.first_id.tolist() == list(range(30, 40)) and table.max_steiner_id == 39
-    assert table[9].steiner_origin == {39: 30}
+    assert table.max_steiner_id == 39
+    comps = components_of(table)
+    assert [c.steiner_ids for c in comps] == [(i,) for i in range(30, 40)]
+    assert comps[9].steiner_origin == {39: 30}
     _assert_components_are_renumbered_rows(table)
 
 
@@ -953,9 +968,8 @@ def test_only_picked_and_looked_up_four_rows_are_built():
     pool, picked = _built_on_use(random_instance(2, 60, 20, extra_edges=120), 4)
     assert len(pool) > 2500
     # Picks include 4-stars and two-hub rows: one interior node or two.
-    table = pool.table
-    interior = _interior(table)
-    assert {int(interior[i]) for i in picked if table.size[i] == 4} == {1, 2}
+    fours = [i for i in picked if pool.table.size[i] == 4]
+    assert set(interior_counts(pool.table.build(fours)).tolist()) == {1, 2}
 
 
 @pytest.mark.parametrize("case", ["k4-dp", "many-terminals-k3"])

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 import oracles
-from conftest import counting_components, make_batch, tie_instances
+from conftest import components_of, counting_components, make_batch, tie_instances
 from steinertree import (
     Instance,
     LimitExceededError,
@@ -195,7 +195,7 @@ def test_optk_matches_subset_search():
             cands = enumerate_full_components(inst, closure, k)
             got = optimal_k_restricted(terms, cands, k)
             want = oracles.restricted_opt_bruteforce(
-                terms, [(c.terminals, c.cost) for c in cands]
+                terms, [(c.terminals, c.cost) for c in components_of(cands)]
             )
             assert got.cost == want, (inst.name, k)
             assert got.tree.total_cost == got.cost

@@ -1,9 +1,10 @@
+import hashlib
 import random
 
 import numpy as np
 import pytest
 
-from conftest import candidate_table, family, make_batch, tie_instances
+from conftest import candidate_table, family, make_batch, perfbench_module, tie_instances
 from steinertree import (
     CandidatePool,
     Instance,
@@ -150,6 +151,24 @@ def test_replacement_and_reduction_paths():
                 assert row["merge_cost_unpruned"] == row["tree_cost"] + row["loss_total"]
             assert 2 * p1.base_tree.total_cost >= p1.solution_cost_unpruned
     assert saw_replacement and saw_basic
+
+
+def test_a_displaced_part_outside_the_pool_is_kept_as_converted():
+    # The benchmark's 9 x 9 grid generator at k = 5: a pick displaces part
+    # of an earlier one, and no pool row spans the part's terminals 9, 17
+    # and 25, so the part, converted, is kept.
+    inst = perfbench_module("workloads").grid(9, 9, 573, 4, max_weight=2)
+    res = solve(inst, RunConfig(k=5))
+    parts = [part for row in res.phase1_trace["iterations"] for event in row["replacements"]
+             for part in event["parts"]]
+    assert parts == [{"terminals": [9, 17, 25], "cost": 7, "source": "part", "uid": 7,
+                      "kept": True},
+                     {"terminals": [53], "kept": False}]
+    _, pool, _ = _run(inst, 5)
+    assert pool.by_terminals([9, 17, 25]) is None
+    assert res.report.ok
+    assert hashlib.sha256(res.to_json(timing=False).encode()).hexdigest() == (
+        "b7aaa2374a49706710fbbeee05146871b8a807888040bc9bf0a8447f1a98dbda")
 
 
 def test_phase1_deterministic():

@@ -3,6 +3,7 @@ import os
 import subprocess
 import sys
 
+import numpy as np
 import pytest
 
 import oracles
@@ -99,10 +100,43 @@ def test_config_validation():
         solve(Instance.build(2, [(1, 2, 1)], [1, 2]), RunConfig(mode="nope"))
 
 
+@pytest.mark.parametrize("value, name", [
+    (3.5, "k"),                  # once solved, then failed in the bound report
+    ("3", "k"),
+    (None, "exact_optk_limit"),
+    (2.5, "exact_opt_limit"),    # once accepted
+])
+def test_config_rejects_integer_settings_of_another_type(value, name):
+    inst = Instance.build(2, [(1, 2, 1)], [1, 2])
+    with pytest.raises(InputError, match=f"{name} must be an integer"):
+        solve(inst, RunConfig(**{name: value}))
+
+
+def test_config_takes_numpy_integers_as_ints():
+    inst = random_instance(1, 12, 5, extra_edges=10)
+    config = RunConfig(k=np.int64(3), exact_opt_limit=np.int32(5), exact_optk_limit=np.int16(6))
+    got = solve(inst, config)
+    assert type(config.k) is type(config.exact_opt_limit) is type(config.exact_optk_limit) is int
+    assert got.opt_cost is not None and got.restricted_opt_cost is not None
+    want = solve(inst, RunConfig(k=3, exact_opt_limit=5, exact_optk_limit=6))
+    assert got.to_json(timing=False) == want.to_json(timing=False)
+
+
 def test_dense_budget_rejects_the_exact_optimum_of_a_long_path(long_path):
     # The exact optimum reads the closure matrix even in mst mode.
     with pytest.raises(LimitExceededError, match="--exact-opt-limit"):
         solve(long_path, RunConfig(mode="mst"))
+
+
+def test_exact_optimum_budget_is_checked_before_any_closure_row(monkeypatch, long_path):
+    # Five terminals are within the default exact-opt limit: the optimum's
+    # matrix is refused before enumeration or the terminal MST reads a row.
+    calls, built = recording_closure_paths(monkeypatch), []
+    monkeypatch.setattr(solver, "metric_closure",
+                        lambda inst: built.append(metric_closure(inst)) or built[-1])
+    with pytest.raises(LimitExceededError, match="--exact-opt-limit"):
+        solve(long_path, RunConfig(k=3, mode="full"))
+    assert built[0].rows_computed == 0 and calls == {"batches": [], "dijkstra": 0}
 
 
 def test_config_caps_the_oracle_limits():

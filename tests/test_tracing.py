@@ -5,28 +5,17 @@ rename in the package breaks it only when the benchmark runs. These tests
 install it as it is: traced solves must give the untraced output, and
 uninstalling must put every name back.
 """
-import importlib.util
-from pathlib import Path
-
 import pytest
 
 import steinertree.solver
+from conftest import perfbench_module
 from steinertree import RunConfig, enumerate_full_components, metric_closure, random_instance
 from steinertree.core import ContractedTree
-
-TRACING = Path(__file__).resolve().parents[1] / "perfbench" / "tracing.py"
-
-
-def _tracing():
-    spec = importlib.util.spec_from_file_location("perfbench_tracing", TRACING)
-    module = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(module)
-    return module
 
 
 @pytest.mark.parametrize("k", [3, 4])
 def test_traced_solves_match_untraced_ones_and_uninstall_restores_the_names(k):
-    tracing = _tracing()
+    tracing = perfbench_module("tracing")
     # 8 terminals: both oracles run under their default limits.
     inst = random_instance(12, 30, 8, extra_edges=40)
     config = RunConfig(k=k)

@@ -30,6 +30,7 @@ from .core import (
     ContractedTree,
     Instance,
     MetricClosure,
+    _work_dtype,
     connected_parts,
     edge_key,
     kruskal_indices,
@@ -342,14 +343,6 @@ def _middle_triples(r: int) -> np.ndarray:
         block[..., 2] = np.arange(j + 1, r)
         at += j * (r - 1 - j)
     return triples
-
-
-def _work_dtype(values: np.ndarray, terms: int) -> type:
-    """int32 when a sum of `terms` of the nonnegative `values` stays below
-    2**31, so that int32 arithmetic on them is exact, else int64. A kernel
-    that forms nothing larger than such a sum runs the same lines in either
-    dtype, and its results match an int64 run's bit for bit."""
-    return np.int32 if terms * int(values.max(initial=0)) < 2**31 else np.int64
 
 
 def _three_stars(rows_of: np.ndarray, tidx: np.ndarray) -> tuple[np.ndarray, np.ndarray]:

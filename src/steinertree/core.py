@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import heapq
 import itertools
+import logging
 import math
 import operator
 from dataclasses import dataclass
@@ -20,6 +21,7 @@ from typing import Iterable, Mapping, Sequence
 
 import numpy as np
 
+from . import dreyfus_wagner
 from .errors import (
     DisconnectedInputError,
     DisconnectedTerminalsError,
@@ -29,6 +31,8 @@ from .errors import (
 )
 
 Edge = tuple[int, int, int]
+
+log = logging.getLogger(__name__)
 
 # Instance.build rejects instances whose scaled weights sum to this or more.
 # Every shortest-path distance, and so every bottleneck weight and
@@ -54,6 +58,14 @@ def _vertex_id(x: object, what: str) -> int:
         return operator.index(x)
     except TypeError:
         raise InvalidInstanceError(f"{what} {x!r} is not an integer") from None
+
+
+def _work_dtype(values: np.ndarray, terms: int) -> type:
+    """int32 when a sum of `terms` of the nonnegative `values` stays below
+    2**31, so that int32 arithmetic on them is exact, else int64. A kernel
+    that forms nothing larger than such a sum runs the same lines in either
+    dtype, and its results match an int64 run's bit for bit."""
+    return np.int32 if terms * int(values.max(initial=0)) < 2**31 else np.int64
 
 
 def edge_key(u: int, v: int, w: int) -> tuple[int, int, int]:
@@ -208,15 +220,30 @@ def format_cost(cost: int, scale: int) -> str:
 
 
 # S closure rows over V vertices and E edges are S * (V + 2E) units of
-# work; Dijkstra spends 0.11-0.20 us on a unit (timeit, best of 5, on a
-# shared 2-core x86-64 host). The batch adds a fixed cost of about 0.15 ms
-# plus 20-30 us of numpy calls per round, which it wins back only on
-# enough work: on random graphs of 20-50 vertices it took 1.27x Dijkstra's
-# time at 2,760 units, 1.01x at 4,176, 0.98x at 5,560 and 0.84x at 6,240.
-# Smaller batches run Dijkstra per row. That covers every batch of the
-# small oracle corpus (at most 1,248 units), while the 20 terminal rows of
-# a 60-vertex k=4 instance (8,360 units) batch in 0.7 ms against 1.1 ms.
+# work. Three paths compute them; timeit, best of 5-7, on a shared 2-core
+# x86-64 host:
+# - Dijkstra, one row at a time, spends 0.11-0.20 us on a unit.
+# - The Δ-stepping batch takes about BATCH_FIXED_NS plus BATCH_UNIT_NS a
+#   unit: 1.17 ms for the 60 rows of a 60-vertex k=4 instance (25,080
+#   units), 2.9 ms for the 80 terminal rows of family(80) (65,440), 7.5 ms
+#   for the 31 of a 30 x 30 grid (135,780), 12.8 ms at 266,240.
+# - The dense pass computes all V rows at once in about
+#   V * (DENSE_PIVOT_NS + DENSE_ENTRY_NS * V^2), taken in int64: 0.40 ms at
+#   V = 60, 2.1 ms at 120, 16 ms at 240, 98 ms at 400. In int32 it took
+#   0.27, 1.3, 8.3 and 39 ms.
+# Below BATCH_MIN_WORK units Dijkstra runs, whose predecessors come free.
+# The batch's fixed numpy cost wins back only on enough work: on random
+# graphs of 20-50 vertices it took 1.27x Dijkstra's time at 2,760 units,
+# 1.01x at 4,176, 0.98x at 5,560 and 0.84x at 6,240. The dense pass gained
+# nothing measurable on the small oracle corpus, whose batches are at most
+# 1,248 units. From BATCH_MIN_WORK on, the path of the smaller estimate
+# runs (`MetricClosure._path`): the dense pass for all 60 rows of a
+# 60-vertex k=4 instance (0.42 against 1.28 ms estimated) and the 80
+# terminal rows of family(80), the batch for the 31 of a 30 x 30 grid and
+# for all its 900 rows at k=4 (0.80 s dense).
 BATCH_MIN_WORK = 5_000
+BATCH_FIXED_NS, BATCH_UNIT_NS = 150_000, 45
+DENSE_PIVOT_NS, DENSE_ENTRY_NS = 3_000, 1.1
 
 # A batch may take one round per ROUND_WORK units of its work. A round
 # costs at least about 25 us, what Dijkstra spends on some 200 units, so a
@@ -265,12 +292,13 @@ class MetricClosure:
     Vertices outside that component are excluded; `vertices` are its sorted
     ids and `index` maps a vertex id to its column. The first read that
     needs rows not yet computed (`distance`, `rows`, `block`, `dist`,
-    `predecessors`, `path_edges` or `expand`) computes all of them at once:
-    one batched Δ-stepping over the sources when every weight is positive
-    and the batch is large enough to pay (`_delta_stepping`), else one
-    Dijkstra per source. Distances are unique, and predecessors follow
-    Dijkstra's tie rule either way, so every row is the same whichever path
-    computed it and whichever order the rows are asked for in.
+    `predecessors`, `path_edges` or `expand`) computes all of them at once,
+    by one of three paths (`_path`): one Dijkstra per source; one batched
+    Δ-stepping over the sources (`_delta_stepping`); or, before any row is
+    computed, one dense Floyd-Warshall pass that computes every row
+    (`_floyd_warshall`). Distances are unique, and predecessors follow
+    Dijkstra's tie rule on every path, so every row is the same whichever
+    path computed it and whichever order the rows are asked for in.
     `rows_computed` counts the rows computed. `dist`, the full int64
     matrix, computes every row that is still missing.
     """
@@ -286,7 +314,8 @@ class MetricClosure:
 
     @property
     def rows_computed(self) -> int:
-        """Number of rows computed so far, by either path."""
+        """Number of rows computed so far, by any path: all V after a dense
+        pass."""
         return self._runs
 
     def _column(self, u: int) -> int:
@@ -419,14 +448,77 @@ class MetricClosure:
                 p.flags.writeable = False
                 self._pred[c] = p
 
-    def _compute(self, out: np.ndarray, slots: Sequence[int], sources: Sequence[int]) -> None:
-        """Rows from the columns `sources` into rows `slots` of `out`, kept as
-        views of it: batches of up to BATCH_MAX_WORK units when they pay,
-        else Dijkstra per source, which also reruns a batch out of rounds."""
+    def _path(self, count: int) -> tuple[str, float, float]:
+        """How `count` missing rows are computed, "dijkstra", "batch" or
+        "dense", with the batch's and the dense pass's estimated times in
+        ns. Dijkstra below BATCH_MIN_WORK units or when a weight is 0 (see
+        `_arcs`). Else the dense pass when its estimate is the smaller, no
+        row is computed yet (it computes them all) and its arrays fit in
+        dreyfus_wagner.DENSE_BUDGET: 16 V^2 bytes, the int64 matrix and
+        its temporary, or in int32 the int64 matrix, the work matrix and
+        its temporary. Else the batch."""
+        n = len(self._adj)
+        batch = BATCH_FIXED_NS + BATCH_UNIT_NS * count * self._work
+        dense = n * (DENSE_PIVOT_NS + DENSE_ENTRY_NS * n * n)
+        if count * self._work < BATCH_MIN_WORK or self._arcs is None:
+            return "dijkstra", batch, dense
+        if dense < batch and not self._dist and 16 * n * n <= dreyfus_wagner.DENSE_BUDGET:
+            return "dense", batch, dense
+        return "batch", batch, dense
+
+    def _floyd_warshall(self, full: np.ndarray) -> None:
+        """Every row into `full`, the V x V int64 matrix, kept as `dist`:
+        Floyd-Warshall (Floyd 1962) in place over the weight matrix, every
+        non-edge a sentinel above every distance (the total edge weight
+        plus 1), one broadcast add and one minimum per pivot. An entry
+        formed is at most twice the sentinel, so the pass runs in int32
+        when that sum stays below 2**31 (`_work_dtype`), the same lines
+        either way, and distances are unique integers, so the rows match
+        int64's bit for bit. Predecessors come from the distances, as for
+        batched rows (`_tight_predecessors`)."""
+        start, head, weight = self._arcs
+        n = len(start) - 1
+        sentinel = int(weight.sum()) // 2 + 1  # each edge is two arcs
+        dtype = _work_dtype(np.array([sentinel]), 2)
+        d = full if dtype == np.int64 else np.empty((n, n), dtype=dtype)
+        d.fill(sentinel)
+        d[np.repeat(np.arange(n), np.diff(start)), head] = weight
+        np.fill_diagonal(d, 0)
+        through = np.empty_like(d)
+        for k in range(n):
+            np.add(d[:, k:k + 1], d[k], out=through)
+            np.minimum(d, through, out=d)
+        if d is not full:
+            full[...] = d
+        full.flags.writeable = False
+        for i in range(n):
+            self._dist[i] = full[i]
+        self._runs += n
+        self.dist = full
+
+    def _compute(self, sources: Sequence[int], full: np.ndarray | None = None) -> None:
+        """Rows from the columns `sources`, kept as views: of `full`, the
+        matrix `dist` fills (row i for column i), else of a new block. The
+        path is `_path`'s: the dense pass (every row), batches of up to
+        BATCH_MAX_WORK units, or Dijkstra per source, which also reruns a
+        batch out of rounds."""
+        if not sources:
+            return
+        n = len(self._adj)
+        path, batch_ns, dense_ns = self._path(len(sources))
+        log.debug("closure: %s for %d rows over %d vertices (estimates: batch %.0f us,"
+                  " dense %.0f us)", path, len(sources), n, batch_ns / 1e3, dense_ns / 1e3)
+        if path == "dense":
+            self._floyd_warshall(np.empty((n, n), dtype=np.int64) if full is None else full)
+            return
+        if full is None:
+            out, slots = np.empty((len(sources), n), dtype=np.int64), range(len(sources))
+        else:
+            out, slots = full, sources
         step = max(1, BATCH_MAX_WORK // self._work)
         for at in range(0, len(sources), step):
             into, part = slots[at:at + step], sources[at:at + step]
-            batched = (len(part) * self._work >= BATCH_MIN_WORK and self._arcs is not None
+            batched = (path == "batch" and len(part) * self._work >= BATCH_MIN_WORK
                        and self._delta_stepping(out, np.asarray(into), np.asarray(part)))
             for slot, si in zip(into, part):
                 if not batched:
@@ -443,9 +535,7 @@ class MetricClosure:
 
     def _rows(self, columns: Sequence[int]) -> list[np.ndarray]:
         """Distance rows of `columns`; computes the missing ones together."""
-        missing = list(dict.fromkeys(c for c in columns if c not in self._dist))
-        self._compute(np.empty((len(missing), len(self._adj)), dtype=np.int64),
-                      range(len(missing)), missing)
+        self._compute(list(dict.fromkeys(c for c in columns if c not in self._dist)))
         return [self._dist[c] for c in columns]
 
     def rows(self, nodes: Iterable[int]) -> np.ndarray:
@@ -469,8 +559,9 @@ class MetricClosure:
 
     def _predecessor_rows(self, columns: Iterable[int]) -> None:
         """Computes the missing predecessors of `columns` in one pass: rows
-        still to compute first, then those rows the batch computed (rows
-        computed by Dijkstra keep the predecessors they stored)."""
+        still to compute first, then those rows the batch or the dense pass
+        computed (rows computed by Dijkstra keep the predecessors they
+        stored)."""
         missing = [c for c in dict.fromkeys(columns) if c not in self._pred]
         if missing:
             self._rows(missing)
@@ -482,13 +573,12 @@ class MetricClosure:
     def dist(self) -> np.ndarray:
         """All-pairs distances. Rows computed earlier move into the matrix,
         so no second copy of them stays behind; the missing rows are
-        computed straight into it."""
+        computed straight into it. A dense pass keeps its matrix here."""
         n = len(self.vertices)
         full = np.empty((n, n), dtype=np.int64)
         for i, row in self._dist.items():
             full[i] = row
-        missing = [i for i in range(n) if i not in self._dist]
-        self._compute(full, missing, missing)
+        self._compute([i for i in range(n) if i not in self._dist], full)
         for i in range(n):
             self._dist[i] = full[i]
         full.flags.writeable = False

@@ -23,20 +23,26 @@ def pytest_terminal_summary(terminalreporter):
 
 
 def recording_closure_paths(monkeypatch):
-    """Record (sources, finished) for every Δ-stepping batch and count
-    Dijkstra runs."""
-    calls = {"batches": [], "dijkstra": 0}
-    batch, dijkstra = MetricClosure._delta_stepping, MetricClosure._dijkstra
+    """Record (sources, finished) for every Δ-stepping batch and the rows
+    of every dense pass, and count Dijkstra runs."""
+    calls = {"batches": [], "dense": [], "dijkstra": 0}
+    batch, dense = MetricClosure._delta_stepping, MetricClosure._floyd_warshall
+    dijkstra = MetricClosure._dijkstra
 
     def recording_batch(self, out, slots, sources):
         calls["batches"].append((len(sources), batch(self, out, slots, sources)))
         return calls["batches"][-1][1]
+
+    def recording_dense(self, full):
+        calls["dense"].append(len(full))
+        return dense(self, full)
 
     def counting_dijkstra(self, si):
         calls["dijkstra"] += 1
         return dijkstra(self, si)
 
     monkeypatch.setattr(MetricClosure, "_delta_stepping", recording_batch)
+    monkeypatch.setattr(MetricClosure, "_floyd_warshall", recording_dense)
     monkeypatch.setattr(MetricClosure, "_dijkstra", counting_dijkstra)
     return calls
 
@@ -216,18 +222,20 @@ def reading_trees():
 
 
 @contextlib.contextmanager
-def recording_work_dtypes():
-    """Every dtype components._work_dtype chooses inside, in call order."""
+def recording_work_dtypes(module=None):
+    """Every dtype `_work_dtype` chooses inside, in call order, for the
+    callers in `module` (components unless given)."""
     from steinertree import components
 
+    module = module or components
     chosen = []
-    choose = components._work_dtype
+    choose = module._work_dtype
 
     def recording(values, terms):
         chosen.append(choose(values, terms))
         return chosen[-1]
     with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(components, "_work_dtype", recording)
+        mp.setattr(module, "_work_dtype", recording)
         yield chosen
 
 

@@ -1,5 +1,6 @@
 import itertools
 import json
+import math
 import random
 from fractions import Fraction
 
@@ -7,8 +8,8 @@ import numpy as np
 import pytest
 
 import oracles
-from conftest import (candidate_table, make_batch, recording_closure_paths, recording_work_dtypes,
-                      tie_instances)
+from conftest import (candidate_table, family, make_batch, recording_closure_paths,
+                      recording_work_dtypes, tie_instances)
 from steinertree import (
     CandidatePool,
     DisconnectedInputError,
@@ -25,7 +26,7 @@ from steinertree import (
     random_instance,
     solve,
 )
-from steinertree import components, core
+from steinertree import components, core, dreyfus_wagner
 from steinertree.core import (
     WEIGHT_LIMIT,
     ContractedTree,
@@ -239,9 +240,18 @@ def test_closure_rows_match_eager_reference():
 
 
 def _batch_every_read(monkeypatch):
-    """Batch however small the work, with rounds to spare."""
+    """Batch however small the work, with rounds to spare, and never the
+    dense pass."""
     monkeypatch.setattr(core, "BATCH_MIN_WORK", 0)
     monkeypatch.setattr(core, "ROUND_WORK", 1)
+    monkeypatch.setattr(core, "DENSE_PIVOT_NS", math.inf)
+
+
+def _dense_every_read(monkeypatch):
+    """The dense pass at the first read, however small the work."""
+    monkeypatch.setattr(core, "BATCH_MIN_WORK", 0)
+    monkeypatch.setattr(core, "DENSE_PIVOT_NS", 0)
+    monkeypatch.setattr(core, "DENSE_ENTRY_NS", 0)
 
 
 def _assert_closure_rows(c, vertices, want_dist, want_pred, sources):
@@ -251,17 +261,22 @@ def _assert_closure_rows(c, vertices, want_dist, want_pred, sources):
     assert list(c.vertices) == vertices
 
 
+def _positive_weight_cases():
+    """Closures the batch and the dense pass both take: unit weights tie
+    everywhere, and random weights."""
+    return ([grid_instance(12, 12, max_weight=1, terminal_stride=5), tie_instances()[0]]
+            + make_batch(60, seed0=150, max_vertices=12))
+
+
 def test_closure_batch_matches_eager_reference(monkeypatch):
     # Positive weights: one Δ-stepping batch computes every row asked for,
-    # and predecessors come from the tight-neighbor rule. Unit weights tie
-    # everywhere; the 30 x 30 grid is the benchmark's shape.
+    # and predecessors come from the tight-neighbor rule. The 30 x 30 grid
+    # is the benchmark's shape.
     _batch_every_read(monkeypatch)
     calls = recording_closure_paths(monkeypatch)
     bench_grid = grid_instance(30, 30, seed=1, terminal_stride=30)
-    cases = [(grid_instance(12, 12, max_weight=1, terminal_stride=5), None),
-             (tie_instances()[0], None),
-             (bench_grid, sorted(bench_grid.terminals))]
-    cases += [(inst, None) for inst in make_batch(60, seed0=150, max_vertices=12)]
+    cases = [(inst, None) for inst in _positive_weight_cases()]
+    cases.append((bench_grid, sorted(bench_grid.terminals)))
     for inst, sources in cases:
         vertices, want_dist, want_pred = oracles.reference_closure(inst, sources)
         sources = sources or vertices
@@ -273,19 +288,56 @@ def test_closure_batch_matches_eager_reference(monkeypatch):
         _assert_closure_rows(c, vertices, want_dist, want_pred, sources)
         if len(sources) == len(vertices):  # the matrix takes the rows over
             assert (c.dist == want_dist).all()
-    assert calls["dijkstra"] == 0
+    assert calls["dijkstra"] == 0 and calls["dense"] == []
+
+
+def _int32_bound_path(total):
+    """A 6-vertex path whose weights sum to `total`, its end-to-end
+    distance."""
+    weights = [2**27] * 4 + [total - 4 * 2**27]
+    return Instance.build(6, [(v, v + 1, w) for v, w in enumerate(weights, 1)], [1, 4, 6],
+                          name=f"total-{total}")
+
+
+def test_closure_dense_pass_matches_eager_reference(monkeypatch):
+    # The first read computes every row in one dense pass, whatever it
+    # asks for; predecessors come from the tight-neighbor rule. The pass
+    # runs in int32 while the sentinel, the total weight plus 1, sums with
+    # itself below 2**31, else in int64, with equal rows either way.
+    _dense_every_read(monkeypatch)
+    calls = recording_closure_paths(monkeypatch)
+    cases = [(inst, None) for inst in _positive_weight_cases()]
+    cases.append((random_instance(95008, 60, 20, extra_edges=120), None))  # the k4-dp shape
+    cases += [(_int32_bound_path(2**30 - 2), np.int32), (_int32_bound_path(2**30 - 1), np.int64)]
+    for inst, dtype in cases:
+        vertices, want_dist, want_pred = oracles.reference_closure(inst)
+        calls["dense"].clear()
+        c = metric_closure(inst)
+        terms = sorted(inst.terminals)
+        with recording_work_dtypes(core) as chosen:
+            assert (c.rows(terms) == want_dist[[c.index[t] for t in terms]]).all(), inst.name
+        assert calls["dense"] == [len(vertices)] and c.rows_computed == len(vertices)
+        if dtype is not None:
+            assert chosen == [dtype] and want_dist.max() == sum(w for *_, w in inst.edges)
+        # Every later read, the matrix included, computes nothing.
+        assert c.dist is c.dist and (c.dist == want_dist).all()
+        _assert_closure_rows(c, vertices, want_dist, want_pred, vertices)
+        assert calls["dense"] == [len(vertices)] and c.rows_computed == len(vertices)
+    assert calls["dijkstra"] == 0 and calls["batches"] == []
 
 
 def test_zero_weight_closures_take_the_dijkstra_path(monkeypatch):
-    _batch_every_read(monkeypatch)
     calls = recording_closure_paths(monkeypatch)
-    for inst in (_odd_instance(), tie_instances()[1]):
-        vertices, want_dist, want_pred = oracles.reference_closure(inst)
-        c = metric_closure(inst)
-        assert (c.dist == want_dist).all()
-        _assert_closure_rows(c, vertices, want_dist, want_pred, vertices)
-        assert calls["dijkstra"] == len(vertices) and calls["batches"] == []
-        calls["dijkstra"] = 0
+    for force in (_batch_every_read, _dense_every_read):
+        force(monkeypatch)
+        for inst in (_odd_instance(), tie_instances()[1]):
+            vertices, want_dist, want_pred = oracles.reference_closure(inst)
+            c = metric_closure(inst)
+            assert (c.dist == want_dist).all()
+            _assert_closure_rows(c, vertices, want_dist, want_pred, vertices)
+            assert calls["dijkstra"] == len(vertices)
+            assert calls["batches"] == [] and calls["dense"] == []
+            calls["dijkstra"] = 0
 
 
 def _weighted_path(n, seed):
@@ -333,6 +385,7 @@ def test_closure_batches_from_the_stated_work(monkeypatch):
     # A batch of S rows is S * (V + 2E) units; it runs from BATCH_MIN_WORK.
     calls = recording_closure_paths(monkeypatch)
     monkeypatch.setattr(core, "ROUND_WORK", 1)
+    monkeypatch.setattr(core, "DENSE_PIVOT_NS", math.inf)
     inst = grid_instance(6, 6, seed=3, terminal_stride=4)
     terms = sorted(inst.terminals)
     work = len(terms) * (36 + 2 * len(inst.edges))
@@ -351,12 +404,54 @@ def test_closure_batches_from_the_stated_work(monkeypatch):
     assert calls["batches"] == [(2, True)] * (len(terms) // 2) + [(1, True)] * (len(terms) % 2)
     # The benchmark's shapes sit on either side of the stated constant: all
     # rows of the small oracle corpus's largest instances run Dijkstra, the
-    # 20 terminal rows of the 60-vertex k=4 instances batch.
+    # rows of the 60-vertex k=4 instances do not, 20 of them already.
     monkeypatch.undo()
     corpus = random_instance(1, 16, 10, extra_edges=16)
     k4 = random_instance(1, 60, 20, extra_edges=120)
     assert 16 * (16 + 2 * 31) < core.BATCH_MIN_WORK <= 20 * (60 + 2 * 179)
     assert [len(i.edge_weights) for i in (corpus, k4)] == [31, 179]
+
+
+def test_closure_path_follows_the_estimates(monkeypatch, caplog):
+    # Above BATCH_MIN_WORK the smaller estimate runs: the dense pass for
+    # every row of the k4-dp shape and the terminal rows of the
+    # many-terminals shape, the batch for a 900-vertex grid's terminal rows
+    # and, at k=4, for all its rows. One debug line names the path.
+    grid = grid_instance(30, 30, seed=1, terminal_stride=30)
+    k4 = random_instance(1, 60, 20, extra_edges=120)
+    shapes = [(random_instance(1, 16, 10, extra_edges=16), 16, "dijkstra"),
+              (k4, 60, "dense"),
+              (family(80, 1), 80, "dense"),
+              (grid, 31, "batch"),
+              (grid, 900, "batch")]
+    for inst, count, path in shapes:
+        assert metric_closure(inst)._path(count)[0] == path, (inst.name, count)
+    # The dense pass computes every row, so it runs only before any row:
+    # after one row by Dijkstra, the other 59 of the k4-dp shape batch.
+    calls = recording_closure_paths(monkeypatch)
+    c = metric_closure(k4)
+    c.rows([min(k4.terminals)])
+    assert (c.dist == oracles.reference_closure(k4)[1]).all() and c.rows_computed == 60
+    assert calls == {"batches": [(59, True)], "dense": [], "dijkstra": 1}
+    with caplog.at_level("DEBUG", logger="steinertree.core"):
+        metric_closure(grid).rows(sorted(grid.terminals))
+    (line,) = [r.getMessage() for r in caplog.records]
+    assert line.startswith("closure: batch for 31 rows over 900 vertices (estimates: batch ")
+
+
+def test_dense_pass_fits_the_dense_budget(monkeypatch):
+    # The dense pass's matrix and temporary, 16 V^2 bytes, count against
+    # DENSE_BUDGET; above it the batch runs.
+    calls = recording_closure_paths(monkeypatch)
+    inst = random_instance(1, 60, 20, extra_edges=120)
+    want = oracles.reference_closure(inst)[1]
+    for budget, batches, dense in ((16 * 60 * 60 - 1, [(60, True)], []),
+                                   (16 * 60 * 60, [], [60])):
+        monkeypatch.setattr(dreyfus_wagner, "DENSE_BUDGET", budget)
+        calls["batches"].clear()
+        calls["dense"].clear()
+        assert (metric_closure(inst).dist == want).all()
+        assert calls["batches"] == batches and calls["dense"] == dense
 
 
 def _record_predecessor_passes(monkeypatch):
@@ -375,12 +470,14 @@ def _record_predecessor_passes(monkeypatch):
 def test_expand_computes_its_predecessors_in_one_pass(monkeypatch, block):
     # Every source's predecessors come from one tight-arc pass, in blocks of
     # at most PREDECESSOR_BLOCK (row, arc) pairs, and equal Dijkstra's; unit
-    # weights tie everywhere.
-    _batch_every_read(monkeypatch)
+    # weights tie everywhere. Rows of the batch and of the dense pass alike.
     monkeypatch.setattr(core, "PREDECESSOR_BLOCK", block)
     blocks = _record_predecessor_passes(monkeypatch)
-    for inst in (tie_instances()[0], grid_instance(12, 12, max_weight=1, terminal_stride=5),
-                 grid_instance(9, 7, max_weight=1, seed=2, terminal_stride=2)):
+    for force, inst in itertools.product(
+            (_batch_every_read, _dense_every_read),
+            (tie_instances()[0], grid_instance(12, 12, max_weight=1, terminal_stride=5),
+             grid_instance(9, 7, max_weight=1, seed=2, terminal_stride=2))):
+        force(monkeypatch)
         vertices, want_dist, want_pred = oracles.reference_closure(inst)
         c = metric_closure(inst)
         c.rows(vertices)

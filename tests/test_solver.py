@@ -1,4 +1,5 @@
 import json
+import math
 import os
 import subprocess
 import sys
@@ -13,6 +14,7 @@ from steinertree import (
     Instance,
     InvalidInstanceError,
     RunConfig,
+    core,
     dreyfus_wagner,
     grid_instance,
     metric_closure,
@@ -136,7 +138,7 @@ def test_exact_optimum_budget_is_checked_before_any_closure_row(monkeypatch, lon
                         lambda inst: built.append(metric_closure(inst)) or built[-1])
     with pytest.raises(LimitExceededError, match="--exact-opt-limit"):
         solve(long_path, RunConfig(k=3, mode="full"))
-    assert built[0].rows_computed == 0 and calls == {"batches": [], "dijkstra": 0}
+    assert built[0].rows_computed == 0 and calls == {"batches": [], "dense": [], "dijkstra": 0}
 
 
 def test_config_caps_the_oracle_limits():
@@ -228,13 +230,21 @@ def test_k3_solve_without_oracles_computes_terminal_rows_only(monkeypatch):
 def test_k4_solve_computes_every_closure_row_in_one_batch(monkeypatch):
     # Enumeration runs before the terminal MST and reads the matrix before
     # the terminals' rows, so all 60 rows come from one batch, not the 20
-    # terminal rows and then the other 40.
+    # terminal rows and then the other 40. By the default estimates one
+    # dense pass computes them instead.
     calls = recording_closure_paths(monkeypatch)
-    res, closure = _solve_counting_rows(
-        monkeypatch, random_instance(95008, 60, 20, extra_edges=120), RunConfig(k=4))
+    inst = random_instance(95008, 60, 20, extra_edges=120)
+    with monkeypatch.context() as mp:
+        mp.setattr(core, "DENSE_PIVOT_NS", math.inf)
+        res, closure = _solve_counting_rows(mp, inst, RunConfig(k=4))
     assert res.report.ok and len(closure.vertices) == 60
     assert calls["batches"] == [(60, True)] and calls["dijkstra"] == 0
+    assert calls["dense"] == [] and closure.rows_computed == 60
+    calls["batches"].clear()
+    dense, closure = _solve_counting_rows(monkeypatch, inst, RunConfig(k=4))
+    assert calls == {"batches": [], "dense": [60], "dijkstra": 0}
     assert closure.rows_computed == 60
+    assert dense.to_json(timing=False) == res.to_json(timing=False)
 
 
 def test_k4_dense_budget_is_checked_before_any_closure_row(monkeypatch, tmp_path, capsys):
@@ -247,7 +257,7 @@ def test_k4_dense_budget_is_checked_before_any_closure_row(monkeypatch, tmp_path
                         lambda inst: built.append(metric_closure(inst)) or built[-1])
     with pytest.raises(LimitExceededError, match="smaller k"):
         solve(inst, RunConfig(k=4))
-    assert built[0].rows_computed == 0 and calls == {"batches": [], "dijkstra": 0}
+    assert built[0].rows_computed == 0 and calls == {"batches": [], "dense": [], "dijkstra": 0}
     path = str(tmp_path / "k4.stp")
     save_stp(inst, path)
     assert main(["solve", path, "--k", "4"]) == 2
@@ -256,16 +266,18 @@ def test_k4_dense_budget_is_checked_before_any_closure_row(monkeypatch, tmp_path
 
 def test_solving_imports_only_declared_dependencies():
     # pyproject declares numpy alone. A k=4 solve with both oracles on
-    # reads every closure path: batched rows, Dijkstra rows, the tables.
+    # reads the dense pass, tight-arc predecessors and the tables; a
+    # 400-vertex grid at k=3 batches its terminal rows.
     # numpy.ma is no dependency but 1.6 MB of resident memory, which
     # np.unique would load on first use; nor does an 80-terminal k=3 solve
     # (the many-terminals shape) load it.
     code = (
         "import sys\n"
-        "from steinertree import RunConfig, random_instance, solve\n"
+        "from steinertree import RunConfig, grid_instance, random_instance, solve\n"
         "res = solve(random_instance(1, 60, 8, extra_edges=120), RunConfig(k=4))\n"
         "assert res.report.ok and res.opt_cost and res.restricted_opt_cost\n"
         "assert solve(random_instance(2, 120, 80, extra_edges=240), RunConfig(k=3)).report.ok\n"
+        "assert solve(grid_instance(20, 20, seed=1, terminal_stride=10), RunConfig(k=3)).report.ok\n"
         "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'"
         " or m == 'numpy.ma' or m.startswith('numpy.ma.')))\n"
     )
@@ -289,16 +301,18 @@ NUMPY_2_NAMES = (
 def test_solving_uses_no_function_newer_than_the_declared_numpy():
     # pyproject declares numpy>=1.24, while the tests may run on numpy 2:
     # with numpy 2's additions taken out of its namespace, a k=5 solve
-    # with both oracles on (the shared tables, the exact optimum) and a
-    # many-terminal k=3 solve still run.
+    # with both oracles on (the shared tables, the exact optimum), a
+    # many-terminal k=3 solve (the dense pass) and a grid's (the batch)
+    # still run.
     code = (
         "import numpy\n"
         f"for name in {NUMPY_2_NAMES!r}:\n"
         "    numpy.__dict__.pop(name, None)\n"
-        "from steinertree import RunConfig, random_instance, solve\n"
+        "from steinertree import RunConfig, grid_instance, random_instance, solve\n"
         "res = solve(random_instance(1, 60, 8, extra_edges=120), RunConfig(k=5))\n"
         "assert res.report.ok and res.opt_cost and res.restricted_opt_cost\n"
         "assert solve(random_instance(2, 120, 80, extra_edges=240), RunConfig(k=3)).report.ok\n"
+        "assert solve(grid_instance(20, 20, seed=1, terminal_stride=10), RunConfig(k=3)).report.ok\n"
     )
     src = os.path.dirname(os.path.dirname(solver.__file__))
     env = {**os.environ, "PYTHONPATH": src}

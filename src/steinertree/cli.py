@@ -75,8 +75,12 @@ def _build_parser() -> _Parser:
 
 
 def _configure_logging() -> None:
-    level = {"trace": logging.DEBUG, "info": logging.INFO}.get(
-        os.environ.get("STEINER_LOG", "").lower())
+    """STEINER_LOG=info or trace; any other nonempty value says so and
+    keeps WARNING."""
+    value = os.environ.get("STEINER_LOG", "")
+    level = {"trace": logging.DEBUG, "info": logging.INFO}.get(value.lower())
+    if level is None and value:
+        print(f"STEINER_LOG={value} is not a level; use info or trace", file=sys.stderr)
     logging.basicConfig(
         level=level if level is not None else logging.WARNING,
         stream=sys.stderr,

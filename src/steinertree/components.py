@@ -21,7 +21,6 @@ import itertools
 import math
 import weakref
 from collections.abc import Iterable, Iterator
-from functools import cached_property
 from typing import NamedTuple
 
 import numpy as np
@@ -186,17 +185,18 @@ class CandidateTable:
     star's spokes. A table made with shared Dreyfus-Wagner tables
     (`tables`, kept alive with the table) roots its rows of four or more
     terminals at (`hub`, `split`): the hub its tree joins the last terminal
-    at, and the local sub-mask chosen there. Weights and vertices are read
-    from `closure`: its rows from the terminals (`closure.rows`) and the
-    tables' distance matrix (`closure.dist`), and `closure.vertices` names
-    the vertex each column stands for. `costs` is int64. Callers number the
+    at, and the local sub-mask chosen there. `dist` (int64) holds the
+    closure distances from each terminal position (row p) to every column,
+    and `vertices` (int64) names the vertex each column stands for; both
+    are kept read-only. The tables read their own distance matrix
+    (`tables.D`). `costs` is int64. Callers number the
     interior nodes of the rows they build from above `max_steiner_id`
     (vertex_count plus every row's interior node count, for enumeration).
     `rows_built` counts the rows `build` has read.
     """
 
     def __init__(self, terminal_ids: np.ndarray, pos: np.ndarray, costs: np.ndarray,
-                 hub: np.ndarray, max_steiner_id: int, closure: MetricClosure,
+                 hub: np.ndarray, max_steiner_id: int, dist: np.ndarray, vertices: np.ndarray,
                  tables: _SharedTables | None = None, split: np.ndarray | None = None):
         self.terminal_ids = terminal_ids
         self.pos = pos
@@ -204,18 +204,14 @@ class CandidateTable:
         self.costs = costs
         self.hub = hub
         self.split = split
-        self.closure = closure
+        self.dist, self.vertices = dist, vertices
+        dist.flags.writeable = vertices.flags.writeable = False
         self.tables = tables
         self.max_steiner_id = max_steiner_id
         self.rows_built = 0
 
     def __len__(self) -> int:
         return len(self.costs)
-
-    @cached_property
-    def vertices(self) -> np.ndarray:
-        """The vertex each closure column stands for."""
-        return np.asarray(self.closure.vertices, dtype=np.int64)
 
     def terminals(self, i: int) -> tuple[int, ...]:
         """Row i's terminal ids, in increasing order."""
@@ -238,33 +234,23 @@ class CandidateTable:
         by_size: dict[int, list[int]] = {}
         for j, m in enumerate(size.tolist()):
             by_size.setdefault(m, []).append(j)
-        vertices = self.vertices
-        # Pairs and spokes read the closure rows of the terminals they leave
-        # from: position p's row is rows_of[index[p]]. (np.unique would
-        # import numpy.ma, 1.6 MB of resident memory.)
-        leaving = self.pos[rows[size < 4 if self.tables is not None else slice(None)]]
-        index = np.zeros(len(self.terminal_ids), dtype=np.int64)
-        index[leaving[leaving >= 0]] = 1
-        read = np.flatnonzero(index)
-        index[read] = np.arange(len(read))
-        rows_of = self.closure.rows(self.terminal_ids[read].tolist()) if len(read) else None
         for m, j in by_size.items():
             at = rows[j]
             pos, hub = self.pos[at, :m].T.astype(np.int64), self.hub[at]
             if m >= 4 and self.tables is not None:
                 tree = self.tables.trees(pos.T, hub.astype(np.int64), self.split[at])
                 real, edge = tree[0] >= 0, slice(0, 2 * m - 3)
-                ends[:, edge, j] = np.where(real, vertices[tree], 0)
+                ends[:, edge, j] = np.where(real, self.vertices[tree], 0)
                 weights[edge, j] = np.where(real, self.tables.D[tree[0], tree[1]], 0)
                 at_term[:, edge, j] = (tree[..., None] == self.tables.tidx[pos.T]).any(axis=-1)
             elif m == 2:  # one edge, to the vertex at the root
                 ends[:, 0, j] = self.terminal_ids[pos]
-                weights[0, j] = rows_of[index[pos[0]], hub]
+                weights[0, j] = self.dist[pos[0], hub]
                 at_term[:, 0, j] = True
             else:  # spokes
                 ends[0][:m, j] = self.terminal_ids[pos]
-                ends[1][:m, j] = vertices[hub]
-                weights[:m, j] = rows_of[index[pos], hub]
+                ends[1][:m, j] = self.vertices[hub]
+                weights[:m, j] = self.dist[pos, hub]
                 at_term[0][:m, j] = True
         wrong = np.flatnonzero(weights.sum(axis=0) != self.costs[rows])
         if len(wrong):
@@ -369,11 +355,12 @@ def enumerate_full_components(instance: Instance, closure: MetricClosure,
     terminals are leaves, which is decided without the tree
     (_SharedTables.leaves at four or more terminals). Ordered
     lexicographically by terminal tuple; `max_steiner_id` is vertex_count
-    plus the kept rows' interior node count. Subsets of 4 or more terminals
-    share Dreyfus-Wagner tables (_SharedTables), which the table keeps for
-    reading its rows. Raises LimitExceededError when there are more than
-    CANDIDATE_BUDGET subsets, or when the tables would exceed DENSE_BUDGET,
-    before any closure row is computed.
+    plus the kept rows' interior node count. The table keeps the terminals'
+    closure rows for reading its pairs and stars, and subsets of 4 or more
+    terminals share Dreyfus-Wagner tables (_SharedTables), which it keeps
+    for reading their rows. Raises LimitExceededError when there are more
+    than CANDIDATE_BUDGET subsets, or when the tables would exceed
+    DENSE_BUDGET, before any closure row is computed.
     """
     if k < 2:
         raise KRestrictionError(f"k must be at least 2, got {k}")
@@ -439,7 +426,8 @@ def enumerate_full_components(instance: Instance, closure: MetricClosure,
     for plane in (*pos.T, hub, costs, *([] if split is None else [split])):
         plane[:] = plane[order]  # in place, one plane at a time
     return CandidateTable(np.array(terms, dtype=np.int64), pos, costs, hub,
-                          instance.vertex_count + interior, closure, tables, split)
+                          instance.vertex_count + interior, rows_of,
+                          np.array(closure.vertices, dtype=np.int64), tables, split)
 
 
 def _normalized_edges(edges: list[Edge], keep: set[int], origin: dict[int, int],
@@ -473,13 +461,10 @@ def _normalized_edges(edges: list[Edge], keep: set[int], origin: dict[int, int],
 
 
 def component_from_part(comp: FullComponent, part_nodes: set[int],
-                        closure: MetricClosure) -> FullComponent | None:
-    """Rebuild one connected part of a split component as a standalone
-    component. Returns None when the part has fewer than 2 terminals."""
+                        closure: MetricClosure) -> FullComponent:
+    """Rebuild one connected part of a split component, holding two or more
+    of its terminals, as a standalone component."""
     terms = [t for t in comp.terminals if t in part_nodes]
-    if len(terms) < 2:
-        return None
-
     edges = [e for e in comp.edges if e[0] in part_nodes and e[1] in part_nodes]
     edges, origin = _normalized_edges(edges, set(terms), comp.steiner_origin, closure)
     return FullComponent(terms, edges, origin)

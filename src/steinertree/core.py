@@ -227,10 +227,10 @@ def format_cost(cost: int, scale: int) -> str:
 #   unit: 1.17 ms for the 60 rows of a 60-vertex k=4 instance (25,080
 #   units), 2.9 ms for the 80 terminal rows of family(80) (65,440), 7.5 ms
 #   for the 31 of a 30 x 30 grid (135,780), 12.8 ms at 266,240.
-# - The dense pass computes all V rows at once in about
-#   V * (DENSE_PIVOT_NS + DENSE_ENTRY_NS * V^2), taken in int64: 0.40 ms at
-#   V = 60, 2.1 ms at 120, 16 ms at 240, 98 ms at 400. In int32 it took
-#   0.27, 1.3, 8.3 and 39 ms.
+# - The dense pass computes all V rows at once in about V * (DENSE_PIVOT_NS
+#   + DENSE_ENTRY_NS * V^2) in int64, an entry half that in int32: 0.36-0.44,
+#   2.4-3.1, 16.5-18 and 98-105 ms at V = 60, 120, 240 and 400 in int64
+#   (family(40/80/160/267, 1)), 0.30, 1.3-1.5, 8.3-9.5 and 38-42 in int32.
 # Below BATCH_MIN_WORK units Dijkstra runs, whose predecessors come free.
 # The batch's fixed numpy cost wins back only on enough work: on random
 # graphs of 20-50 vertices it took 1.27x Dijkstra's time at 2,760 units,
@@ -238,9 +238,10 @@ def format_cost(cost: int, scale: int) -> str:
 # nothing measurable on the small oracle corpus, whose batches are at most
 # 1,248 units. From BATCH_MIN_WORK on, the path of the smaller estimate
 # runs (`MetricClosure._path`): the dense pass for all 60 rows of a
-# 60-vertex k=4 instance (0.42 against 1.28 ms estimated) and the 80
-# terminal rows of family(80), the batch for the 31 of a 30 x 30 grid and
-# for all its 900 rows at k=4 (0.80 s dense).
+# 60-vertex k=4 instance (0.30 against 1.28 ms estimated), the 80 terminal
+# rows of family(80) and the 160 of family(160) (8.3 against 12.3 ms), the
+# batch for the 31 of a 30 x 30 grid and for all its 900 rows at k=4
+# (0.40 s dense in int32).
 BATCH_MIN_WORK = 5_000
 BATCH_FIXED_NS, BATCH_UNIT_NS = 150_000, 45
 DENSE_PIVOT_NS, DENSE_ENTRY_NS = 3_000, 1.1
@@ -448,20 +449,30 @@ class MetricClosure:
                 p.flags.writeable = False
                 self._pred[c] = p
 
+    @cached_property
+    def _dense_fill(self) -> tuple[int, type]:
+        """The dense pass's sentinel, the total edge weight plus 1, and its
+        dtype: an entry formed is at most twice the sentinel, so int32 when
+        that sum stays below 2**31 (`_work_dtype`). Needs `_arcs`."""
+        sentinel = int(self._arcs[2].sum()) // 2 + 1  # each edge is two arcs
+        return sentinel, _work_dtype(np.array([sentinel]), 2)
+
     def _path(self, count: int) -> tuple[str, float, float]:
         """How `count` missing rows are computed, "dijkstra", "batch" or
         "dense", with the batch's and the dense pass's estimated times in
         ns. Dijkstra below BATCH_MIN_WORK units or when a weight is 0 (see
-        `_arcs`). Else the dense pass when its estimate is the smaller, no
-        row is computed yet (it computes them all) and its arrays fit in
-        dreyfus_wagner.DENSE_BUDGET: 16 V^2 bytes, the int64 matrix and
-        its temporary, or in int32 the int64 matrix, the work matrix and
-        its temporary. Else the batch."""
+        `_arcs`), the dense pass unpriced (inf). Else the dense pass when
+        its estimate in its dtype is the smaller, no row is computed yet
+        (it computes them all) and its arrays fit in
+        dreyfus_wagner.DENSE_BUDGET: 16 V^2 bytes, the int64 matrix and its
+        temporary, or in int32 the int64 matrix, the work matrix and its
+        temporary. Else the batch."""
         n = len(self._adj)
         batch = BATCH_FIXED_NS + BATCH_UNIT_NS * count * self._work
-        dense = n * (DENSE_PIVOT_NS + DENSE_ENTRY_NS * n * n)
         if count * self._work < BATCH_MIN_WORK or self._arcs is None:
-            return "dijkstra", batch, dense
+            return "dijkstra", batch, math.inf
+        entry = DENSE_ENTRY_NS * np.dtype(self._dense_fill[1]).itemsize / 8
+        dense = n * (DENSE_PIVOT_NS + entry * n * n)
         if dense < batch and not self._dist and 16 * n * n <= dreyfus_wagner.DENSE_BUDGET:
             return "dense", batch, dense
         return "batch", batch, dense
@@ -469,17 +480,14 @@ class MetricClosure:
     def _floyd_warshall(self, full: np.ndarray) -> None:
         """Every row into `full`, the V x V int64 matrix, kept as `dist`:
         Floyd-Warshall (Floyd 1962) in place over the weight matrix, every
-        non-edge a sentinel above every distance (the total edge weight
-        plus 1), one broadcast add and one minimum per pivot. An entry
-        formed is at most twice the sentinel, so the pass runs in int32
-        when that sum stays below 2**31 (`_work_dtype`), the same lines
-        either way, and distances are unique integers, so the rows match
-        int64's bit for bit. Predecessors come from the distances, as for
-        batched rows (`_tight_predecessors`)."""
+        non-edge the sentinel (`_dense_fill`), one broadcast add and one
+        minimum per pivot. The pass runs in `_dense_fill`'s dtype, the
+        same lines either way, and distances are unique integers, so int32
+        rows match int64's bit for bit. Predecessors come from the
+        distances, as for batched rows (`_tight_predecessors`)."""
         start, head, weight = self._arcs
         n = len(start) - 1
-        sentinel = int(weight.sum()) // 2 + 1  # each edge is two arcs
-        dtype = _work_dtype(np.array([sentinel]), 2)
+        sentinel, dtype = self._dense_fill
         d = full if dtype == np.int64 else np.empty((n, n), dtype=dtype)
         d.fill(sentinel)
         d[np.repeat(np.arange(n), np.diff(start)), head] = weight

@@ -21,7 +21,7 @@ import numpy as np
 
 from .components import CandidateTable
 from .dreyfus_wagner import _SharedTables, check_dense_budget
-from .core import MetricClosure, Tree, kruskal_indices
+from .core import MetricClosure, Tree, pruned_mst
 from .errors import InternalInvariantError, LimitExceededError, UnknownNodeError
 
 
@@ -159,18 +159,16 @@ def optimal_k_restricted(terminals: Sequence[int], table: CandidateTable,
         mask = prev
     picked.reverse()
     edges: list[tuple[int, int, int]] = []
-    nodes = set(terms)
     built = table.build(picked)
     alloc = table.max_steiner_id + 1
     for j in range(len(picked)):
         comp, alloc = built.component(j, alloc)
         edges.extend(comp.edges)
-        nodes.update(comp.steiner_ids)
-        nodes.update(comp.terminals)
-    kept = kruskal_indices(nodes, edges)
-    tree = Tree.from_edges([edges[j] for j in kept], nodes)
-    if tree.total_cost != best[full]:
+    # The table value is the picks' cost sum, so their union's MST, before
+    # its interior leaves are pruned, must weigh as much.
+    cost, tree = pruned_mst(edges, terms)
+    if cost != best[full]:
         raise InternalInvariantError(
-            f"realized restricted optimum {tree.total_cost} != table value {best[full]}"
+            f"realized restricted optimum {cost} != table value {best[full]}"
         )
     return ExactResult(tree, best[full], k)

@@ -195,13 +195,14 @@ def run_phase1(instance: Instance, closure: MetricClosure,
                 if len(part_terms) < 2:
                     event["parts"].append({"terminals": part_terms, "kept": False})
                     continue
-                converted = component_from_part(old.comp, nodes, closure)
+                # A pool row is an optimal closure tree over its terminals,
+                # so it never costs more than the part converted.
                 pool_idx = pool.by_terminals(part_terms)
-                if pool_idx is not None and pool.costs[pool_idx] <= converted.cost:
+                if pool_idx is not None:
                     fresh, alloc = pool.table.build([pool_idx]).component(0, alloc)
                     source = "pool"
                 else:
-                    fresh = converted
+                    fresh = component_from_part(old.comp, nodes, closure)
                     source = "part"
                 uid_counter += 1
                 new_chosen.append(ChosenEntry(uid_counter, fresh))

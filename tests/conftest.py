@@ -119,20 +119,6 @@ def tie_instances():
     return [grid, Instance.build(24, edges, sorted(base.terminals))]
 
 
-class RootColumns:
-    """The distances a hand-made table reads, in place of a metric closure:
-    `vertices` names each column, and `rows(ids)` gives the distances from
-    those terminal ids to every column."""
-
-    def __init__(self, vertices, ids, rows_of):
-        self.vertices = tuple(vertices)
-        self._index = {t: i for i, t in enumerate(ids)}
-        self._rows_of = rows_of
-
-    def rows(self, nodes):
-        return self._rows_of[[self._index[t] for t in nodes]]
-
-
 def candidate_table(rows):
     """A CandidateTable over hand-made pairs and single-hub stars, in the
     given order. Each row is its edge list: one edge (u, v, w) for a pair,
@@ -164,7 +150,7 @@ def candidate_table(rows):
                ids[-1] + 1 if ids else 1)
     return CandidateTable(np.array(ids, dtype=np.int64), pos, np.array(costs, dtype=np.int64),
                           r + np.arange(len(rows), dtype=np.int32), base - 1 + sum(stars),
-                          RootColumns(vertices, ids, rows_of))
+                          rows_of, np.array(vertices, dtype=np.int64))
 
 
 def interior_counts(built):

@@ -1,7 +1,7 @@
 import csv
 import io
 import json
-
+import logging
 import re
 import time
 
@@ -9,6 +9,7 @@ import pytest
 
 from conftest import FORCED, force_invariant_failure
 from steinertree import Instance, random_instance, save_stp
+from steinertree import cli
 from steinertree.cli import main
 
 
@@ -321,6 +322,27 @@ def test_no_subcommand_is_usage_error(capsys):
 
 def test_unknown_flag_is_usage_error(tmp_path, capsys):
     assert main(["solve", _star3_file(tmp_path), "--nope"]) == 1
+
+
+@pytest.mark.parametrize("value, level", [
+    (None, logging.WARNING), ("", logging.WARNING), ("info", logging.INFO),
+    ("TRACE", logging.DEBUG), ("debug", logging.WARNING), ("inf", logging.WARNING)])
+def test_steiner_log_names_its_values_once_on_a_typo(monkeypatch, capsys, value, level):
+    # Only info and trace set a level; any other nonempty value leaves
+    # WARNING and says so in one stderr line.
+    if value is None:
+        monkeypatch.delenv("STEINER_LOG", raising=False)
+    else:
+        monkeypatch.setenv("STEINER_LOG", value)
+    levels = []
+    monkeypatch.setattr(logging, "basicConfig", lambda **kw: levels.append(kw["level"]))
+    cli._configure_logging()
+    err = capsys.readouterr().err
+    assert levels == [level]
+    if value in ("debug", "inf"):
+        assert err == f"STEINER_LOG={value} is not a level; use info or trace\n"
+    else:
+        assert err == ""
 
 
 def test_module_entry_point():

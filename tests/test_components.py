@@ -804,8 +804,8 @@ def _rows_of(table, rows, base, **changes):
     for name, (row, value) in changes.items():
         cols[name][row] = value
     return CandidateTable(table.terminal_ids, cols["pos"], cols["costs"], cols["hub"],
-                          base - 1 + int(interior_counts(table.build(rows)).sum()), table.closure,
-                          table.tables, cols["split"])
+                          base - 1 + int(interior_counts(table.build(rows)).sum()), table.dist,
+                          table.vertices, table.tables, cols["split"])
 
 
 def test_table_checks_its_columns(star3):

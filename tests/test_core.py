@@ -415,17 +415,22 @@ def test_closure_batches_from_the_stated_work(monkeypatch):
 def test_closure_path_follows_the_estimates(monkeypatch, caplog):
     # Above BATCH_MIN_WORK the smaller estimate runs: the dense pass for
     # every row of the k4-dp shape and the terminal rows of the
-    # many-terminals shape, the batch for a 900-vertex grid's terminal rows
-    # and, at k=4, for all its rows. One debug line names the path.
+    # many-terminals shape and of family(160, 1), whose int32 pass costs
+    # less than the batch though an int64 one would not, the batch for a
+    # 900-vertex grid's terminal rows and, at k=4, for all its rows. One
+    # debug line names the path.
     grid = grid_instance(30, 30, seed=1, terminal_stride=30)
     k4 = random_instance(1, 60, 20, extra_edges=120)
     shapes = [(random_instance(1, 16, 10, extra_edges=16), 16, "dijkstra"),
               (k4, 60, "dense"),
               (family(80, 1), 80, "dense"),
+              (family(160, 1), 160, "dense"),
               (grid, 31, "batch"),
               (grid, 900, "batch")]
     for inst, count, path in shapes:
         assert metric_closure(inst)._path(count)[0] == path, (inst.name, count)
+    _, batch, dense = metric_closure(family(160, 1))._path(160)
+    assert dense < batch < 240 * (core.DENSE_PIVOT_NS + core.DENSE_ENTRY_NS * 240**2)
     # The dense pass computes every row, so it runs only before any row:
     # after one row by Dijkstra, the other 59 of the k4-dp shape batch.
     calls = recording_closure_paths(monkeypatch)

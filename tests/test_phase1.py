@@ -171,6 +171,34 @@ def test_a_displaced_part_outside_the_pool_is_kept_as_converted():
         "b7aaa2374a49706710fbbeee05146871b8a807888040bc9bf0a8447f1a98dbda")
 
 
+@pytest.mark.parametrize("inst, k", [(family(80, 1), 3),
+                                     (random_instance(1000, 60, 20, extra_edges=120), 4)])
+def test_a_displaced_part_with_a_pool_row_is_not_converted(monkeypatch, inst, k):
+    # The benchmark's many-terminals-k3 and k4-dp shapes: every part kept
+    # takes the pool row over its terminals, which is optimal for them, so
+    # no part is converted.
+    converted = []
+    convert = phase1.component_from_part
+    monkeypatch.setattr(phase1, "component_from_part",
+                        lambda *args: converted.append(args) or convert(*args))
+    res = solve(inst, RunConfig(k=k))
+    kept = [part for row in res.phase1_trace["iterations"] for event in row["replacements"]
+            for part in event["parts"] if part["kept"]]
+    assert kept and all(part["source"] == "pool" for part in kept)
+    assert converted == [] and res.report.ok
+
+
+@pytest.mark.xfail(strict=True, raises=InternalInvariantError,
+                   reason="known defect: a re-sourced part loses its loss credit, so the"
+                          " working tree's cost does not fall (54 to 54)")
+@pytest.mark.parametrize("k", [3, 4])
+def test_a_part_re_sourced_without_its_loss_credit_still_solves(k):
+    # The instance of the README's known phase-1 defect (ROADMAP item 17).
+    # Its mend has to turn this test into a pass.
+    inst = perfbench_module("workloads").random_graph(120, 24, 7, 12, max_weight=20)
+    assert solve(inst, RunConfig(k=k)).report.ok
+
+
 def test_phase1_deterministic():
     inst = make_batch(1, seed0=3300)[0]
     a, _, _ = _run(inst, 3)

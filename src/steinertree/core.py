@@ -231,7 +231,7 @@ def format_cost(cost: int, scale: int) -> str:
 #   + DENSE_ENTRY_NS * V^2) in int64, an entry half that in int32: 0.36-0.44,
 #   2.4-3.1, 16.5-18 and 98-105 ms at V = 60, 120, 240 and 400 in int64
 #   (family(40/80/160/267, 1)), 0.30, 1.3-1.5, 8.3-9.5 and 38-42 in int32.
-# Below BATCH_MIN_WORK units Dijkstra runs, whose predecessors come free.
+# Below BATCH_MIN_WORK units Dijkstra runs.
 # The batch's fixed numpy cost wins back only on enough work: on random
 # graphs of 20-50 vertices it took 1.27x Dijkstra's time at 2,760 units,
 # 1.01x at 4,176, 0.98x at 5,560 and 0.84x at 6,240. The dense pass gained
@@ -262,18 +262,6 @@ ROUND_WORK = 200
 # 62 MiB beside the 99 MiB matrix (2 MiB in batches).
 BATCH_MAX_WORK = 2**20
 
-# Predecessors derived from computed rows take them in blocks of at most
-# PREDECESSOR_BLOCK (row, arc) pairs, some 128 KiB per int64 temporary.
-# Blocks of BATCH_MAX_WORK units held every source of a 900-vertex grid
-# solve at once, some 0.8 MiB per temporary, and raised its peak RSS by
-# 1.9 MB (38.0 -> 39.9 MB over three passes of big-graph-k3's seed-1
-# instances); at 2**14 pairs it rose 0.3 MB, at 2**16 1.1 MB. For the 29
-# sources of such a grid (3,480 arcs a row) blocks of 2**14 pairs took
-# 0.82 ms against 1.03 ms row by row, and for the 52 of a many-terminals
-# solve (706 arcs) 0.27 against 0.89 ms.
-PREDECESSOR_BLOCK = 2**14
-
-
 def _distinct(flat: np.ndarray, at: np.ndarray, values: np.ndarray) -> np.ndarray:
     """The positions `at`, each once: every entry writes its own index into
     `flat` at its position, as -1 - index, and the entries that read their
@@ -293,13 +281,14 @@ class MetricClosure:
     Vertices outside that component are excluded; `vertices` are its sorted
     ids and `index` maps a vertex id to its column. The first read that
     needs rows not yet computed (`distance`, `rows`, `block`, `dist`,
-    `predecessors`, `path_edges` or `expand`) computes all of them at once,
-    by one of three paths (`_path`): one Dijkstra per source; one batched
-    Δ-stepping over the sources (`_delta_stepping`); or, before any row is
-    computed, one dense Floyd-Warshall pass that computes every row
-    (`_floyd_warshall`). Distances are unique, and predecessors follow
-    Dijkstra's tie rule on every path, so every row is the same whichever
-    path computed it and whichever order the rows are asked for in.
+    `path_edges` or `expand`) computes all of them at once, by one of
+    three paths (`_path`): one Dijkstra per source; one batched Δ-stepping
+    over the sources (`_delta_stepping`); or, before any row is computed,
+    one dense Floyd-Warshall pass that computes every row
+    (`_floyd_warshall`). Distances are unique, and `path_edges` follows
+    Dijkstra's path over a row whichever path computed it, so every row
+    and path is the same either way and whichever order the rows are
+    asked for in.
     `rows_computed` counts the rows computed. `dist`, the full int64
     matrix, computes every row that is still missing.
     """
@@ -329,8 +318,8 @@ class MetricClosure:
     def _arcs(self) -> tuple[np.ndarray, np.ndarray, np.ndarray] | None:
         """The adjacency as CSR arrays (row starts, neighbor columns,
         weights), or None when a weight is 0: a zero-weight edge breaks the
-        pop-order argument of the predecessor rule, so such a closure
-        computes every row by Dijkstra."""
+        pop-order argument of `path_edges`' tight-arc walk, so such a
+        closure computes every row by Dijkstra."""
         flat = np.array([x for nbrs in self._adj for x in nbrs], dtype=np.int64).reshape(-1, 2)
         if flat[:, 1].min() == 0:
             return None
@@ -408,48 +397,6 @@ class MetricClosure:
             cur = _distinct(flat, pending[keep], d[keep])
 
     @cached_property
-    def _incoming(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """Every arc (u, v, w) into column v, sorted by v, then heaviest
-        first, then smallest u."""
-        start, head, weight = self._arcs
-        # Edges are undirected: the arcs out of column v are the arcs into it.
-        v = np.repeat(np.arange(len(start) - 1), np.diff(start))
-        order = np.lexsort((head, -weight, v))
-        return head[order], v[order], weight[order]
-
-    def _tight_predecessors(self, columns: Sequence[int]) -> None:
-        """Dijkstra's predecessors of the computed rows `columns`, from their
-        distances over positive weights, in blocks of up to
-        PREDECESSOR_BLOCK (row, arc) pairs; a single row is a block of one.
-        Dijkstra sets pred[v] to the first popped u with
-        row[u] + w(u, v) == row[v], a tight neighbor. With positive weights
-        every vertex at distance d is in the heap before any of them pops,
-        so vertices pop in (distance, column) order and that u is the tight
-        neighbor of smallest row[u] = row[v] - w, that is of largest w, ties
-        going to the smallest column: v's first tight arc in `_incoming`
-        order."""
-        u, v, w = self._incoming
-        step = max(1, PREDECESSOR_BLOCK // len(u))
-        for at in range(0, len(columns), step):
-            part = columns[at:at + step]
-            rows = np.stack([self._dist[c] for c in part])
-            # take(axis=1) runs some 1.5 times faster than rows[:, u] here.
-            reach = rows.take(u, axis=1)
-            reach += w
-            # Tight arcs as flat (row, arc) positions, row-major, so each
-            # row's run is sorted by v and its first arc per v leads.
-            tight = np.flatnonzero(reach == rows.take(v, axis=1))
-            row = tight // len(u)
-            arc = tight - row * len(u)
-            at_v = row * rows.shape[1] + v[arc]
-            first = np.diff(at_v, prepend=-1) != 0
-            pred = np.full(rows.shape, -1, dtype=np.int32)
-            pred.reshape(-1)[at_v[first]] = u[arc[first]]
-            for c, p in zip(part, pred):
-                p.flags.writeable = False
-                self._pred[c] = p
-
-    @cached_property
     def _dense_fill(self) -> tuple[int, type]:
         """The dense pass's sentinel, the total edge weight plus 1, and its
         dtype: an entry formed is at most twice the sentinel, so int32 when
@@ -483,8 +430,8 @@ class MetricClosure:
         non-edge the sentinel (`_dense_fill`), one broadcast add and one
         minimum per pivot. The pass runs in `_dense_fill`'s dtype, the
         same lines either way, and distances are unique integers, so int32
-        rows match int64's bit for bit. Predecessors come from the
-        distances, as for batched rows (`_tight_predecessors`)."""
+        rows match int64's bit for bit. Paths walk its rows' tight arcs, as
+        for batched rows (`path_edges`)."""
         start, head, weight = self._arcs
         n = len(start) - 1
         sentinel, dtype = self._dense_fill
@@ -555,28 +502,6 @@ class MetricClosure:
         """Distances between `nodes`, rows and columns in the given order."""
         return self.rows(nodes)[:, [self.index[u] for u in nodes]]
 
-    def predecessors(self, u: int) -> np.ndarray:
-        """Column of the vertex before each vertex on its shortest path
-        from `u`; -1 at `u`."""
-        si = self._column(u)
-        pred = self._pred.get(si)
-        if pred is None:
-            self._predecessor_rows([si])
-            pred = self._pred[si]
-        return pred
-
-    def _predecessor_rows(self, columns: Iterable[int]) -> None:
-        """Computes the missing predecessors of `columns` in one pass: rows
-        still to compute first, then those rows the batch or the dense pass
-        computed (rows computed by Dijkstra keep the predecessors they
-        stored)."""
-        missing = [c for c in dict.fromkeys(columns) if c not in self._pred]
-        if missing:
-            self._rows(missing)
-            missing = [c for c in missing if c not in self._pred]
-        if missing:
-            self._tight_predecessors(missing)
-
     @cached_property
     def dist(self) -> np.ndarray:
         """All-pairs distances. Rows computed earlier move into the matrix,
@@ -596,15 +521,29 @@ class MetricClosure:
         return int(self._row(self._column(u))[self._column(v)])
 
     def path_edges(self, u: int, v: int) -> list[Edge]:
-        """Original-graph edges of one shortest u-v path (deterministic).
-        A predecessor edge is tight, so its weight is the rise in distance
-        along it."""
-        pred = self.predecessors(u)
-        iu, cur = self.index[u], self._column(v)
+        """Original-graph edges of the shortest u-v path Dijkstra from u
+        records, walked back from v. A row Dijkstra computed keeps its
+        predecessors. Over any other row, whose weights are positive
+        (`_arcs`), each step from x goes to its tight neighbor y,
+        row[y] + w(y, x) == row[x], of largest w, ties going to the
+        smallest column. That is Dijkstra's choice: it sets pred[x] to the
+        first popped tight neighbor. With positive weights every vertex at
+        distance d is in the heap before any of them pops, so vertices pop
+        in (distance, column) order and that neighbor is the one of
+        smallest row[y] = row[x] - w. A step's edge is tight, so its weight
+        is the rise in distance along it."""
+        iu, cur = self._column(u), self._column(v)
         row = self._row(iu)
+        pred = self._pred.get(iu)
         out: list[Edge] = []
         while cur != iu:
-            prev = int(pred[cur])
+            if pred is not None:
+                prev = int(pred[cur])
+            else:
+                at, heaviest = row[cur], 0
+                for y, w in self._adj[cur]:  # in column order
+                    if w > heaviest and row[y] + w == at:
+                        prev, heaviest = y, w
             a, b = self.vertices[prev], self.vertices[cur]
             out.append((min(a, b), max(a, b), int(row[cur] - row[prev])))
             cur = prev
@@ -613,9 +552,10 @@ class MetricClosure:
 
     def expand(self, pairs: Iterable[tuple[int, int]], terminals: Sequence[int]) -> Tree:
         """Tree over original edges: one shortest path per (u, v) pair,
-        their union reduced by pruned_mst."""
+        their union reduced by pruned_mst. The pairs' missing source rows
+        are computed together first."""
         pairs = list(pairs)
-        self._predecessor_rows(self._column(u) for u, _ in pairs)
+        self._rows([self._column(u) for u, _ in pairs])
         assembled: dict[tuple[int, int], int] = {}
         for u, v in pairs:
             for a, b, w in self.path_edges(u, v):

@@ -282,6 +282,20 @@ def reference_closure(instance, sources=None):
     return vertices, dist, pred
 
 
+def reference_path(vertices, dist, pred, column):
+    """Edges (smaller, larger, weight) of the path from a source to the
+    vertex in `column`, source first, read back along the source's
+    predecessor row `pred` of `reference_closure`; each weight is the rise
+    of its distance row `dist` along the edge."""
+    out = []
+    while pred[column] >= 0:
+        prev = int(pred[column])
+        a, b = vertices[prev], vertices[column]
+        out.append((min(a, b), max(a, b), int(dist[column] - dist[prev])))
+        column = prev
+    return out[::-1]
+
+
 def reference_dw_tables(D, base):
     """The per-subset reference's tables over the closure indices `base`:
     W, relax and split as dicts keyed by local mask (relax and split for

@@ -3,13 +3,17 @@ from fractions import Fraction
 
 import pytest
 
+from conftest import perfbench_module
 from steinertree import (
+    Instance,
+    RunConfig,
     check_run,
     crossover_alpha,
     guarantee_ratio,
     ratio_curves,
     restricted_ratio_bound,
     solution_cost_bound,
+    solve,
 )
 from steinertree.errors import KRestrictionError
 
@@ -151,3 +155,31 @@ def test_check_run_alpha_below_half_is_flagged():
                merge2_cost=6, solution_cost=6)
     report = check_run(**bad)
     assert "alpha_in_range" in report.failed
+
+
+# ------------------------------
+# Known in-band failures (ROADMAP item 22)
+# ------------------------------
+
+@pytest.mark.xfail(strict=True, raises=AssertionError,
+                   reason="known defect: a bound check fails in-band (ROADMAP item 22)")
+@pytest.mark.parametrize("case", ["corpus-seed-15", "corpus-seed-92", "merge2-k4",
+                                  "overlap-zero-weights"])
+def test_known_bound_check_failures(case):
+    # Two instances of the benchmark's own oracle corpus, which
+    # `perfbench/run.py --workload small-corpus-oracles` draws at seeds 15
+    # and 92, and the item's two shrunk reproducers. Each fails its named
+    # check today; a mend has to turn this test into a pass.
+    corpus = perfbench_module("workloads").small_corpus_instance
+    inst, k, check = {
+        "corpus-seed-15": (corpus(15029, 29, 10), 3, "merge2_within_log_bound"),
+        "corpus-seed-92": (corpus(92053, 53, 10), 3, "merge2_within_log_bound"),
+        "merge2-k4": (Instance.build(7, [(1, 2, 3), (2, 3, 2), (2, 4, 2), (5, 6, 2), (3, 7, 1),
+                                         (1, 6, 2), (3, 5, 1)], [1, 4, 5, 7]),
+                      4, "merge2_within_log_bound"),
+        "overlap-zero-weights": (Instance.build(
+            11, [(1, 4, 0), (2, 5, 1), (3, 6, 0), (1, 11, 0), (1, 3, 0), (1, 8, 1), (7, 8, 1),
+                 (8, 10, 2), (2, 9, 1), (2, 11, 2)], [4, 5, 6, 7, 9, 10]),
+            4, "pairwise_overlap"),
+    }[case]
+    assert check not in solve(inst, RunConfig(k=k)).report.failed

@@ -197,8 +197,7 @@ def test_closure_path_edges_unknown_vertex():
             c.path_edges(u, v)
     with pytest.raises(UnknownNodeError):
         c.rows([1, 999])
-    with pytest.raises(UnknownNodeError):
-        c.predecessors(999)
+    assert c.path_edges(1, 1) == [] and c.path_edges(3, 3) == []
 
 
 def _odd_instance():
@@ -221,9 +220,9 @@ def test_closure_rows_match_eager_reference():
         assert list(c.vertices) == vertices
         assert c.rows_computed == 0
         # Rows asked for in reverse order, one at a time.
-        for i, v in reversed(list(enumerate(vertices))):
-            assert (c.rows([v])[0] == want_dist[i]).all(), (inst.name, v)
-            assert (c.predecessors(v) == want_pred[i]).all(), (inst.name, v)
+        for i in reversed(range(len(vertices))):
+            _assert_rows_and_paths(c, vertices, want_dist[i:i + 1], want_pred[i:i + 1],
+                                   vertices[i:i + 1])
         assert c.rows_computed == len(vertices)
         # The full matrix takes the computed rows over and recomputes none.
         assert c.dist.dtype == np.int64
@@ -233,8 +232,7 @@ def test_closure_rows_match_eager_reference():
         # A fresh closure fills the matrix itself, with the same rows.
         fresh = metric_closure(inst)
         assert (fresh.dist == want_dist).all()
-        for i, v in enumerate(vertices):
-            assert (fresh.predecessors(v) == want_pred[i]).all()
+        _assert_rows_and_paths(fresh, vertices, want_dist, want_pred, vertices)
         assert fresh.rows_computed == len(vertices)
     assert 6 not in c.index  # the last case leaves vertex 6 outside
 
@@ -254,10 +252,17 @@ def _dense_every_read(monkeypatch):
     monkeypatch.setattr(core, "DENSE_ENTRY_NS", 0)
 
 
-def _assert_closure_rows(c, vertices, want_dist, want_pred, sources):
+def _assert_rows_and_paths(c, vertices, want_dist, want_pred, sources):
+    """Each source's row, and its path to every vertex, are the reference's
+    (row i of `want_dist` and `want_pred` for source i). A path's step
+    back from a vertex depends on that vertex alone, and every vertex lies
+    on the path to a leaf of the source's predecessor tree, so the paths
+    to the leaves check every step."""
     for i, v in enumerate(sources):
         assert (c.rows([v])[0] == want_dist[i]).all(), v
-        assert (c.predecessors(v) == want_pred[i]).all(), v
+        for x in np.setdiff1d(np.arange(len(vertices)), want_pred[i]).tolist():
+            want = oracles.reference_path(vertices, want_dist[i], want_pred[i], x)
+            assert c.path_edges(v, vertices[x]) == want, (v, vertices[x])
     assert list(c.vertices) == vertices
 
 
@@ -270,7 +275,7 @@ def _positive_weight_cases():
 
 def test_closure_batch_matches_eager_reference(monkeypatch):
     # Positive weights: one Δ-stepping batch computes every row asked for,
-    # and predecessors come from the tight-neighbor rule. The 30 x 30 grid
+    # and paths walk its rows' tight arcs. The 30 x 30 grid
     # is the benchmark's shape.
     _batch_every_read(monkeypatch)
     calls = recording_closure_paths(monkeypatch)
@@ -285,7 +290,7 @@ def test_closure_batch_matches_eager_reference(monkeypatch):
         assert (c.rows(sources) == want_dist).all(), inst.name
         assert calls["batches"] == [(len(sources), True)]
         assert c.rows_computed == len(sources)
-        _assert_closure_rows(c, vertices, want_dist, want_pred, sources)
+        _assert_rows_and_paths(c, vertices, want_dist, want_pred, sources)
         if len(sources) == len(vertices):  # the matrix takes the rows over
             assert (c.dist == want_dist).all()
     assert calls["dijkstra"] == 0 and calls["dense"] == []
@@ -301,7 +306,7 @@ def _int32_bound_path(total):
 
 def test_closure_dense_pass_matches_eager_reference(monkeypatch):
     # The first read computes every row in one dense pass, whatever it
-    # asks for; predecessors come from the tight-neighbor rule. The pass
+    # asks for; paths walk its rows' tight arcs. The pass
     # runs in int32 while the sentinel, the total weight plus 1, sums with
     # itself below 2**31, else in int64, with equal rows either way.
     _dense_every_read(monkeypatch)
@@ -321,7 +326,7 @@ def test_closure_dense_pass_matches_eager_reference(monkeypatch):
             assert chosen == [dtype] and want_dist.max() == sum(w for *_, w in inst.edges)
         # Every later read, the matrix included, computes nothing.
         assert c.dist is c.dist and (c.dist == want_dist).all()
-        _assert_closure_rows(c, vertices, want_dist, want_pred, vertices)
+        _assert_rows_and_paths(c, vertices, want_dist, want_pred, vertices)
         assert calls["dense"] == [len(vertices)] and c.rows_computed == len(vertices)
     assert calls["dijkstra"] == 0 and calls["batches"] == []
 
@@ -334,7 +339,7 @@ def test_zero_weight_closures_take_the_dijkstra_path(monkeypatch):
             vertices, want_dist, want_pred = oracles.reference_closure(inst)
             c = metric_closure(inst)
             assert (c.dist == want_dist).all()
-            _assert_closure_rows(c, vertices, want_dist, want_pred, vertices)
+            _assert_rows_and_paths(c, vertices, want_dist, want_pred, vertices)
             assert calls["dijkstra"] == len(vertices)
             assert calls["batches"] == [] and calls["dense"] == []
             calls["dijkstra"] = 0
@@ -377,8 +382,11 @@ def test_closure_batch_out_of_rounds_reruns_its_sources(monkeypatch):
         assert calls["batches"] == [(3, finished)]
         assert calls["dijkstra"] == (0 if finished else 3)
         assert c.rows_computed == 3
+        # The paths to both ends step through every vertex's predecessor.
         for i, s in enumerate(sources):
-            assert (c.predecessors(s) == want_pred[i]).all()
+            for end in {1, 3000} - {s}:
+                want = oracles.reference_path(range(1, 3001), want_dist[i], want_pred[i], end - 1)
+                assert c.path_edges(s, end) == want
 
 
 def test_closure_batches_from_the_stated_work(monkeypatch):
@@ -459,25 +467,12 @@ def test_dense_pass_fits_the_dense_budget(monkeypatch):
         assert calls["batches"] == batches and calls["dense"] == dense
 
 
-def _record_predecessor_passes(monkeypatch):
-    """The columns of every tight-arc predecessor pass, in call order."""
-    blocks = []
-    tight = core.MetricClosure._tight_predecessors
-
-    def recording(self, columns):
-        blocks.append(list(columns))
-        return tight(self, columns)
-    monkeypatch.setattr(core.MetricClosure, "_tight_predecessors", recording)
-    return blocks
-
-
-@pytest.mark.parametrize("block", [core.PREDECESSOR_BLOCK, 2**20, 300])
-def test_expand_computes_its_predecessors_in_one_pass(monkeypatch, block):
-    # Every source's predecessors come from one tight-arc pass, in blocks of
-    # at most PREDECESSOR_BLOCK (row, arc) pairs, and equal Dijkstra's; unit
-    # weights tie everywhere. Rows of the batch and of the dense pass alike.
-    monkeypatch.setattr(core, "PREDECESSOR_BLOCK", block)
-    blocks = _record_predecessor_passes(monkeypatch)
+def test_expand_reads_its_rows_in_one_pass(monkeypatch):
+    # The source rows an expand misses come from one batch, or the dense
+    # pass, and an expand over computed rows computes none. Paths over
+    # either walk tight arcs to Dijkstra's choice; unit weights tie
+    # everywhere.
+    calls = recording_closure_paths(monkeypatch)
     for force, inst in itertools.product(
             (_batch_every_read, _dense_every_read),
             (tie_instances()[0], grid_instance(12, 12, max_weight=1, terminal_stride=5),
@@ -485,34 +480,60 @@ def test_expand_computes_its_predecessors_in_one_pass(monkeypatch, block):
         force(monkeypatch)
         vertices, want_dist, want_pred = oracles.reference_closure(inst)
         c = metric_closure(inst)
-        c.rows(vertices)
         sources = vertices[::3]
-        blocks.clear()
         root = min(inst.terminals)
+        calls["batches"].clear()
+        calls["dense"].clear()
         c.expand([(u, root) for u in sources], sorted({root, *sources}))
-        assert blocks == [[c.index[u] for u in sources]]
-        for u in sources:
-            assert (c.predecessors(u) == want_pred[c.index[u]]).all(), (inst.name, u)
-        # Rows read again reuse their predecessors; one more row is a block of one.
-        blocks.clear()
+        if force is _batch_every_read:
+            assert calls["batches"] == [(len(sources), True)] and calls["dense"] == []
+        else:
+            assert calls["batches"] == [] and calls["dense"] == [len(vertices)]
+        assert c.path_edges(root, root) == []
+        at = [c.index[u] for u in sources]
+        _assert_rows_and_paths(c, vertices, want_dist[at], want_pred[at], sources)
+        computed = c.rows_computed
         c.expand([(sources[0], vertices[-1])], [sources[0], vertices[-1]])
-        assert blocks == []
-        assert (c.predecessors(vertices[1]) == want_pred[1]).all()
-        assert blocks == [[1]]
+        assert c.rows_computed == computed
+        assert len(calls["batches"]) + len(calls["dense"]) == 1
+    assert calls["dijkstra"] == 0
 
 
 def test_expand_keeps_the_predecessors_of_dijkstra_rows(monkeypatch):
-    blocks = _record_predecessor_passes(monkeypatch)
+    calls = recording_closure_paths(monkeypatch)
     inst = tie_instances()[1]  # zero weights: every row runs Dijkstra
     vertices, want_dist, want_pred = oracles.reference_closure(inst)
     c = metric_closure(inst)
     c.rows(vertices)
     stored = dict(c._pred)
     c.expand([(u, vertices[0]) for u in vertices[1:]], vertices)
-    assert blocks == []
-    for i, u in enumerate(vertices):
-        assert c.predecessors(u) is stored[i]
-        assert (stored[i] == want_pred[i]).all()
+    assert calls["dijkstra"] == len(vertices) and c.rows_computed == len(vertices)
+    assert len(c._pred) == len(vertices)
+    for i in range(len(vertices)):
+        assert c._pred[i] is stored[i] and (stored[i] == want_pred[i]).all()
+    _assert_rows_and_paths(c, vertices, want_dist, want_pred, vertices)
+
+
+def _tight_arc_step(closure, row, x):
+    """The step back from column x that the tight-arc walk of
+    `path_edges` takes over `row`: the tight neighbor of largest weight,
+    ties going to the smallest column, here with zero weights allowed."""
+    tight = [(-w, y) for y, w in closure._adj[x] if row[y] + w == row[x]]
+    return min(tight)[1]
+
+
+def test_zero_weight_paths_need_dijkstras_predecessors():
+    # With a zero-weight edge the pop order no longer follows distance
+    # alone, so the tight-arc walk can leave Dijkstra's path: on this
+    # instance it steps elsewhere at 3 (source, vertex) pairs, on 7 paths.
+    # Dijkstra's stored predecessors give the reference path everywhere.
+    inst = _odd_instance()
+    vertices, want_dist, want_pred = oracles.reference_closure(inst)
+    c = metric_closure(inst)
+    _assert_rows_and_paths(c, vertices, want_dist, want_pred, vertices)
+    differ = [(i, x) for i in range(len(vertices)) for x in range(len(vertices))
+              if x != i and _tight_arc_step(c, want_dist[i], x) != want_pred[i, x]]
+    assert differ
 
 
 def test_closure_rows_compute_each_missing_row_once(monkeypatch):

@@ -266,7 +266,7 @@ def test_k4_dense_budget_is_checked_before_any_closure_row(monkeypatch, tmp_path
 
 def test_solving_imports_only_declared_dependencies():
     # pyproject declares numpy alone. A k=4 solve with both oracles on
-    # reads the dense pass, tight-arc predecessors and the tables; a
+    # reads the dense pass, tight-arc paths and the tables; a
     # 400-vertex grid at k=3 batches its terminal rows.
     # numpy.ma is no dependency but 1.6 MB of resident memory, which
     # np.unique would load on first use; nor does an 80-terminal k=3 solve
